@@ -228,17 +228,13 @@ def cmd_reactive(args) -> int:
         _emit_json(args, {"header": _header(args, args.case),
                           "status": "NoReactiveSolution"})
         return EXIT_NO_SOLUTION
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    prog = reduced._ZetaProgram(n, np.cos(theta[f] - theta[t]),
-                                -n.q_inj[n.pq])
-    slack = [float(v) for v in prog.constraints(state.zeta)]
     v_bar = reduced.voltage_upper_bound(n).v_bar
     payload = {"header": _header(args, args.case),
                "status": "Solved",
                "pq_bus": [n.buses[p].id for p in n.pq],
                "zeta": [float(z) for z in state.zeta],
                "v": [float(v) for v in state.voltages()],
-               "constraint_slack": slack,
+               "constraint_slack": [float(v) for v in state.constraint_slack],
                "v_bar": [float(v) for v in v_bar]}
     _emit_json(args, payload)
     return EXIT_OK

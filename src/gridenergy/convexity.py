@@ -26,6 +26,7 @@ class ConvexityCertificate:
     phase_ok: bool
     lmi_min_eig: float
     tol_abs: float
+    scale: float = 1.0  # 1 + max |diag| of the domain matrix; tol_abs = tol * scale
     in_d_sampled: bool | None = None
     d_samples: int = 0
 
@@ -51,21 +52,28 @@ def _active_mask(n: Network) -> np.ndarray:
     return (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
 
 
-def _assemble_lmi(n: Network, d_edge: np.ndarray, inv_cos: np.ndarray) -> np.ndarray:
-    """Build the PQ-by-PQ domain matrix from per-line voltage-ratio exponents
-    d_edge (rho_to - rho_from) and per-line 1/cos(theta) values."""
-    npq = len(n.pq)
+def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
+    """PQ-bus-by-line factor U of the domain matrix.
+
+    Column k holds e^{d_k/2} at line k's from-bus and e^{-d_k/2} at its
+    to-bus (PQ ends only), where d_k = rho_to - rho_from. Each line's block
+    (b/cos theta) [[e^d, 1], [1, e^-d]] is then w_k u_k u_k^T.
+    """
     f, t = n.edges[:, 0], n.edges[:, 1]
     pf, pt = n.pq_index_of[f], n.pq_index_of[t]
-    lm = np.zeros((npq, npq))
-    lm[np.arange(npq), np.arange(npq)] = 2.0 * n.b_total[n.pq]
+    k = np.arange(len(n.lines))
+    u = np.zeros((len(n.pq), len(n.lines)))
     mf, mt = pf >= 0, pt >= 0
-    np.subtract.at(lm, (pf[mf], pf[mf]), n.b[mf] * np.exp(d_edge[mf]) * inv_cos[mf])
-    np.subtract.at(lm, (pt[mt], pt[mt]), n.b[mt] * np.exp(-d_edge[mt]) * inv_cos[mt])
-    both = mf & mt
-    np.subtract.at(lm, (pf[both], pt[both]), n.b[both] * inv_cos[both])
-    np.subtract.at(lm, (pt[both], pf[both]), n.b[both] * inv_cos[both])
-    return lm
+    u[pf[mf], k[mf]] = np.exp(0.5 * d[mf])
+    u[pt[mt], k[mt]] = np.exp(-0.5 * d[mt])
+    return u
+
+
+def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from per-line
+    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta)."""
+    u = line_factors(n, d)
+    return np.diag(2.0 * n.b_total[n.pq]) - (u * w) @ u.T
 
 
 def convexity_matrix(n: Network, s: PFState) -> SymMatrix:
@@ -78,8 +86,7 @@ def convexity_matrix(n: Network, s: PFState) -> SymMatrix:
         raise PhaseOutOfRange("a line phase difference reached 90 degrees")
     if len(n.pq) == 0:
         raise UnsupportedTopology("network has no PQ buses; the matrix is empty")
-    d_edge = s.rho[t] - s.rho[f]
-    return SymMatrix(_assemble_lmi(n, d_edge, 1.0 / np.cos(te)))
+    return SymMatrix(domain_matrix(n, s.rho[t] - s.rho[f], n.b / np.cos(te)))
 
 
 def in_domain_C(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> ConvexityCertificate:
@@ -102,13 +109,14 @@ def in_domain_C(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> Convexi
                                     lmi_min_eig=-math.inf, tol_abs=0.0)
     inv_cos = np.ones(len(n.lines))
     inv_cos[active] = 1.0 / np.cos(te[active])
-    lm = _assemble_lmi(n, s.rho[t] - s.rho[f], inv_cos)
+    lm = domain_matrix(n, s.rho[t] - s.rho[f], n.b * inv_cos)
     w, _ = sym_eigen(SymMatrix(lm))
     lmi_min = float(w[0])
-    tol_abs = tol * (1.0 + float(np.max(np.abs(np.diag(lm)))))
+    scale = 1.0 + float(np.max(np.abs(np.diag(lm))))
+    tol_abs = tol * scale
     return ConvexityCertificate(in_c=phase_ok and lmi_min >= -tol_abs,
                                 phase_ok=phase_ok, lmi_min_eig=lmi_min,
-                                tol_abs=tol_abs)
+                                tol_abs=tol_abs, scale=scale)
 
 
 def strictly_interior(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL,
@@ -320,10 +328,9 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
         n_used = len(patterns)
 
         def box_ok(b_theta: float) -> bool:
-            inv_cos = np.full(len(n.lines), 1.0 / math.cos(b_theta))
+            w = n.b / math.cos(b_theta)
             for d in patterns:
-                if not cholesky_psd(SymMatrix(_assemble_lmi(n, d, inv_cos)),
-                                    tol).psd:
+                if not cholesky_psd(SymMatrix(domain_matrix(n, d, w)), tol).psd:
                     return False
             return True
 

@@ -85,34 +85,45 @@ def _edge_terms(n: Network, s: PFState):
     return f, t, te, exy
 
 
-def energy_value(n: Network, s: PFState) -> float:
-    """Evaluate the energy function; exactly 0 at the flat start."""
-    check_state(n, s)
-    f, t, te, exy = _edge_terms(n, s)
-    e2 = np.exp(2.0 * s.rho)
-    quad = 0.5 * (e2[f] + e2[t]) - exy * np.cos(te)
-    return float(np.dot(n.b, quad)
-                 - np.dot(n.p_inj[n.ns], s.theta[n.ns])
-                 - np.dot(n.q_inj[n.pq], s.rho[n.pq]))
+def _value(n: Network, s: PFState, beff, tp, tq, f, t, exy, e2, cos_t) -> float:
+    """Energy from edge terms, with susceptances beff and targets (tp, tq)."""
+    quad = 0.5 * (e2[f] + e2[t]) - exy * cos_t
+    return float(np.dot(beff, quad)
+                 - np.dot(tp[n.ns], s.theta[n.ns])
+                 - np.dot(tq[n.pq], s.rho[n.pq]))
 
 
-def energy_gradient(n: Network, s: PFState) -> EnergyEval:
-    """Analytic gradient of the energy (equal to minus the PF residuals)."""
-    check_state(n, s)
+def _value_gradient(n: Network, s: PFState, beff, tp, tq) -> EnergyEval:
+    """Energy and its gradient from one set of edge terms."""
     f, t, te, exy = _edge_terms(n, s)
     sin_t = np.sin(te)
     cos_t = np.cos(te)
     e2 = np.exp(2.0 * s.rho)
     g_theta = np.zeros(n.n_bus)
     g_rho = np.zeros(n.n_bus)
-    flow = n.b * exy * sin_t
+    flow = beff * exy * sin_t
     np.add.at(g_theta, f, flow)
     np.add.at(g_theta, t, -flow)
-    np.add.at(g_rho, f, n.b * (e2[f] - exy * cos_t))
-    np.add.at(g_rho, t, n.b * (e2[t] - exy * cos_t))
-    g_theta -= n.p_inj
-    g_rho -= n.q_inj
-    return EnergyEval(energy_value(n, s), g_theta[n.ns], g_rho[n.pq])
+    np.add.at(g_rho, f, beff * (e2[f] - exy * cos_t))
+    np.add.at(g_rho, t, beff * (e2[t] - exy * cos_t))
+    g_theta -= tp
+    g_rho -= tq
+    value = _value(n, s, beff, tp, tq, f, t, exy, e2, cos_t)
+    return EnergyEval(value, g_theta[n.ns], g_rho[n.pq])
+
+
+def energy_value(n: Network, s: PFState) -> float:
+    """Evaluate the energy function; exactly 0 at the flat start."""
+    check_state(n, s)
+    f, t, te, exy = _edge_terms(n, s)
+    return _value(n, s, n.b, n.p_inj, n.q_inj, f, t, exy,
+                  np.exp(2.0 * s.rho), np.cos(te))
+
+
+def energy_gradient(n: Network, s: PFState) -> EnergyEval:
+    """Analytic gradient of the energy (equal to minus the PF residuals)."""
+    check_state(n, s)
+    return _value_gradient(n, s, n.b, n.p_inj, n.q_inj)
 
 
 def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
@@ -267,32 +278,16 @@ def lossy_energy_value(n: Network, s: PFState) -> float:
     kappa = _require_lossy(n)
     check_state(n, s)
     f, t, te, exy = _edge_terms(n, s)
-    e2 = np.exp(2.0 * s.rho)
-    beff = (kappa * kappa + 1.0) * n.b
-    quad = 0.5 * (e2[f] + e2[t]) - exy * np.cos(te)
     tp, tq = lossy_targets(n, kappa)
-    return float(np.dot(beff, quad)
-                 - np.dot(tp[n.ns], s.theta[n.ns])
-                 - np.dot(tq[n.pq], s.rho[n.pq]))
+    return _value(n, s, (kappa * kappa + 1.0) * n.b, tp, tq, f, t, exy,
+                  np.exp(2.0 * s.rho), np.cos(te))
 
 
 def lossy_gradient(n: Network, s: PFState) -> EnergyEval:
     kappa = _require_lossy(n)
     check_state(n, s)
-    f, t, te, exy = _edge_terms(n, s)
-    e2 = np.exp(2.0 * s.rho)
-    beff = (kappa * kappa + 1.0) * n.b
-    g_theta = np.zeros(n.n_bus)
-    g_rho = np.zeros(n.n_bus)
-    flow = beff * exy * np.sin(te)
-    np.add.at(g_theta, f, flow)
-    np.add.at(g_theta, t, -flow)
-    np.add.at(g_rho, f, beff * (e2[f] - exy * np.cos(te)))
-    np.add.at(g_rho, t, beff * (e2[t] - exy * np.cos(te)))
     tp, tq = lossy_targets(n, kappa)
-    g_theta -= tp
-    g_rho -= tq
-    return EnergyEval(lossy_energy_value(n, s), g_theta[n.ns], g_rho[n.pq])
+    return _value_gradient(n, s, (kappa * kappa + 1.0) * n.b, tp, tq)
 
 
 def lossy_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:

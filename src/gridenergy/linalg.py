@@ -102,11 +102,6 @@ def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def min_eigenvalue(m: SymMatrix) -> float:
-    w, _ = sym_eigen(m)
-    return float(w[0])
-
-
 def solve_spd(m: SymMatrix, rhs) -> np.ndarray:
     """Solve m x = rhs for symmetric positive definite m."""
     a = _check_finite(m)

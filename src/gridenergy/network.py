@@ -161,12 +161,6 @@ class Network:
     def is_lossless(self) -> bool:
         return self.lossy_ratio == 0.0
 
-    def bus_at(self, pos: int) -> Bus:
-        return self.buses[pos]
-
-    def with_buses(self, buses) -> "Network":
-        return Network(buses, self.lines)
-
     def __repr__(self):
         return (f"Network(n_bus={self.n_bus}, n_line={len(self.lines)}, "
                 f"slack={self.slack})")

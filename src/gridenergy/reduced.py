@@ -31,6 +31,7 @@ _REACTIVE_TOL = 1e-10
 class ReducedState:
     zeta: np.ndarray  # squared voltages at PQ buses
     theta: np.ndarray  # per-bus phases, slack pinned to zero
+    constraint_slack: np.ndarray  # reactive constraint values at zeta (0 when tight)
 
     def voltages(self) -> np.ndarray:
         return np.sqrt(self.zeta)
@@ -345,7 +346,8 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     if z0 is None:
         raise NoReactiveSolution("no strictly feasible voltage profile found")
     z = prog.maximize(c, z0)
-    return ReducedState(zeta=z, theta=theta.copy())
+    return ReducedState(zeta=z, theta=theta.copy(),
+                        constraint_slack=prog.constraints(z))
 
 
 def voltage_upper_bound(n: Network) -> VoltageBound:

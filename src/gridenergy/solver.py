@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as en
-from .convexity import (ConvexityCertificate, PhaseVoltageBox, _assemble_lmi,
-                        in_domain_C, lossy_in_domain)
+from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
+                        in_domain_C, line_factors, lossy_in_domain)
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotConstantRatio, NotPositiveDefinite
 from .linalg import SymMatrix, solve_spd
@@ -146,57 +146,39 @@ class _Barrier:
     """Value/gradient/Hessian of the domain barrier in packed coordinates.
 
     Barrier = -sum_lines log cos(theta_ij) - log det(domain matrix), plus
-    optional per-line operating-box terms. The domain matrix is assembled
-    over PQ buses; its log-det derivatives are accumulated per line through
-    the inverse.
+    optional per-line operating-box terms. Everything is a function of the
+    per-line edge variables d = rho_to - rho_from and tau = theta_from -
+    theta_to; a constant Jacobian chains the edge derivatives into packed
+    coordinates.
     """
 
     def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
         self.n = n
         self.box = box
-        npq = len(n.pq)
-        nns = len(n.ns)
-        self.nv = npq + nns
-        self.npq = npq
+        self.log_brho = math.log(box.b_rho) if box is not None else None
+        npq, m = len(n.pq), len(n.lines)
         f, t = n.edges[:, 0], n.edges[:, 1]
         self.f, self.t = f, t
-        pq_of = n.pq_index_of
-        ns_of = np.full(n.n_bus, -1, dtype=int)
-        ns_of[n.ns] = np.arange(nns)
-        self.pf, self.pt = pq_of[f], pq_of[t]
-        # Packed-variable columns for each line end (-1 when pinned).
-        self.rho_col_f = np.where(self.pf >= 0, self.pf, -1)
-        self.rho_col_t = np.where(self.pt >= 0, self.pt, -1)
-        self.th_col_f = np.where(ns_of[f] >= 0, npq + ns_of[f], -1)
-        self.th_col_t = np.where(ns_of[t] >= 0, npq + ns_of[t], -1)
-        self.active = np.flatnonzero((self.pf >= 0) | (self.pt >= 0))
-        # Padded PQ index pairs for the 2x2 derivative stencils.
-        idx = np.zeros((len(self.active), 2), dtype=int)
-        for row, k in enumerate(self.active):
-            a, b = self.pf[k], self.pt[k]
-            idx[row, 0] = a if a >= 0 else b
-            idx[row, 1] = b if b >= 0 else a
-        self.idx = idx
-        # Flattened sparse-entry ("atom") index lists for the pair traces:
-        # two diagonal atoms per line for the ratio direction, four atoms
-        # (two diagonal, two off-diagonal) for the phase direction.
-        self.d_rows = idx.reshape(-1)
-        self.t_rows = idx[:, (0, 1, 0, 1)].reshape(-1)
-        self.t_cols = idx[:, (0, 1, 1, 0)].reshape(-1)
-        self.log_brho = math.log(box.b_rho) if box is not None else None
-
-    # -- state-dependent pieces ------------------------------------------
+        rho_col = n.pq_index_of
+        th_col = np.full(n.n_bus, -1)
+        th_col[n.ns] = npq + np.arange(len(n.ns))
+        # Edge Jacobian: packed x -> (d, tau); pinned ends land in the
+        # dropped last column.
+        rows = np.arange(m)
+        jac = np.zeros((2 * m, npq + len(n.ns) + 1))
+        jac[rows, rho_col[t]] += 1.0
+        jac[rows, rho_col[f]] -= 1.0
+        jac[m + rows, th_col[f]] += 1.0
+        jac[m + rows, th_col[t]] -= 1.0
+        self.jac = jac[:, :-1]
+        # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
+        self.sign = -0.5 * self.jac[:m, :npq].T
+        self.var = np.any(self.sign != 0.0, axis=0)  # lines with a PQ end
 
     def edge_vars(self, s: PFState):
         d = s.rho[self.t] - s.rho[self.f]
         tau = s.theta[self.f] - s.theta[self.t]
         return d, tau
-
-    def matrix(self, s: PFState, tau=None) -> np.ndarray:
-        d, tau_ = self.edge_vars(s)
-        if tau is None:
-            tau = tau_
-        return _assemble_lmi(self.n, d, 1.0 / np.cos(tau))
 
     def feasible(self, s: PFState) -> bool:
         return math.isfinite(self.value(s))
@@ -210,16 +192,14 @@ class _Barrier:
         if self.box is not None:
             if np.any(np.abs(tau) >= self.box.b_theta):
                 return math.inf
-            var = (self.rho_col_f >= 0) | (self.rho_col_t >= 0)
-            if np.any(np.abs(d[var]) >= self.log_brho):
+            dv = d[self.var]
+            if np.any(np.abs(dv) >= self.log_brho):
                 return math.inf
             bt = self.box.b_theta
             val -= float(np.sum(np.log(bt - tau) + np.log(bt + tau)))
             br = self.log_brho
-            val -= float(np.sum(np.log(br - d[var]) + np.log(br + d[var])))
-        if self.npq == 0:
-            return val
-        lm = self.matrix(s, tau)
+            val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
+        lm = domain_matrix(self.n, d, self.n.b / np.cos(tau))
         try:
             chol = np.linalg.cholesky(lm)
         except np.linalg.LinAlgError:
@@ -229,130 +209,48 @@ class _Barrier:
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
 
-        Assumes feasibility was already established.
+        Assumes feasibility was already established. With L = diag(2B) -
+        U diag(w) U^T, K = L^-1 and V = dU/dd, every -log det block is an
+        elementwise product of Guu = U^T K U, Gvu = V^T K U and Gvv = V^T K V
+        (Boyd & Vandenberghe, Convex Optimization, App. A.4).
         """
         n = self.n
         d, tau = self.edge_vars(s)
-        m = len(n.lines)
-        nv = self.nv
-        g = np.zeros(nv)
-        h = np.zeros((nv, nv))
-
-        # Phase-cone part: -log cos on every line, diagonal in tau.
         tn = np.tan(tau)
-        sec2 = 1.0 + tn * tn
-        g_tau = tn.copy()
-        h_tau = sec2.copy()
+        w = n.b / np.cos(tau)
+        wt = w * tn
 
-        # Optional operating box, also separable per line.
-        g_d_box = np.zeros(m)
-        h_d_box = np.zeros(m)
+        # Phase cone (-log cos) and operating box: separable per line.
+        g_d = np.zeros(len(d))
+        h_d = np.zeros(len(d))
+        g_t = tn.copy()
+        h_t = 1.0 + tn * tn
         if self.box is not None:
-            bt = self.box.b_theta
-            g_tau += 1.0 / (bt - tau) - 1.0 / (bt + tau)
-            h_tau += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
-            var = (self.rho_col_f >= 0) | (self.rho_col_t >= 0)
-            br = self.log_brho
-            g_d_box[var] = 1.0 / (br - d[var]) - 1.0 / (br + d[var])
-            h_d_box[var] = 1.0 / (br - d[var]) ** 2 + 1.0 / (br + d[var]) ** 2
+            bt, br = self.box.b_theta, self.log_brho
+            g_t += 1.0 / (bt - tau) - 1.0 / (bt + tau)
+            h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
+            g_d += 1.0 / (br - d) - 1.0 / (br + d)
+            h_d += 1.0 / (br - d) ** 2 + 1.0 / (br + d) ** 2
 
-        # Log-det part over the active lines.
-        if self.npq > 0 and len(self.active) > 0:
-            act = self.active
-            ma = len(act)
-            lm = self.matrix(s, tau)
-            k_inv = np.linalg.inv(lm)
-            bseg = n.b[act]
-            ic = 1.0 / np.cos(tau[act])
-            tnn = tn[act]
-            ed = np.exp(d[act])
-            emd = np.exp(-d[act])
-            has_f = (self.pf[act] >= 0).astype(float)
-            has_t = (self.pt[act] >= 0).astype(float)
-            both = has_f * has_t
-            idx = self.idx
+        # -log det L; lines without a PQ end have zero columns in U.
+        u = line_factors(n, d)
+        v = u * self.sign
+        k_inv = np.linalg.inv(domain_matrix(n, d, w))
+        ku, kv = k_inv @ u, k_inv @ v
+        guu, gvu, gvv = u.T @ ku, v.T @ ku, v.T @ kv
+        duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
+        g_d += 2.0 * w * dvu
+        g_t += wt * duu
+        h_dd = np.outer(w, w) * 2.0 * (gvu * gvu.T + guu * gvv)
+        h_dt = 2.0 * np.outer(w, wt) * gvu * guu
+        h_tt = np.outer(wt, wt) * guu * guu
+        h_dd[np.diag_indices_from(h_dd)] += w * (2.0 * dvv + 0.5 * duu) + h_d
+        h_dt[np.diag_indices_from(h_dt)] += 2.0 * wt * dvu
+        h_tt[np.diag_indices_from(h_tt)] += w * (1.0 + 2.0 * tn * tn) * duu + h_t
 
-            kaa = k_inv[idx[:, 0], idx[:, 0]]
-            kbb = k_inv[idx[:, 1], idx[:, 1]]
-            kab = k_inv[idx[:, 0], idx[:, 1]]
-
-            # dL/dd has -b e^d/c at the from diagonal, +b e^{-d}/c at the to
-            # diagonal; the tau derivative scales the variable part by tan.
-            cd = np.stack((-bseg * ed * ic * has_f,
-                           bseg * emd * ic * has_t), axis=1).reshape(-1)
-            ct = np.stack((-bseg * ed * ic * has_f,
-                           -bseg * emd * ic * has_t,
-                           -bseg * ic * both,
-                           -bseg * ic * both), axis=1) * tnn[:, None]
-            ct = ct.reshape(-1)
-
-            # Gradient pieces: -tr(K dL/dv).
-            g_d_act = bseg * ic * (ed * kaa * has_f - emd * kbb * has_t)
-            trkc = -(bseg * ic) * (ed * kaa * has_f + emd * kbb * has_t
-                                   + 2.0 * kab * both)
-            g_tau_act = -tnn * trkc
-
-            # Pair terms tr(K S K S'): with S = c e_p e_q^T and
-            # S' = c' e_r e_s^T they reduce to c c' K[q,r] K[s,p], summed
-            # over the sparse entries ("atoms") of each line's stencil.
-            dr, tr_, tc = self.d_rows, self.t_rows, self.t_cols
-
-            def pair(ca, pa, qa, na, cb, pb, qb, nb):
-                t_ab = (np.outer(ca, cb) * k_inv[np.ix_(qa, pb)]
-                        * k_inv[np.ix_(pa, qb)])
-                return t_ab.reshape(ma, na, ma, nb).sum(axis=(1, 3))
-
-            hdd = pair(cd, dr, dr, 2, cd, dr, dr, 2)
-            hdt = pair(cd, dr, dr, 2, ct, tr_, tc, 4)
-            htt = pair(ct, tr_, tc, 4, ct, tr_, tc, 4)
-
-            # Same-line curvature of L itself.
-            diag_dd = bseg * ic * (ed * kaa * has_f + emd * kbb * has_t)
-            hdd[np.arange(ma), np.arange(ma)] += diag_dd
-            hdt[np.arange(ma), np.arange(ma)] += tnn * g_d_act
-            sec2a = 1.0 + tnn * tnn
-            htt[np.arange(ma), np.arange(ma)] += (2.0 * sec2a - 1.0) * (-trkc)
-
-            # Chain the edge-variable blocks into packed coordinates.
-            jmat = np.zeros((2 * ma, nv))
-            rows = np.arange(ma)
-            for cols, sign, rset in ((self.rho_col_t[act], 1.0, rows),
-                                     (self.rho_col_f[act], -1.0, rows),
-                                     (self.th_col_f[act], 1.0, ma + rows),
-                                     (self.th_col_t[act], -1.0, ma + rows)):
-                mwhere = cols >= 0
-                jmat[rset[mwhere], cols[mwhere]] += sign
-            hedge = np.block([[hdd, hdt], [hdt.T, htt]])
-            h += jmat.T @ hedge @ jmat
-            g += jmat.T @ np.concatenate((g_d_act, g_tau_act))
-
-        # Scatter the separable per-line pieces.
-        for cols, sign, vals in ((self.th_col_f, 1.0, g_tau),
-                                 (self.th_col_t, -1.0, g_tau)):
-            mwhere = cols >= 0
-            np.add.at(g, cols[mwhere], sign * vals[mwhere])
-        for cols, sign, vals in ((self.rho_col_t, 1.0, g_d_box),
-                                 (self.rho_col_f, -1.0, g_d_box)):
-            mwhere = cols >= 0
-            np.add.at(g, cols[mwhere], sign * vals[mwhere])
-
-        for k in range(m):
-            cf, ct = self.th_col_f[k], self.th_col_t[k]
-            for ca, sa in ((cf, 1.0), (ct, -1.0)):
-                if ca < 0:
-                    continue
-                for cb, sb in ((cf, 1.0), (ct, -1.0)):
-                    if cb >= 0:
-                        h[ca, cb] += sa * sb * h_tau[k]
-            if h_d_box[k] != 0.0:
-                rf, rt = self.rho_col_f[k], self.rho_col_t[k]
-                for ca, sa in ((rt, 1.0), (rf, -1.0)):
-                    if ca < 0:
-                        continue
-                    for cb, sb in ((rt, 1.0), (rf, -1.0)):
-                        if cb >= 0:
-                            h[ca, cb] += sa * sb * h_d_box[k]
-        return g, h
+        hedge = np.block([[h_dd, h_dt], [h_dt.T, h_tt]])
+        return (self.jac.T @ np.concatenate((g_d, g_t)),
+                self.jac.T @ hedge @ self.jac)
 
 
 def _phase_slack(n: Network, s: PFState) -> float:
@@ -364,10 +262,7 @@ def _phase_slack(n: Network, s: PFState) -> float:
 def _classify(n: Network, s: PFState, grad_norm: float, opts: SolveOptions,
               iterations: int, ran_out: bool, trace) -> SolveOutcome:
     cert = _certificate(n, s)
-    # tol_abs is tol*(1 + max |diag|) with tol = 1e-9, so this recovers the
-    # matrix scale the boundary threshold should follow.
-    lmi_scale = cert.tol_abs / 1e-9 if cert.tol_abs > 0 else 1.0
-    boundary = (cert.lmi_min_eig < 1e-6 * lmi_scale) or (_phase_slack(n, s) < 1e-5)
+    boundary = (cert.lmi_min_eig < 1e-6 * cert.scale) or (_phase_slack(n, s) < 1e-5)
     interior = (cert.lmi_min_eig > cert.tol_abs) and (_phase_slack(n, s) > 1e-6)
     if grad_norm <= opts.grad_tol and interior:
         status = SolveStatus.SOLUTION_FOUND

@@ -108,8 +108,7 @@ def test_criterion_04_tree_exactness():
                 h = en.hessian(n, s)
                 w, _ = sym_eigen(h)
                 hscale = 1.0 + np.max(np.abs(np.diag(h.entries)))
-                lscale = cert.tol_abs / 1e-9 if cert.tol_abs > 0 else 1.0
-                if abs(cert.lmi_min_eig) < 1e-7 * lscale or \
+                if abs(cert.lmi_min_eig) < 1e-7 * cert.scale or \
                         abs(w[0]) < 1e-7 * hscale:
                     continue  # boundary band
                 if cert.in_c != (w[0] > 0):

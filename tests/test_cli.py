@@ -120,6 +120,10 @@ class TestSweep:
         _, out2 = run(capsys, "sweep", "twobus", "--kappa-min", "1.0",
                       "--kappa-max", "1.2", "--kappa-step", "0.1")
         assert out1 == out2
+        for argv in (("solve", "threebus"), ("check", "ieee14")):
+            _, out1 = run(capsys, *argv)
+            _, out2 = run(capsys, *argv)
+            assert out1 == out2, argv
 
 
 class TestRegion:

@@ -134,6 +134,21 @@ class TestHessianBlocks:
         cm = convexity_matrix(threebus, s)
         assert np.max(np.abs(o.entries - cm.entries)) < 1e-12
         assert np.max(np.abs(l.entries - cm.entries)) < 1e-12
+        # Away from the flat start the Schur-complement route stays an
+        # independent oracle for the line-factor assembly.
+        rng = np.random.default_rng(26)
+        checked = 0
+        for _ in range(300):
+            n = random_network(rng)
+            s = random_state(rng, n, rho_amp=0.4, theta_amp=0.8)
+            f, t = n.edges[:, 0], n.edges[:, 1]
+            if len(n.pq) == 0 or np.max(np.abs(s.theta[f] - s.theta[t])) >= math.pi / 2:
+                continue
+            cm = convexity_matrix(n, s).entries
+            _, l = en.hessian_blocks(n, s).require_schur()
+            assert np.max(np.abs(l.entries - cm)) < 1e-12 * (1 + np.max(np.abs(cm)))
+            checked += 1
+        assert checked > 200
 
     def test_rescaling_identity(self):
         rng = np.random.default_rng(25)
