@@ -17,14 +17,13 @@ from .errors import (DomainError, GridEnergyError, InfeasibleStart,
                      PhaseOutOfRange, SingularReduction, UnsupportedSign,
                      UnsupportedTopology)
 from .energy import (EnergyEval, HessianBlocks, PFState, energy_gradient,
-                     energy_value, hessian, hessian_blocks, lossy_energy_value,
-                     lossy_gradient, lossy_hessian, lossy_residuals,
+                     energy_value, hessian, hessian_blocks, lossy_targets,
                      pf_residuals)
 from .linalg import SymMatrix, cholesky_psd, solve_spd, sym_eigen
-from .network import (Bus, BusKind, IncidenceMatrix, Line, Network,
-                      absorb_setpoints, incidence, is_tree, load_case,
-                      losslessify, parse_matpower, parse_native,
-                      scale_injections, serialize_native)
+from .network import (Bus, BusKind, Line, Network, absorb_setpoints,
+                      incidence, is_tree, load_case, losslessify,
+                      parse_matpower, parse_native, scale_injections,
+                      serialize_native)
 from .reduced import (BetaCondition, NormalizedNetwork, ReducedState,
                       VoltageBound, beta_condition, convex_reactive_solve,
                       normalized, reduced_energy, region_agreement,

@@ -20,26 +20,15 @@ from . import __version__
 from . import convexity, network, reduced, solver
 from .energy import PFState
 from .errors import GridEnergyError, NoReactiveSolution
-from .network import BUNDLED_CASES, load_case
+from .network import case_text, load_case
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_SOLUTION = 3
 
 
-def _case_text(name_or_path: str) -> str:
-    if name_or_path in BUNDLED_CASES:
-        from importlib import resources
-        fname = {"twobus": "twobus.json", "threebus": "threebus.json",
-                 "threebus-tree": "threebus_tree.json", "ieee14": "case14.m",
-                 "ieee118": "case118.m"}[name_or_path]
-        return resources.files("gridenergy.cases").joinpath(fname).read_text()
-    with open(name_or_path) as fh:
-        return fh.read()
-
-
 def _header(args, case: str) -> dict:
-    digest = hashlib.sha256(_case_text(case).encode()).hexdigest()[:16]
+    digest = hashlib.sha256(case_text(case).encode()).hexdigest()[:16]
     return {"tool": f"gridenergy {__version__}", "case": case,
             "case_sha256": digest, "seed": args.seed, "tol": args.tol}
 
@@ -102,10 +91,8 @@ def cmd_solve(args) -> int:
     opts = solver.SolveOptions(grad_tol=args.tol)
     if args.method == "newton":
         out = solver.solve_newton(n, tol=args.tol)
-    elif n.is_lossless:
-        out = solver.solve_convex(n, opts=opts)
     else:
-        out = solver.solve_convex_lossy(n, opts=opts)
+        out = solver.solve_convex(n, opts=opts)
     payload = {
         "header": _header(args, args.case),
         "method": args.method,

@@ -1,5 +1,5 @@
-"""Energy function for lossless power flow, with gradient, Hessian and the
-edge-coordinate block decomposition, plus the constant-ratio lossy variant.
+"""Energy function for power flow on networks with a uniform g/b ratio,
+with gradient, Hessian and the edge-coordinate block decomposition.
 
 The state lives in log-voltage coordinates rho = log V. With every fixed
 voltage normalized to 1 (see network.absorb_setpoints), the lossless energy
@@ -11,7 +11,11 @@ is
 
 and its stationary points are exactly the power-flow solutions: the theta
 derivatives recover the active balances and the rho derivatives the
-reactive ones.
+reactive ones. A line with conductance g = kappa b has series admittance
+y = g - jb = (kappa - j) b, so its injections are (1 - j kappa) times the
+lossless ones. The same energy with susceptances (1 + kappa^2) b and the
+combined targets of lossy_targets therefore covers the lossy network; the
+lossless network is its kappa = 0 case.
 """
 from __future__ import annotations
 
@@ -78,6 +82,35 @@ class EnergyEval:
         return np.concatenate((self.grad_rho, self.grad_theta))
 
 
+def _model(n: Network):
+    """Susceptances (1 + kappa^2) b and the lossy_targets of network n.
+
+    At kappa = 0 these are n's own arrays, so the lossless path allocates
+    nothing per call.
+    """
+    kappa = n.lossy_ratio
+    if kappa is None:
+        raise NotConstantRatio("line g/b ratios are not uniform")
+    if kappa == 0.0:
+        return n.b, n.p_inj, n.q_inj
+    # The combined active target mixes in Q, which a PV bus does not fix.
+    if len(n.pv) > 0:
+        raise UnsupportedTopology(
+            "constant-ratio lossy model requires all non-slack buses to be PQ")
+    tp, tq = lossy_targets(n, kappa)
+    return (kappa * kappa + 1.0) * n.b, tp, tq
+
+
+def lossy_targets(n: Network, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bus combined injections: (P - kappa Q, Q + kappa P).
+
+    A line's series admittance is y = g - jb with g = kappa b >= 0, so
+    (1 + kappa^2) times the lossless injections equals (1 + j kappa) S;
+    kappa = 0 reproduces the lossless targets exactly.
+    """
+    return n.p_inj - kappa * n.q_inj, n.q_inj + kappa * n.p_inj
+
+
 def _edge_terms(n: Network, s: PFState):
     f, t = n.edges[:, 0], n.edges[:, 1]
     te = s.theta[f] - s.theta[t]
@@ -93,8 +126,19 @@ def _value(n: Network, s: PFState, beff, tp, tq, f, t, exy, e2, cos_t) -> float:
                  - np.dot(tq[n.pq], s.rho[n.pq]))
 
 
-def _value_gradient(n: Network, s: PFState, beff, tp, tq) -> EnergyEval:
-    """Energy and its gradient from one set of edge terms."""
+def energy_value(n: Network, s: PFState) -> float:
+    """Evaluate the energy function; exactly 0 at the flat start."""
+    check_state(n, s)
+    beff, tp, tq = _model(n)
+    f, t, te, exy = _edge_terms(n, s)
+    return _value(n, s, beff, tp, tq, f, t, exy, np.exp(2.0 * s.rho), np.cos(te))
+
+
+def energy_gradient(n: Network, s: PFState) -> EnergyEval:
+    """Analytic gradient of the energy (equal to minus the PF residuals),
+    with the value taken from the same edge terms."""
+    check_state(n, s)
+    beff, tp, tq = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     sin_t = np.sin(te)
     cos_t = np.cos(te)
@@ -112,49 +156,38 @@ def _value_gradient(n: Network, s: PFState, beff, tp, tq) -> EnergyEval:
     return EnergyEval(value, g_theta[n.ns], g_rho[n.pq])
 
 
-def energy_value(n: Network, s: PFState) -> float:
-    """Evaluate the energy function; exactly 0 at the flat start."""
-    check_state(n, s)
-    f, t, te, exy = _edge_terms(n, s)
-    return _value(n, s, n.b, n.p_inj, n.q_inj, f, t, exy,
-                  np.exp(2.0 * s.rho), np.cos(te))
-
-
-def energy_gradient(n: Network, s: PFState) -> EnergyEval:
-    """Analytic gradient of the energy (equal to minus the PF residuals)."""
-    check_state(n, s)
-    return _value_gradient(n, s, n.b, n.p_inj, n.q_inj)
-
-
 def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     """Power-flow residuals (P at non-slack buses, Q at PQ buses).
 
-    Deliberately computed through complex phasor arithmetic rather than by
-    differentiating the energy, so the gradient identity can be checked
-    between independent code paths.
+    Deliberately computed through complex phasor arithmetic on each line's
+    series admittance g - jb, from the bus injections as given, rather than
+    by differentiating the energy, so the gradient identity can be checked
+    between independent code paths. On a lossy network the mismatch is
+    returned in the energy's combination (1 + j kappa)(S - S_calc).
     """
     check_state(n, s)
-    if not n.is_lossless:
-        raise ValueError("lossless network required; use lossy_residuals")
-    inj = _phasor_injections(n, s, n.b)
+    _model(n)
+    v = np.exp(s.rho + 1j * s.theta)
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    # Current from bus i into line k is y (V_i - V_j).
+    cur = np.zeros(n.n_bus, dtype=complex)
+    np.add.at(cur, f, n.y * (v[f] - v[t]))
+    np.add.at(cur, t, n.y * (v[t] - v[f]))
+    inj = v * np.conj(cur)
     rp = n.p_inj[n.ns] - inj.real[n.ns]
     rq = n.q_inj[n.pq] - inj.imag[n.pq]
+    kappa = n.lossy_ratio
+    if kappa:
+        # _model admits kappa != 0 only when every non-slack bus is PQ, so
+        # rp and rq cover the same buses.
+        rp, rq = rp - kappa * rq, rq + kappa * rp
     return rp, rq
 
 
-def _phasor_injections(n: Network, s: PFState, beff: np.ndarray) -> np.ndarray:
-    v = np.exp(s.rho + 1j * s.theta)
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    # Purely inductive line k: current from i into k is -j*b*(V_i - V_j).
-    y = -1j * beff
-    cur = np.zeros(n.n_bus, dtype=complex)
-    np.add.at(cur, f, y * (v[f] - v[t]))
-    np.add.at(cur, t, y * (v[t] - v[f]))
-    return v * np.conj(cur)
-
-
-def _hessian_full(n: Network, s: PFState, beff: np.ndarray) -> np.ndarray:
-    """Hessian of the quadratic+cosine part over all (rho, theta) bus pairs."""
+def hessian(n: Network, s: PFState) -> SymMatrix:
+    """Analytic Hessian over the free variables (rho_pq, theta_ns)."""
+    check_state(n, s)
+    beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     e2 = np.exp(2.0 * s.rho)
     w = beff * exy * np.cos(te)
@@ -177,14 +210,7 @@ def _hessian_full(n: Network, s: PFState, beff: np.ndarray) -> np.ndarray:
     acc(nb + f, nb + f, w)
     acc(nb + t, nb + t, w)
     acc(nb + f, nb + t, -w)
-    return h
-
-
-def hessian(n: Network, s: PFState) -> SymMatrix:
-    """Analytic Hessian over the free variables (rho_pq, theta_ns)."""
-    check_state(n, s)
-    h = _hessian_full(n, s, n.b)
-    keep = np.concatenate((n.pq, n.n_bus + n.ns))
+    keep = np.concatenate((n.pq, nb + n.ns))
     return SymMatrix(h[np.ix_(keep, keep)])
 
 
@@ -215,14 +241,16 @@ class HessianBlocks:
 
 def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
     check_state(n, s)
+    beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     e2 = np.exp(2.0 * s.rho)
-    w = n.b * exy * np.cos(te)
-    sv = n.b * exy * np.sin(te)
+    w = beff * exy * np.cos(te)
+    sv = beff * exy * np.sin(te)
     npq = len(n.pq)
     m_mat = np.zeros((npq, npq))
     pq_of = n.pq_index_of
-    diag = 2.0 * n.b_total * e2
+    # B_i scales with the susceptances, by exactly 1 when lossless.
+    diag = 2.0 * (1.0 + n.lossy_ratio ** 2) * n.b_total * e2
     for k in range(len(n.lines)):
         pf, pt = pq_of[f[k]], pq_of[t[k]]
         if pf >= 0:
@@ -251,62 +279,3 @@ def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
         blocks.o = SymMatrix(o_mat)
         blocks.l = SymMatrix(d[:, None] * o_mat * d[None, :])
     return blocks
-
-
-# ---------------------------------------------------------------------------
-# constant-ratio lossy variant
-
-def _require_lossy(n: Network):
-    if len(n.pv) > 0:
-        raise UnsupportedTopology(
-            "constant-ratio lossy model requires all non-slack buses to be PQ")
-    if n.lossy_ratio is None:
-        raise NotConstantRatio("line g/b ratios are not uniform")
-    return n.lossy_ratio
-
-
-def lossy_targets(n: Network, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bus combined injections: (P + kappa Q, Q - kappa P).
-
-    These pair with the (kappa^2+1)-scaled sine and cosine sums so that
-    kappa = 0 reproduces the lossless equations exactly.
-    """
-    return n.p_inj + kappa * n.q_inj, n.q_inj - kappa * n.p_inj
-
-
-def lossy_energy_value(n: Network, s: PFState) -> float:
-    kappa = _require_lossy(n)
-    check_state(n, s)
-    f, t, te, exy = _edge_terms(n, s)
-    tp, tq = lossy_targets(n, kappa)
-    return _value(n, s, (kappa * kappa + 1.0) * n.b, tp, tq, f, t, exy,
-                  np.exp(2.0 * s.rho), np.cos(te))
-
-
-def lossy_gradient(n: Network, s: PFState) -> EnergyEval:
-    kappa = _require_lossy(n)
-    check_state(n, s)
-    tp, tq = lossy_targets(n, kappa)
-    return _value_gradient(n, s, (kappa * kappa + 1.0) * n.b, tp, tq)
-
-
-def lossy_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the kappa-combined balance equations, via phasors."""
-    kappa = _require_lossy(n)
-    check_state(n, s)
-    beff = (kappa * kappa + 1.0) * n.b
-    inj = _phasor_injections(n, s, beff)
-    tp, tq = lossy_targets(n, kappa)
-    rp = tp[n.ns] - inj.real[n.ns]
-    rq = tq[n.pq] - inj.imag[n.pq]
-    return rp, rq
-
-
-def lossy_hessian(n: Network, s: PFState) -> SymMatrix:
-    # Injections are linear in the state, so the lossy Hessian is just the
-    # lossless one scaled by kappa^2 + 1.
-    kappa = _require_lossy(n)
-    check_state(n, s)
-    h = _hessian_full(n, s, (kappa * kappa + 1.0) * n.b)
-    keep = np.concatenate((n.pq, n.n_bus + n.ns))
-    return SymMatrix(h[np.ix_(keep, keep)])

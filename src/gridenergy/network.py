@@ -42,17 +42,6 @@ class Line:
     g: float = 0.0  # conductance, >= 0 (0 when lossless)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Bus-by-oriented-edge incidence: +1 at the from end, -1 at the to end."""
-
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.matrix))
-
-
 class Network:
     """Immutable bus/line model with derived index arrays.
 
@@ -61,6 +50,7 @@ class Network:
       slack_index    position of the slack bus
       edges          (m, 2) endpoint positions per line
       b, g           per-line parameters
+      y              per-line series admittance g - jb
       b_total        per-bus sum of incident b (B_i)
       lossy_ratio    g/b when uniform across lines (0.0 when lossless),
                      None when the ratio varies
@@ -118,6 +108,7 @@ class Network:
         self.edges = self.edges.reshape(len(lines), 2)
         self.b = np.array([ln.b for ln in lines])
         self.g = np.array([ln.g for ln in lines])
+        self.y = self.g - 1j * self.b
         self.b_total = np.zeros(n)
         if lines:
             np.add.at(self.b_total, self.edges[:, 0], self.b)
@@ -361,12 +352,13 @@ def absorb_setpoints(n: Network) -> Network:
     return Network(buses, lines)
 
 
-def incidence(n: Network) -> IncidenceMatrix:
+def incidence(n: Network) -> np.ndarray:
+    """Bus-by-oriented-edge incidence: +1 at the from end, -1 at the to end."""
     a = np.zeros((n.n_bus, len(n.lines)))
     for k, (f, t) in enumerate(n.edges):
         a[f, k] = 1.0
         a[t, k] = -1.0
-    return IncidenceMatrix(a)
+    return a
 
 
 def is_tree(n: Network) -> bool:
@@ -391,7 +383,24 @@ def scale_injections(n: Network, kappa: float, delta: float = 1.0) -> Network:
 # ---------------------------------------------------------------------------
 # bundled cases
 
-BUNDLED_CASES = ("twobus", "threebus", "threebus-tree", "ieee14", "ieee118")
+# Bundled case name -> file in the gridenergy.cases package.
+BUNDLED_CASES = {"twobus": "twobus.json",
+                 "threebus": "threebus.json",
+                 "threebus-tree": "threebus_tree.json",
+                 "ieee14": "case14.m",
+                 "ieee118": "case118.m"}
+
+
+def case_text(name_or_path: str) -> str:
+    """Text of a bundled case by name, or of any case file by path."""
+    if name_or_path in BUNDLED_CASES:
+        return resources.files("gridenergy.cases").joinpath(
+            BUNDLED_CASES[name_or_path]).read_text()
+    try:
+        with open(name_or_path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read case file: {exc}") from exc
 
 
 def load_case(name_or_path: str) -> Network:
@@ -400,21 +409,7 @@ def load_case(name_or_path: str) -> Network:
     Files ending in .m are read as MATPOWER text, everything else as the
     native JSON format.
     """
-    if name_or_path in BUNDLED_CASES:
-        fname = {"twobus": "twobus.json",
-                 "threebus": "threebus.json",
-                 "threebus-tree": "threebus_tree.json",
-                 "ieee14": "case14.m",
-                 "ieee118": "case118.m"}[name_or_path]
-        text = resources.files("gridenergy.cases").joinpath(fname).read_text()
-        path = fname
-    else:
-        try:
-            with open(name_or_path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read case file: {exc}") from exc
-        path = name_or_path
-    if path.endswith(".m"):
+    text = case_text(name_or_path)
+    if BUNDLED_CASES.get(name_or_path, name_or_path).endswith(".m"):
         return parse_matpower(text)
     return parse_native(text)

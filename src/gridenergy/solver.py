@@ -20,7 +20,7 @@ from . import energy as en
 from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
                         in_domain_C, line_factors, lossy_in_domain)
 from .energy import HALF_PI, PFState, pack, unpack
-from .errors import InfeasibleStart, NotConstantRatio, NotPositiveDefinite
+from .errors import InfeasibleStart, NotPositiveDefinite
 from .linalg import SymMatrix, solve_spd
 from .network import Network, scale_injections
 
@@ -56,20 +56,9 @@ class SolveOptions:
     collect_trace: bool = False
 
 
-def _model(n: Network):
-    """Pick the lossless or constant-ratio lossy evaluation functions."""
-    if n.lossy_ratio is None:
-        raise NotConstantRatio("network has non-uniform line ratios")
-    if n.is_lossless:
-        def residual_vec(s):
-            rp, rq = en.pf_residuals(n, s)
-            return np.concatenate((rq, rp))
-        return en.energy_value, en.energy_gradient, en.hessian, residual_vec
-
-    def residual_vec(s):
-        rp, rq = en.lossy_residuals(n, s)
-        return np.concatenate((rq, rp))
-    return en.lossy_energy_value, en.lossy_gradient, en.lossy_hessian, residual_vec
+def _residual_vec(n: Network, s: PFState) -> np.ndarray:
+    rp, rq = en.pf_residuals(n, s)
+    return np.concatenate((rq, rp))
 
 
 def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -92,16 +81,15 @@ def solve_newton(n: Network, s0: PFState | None = None, tol: float = 1e-10,
     residual infinity norm reached tol; it does not imply membership in the
     convexity domain.
     """
-    _, _, hess_fn, residual_vec = _model(n)
     s = s0.copy() if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
     x = pack(n, s)
-    r = residual_vec(s)
+    r = _residual_vec(n, s)
     iterations = 0
     for _ in range(max_iter):
         if np.linalg.norm(r, np.inf) <= tol:
             break
-        h = hess_fn(n, s).entries
+        h = en.hessian(n, s).entries
         dx = _ridge_solve(h, r)
         if dx is None:
             break
@@ -114,7 +102,7 @@ def solve_newton(n: Network, s0: PFState | None = None, tol: float = 1e-10,
                 alpha *= 0.5
                 continue
             sn = unpack(n, xn)
-            rn = residual_vec(sn)
+            rn = _residual_vec(n, sn)
             if float(rn @ rn) <= (1.0 - 1e-4 * alpha) * merit:
                 x = xn
                 s, r = sn, rn
@@ -134,9 +122,7 @@ def solve_newton(n: Network, s0: PFState | None = None, tol: float = 1e-10,
 
 
 def _certificate(n: Network, s: PFState) -> ConvexityCertificate:
-    if n.is_lossless or len(n.pv) > 0:
-        return in_domain_C(n, s)
-    return lossy_in_domain(n, s)
+    return in_domain_C(n, s) if n.is_lossless else lossy_in_domain(n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +269,20 @@ def solve_convex(n: Network, s0: PFState | None = None,
     Returns SolutionFound with the unique interior stationary point when
     one exists; otherwise the minimizer is pinned to the domain boundary
     with a nonzero gradient and the outcome is NoSolutionInC. Networks with
-    a uniform nonzero loss ratio run through the lossy energy, like
-    solve_newton does.
+    a uniform nonzero loss ratio run through the same energy, on its
+    constant-ratio model.
     """
     return _solve_barrier(n, s0, opts or SolveOptions())
 
 
 def solve_convex_lossy(n: Network, s0: PFState | None = None,
                        opts: SolveOptions | None = None) -> SolveOutcome:
-    """Convex solve with the constant-ratio lossy energy (lossless at 0)."""
-    if n.lossy_ratio is None:
-        raise NotConstantRatio("network has non-uniform line ratios")
+    """The same solve as solve_convex, under the lossy model's name."""
     return _solve_barrier(n, s0, opts or SolveOptions())
 
 
 def _solve_barrier(n: Network, s0: PFState | None,
                    opts: SolveOptions) -> SolveOutcome:
-    value_fn, grad_fn, hess_fn, _ = _model(n)
     barrier = _Barrier(n, opts.box)
     s = s0.copy() if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
@@ -316,12 +299,12 @@ def _solve_barrier(n: Network, s0: PFState | None,
         # the schedule drives the raw gradient below grad_tol.
         stage_tol = max(mu * 1e-2, opts.grad_tol * 0.5)
         for _ in range(opts.max_inner):
-            ev = grad_fn(n, s)
+            ev = en.energy_gradient(n, s)
             bg, bh = barrier.grad_hess(s)
             g = ev.as_vector() + mu * bg
             if np.linalg.norm(g, np.inf) <= stage_tol:
                 break
-            h = hess_fn(n, s).entries + mu * bh
+            h = en.hessian(n, s).entries + mu * bh
             dx = _ridge_solve(h, -g)
             if dx is None:
                 ran_out = True
@@ -337,7 +320,7 @@ def _solve_barrier(n: Network, s0: PFState | None,
                 sn = unpack(n, x + alpha * dx)
                 bval = barrier.value(sn)
                 if math.isfinite(bval):
-                    fnew = value_fn(n, sn) + mu * bval
+                    fnew = en.energy_value(n, sn) + mu * bval
                     if fnew <= f0 + opts.armijo * alpha * slope:
                         x = x + alpha * dx
                         s = sn
@@ -357,29 +340,28 @@ def _solve_barrier(n: Network, s0: PFState | None,
             break
         mu *= opts.mu_decay
 
-    grad_norm = float(np.linalg.norm(grad_fn(n, s).as_vector(), np.inf))
+    grad_norm = float(np.linalg.norm(en.energy_gradient(n, s).as_vector(), np.inf))
     if opts.polish and not ran_out:
-        s, grad_norm, extra = _polish(n, s, barrier, grad_fn, hess_fn, opts)
+        s, grad_norm, extra = _polish(n, s, barrier, opts)
         iterations += extra
     return _classify(n, s, grad_norm, opts, iterations, ran_out, trace)
 
 
-def _polish(n: Network, s: PFState, barrier: _Barrier, grad_fn, hess_fn,
-            opts: SolveOptions):
+def _polish(n: Network, s: PFState, barrier: _Barrier, opts: SolveOptions):
     """Newton steps on the raw gradient, staying strictly feasible.
 
     The barrier leaves an O(mu) offset from the interior stationary point;
     a few guarded Newton steps remove it when the point is interior.
     """
     x = pack(n, s)
-    g = grad_fn(n, s).as_vector()
+    g = en.energy_gradient(n, s).as_vector()
     best = float(np.linalg.norm(g, np.inf))
     extra = 0
     target = min(opts.grad_tol * 1e-3, 1e-11)
     for _ in range(40):
         if best <= target:
             break
-        h = hess_fn(n, s).entries
+        h = en.hessian(n, s).entries
         dx = _ridge_solve(h, -g)
         if dx is None:
             break
@@ -387,7 +369,7 @@ def _polish(n: Network, s: PFState, barrier: _Barrier, grad_fn, hess_fn,
         while alpha >= 1e-10:
             sn = unpack(n, x + alpha * dx)
             if barrier.feasible(sn):
-                gn = grad_fn(n, sn).as_vector()
+                gn = en.energy_gradient(n, sn).as_vector()
                 norm = float(np.linalg.norm(gn, np.inf))
                 if norm < best:
                     x, s, g, best = x + alpha * dx, sn, gn, norm
@@ -414,8 +396,8 @@ class SweepRecord:
     iterations: int
 
 
-def sweep_load(n: Network, delta: float, kappa_grid, opts: SolveOptions | None = None,
-               warm_start: bool = True) -> list[SweepRecord]:
+def sweep_load(n: Network, delta: float, kappa_grid,
+               opts: SolveOptions | None = None) -> list[SweepRecord]:
     """Convex solves along the loading path P -> kappa P (non-slack),
     Q -> delta kappa Q (PQ buses), in ascending kappa order.
 
@@ -427,9 +409,8 @@ def sweep_load(n: Network, delta: float, kappa_grid, opts: SolveOptions | None =
     prev: PFState | None = None
     for kappa in sorted(float(k) for k in kappa_grid):
         nk = scale_injections(n, kappa, delta)
-        s0 = prev if (warm_start and prev is not None) else None
         try:
-            out = solve_convex(nk, s0, opts)
+            out = solve_convex(nk, prev, opts)
         except InfeasibleStart:
             out = solve_convex(nk, None, opts)
         records.append(SweepRecord(kappa=kappa, delta=delta, status=out.status,

@@ -256,5 +256,5 @@ def test_criterion_11_lossy_consistency(bundled_models):
         nk = make_twobus(g=0.2)
         out = solve_convex_lossy(nk)
         assert out.status is SolveStatus.SOLUTION_FOUND
-        rp, rq = en.lossy_residuals(nk, out.state)
+        rp, rq = en.pf_residuals(nk, out.state)
         assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) <= 1e-8

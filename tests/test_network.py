@@ -194,7 +194,7 @@ class TestAbsorbSetpoints:
 
 class TestGraphOps:
     def test_single_edge_column(self, twobus):
-        a = incidence(twobus).matrix
+        a = incidence(twobus)
         assert a.shape == (2, 1)
         assert list(a[:, 0]) == [1.0, -1.0]
 
@@ -202,12 +202,12 @@ class TestGraphOps:
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = random_network(rng, n_max=8, tree=True)
-            assert incidence(n).rank == n.n_bus - 1
+            assert np.linalg.matrix_rank(incidence(n)) == n.n_bus - 1
 
     def test_cycle_rank(self):
         n = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PQ), Bus(3, BusKind.PQ)],
                     [Line(1, 2, b=1), Line(2, 3, b=1), Line(3, 1, b=1)])
-        assert incidence(n).rank == 2
+        assert np.linalg.matrix_rank(incidence(n)) == 2
 
     def test_is_tree(self, twobus, threebus, threebus_tree):
         assert is_tree(twobus)

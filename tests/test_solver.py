@@ -8,10 +8,16 @@ from gridenergy import energy as en
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C, strictly_interior
 from gridenergy.energy import PFState
 from gridenergy.errors import InfeasibleStart
+from gridenergy.network import Line, Network
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
 
 CRITICAL_LOAD = (math.sqrt(2.0) - 1.0) / 2.0  # collapse load of the B=1 two-bus
+
+
+def with_ratio(n, kappa):
+    """n with every line's conductance set to kappa b, as solve --lossy-kappa does."""
+    return Network(n.buses, [Line(ln.i, ln.j, ln.b, kappa * ln.b) for ln in n.lines])
 
 
 def twobus_root(s):
@@ -203,18 +209,37 @@ class TestLossySolve:
         n = make_twobus(g=0.2)
         out = solve_convex_lossy(n)
         assert out.status is SolveStatus.SOLUTION_FOUND
-        rp, rq = en.lossy_residuals(n, out.state)
+        rp, rq = en.pf_residuals(n, out.state)
         assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) <= 1e-8
         # closed-form oracle: effective loads under the combination
         kap, s = 0.2, 0.1
-        a = s * (1 + kap) / (kap * kap + 1)
-        b = s * (1 - kap) / (kap * kap + 1)
+        a = s * (1 - kap) / (kap * kap + 1)
+        b = s * (1 + kap) / (kap * kap + 1)
         u = 0.5 * ((1 - 2 * b) + math.sqrt((2 * b - 1) ** 2 - 4 * (a * a + b * b)))
         assert math.exp(out.state.rho[1]) == pytest.approx(math.sqrt(u), abs=1e-8)
 
     def test_kappa_point_two_extreme(self):
         out = solve_convex_lossy(make_twobus(p=-0.3, q=-0.3, g=0.2))
         assert out.status is SolveStatus.NO_SOLUTION_IN_C
+
+    def test_real_line_flows_meet_injections(self, threebus):
+        # Checks solutions against each line's series admittance g - jb
+        # directly, without the energy or its residual oracle.
+        rng = np.random.default_rng(62)
+        nets = [make_twobus(g=0.2), with_ratio(threebus, 0.2)]
+        while len(nets) < 12:
+            n = random_network(rng, n_max=6, pq_prob=1.0, inj_scale=0.1)
+            nets.append(with_ratio(n, float(rng.uniform(0.05, 0.4))))
+        for n in nets:
+            out = solve_convex(n)
+            assert out.status is SolveStatus.SOLUTION_FOUND
+            v = np.exp(out.state.rho + 1j * out.state.theta)
+            flow = np.zeros(n.n_bus, dtype=complex)
+            for (f, t), g, b in zip(n.edges, n.g, n.b):
+                flow[f] += v[f] * np.conj((g - 1j * b) * (v[f] - v[t]))
+                flow[t] += v[t] * np.conj((g - 1j * b) * (v[t] - v[f]))
+            assert np.max(np.abs(flow.real - n.p_inj)[n.ns]) <= 1e-8
+            assert np.max(np.abs(flow.imag - n.q_inj)[n.ns]) <= 1e-8
 
 
 class TestSweep:
