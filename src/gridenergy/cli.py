@@ -48,7 +48,8 @@ def _emit_table(args, header: dict, columns: list[str], rows: list[tuple]) -> No
         return
     lines = ["#" + json.dumps(header, sort_keys=True), ",".join(columns)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+        # float() first: numpy scalars repr as np.float64(...) on numpy >= 2.
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row))
     _write(args, "\n".join(lines) + "\n")
 

@@ -184,6 +184,54 @@ def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     return rp, rq
 
 
+class FixedPhase:
+    """The energy's rho-derivatives at PQ buses with the phases held fixed.
+
+    Built once per phase vector, which fixes each line's weight
+    c = b_eff cos(theta_e). With u = e^rho at the PQ buses (fixed buses sit
+    at rho = 0, u = 1),
+
+        -dE/drho = tq + v,   d2E/drho2 = -diag(v) - U g U,
+        v = u (d + g u),     U = diag(u),
+
+    where g holds the weights of PQ-PQ lines off the diagonal and minus
+    each PQ bus's susceptance sum on it, and d sums the weights of the
+    lines from each PQ bus to fixed buses. The gradient identity makes
+    `residual` the reactive mismatch that pf_residuals computes by phasors.
+    """
+
+    def __init__(self, n: Network, theta):
+        beff, _, tq = _model(n)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (n.n_bus,):
+            raise ValueError("theta must give one phase per bus")
+        f, t = n.edges[:, 0], n.edges[:, 1]
+        c = beff * np.cos(theta[f] - theta[t])
+        # inc[p, k] = 1 when line k ends at the p-th PQ bus.
+        inc = np.zeros((len(n.pq), len(n.lines)))
+        for ends in (f, t):
+            p = n.pq_index_of[ends]
+            inc[p[p >= 0], np.flatnonzero(p >= 0)] = 1.0
+        weighted = inc * c
+        self.g = weighted @ inc.T
+        self.g.flat[::len(n.pq) + 1] = -(inc @ beff)
+        to_fixed = (n.pq_index_of[f] < 0) | (n.pq_index_of[t] < 0)
+        self.d = weighted @ to_fixed
+        self.tq = tq[n.pq]
+
+    def residual(self, rho_pq: np.ndarray) -> np.ndarray:
+        """-dE/drho at the PQ buses; a 2-D rho_pq gives one row per row."""
+        u = np.exp(rho_pq)
+        return self.tq + u * (self.d + u @ self.g)
+
+    def hessian(self, rho_pq: np.ndarray) -> np.ndarray:
+        """d2E/drho2 over the PQ buses (the m block of hessian_blocks)."""
+        u = np.exp(rho_pq)
+        h = -np.outer(u, u) * self.g
+        h.flat[::len(u) + 1] -= u * (self.d + u @ self.g)
+        return h
+
+
 def hessian(n: Network, s: PFState) -> SymMatrix:
     """Analytic Hessian over the free variables (rho_pq, theta_ns)."""
     check_state(n, s)

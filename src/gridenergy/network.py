@@ -70,8 +70,9 @@ class Network:
         for b in buses:
             if not (np.isfinite(b.p_inj) and np.isfinite(b.q_inj)):
                 raise ParseError(f"bus {b.id}: non-finite injection")
-            if b.kind is not BusKind.PQ and not b.v_set > 0:
-                raise ParseError(f"bus {b.id}: voltage set-point must be positive")
+            if b.kind is not BusKind.PQ and not (np.isfinite(b.v_set) and b.v_set > 0):
+                raise ParseError(
+                    f"bus {b.id}: voltage set-point must be positive and finite")
 
         index = {bid: k for k, bid in enumerate(ids)}
         seen_pairs = set()
@@ -185,6 +186,9 @@ def parse_native(text: str) -> Network:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "buses" not in doc or "lines" not in doc:
         raise ParseError("document must contain 'buses' and 'lines'")
+    for key in ("buses", "lines"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"'{key}' must be a list")
     buses = []
     for k, rec in enumerate(doc["buses"]):
         try:

@@ -55,6 +55,14 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(bad))
         assert code == EXIT_ERROR
 
+    def test_non_list_buses(self, capsys, tmp_path):
+        bad = tmp_path / "scalar.json"
+        bad.write_text(json.dumps({"buses": 5, "lines": []}))
+        code = main(["solve", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "solve", "/does/not/exist.json")
         assert code == EXIT_ERROR
@@ -133,6 +141,19 @@ class TestRegion:
         lines = out.strip().splitlines()
         assert lines[1] == "theta2,theta3,solvable,in_c,reduced_min_eig"
         assert len(lines) == 2 + 7 * 7
+
+    def test_csv_fields_parse(self, capsys):
+        _, out = run(capsys, "region", "threebus", "--grid-step", "20")
+        rows = [r.split(",") for r in out.strip().splitlines()[2:]]
+        assert any(r[2] == "False" for r in rows)
+        for theta2, theta3, solvable, in_c, min_eig in rows:
+            float(theta2), float(theta3)
+            assert solvable in ("True", "False")
+            if solvable == "True":
+                assert in_c in ("True", "False")
+                float(min_eig)
+            else:
+                assert in_c == min_eig == ""
 
     def test_wrong_dimension(self, capsys):
         code, _ = run(capsys, "region", "ieee14")

@@ -202,6 +202,37 @@ class TestHessianBlocks:
         assert np.allclose(bl.theta_edges, [-0.3, 0.2, 0.5])
 
 
+def _close(a, b, rtol):
+    return np.max(np.abs(a - b), initial=0.0) <= rtol * (1.0 + np.max(np.abs(b), initial=0.0))
+
+
+class TestFixedPhase:
+    def check(self, n, s):
+        fp = en.FixedPhase(n, s.theta)
+        rho = s.rho[n.pq]
+        assert _close(fp.residual(rho), -en.energy_gradient(n, s).grad_rho, 1e-12)
+        if len(n.pq):
+            assert _close(fp.hessian(rho), en.hessian_blocks(n, s).m.entries, 1e-12)
+            # A batch gives one residual per row.
+            batch = fp.residual(np.stack((rho, 0.5 * rho)))
+            assert _close(batch[0], fp.residual(rho), 1e-14)
+            assert _close(batch[1], fp.residual(0.5 * rho), 1e-14)
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = random_network(rng)
+            self.check(n, random_state(rng, n))
+
+    def test_lossy_threebus(self, threebus):
+        lines = [Line(ln.i, ln.j, ln.b, 0.2 * ln.b) for ln in threebus.lines]
+        n = Network(threebus.buses, lines)
+        assert n.lossy_ratio == pytest.approx(0.2)
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            self.check(n, random_state(rng, n))
+
+
 class TestLossy:
     def make_lossy(self, s_load, kappa):
         return make_twobus(p=-s_load, q=-s_load, g=kappa)

@@ -60,6 +60,22 @@ class TestParseNative:
         with pytest.raises(ParseError):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc", [{"buses": 5, "lines": []},
+                                     {"buses": [], "lines": {"from": 1}},
+                                     {"buses": "slack", "lines": []}])
+    def test_non_list_sections_rejected(self, doc):
+        with pytest.raises(ParseError, match="must be a list"):
+            parse_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["slack", "pv"])
+    def test_infinite_setpoint_rejected(self, kind):
+        doc = json.loads(TWOBUS_DOC)
+        doc["buses"].append({"id": 3, "kind": "pv"})
+        doc["lines"].append({"from": 2, "to": 3, "b": 1.0})
+        doc["buses"][0 if kind == "slack" else 2]["v"] = float("inf")
+        with pytest.raises(ParseError, match="set-point must be positive and finite"):
+            parse_native(json.dumps(doc))
+
     def test_parallel_lines_merged(self):
         doc = json.loads(TWOBUS_DOC)
         doc["lines"].append({"from": 2, "to": 1, "b": 2.5})

@@ -6,12 +6,13 @@ import pytest
 from conftest import make_twobus, random_state
 from gridenergy import energy as en
 from gridenergy.energy import PFState
-from gridenergy.errors import NoReactiveSolution, UnsupportedSign
-from gridenergy.linalg import fd_gradient
+from gridenergy.errors import NoReactiveSolution, PhaseOutOfRange, UnsupportedSign
+from gridenergy.linalg import fd_gradient, fd_hessian
 from gridenergy.network import scale_injections
 from gridenergy.reduced import (BetaCondition, beta_condition,
                                 convex_reactive_solve, normalized,
-                                reduced_energy, region_agreement, region_grid,
+                                reduced_energy, reduced_hessian,
+                                region_agreement, region_grid,
                                 solve_reactive_newton, voltage_upper_bound)
 from gridenergy.solver import solve_newton
 
@@ -49,6 +50,55 @@ class TestReactiveNewton:
         n = make_twobus(q=-0.3)  # past the q = cos^2/4 reactive limit
         with pytest.raises(NoReactiveSolution):
             solve_reactive_newton(n, np.zeros(2))
+
+
+def sequential_newton(n, theta):
+    """Reference for the batched line search: the same Newton on
+    FixedPhase, trying the step lengths one at a time. None when it fails."""
+    fp = en.FixedPhase(n, theta)
+    rho = np.zeros(len(n.pq))
+    rq = fp.residual(rho)
+    for _ in range(60):
+        if np.max(np.abs(rq)) <= 1e-10:
+            return rho
+        step = np.linalg.solve(fp.hessian(rho), rq)
+        alpha = 1.0
+        while alpha >= 1e-12:
+            trial = rho + alpha * step
+            if np.max(np.abs(trial)) <= 20.0:
+                rqn = fp.residual(trial)
+                if rqn @ rqn <= (1.0 - 1e-4 * alpha) * (rq @ rq):
+                    break
+            alpha *= 0.5
+        else:
+            return None
+        rho, rq = trial, rqn
+    return rho if np.max(np.abs(rq)) <= 1e-10 else None
+
+
+class TestBatchedLineSearch:
+    @pytest.mark.parametrize("case,scale", [("threebus", 1.0), ("threebus", 6.0),
+                                            ("threebus-tree", 1.0)])
+    def test_matches_sequential_reference(self, case, scale, request):
+        n = scale_injections(request.getfixturevalue(case.replace("-", "_")),
+                             scale, 1.0)
+        axis = np.radians(np.arange(-84.0, 85.0, 12.0))
+        solved = 0
+        for ta in axis:
+            for tb in axis:
+                theta = np.array([0.0, ta, tb])
+                try:
+                    got = solve_reactive_newton(n, theta)
+                except PhaseOutOfRange:
+                    continue
+                except NoReactiveSolution:
+                    got = None
+                ref = sequential_newton(n, theta)
+                assert (got is None) == (ref is None), (ta, tb)
+                if got is not None:
+                    solved += 1
+                    assert np.max(np.abs(got - ref)) <= 1e-12, (ta, tb)
+        assert solved > 100 if scale == 1.0 else solved == 0
 
 
 class TestReducedEnergy:
@@ -95,6 +145,30 @@ class TestReducedEnergy:
         g_red = fd_gradient(e_tilde, theta[threebus.ns])
         g_full = en.energy_gradient(threebus, s).grad_theta
         assert np.max(np.abs(g_red - g_full)) < 1e-5
+
+
+class TestReducedHessian:
+    # Phase pairs (theta_2, theta_3) well inside the solvable region.
+    CELLS = [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25), (0.4, 0.35),
+             (-0.5, -0.3), (0.15, 0.55)]
+
+    @pytest.mark.parametrize("case", ["threebus", "threebus-tree"])
+    def test_schur_matches_fd_of_reduced_energy(self, case, request):
+        n = request.getfixturevalue(case.replace("-", "_"))
+        for cell in self.CELLS:
+            theta = np.zeros(3)
+            theta[n.ns] = cell
+            s = PFState(np.zeros(3), theta)
+            s.rho[n.pq] = solve_reactive_newton(n, theta)
+
+            def e_tilde(v):
+                th = np.zeros(3)
+                th[n.ns] = v
+                return reduced_energy(n, th)
+
+            hfd = fd_hessian(e_tilde, theta[n.ns], step=1e-4)
+            h = reduced_hessian(n, s)
+            assert np.max(np.abs(h - hfd)) <= 1e-4 * (1.0 + np.max(np.abs(hfd))), cell
 
 
 class TestConvexReactive:
@@ -236,6 +310,10 @@ class TestRegionGrid:
         agree, comparable = region_agreement(cells)
         assert comparable > 50
         assert agree / comparable >= 0.97
+        assert len(cells) == 21 * 21
+        assert sum(1 for c in cells if c.solvable) == 397
+        assert sum(1 for c in cells if c.in_c) == 157
+        assert all(c.reduced_min_eig is not None for c in cells if c.solvable)
 
     def test_tree_region_larger_than_mesh(self, threebus, threebus_tree):
         mesh = region_grid(threebus, step_deg=6.0)
@@ -248,6 +326,8 @@ class TestRegionGrid:
         n6 = scale_injections(threebus, 6.0, 1.0)
         cells = region_grid(n6, theta_min=-0.3, theta_max=0.3, step_deg=6.0)
         assert sum(1 for c in cells if c.in_c) == 0
+        # Over the whole 6-degree grid no cell is even solvable.
+        assert not any(c.solvable for c in region_grid(n6, step_deg=6.0))
 
     def test_wrong_dimension_rejected(self, ieee14_model):
         with pytest.raises(ValueError):
