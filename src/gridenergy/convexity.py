@@ -222,63 +222,78 @@ class PhaseBound:
         return math.degrees(self.b_theta)
 
 
+# Line entries of the box samples that the sampled test handles in one go:
+# enough to amortize numpy's per-call cost, few enough that the temporaries
+# stay near 128 kB each.
+_CHUNK_ENTRIES = 1 << 14
+
+
 def _box_samples(n: Network, log_ratio: float, samples: int,
-                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Probe points of the operating box for the sampled estimate.
 
-    Each sample is (d, phi): per-line ratio exponents d_e = rho_to -
-    rho_from and per-line phase fractions phi_e in [-1, 1] of the phase
-    budget under test. The deterministic battery worst-cases one line at a
-    time (both ratio directions, that line's phase at the budget, the rest
-    nominal); the random points draw bus profiles and rescale them onto
-    the box boundary.
+    Row k of the two arrays is one sample (d, phi): per-line ratio
+    exponents d_e = rho_to - rho_from and per-line phase fractions phi_e in
+    [-1, 1] of the phase budget under test. The deterministic battery
+    worst-cases one line at a time (both ratio directions, that line's phase
+    at the budget, the rest nominal); the random points draw bus profiles
+    and rescale them onto the box boundary.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
     active = np.flatnonzero(_active_mask(n))
-    out: list[tuple[np.ndarray, np.ndarray]] = []
     m = len(n.lines)
-    for k in active:
-        for sgn in (1.0, -1.0):
-            d = np.zeros(m)
-            d[k] = sgn * log_ratio
-            phi = np.zeros(m)
-            phi[k] = 1.0
-            out.append((d, phi))
+    battery = 2 * len(active)
+    d = np.zeros((max(samples, battery), m))
+    phi = np.zeros_like(d)
+    rows = np.arange(battery)
+    d[rows, np.repeat(active, 2)] = np.tile([log_ratio, -log_ratio], len(active))
+    phi[rows, np.repeat(active, 2)] = 1.0
     rng = np.random.default_rng(seed)
-    npq = len(n.pq)
-    nns = len(n.ns)
-    while len(out) < samples:
-        rho = np.zeros(n.n_bus)
-        rho[n.pq] = rng.uniform(-log_ratio, log_ratio, npq)
-        d = rho[t] - rho[f]
-        worst = float(np.max(np.abs(d))) if m else 0.0
+    rho = np.zeros(n.n_bus)
+    th = np.zeros(n.n_bus)
+    for k in range(battery, len(d)):
+        rho[n.pq] = rng.uniform(-log_ratio, log_ratio, len(n.pq))
+        d[k] = rho[t] - rho[f]
+        worst = float(np.max(np.abs(d[k]))) if m else 0.0
         if worst > log_ratio > 0:
-            d *= log_ratio / worst
-        th = np.zeros(n.n_bus)
-        th[n.ns] = rng.uniform(-1.0, 1.0, nns)
-        phi = th[f] - th[t]
-        top = float(np.max(np.abs(phi))) if m else 0.0
+            d[k] *= log_ratio / worst
+        th[n.ns] = rng.uniform(-1.0, 1.0, len(n.ns))
+        phi[k] = th[f] - th[t]
+        top = float(np.max(np.abs(phi[k]))) if m else 0.0
         if top > 0:
-            phi /= top
-        out.append((d, phi))
-    return out
+            phi[k] /= top
+    return d, phi
 
 
 def _diag_line_ok(n: Network, d: np.ndarray, phi: np.ndarray,
                   b_theta: float) -> bool:
-    """Fixed-neighbor diagonal test at a box sample.
+    """Fixed-neighbor diagonal test at every box sample, one per row of d
+    and phi.
 
     For every PQ bus: 2 B_i >= sum over its lines of B_e e^{u}/cos(theta).
     This is the domain condition when no two PQ buses are adjacent; on
     meshed networks it is the per-line operational criterion behind the
-    sampled (non-certifying) phase budgets.
+    sampled (non-certifying) phase budgets. Every sample is tested whatever
+    the earlier ones gave, so a call costs the same at every seed.
     """
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    inv_cos = 1.0 / np.cos(phi * b_theta)
-    load = np.zeros(n.n_bus)
-    np.add.at(load, f, n.b * np.exp(d) * inv_cos)
-    np.add.at(load, t, n.b * np.exp(-d) * inv_cos)
-    return bool(np.all(load[n.pq] <= 2.0 * n.b_total[n.pq]))
+    m = len(n.lines)
+    step = max(1, _CHUNK_ENTRIES // max(m, 1))
+    # Positions in a chunk's flattened (rows, n_bus) loads: per row the
+    # from-ends, then the to-ends, in line order, the order np.add.at would
+    # sum them in.
+    ends = (np.concatenate((n.edges[:, 0], n.edges[:, 1]))
+            + n.n_bus * np.arange(step)[:, None])
+    cap = 2.0 * n.b_total[n.pq]
+    ok = True
+    for lo in range(0, len(d), step):
+        dk = d[lo:lo + step]
+        rows = len(dk)
+        inv_cos = 1.0 / np.cos(phi[lo:lo + step] * b_theta)
+        flow = np.concatenate((n.b * np.exp(dk) * inv_cos,
+                               n.b * np.exp(-dk) * inv_cos), axis=1)
+        load = np.bincount(ends[:rows].ravel(), flow.ravel(), rows * n.n_bus)
+        ok &= bool(np.all(load.reshape(rows, n.n_bus)[:, n.pq] <= cap))
+    return ok
 
 
 def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
@@ -336,11 +351,11 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
 
         certified = True
     else:
-        probe = _box_samples(n, log_ratio, samples, seed)
-        n_used = len(probe)
+        d, phi = _box_samples(n, log_ratio, samples, seed)
+        n_used = len(d)
 
         def box_ok(b_theta: float) -> bool:
-            return all(_diag_line_ok(n, d, phi, b_theta) for d, phi in probe)
+            return _diag_line_ok(n, d, phi, b_theta)
 
         certified = False
 

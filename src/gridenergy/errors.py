@@ -32,7 +32,9 @@ class PhaseOutOfRange(GridEnergyError):
 
 
 class UnsupportedTopology(GridEnergyError):
-    """Operation requires every non-slack bus to be a PQ bus."""
+    """The network's bus layout is outside what the operation supports:
+    PV buses in the lossy model, no PQ bus, or set-points other than 1
+    where the unit set-point model is required."""
 
 
 class NotConstantRatio(GridEnergyError):

@@ -21,7 +21,7 @@ from . import energy as en
 from .convexity import in_domain_C
 from .energy import HALF_PI, PFState
 from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
-                     UnsupportedSign)
+                     UnsupportedSign, UnsupportedTopology)
 # Unused here; the benchmark's span tracer pins reduced.fd_hessian as an alias.
 from .linalg import fd_hessian  # noqa: F401
 from .network import Network
@@ -148,102 +148,66 @@ def reduced_energy(n: Network, theta) -> float:
 # zeta-space convex programs
 
 class _ZetaProgram:
-    """Constraint set B_i z_i - sum B_ij sqrt(z_i z_j) c_ij + q_i <= 0 over
-    PQ-bus zetas, with fixed-voltage buses pinned at v^2."""
+    """The fixed-phase reactive set over the PQ buses' squared voltages.
 
-    def __init__(self, n: Network, cos_line: np.ndarray, q_cons: np.ndarray):
+    With u = sqrt(zeta), constraint i is minus FixedPhase's reactive
+    residual, g(zeta) = -(tq + u (d + G u)) <= 0, that is
+
+        B_i zeta_i - sum_j c_ij sqrt(zeta_i zeta_j) + q_i <= 0
+
+    with line weights c = b_eff cos(theta_ij), fixed buses at zeta = 1 and
+    q = -tq the consumption of the energy's constant-ratio model.
+    """
+
+    def __init__(self, n: Network, theta):
+        if len(n.pq) == 0:
+            raise UnsupportedTopology("the reactive program needs a PQ bus")
+        if np.any(np.delete(n.v_set, n.pq) != 1.0):
+            raise UnsupportedTopology("the reactive program needs slack/PV "
+                                      "set-points of 1 (see absorb_setpoints)")
         self.n = n
-        self.cos_line = cos_line
-        self.q = q_cons
-        self.npq = len(n.pq)
-        self.zeta_full = np.square(n.v_set)
-        self.pin_mask = np.ones(n.n_bus, dtype=bool)
-        self.pin_mask[n.pq] = False
-
-    def full(self, z):
-        zf = self.zeta_full.copy()
-        zf[self.n.pq] = z
-        return zf
+        self.theta = theta
+        self.fp = en.FixedPhase(n, theta)
+        self.q = -self.fp.tq
+        if np.any(self.q < 0):
+            bad = [n.buses[p].id for p in n.pq[self.q < 0]]
+            raise UnsupportedSign(f"PQ buses must consume reactive power; got "
+                                  f"injection at buses {bad}")
 
     def constraints(self, z) -> np.ndarray:
-        n = self.n
-        zf = self.full(z)
-        root = np.sqrt(zf)
-        g = n.b_total[n.pq] * z + self.q
-        f, t = n.edges[:, 0], n.edges[:, 1]
-        cross = n.b * self.cos_line * root[f] * root[t]
-        acc = np.zeros(n.n_bus)
-        np.add.at(acc, f, cross)
-        np.add.at(acc, t, cross)
-        return g - acc[n.pq]
+        return -self.fp.residual(0.5 * np.log(z))
 
     def jacobian(self, z) -> np.ndarray:
-        n = self.n
-        zf = self.full(z)
-        root = np.sqrt(zf)
-        pq_of = n.pq_index_of
-        jac = np.zeros((self.npq, self.npq))
-        jac[np.arange(self.npq), np.arange(self.npq)] = n.b_total[n.pq]
-        for k, (f, t) in enumerate(n.edges):
-            w = n.b[k] * self.cos_line[k]
-            pf_, pt_ = pq_of[f], pq_of[t]
-            if pf_ >= 0:
-                jac[pf_, pf_] -= 0.5 * w * root[t] / root[f]
-                if pt_ >= 0:
-                    jac[pf_, pt_] -= 0.5 * w * root[f] / root[t]
-            if pt_ >= 0:
-                jac[pt_, pt_] -= 0.5 * w * root[f] / root[t]
-                if pf_ >= 0:
-                    jac[pt_, pf_] -= 0.5 * w * root[t] / root[f]
-        return jac
-
-    def constraint_hessian(self, z, i) -> np.ndarray:
-        """Hessian of constraint i (only lines at bus i contribute)."""
-        n = self.n
-        zf = self.full(z)
-        root = np.sqrt(zf)
-        pq_of = n.pq_index_of
-        pos_i = n.pq[i]
-        h = np.zeros((self.npq, self.npq))
-        for k, (f, t) in enumerate(n.edges):
-            if f != pos_i and t != pos_i:
-                continue
-            other = t if f == pos_i else f
-            w = n.b[k] * self.cos_line[k]
-            pi, po = pq_of[pos_i], pq_of[other]
-            h[pi, pi] += 0.25 * w * root[other] / (zf[pos_i] * root[pos_i])
-            if po >= 0:
-                h[po, po] += 0.25 * w * root[pos_i] / (zf[other] * root[other])
-                cross = -0.25 * w / (root[pos_i] * root[other])
-                h[pi, po] += cross
-                h[po, pi] += cross
-        return h
+        """-(diag(d + G u) + diag(u) G) diag(1 / (2u)), the first factor
+        being the u-Jacobian of the residual."""
+        u = np.sqrt(z)
+        a = u[:, None] * self.fp.g
+        a.flat[::len(u) + 1] += self.fp.d + self.fp.g @ u
+        return a / (-2.0 * u)
 
     # -- interior point hunting ------------------------------------------
 
-    def interior_point(self, theta=None) -> np.ndarray | None:
-        n = self.n
+    def interior_point(self) -> np.ndarray | None:
         # Dominant reactive solution, nudged inward through the Jacobian.
-        if theta is not None:
-            try:
-                rho = _reactive_newton(n, theta, np.zeros(self.npq))
-                z_star = np.exp(2.0 * rho)
-                jac = self.jacobian(z_star)
-                for eps in (1e-3, 1e-4, 1e-5):
-                    margin = eps * (1.0 + float(np.max(self.q, initial=0.0)))
-                    try:
-                        dz = np.linalg.solve(jac, -margin * np.ones(self.npq))
-                    except np.linalg.LinAlgError:
-                        break
-                    cand = z_star + dz
-                    if np.all(cand > 0) and np.all(
-                            self.constraints(cand) < -0.25 * margin):
-                        return cand
-            except NoReactiveSolution:
-                pass
+        try:
+            rho = _reactive_newton(self.n, self.theta, np.zeros(len(self.q)))
+            z_star = np.exp(2.0 * rho)
+            jac = self.jacobian(z_star)
+            for eps in (1e-3, 1e-4, 1e-5):
+                margin = eps * (1.0 + float(np.max(self.q)))
+                try:
+                    dz = np.linalg.solve(jac, -margin * np.ones(len(self.q)))
+                except np.linalg.LinAlgError:
+                    break
+                cand = z_star + dz
+                if np.all(cand > 0) and np.all(
+                        self.constraints(cand) < -0.25 * margin):
+                    return cand
+        except NoReactiveSolution:
+            pass
         # Uniformly sagged voltage profiles as a fallback.
         for y in np.linspace(0.999, 0.02, 400):
-            cand = np.full(self.npq, y * y)
+            cand = np.full(len(self.q), y * y)
             g = self.constraints(cand)
             if np.max(g) < -1e-9 * (1.0 + float(np.max(np.abs(g)))):
                 return cand
@@ -254,7 +218,7 @@ class _ZetaProgram:
     def maximize(self, c: np.ndarray, z0: np.ndarray) -> np.ndarray:
         z = z0.copy()
         mu = 1.0 * float(np.max(c))
-        scale = 1.0 + float(np.max(self.q, initial=0.0)) + float(np.max(c))
+        scale = 1.0 + float(np.max(self.q)) + float(np.max(c))
         while mu > 1e-9 * scale:
             z = self._center(c, z, mu)
             mu *= 0.2
@@ -262,23 +226,33 @@ class _ZetaProgram:
 
     def _center(self, c, z, mu):
         for _ in range(60):
-            g = self.constraints(z)
-            slack = -g
+            slack = -self.constraints(z)
             if np.any(slack <= 0):
                 raise NoReactiveSolution("barrier iterate left the feasible set")
             jac = self.jacobian(z)
-            grad = -c + mu * (jac.T @ (1.0 / slack))
+            lam = mu / slack
+            lam_jac = jac.T @ lam
+            grad = lam_jac - c
             if np.linalg.norm(grad, np.inf) <= max(mu * 1e-3, 1e-12):
                 break
-            h = mu * (jac.T @ ((1.0 / slack**2)[:, None] * jac))
-            for i in range(self.npq):
-                h += (mu / slack[i]) * self.constraint_hessian(z, i)
+            # mu J^T diag(1/slack^2) J plus sum_i lam_i d2g_i/dzeta2. With
+            # A the u-Jacobian of g, the latter has the entries
+            # -(lam_i + lam_j) G_ij / (4 u_i u_j) and, on the diagonal, also
+            # -(lam^T A)_j / (4 u_j^3) = -(lam^T J)_j / (2 zeta_j).
+            u = np.sqrt(z)
+            h = ((jac.T * (lam / slack)) @ jac
+                 - np.add.outer(lam, lam) * self.fp.g / (4.0 * np.outer(u, u)))
+            h.flat[::len(z) + 1] -= lam_jac / (2.0 * z)
             try:
-                step = np.linalg.solve(h + 1e-12 * np.eye(self.npq), -grad)
+                step = np.linalg.solve(h + 1e-12 * np.eye(len(z)), -grad)
             except np.linalg.LinAlgError:
                 break
             f0 = -float(c @ z) - mu * float(np.sum(np.log(slack)))
             slope = float(grad @ step)
+            # The stage test of solve_convex's barrier: the predicted
+            # decrease is below the resolution of the objective.
+            if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
+                break
             alpha, ok = 1.0, False
             while alpha >= 1e-14:
                 zn = z + alpha * step
@@ -323,15 +297,6 @@ class _ZetaProgram:
         raise NoReactiveSolution("could not drive the constraints tight")
 
 
-def _consumptions(n: Network) -> np.ndarray:
-    q = -n.q_inj[n.pq]
-    if np.any(q < 0):
-        bad = [n.buses[p].id for p in n.pq[q < 0]]
-        raise UnsupportedSign(f"PQ buses must consume reactive power; got "
-                              f"injection at buses {bad}")
-    return q
-
-
 def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """Reactive solution by maximizing a positive combination of squared
     voltages over the convex constraint set.
@@ -340,16 +305,14 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     reactive balances for the given phases; the voltages are sqrt(zeta).
     """
     theta = _check_theta(n, theta)
-    q = _consumptions(n)
+    prog = _ZetaProgram(n, theta)
     npq = len(n.pq)
     if c is None:
         c = np.ones(npq)
     c = np.asarray(c, dtype=float)
     if c.shape != (npq,) or np.any(c <= 0):
         raise ValueError("weights must be positive, one per PQ bus")
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    prog = _ZetaProgram(n, np.cos(theta[f] - theta[t]), q)
-    z0 = prog.interior_point(theta)
+    z0 = prog.interior_point()
     if z0 is None:
         raise NoReactiveSolution("no strictly feasible voltage profile found")
     z = prog.maximize(c, z0)
@@ -360,24 +323,25 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
 def voltage_upper_bound(n: Network) -> VoltageBound:
     """Per-bus voltage caps from the phase-free relaxation (cosines at 1).
 
-    For each PQ bus the squared voltage is maximized subject to the relaxed
-    constraint set; the caps dominate every reactive solution at any
-    feasible phases.
+    Below 90 degrees every line weight b cos(theta_ij) is at most b, so the
+    relaxed set contains the reactive set at any feasible phases. All its
+    weights c_ij are >= 0, and in u = sqrt(zeta) constraint i reads
+
+        B_i u_i + q_i / u_i <= d_i + sum_j c_ij u_j,
+
+    whose left side depends on u_i alone and whose right side does not
+    decrease in any u_j. So the componentwise maximum of two feasible points
+    is feasible, and the compact set has a greatest element: the join of
+    the per-coordinate maximizers. Every constraint is tight there, and it
+    maximizes every positive weighting of zeta, so one maximization gives
+    all the caps.
     """
-    q = _consumptions(n)
-    npq = len(n.pq)
-    prog = _ZetaProgram(n, np.ones(len(n.lines)), q)
     # The relaxed set coincides with the reactive system at zero phases.
-    z0 = prog.interior_point(np.zeros(n.n_bus))
+    prog = _ZetaProgram(n, np.zeros(n.n_bus))
+    z0 = prog.interior_point()
     if z0 is None:
         raise NoReactiveSolution("relaxed constraint set has no interior")
-    v_bar = np.zeros(npq)
-    for i in range(npq):
-        c = np.full(npq, 1e-6)
-        c[i] = 1.0
-        z = prog.maximize(c, z0)
-        v_bar[i] = math.sqrt(z[i])
-    return VoltageBound(v_bar=v_bar)
+    return VoltageBound(v_bar=np.sqrt(prog.maximize(np.ones(len(n.pq)), z0)))
 
 
 def beta_condition(n: Network) -> BetaCondition:

@@ -215,6 +215,18 @@ class TestReactive:
         code, out = run(capsys, "reactive", str(path))
         assert code == EXIT_NO_SOLUTION
 
+    def test_no_pq_bus_is_an_error(self, capsys, tmp_path):
+        n = load_case("twobus")
+        doc = json.loads(serialize_native(n))
+        for rec in doc["buses"]:
+            if rec["kind"] == "pq":
+                rec["kind"] = "pv"
+        path = tmp_path / "nopq.json"
+        path.write_text(json.dumps(doc))
+        code = main(["reactive", str(path)])
+        assert code == EXIT_ERROR
+        assert "needs a PQ bus" in capsys.readouterr().err
+
 
 class TestOutputPlumbing:
     def test_format_json_for_tables(self, capsys):

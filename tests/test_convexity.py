@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
-from gridenergy.convexity import (PhaseVoltageBox, convexity_matrix,
+from gridenergy.convexity import (PhaseVoltageBox, _box_samples,
+                                  _diag_line_ok, convexity_matrix,
                                   in_domain_C, in_domain_D_sampled,
                                   lossy_in_domain, matrix_convexity_gap,
                                   max_phase_bound, strictly_interior)
@@ -247,6 +248,32 @@ class TestMaxPhaseBound:
         a = max_phase_bound(ieee14_model, 1.5, samples=400, seed=3)
         b = max_phase_bound(ieee14_model, 1.5, samples=400, seed=3)
         assert a.b_theta == b.b_theta
+
+    def test_sampled_test_matches_one_sample_at_a_time(self, ieee118_model):
+        # The sampled test scatters the samples' line loads in chunks of
+        # rows; each sample's verdict must be the one-sample scatter's, and
+        # a failing sample must fail the whole batch in whichever chunk.
+        n = ieee118_model
+        d, phi = _box_samples(n, math.log(1.5), 300, seed=5)
+        f, t = n.edges[:, 0], n.edges[:, 1]
+
+        def one(k, b_theta):
+            inv_cos = 1.0 / np.cos(phi[k] * b_theta)
+            load = np.zeros(n.n_bus)
+            np.add.at(load, f, n.b * np.exp(d[k]) * inv_cos)
+            np.add.at(load, t, n.b * np.exp(-d[k]) * inv_cos)
+            return bool(np.all(load[n.pq] <= 2.0 * n.b_total[n.pq]))
+
+        b_hat = max_phase_bound(n, 1.5, samples=300, seed=5).b_theta
+        for b_theta in (0.5 * b_hat, b_hat, b_hat + math.radians(0.1)):
+            ok = np.array([one(k, b_theta) for k in range(len(d))])
+            assert [_diag_line_ok(n, d[k:k + 1], phi[k:k + 1], b_theta)
+                    for k in range(len(d))] == ok.tolist()
+            assert _diag_line_ok(n, d, phi, b_theta) == ok.all()
+            assert ok.all() == (b_theta <= b_hat)
+            for k in np.flatnonzero(~ok)[:3]:
+                keep = np.append(np.flatnonzero(ok), k)  # the failure last
+                assert not _diag_line_ok(n, d[keep], phi[keep], b_theta)
 
     def test_box_is_certified_inside_c_on_trees(self):
         # exact mode really certifies: random states inside the reported

@@ -1,20 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_twobus, random_state
+from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
 from gridenergy.energy import PFState
-from gridenergy.errors import NoReactiveSolution, PhaseOutOfRange, UnsupportedSign
+from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
+                               UnsupportedSign, UnsupportedTopology)
 from gridenergy.linalg import fd_gradient, fd_hessian
-from gridenergy.network import scale_injections
+from gridenergy.network import (BusKind, Network, absorb_setpoints,
+                                scale_injections)
 from gridenergy.reduced import (BetaCondition, beta_condition,
                                 convex_reactive_solve, normalized,
                                 reduced_energy, reduced_hessian,
                                 region_agreement, region_grid,
                                 solve_reactive_newton, voltage_upper_bound)
 from gridenergy.solver import solve_newton
+
+
+def phasor_reactive_mismatch(n, st):
+    """Reactive residuals of pf_residuals at rho = log(zeta) / 2."""
+    s = PFState(np.zeros(n.n_bus), st.theta.copy())
+    s.rho[n.pq] = 0.5 * np.log(st.zeta)
+    return en.pf_residuals(n, s)[1]
 
 
 def twobus_reactive_root(theta, q_cons, b=1.0):
@@ -186,13 +196,9 @@ class TestConvexReactive:
         assert st.voltages()[0] == pytest.approx(v, abs=1e-9)
 
     def test_constraints_tight(self, threebus):
-        from gridenergy.reduced import _ZetaProgram
         theta = np.array([0.0, 0.1, -0.05])
         st = convex_reactive_solve(threebus, theta)
-        f, t = threebus.edges[:, 0], threebus.edges[:, 1]
-        prog = _ZetaProgram(threebus, np.cos(theta[f] - theta[t]),
-                            -threebus.q_inj[threebus.pq])
-        assert np.max(np.abs(prog.constraints(st.zeta))) <= 1e-8
+        assert np.max(np.abs(phasor_reactive_mismatch(threebus, st))) <= 1e-8
 
     def test_pareto_nondominated(self, threebus):
         theta = np.zeros(3)
@@ -203,6 +209,21 @@ class TestConvexReactive:
                 if np.array_equal(a, b):
                     continue
                 assert not (np.all(b >= a - 1e-10) and np.any(b > a + 1e-8))
+        # With every cos(theta_ij) >= 0 the set has a greatest element,
+        # which every positive weighting selects.
+        for b in sols[1:]:
+            assert np.max(np.abs(b - sols[0])) <= 1e-12 * (1.0 + np.max(sols[0]))
+
+    def test_lossy_uses_constant_ratio_model(self, threebus):
+        # g = 0.2 b: the program's targets are the combined Q + 0.2 P, the
+        # same model as the reactive Newton and the phasor residuals.
+        lossy = Network(threebus.buses, [replace(ln, g=0.2 * ln.b)
+                                         for ln in threebus.lines])
+        theta = np.array([0.0, -0.04, -0.06])
+        st = convex_reactive_solve(lossy, theta)
+        assert np.max(np.abs(phasor_reactive_mismatch(lossy, st))) <= 1e-8
+        rho = solve_reactive_newton(lossy, theta)
+        assert np.max(np.abs(st.voltages() - np.exp(rho))) <= 1e-8
 
     def test_dominated_by_upper_bound(self, threebus):
         v_bar = voltage_upper_bound(threebus).v_bar
@@ -223,8 +244,63 @@ class TestConvexReactive:
         with pytest.raises(NoReactiveSolution):
             convex_reactive_solve(n, np.zeros(2))
 
+    def test_no_pq_bus_rejected(self):
+        n = make_twobus(pq_kind=BusKind.PV)
+        with pytest.raises(UnsupportedTopology):
+            convex_reactive_solve(n, np.zeros(2))
+        with pytest.raises(UnsupportedTopology):
+            voltage_upper_bound(n)
+
+    def test_setpoints_must_be_absorbed(self, threebus):
+        buses = [replace(b, v_set=1.05) if b.kind is BusKind.SLACK else b
+                 for b in threebus.buses]
+        n = Network(buses, threebus.lines)
+        for call in (lambda: convex_reactive_solve(n, np.zeros(3)),
+                     lambda: voltage_upper_bound(n)):
+            with pytest.raises(UnsupportedTopology, match="absorb_setpoints"):
+                call()
+        assert np.all(voltage_upper_bound(absorb_setpoints(n)).v_bar > 0)
+
 
 class TestVoltageUpperBound:
+    def test_single_maximization_equals_per_bus_caps(self, threebus,
+                                                     threebus_tree):
+        # Each cap must equal the largest zeta_i alone: weight 1 on bus i,
+        # 1e-6 on the others, at zero phases (where the sets coincide).
+        rng = np.random.default_rng(64)
+        nets = [threebus, threebus_tree]
+        while len(nets) < 8:
+            n = random_network(rng, n_max=6)
+            n = Network([replace(b, q_inj=-abs(b.q_inj)) for b in n.buses],
+                        n.lines)
+            if len(n.pq):
+                nets.append(n)
+        checked = 0
+        for n in nets:
+            try:
+                v_bar = voltage_upper_bound(n).v_bar
+            except NoReactiveSolution:
+                continue
+            checked += 1
+            for i in range(len(n.pq)):
+                c = np.full(len(n.pq), 1e-6)
+                c[i] = 1.0
+                z = convex_reactive_solve(n, np.zeros(n.n_bus), c).zeta
+                assert v_bar[i] == pytest.approx(math.sqrt(z[i]), rel=1e-12,
+                                                 abs=1e-12)
+        assert checked >= 6
+
+    def test_ieee118_caps_dominate(self, ieee118_model):
+        n = ieee118_model
+        v_bar = voltage_upper_bound(n).v_bar
+        rng = np.random.default_rng(65)
+        for _ in range(3):
+            theta = np.zeros(n.n_bus)
+            theta[n.ns] = rng.uniform(-0.05, 0.05, len(n.ns))
+            st = convex_reactive_solve(n, theta)
+            assert np.max(np.abs(phasor_reactive_mismatch(n, st))) <= 1e-8
+            assert np.all(st.voltages() <= v_bar + 1e-8)
+
     def test_two_bus_closed_form(self):
         n = make_twobus(q=-0.1875)
         vb = voltage_upper_bound(n).v_bar
