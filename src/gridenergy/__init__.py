@@ -24,9 +24,9 @@ from .network import (Bus, BusKind, Line, Network, absorb_setpoints,
                       incidence, is_tree, load_case, losslessify,
                       parse_matpower, parse_native, scale_injections,
                       serialize_native)
-from .reduced import (BetaCondition, NormalizedNetwork, ReducedState,
-                      VoltageBound, beta_condition, convex_reactive_solve,
-                      normalized, reduced_energy, region_agreement,
-                      region_grid, solve_reactive_newton, voltage_upper_bound)
+from .reduced import (BetaCondition, ReducedState, VoltageBound,
+                      beta_condition, convex_reactive_solve, reduced_energy,
+                      region_agreement, region_grid, solve_reactive_newton,
+                      voltage_upper_bound)
 from .solver import (SolveOptions, SolveOutcome, SolveStatus, SweepRecord,
                      solve_convex, solve_convex_lossy, solve_newton, sweep_load)

@@ -249,19 +249,27 @@ def _box_samples(n: Network, log_ratio: float, samples: int,
     d[rows, np.repeat(active, 2)] = np.tile([log_ratio, -log_ratio], len(active))
     phi[rows, np.repeat(active, 2)] = 1.0
     rng = np.random.default_rng(seed)
-    rho = np.zeros(n.n_bus)
-    th = np.zeros(n.n_bus)
-    for k in range(battery, len(d)):
-        rho[n.pq] = rng.uniform(-log_ratio, log_ratio, len(n.pq))
-        d[k] = rho[t] - rho[f]
-        worst = float(np.max(np.abs(d[k]))) if m else 0.0
-        if worst > log_ratio > 0:
-            d[k] *= log_ratio / worst
-        th[n.ns] = rng.uniform(-1.0, 1.0, len(n.ns))
-        phi[k] = th[f] - th[t]
-        top = float(np.max(np.abs(phi[k]))) if m else 0.0
-        if top > 0:
-            phi[k] /= top
+    npq = len(n.pq)
+    # Per-column draw bounds: the PQ rho, then the non-slack theta, the
+    # layout one rng.uniform pair per probe would consume.
+    high = np.concatenate((np.full(npq, log_ratio), np.ones(len(n.ns))))
+    step = max(1, _CHUNK_ENTRIES // max(m, 1))
+    for lo in range(battery, len(d), step):
+        hi = min(lo + step, len(d))
+        draw = rng.uniform(-high, high, (hi - lo, len(high)))
+        rho = np.zeros((hi - lo, n.n_bus))
+        rho[:, n.pq] = draw[:, :npq]
+        dk = rho[:, t] - rho[:, f]
+        worst = np.max(np.abs(dk), axis=1, initial=0.0)
+        if log_ratio > 0:
+            big = worst > log_ratio
+            dk[big] *= (log_ratio / worst[big])[:, None]
+        d[lo:hi] = dk
+        th = np.zeros_like(rho)
+        th[:, n.ns] = draw[:, npq:]
+        pk = th[:, f] - th[:, t]
+        top = np.max(np.abs(pk), axis=1, initial=0.0)
+        phi[lo:hi] = pk / np.where(top > 0, top, 1.0)[:, None]
     return d, phi
 
 

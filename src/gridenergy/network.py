@@ -42,8 +42,17 @@ class Line:
     g: float = 0.0  # conductance, >= 0 (0 when lossless)
 
 
+# Largest |b|, |g|, |p| or |q| a network accepts, in per unit. The bundled
+# cases stay below 250 (ieee118's stiffest line); far larger values only
+# overflow or make the domain matrix singular downstream.
+MAX_MAGNITUDE = 1e6
+
+
 class Network:
     """Immutable bus/line model with derived index arrays.
+
+    Every line parameter and injection must be finite and at most
+    MAX_MAGNITUDE in absolute value; anything else raises ParseError.
 
     Derived attributes (all positional, buses kept in input order):
       pq, pv, ns     index arrays of PQ, PV and non-slack buses
@@ -70,6 +79,9 @@ class Network:
         for b in buses:
             if not (np.isfinite(b.p_inj) and np.isfinite(b.q_inj)):
                 raise ParseError(f"bus {b.id}: non-finite injection")
+            if max(abs(b.p_inj), abs(b.q_inj)) > MAX_MAGNITUDE:
+                raise ParseError(
+                    f"bus {b.id}: injection beyond {MAX_MAGNITUDE:g} per unit")
             if b.kind is not BusKind.PQ and not (np.isfinite(b.v_set) and b.v_set > 0):
                 raise ParseError(
                     f"bus {b.id}: voltage set-point must be positive and finite")
@@ -85,6 +97,10 @@ class Network:
                 raise ParseError(f"line {ln.i}-{ln.j}: b must be positive, got {ln.b}")
             if not (np.isfinite(ln.g) and ln.g >= 0):
                 raise ParseError(f"line {ln.i}-{ln.j}: g must be nonnegative")
+            if max(ln.b, ln.g) > MAX_MAGNITUDE:
+                raise ParseError(
+                    f"line {ln.i}-{ln.j}: b and g must be at most "
+                    f"{MAX_MAGNITUDE:g} per unit")
             pair = frozenset((ln.i, ln.j))
             if pair in seen_pairs:
                 raise ParseError(
@@ -327,6 +343,8 @@ def parse_matpower(text: str) -> Network:
             warnings.warn("line-charging susceptance ignored", stacklevel=2)
             charge_warned = True
         den = r * r + x * x
+        if den == 0.0:  # both squares underflow: an admittance beyond any limit
+            raise ParseError(f"branch row {rn + 1}: impedance too small")
         lines.append(Line(i=int(row[_F_BUS]), j=int(row[_T_BUS]),
                           b=x / den, g=r / den))
     return Network(buses, _merge_parallel(lines))

@@ -44,16 +44,6 @@ class ReducedState:
 
 
 @dataclass(frozen=True)
-class NormalizedNetwork:
-    """Susceptance-normalized quantities used by the convexity-budget check."""
-
-    m_matrix: np.ndarray  # m[i, j] = B_ij / B_i  (rows sum to 1 over neighbors)
-    m_pq: np.ndarray
-    m_pv: np.ndarray
-    q_tilde: np.ndarray  # reactive consumption / B_i at PQ buses
-
-
-@dataclass(frozen=True)
 class VoltageBound:
     v_bar: np.ndarray  # per-PQ-bus upper bound on the voltage magnitude
 
@@ -62,19 +52,6 @@ class VoltageBound:
 class BetaCondition:
     beta_min: float | None  # None when no beta in (0,1) works
     angle_budget_deg: float
-
-
-def normalized(n: Network) -> NormalizedNetwork:
-    m = np.zeros((n.n_bus, n.n_bus))
-    for k, (f, t) in enumerate(n.edges):
-        m[f, t] += n.b[k]
-        m[t, f] += n.b[k]
-    m /= n.b_total[:, None]
-    return NormalizedNetwork(m_matrix=m,
-                             m_pq=m[np.ix_(n.pq, n.pq)],
-                             m_pv=m[np.ix_(n.pq, n.pv)] if len(n.pv) else
-                             np.zeros((len(n.pq), 0)),
-                             q_tilde=-n.q_inj[n.pq] / n.b_total[n.pq])
 
 
 def _check_theta(n: Network, theta, strict_cos: bool = True) -> np.ndarray:
@@ -349,13 +326,16 @@ def beta_condition(n: Network) -> BetaCondition:
     energy convex, and that budget in degrees.
 
     Per bus the requirement rearranges to beta >= (r - 1)/(r + 1) with
-    r = v_bar^2 / q_tilde; the budget is arccos(sqrt(beta)).
+    r = v_bar^2 / q_tilde, q_tilde = -q_i / B_i; the budget is
+    arccos(sqrt(beta)). B and q are the energy's, (1 + kappa^2) b and
+    Q + kappa P on lossy networks, as for the caps v_bar.
     """
-    norm = normalized(n)
-    if np.any(norm.q_tilde <= 0):
+    fp = en.FixedPhase(n, np.zeros(n.n_bus))
+    q_tilde = fp.tq / np.diag(fp.g)  # diag(g) = -B at the PQ buses
+    if np.any(q_tilde <= 0):
         raise UnsupportedSign("normalized consumption must be positive")
     v_bar = voltage_upper_bound(n).v_bar
-    r = np.square(v_bar) / norm.q_tilde
+    r = np.square(v_bar) / q_tilde
     beta_needed = (r - 1.0) / (r + 1.0)
     beta_min = max(0.0, float(np.max(beta_needed)))
     if beta_min >= 1.0:

@@ -46,7 +46,7 @@ class SolveOutcome:
 class SolveOptions:
     grad_tol: float = 1e-8
     mu0: float = 1.0
-    mu_decay: float = 0.2
+    mu_decay: float = 0.02
     mu_min: float = 1e-9
     max_inner: int = 80
     max_total: int = 4000
@@ -134,8 +134,9 @@ class _Barrier:
     Barrier = -sum_lines log cos(theta_ij) - log det(domain matrix), plus
     optional per-line operating-box terms. Everything is a function of the
     per-line edge variables d = rho_to - rho_from and tau = theta_from -
-    theta_to; a constant Jacobian chains the edge derivatives into packed
-    coordinates.
+    theta_to; constant Jacobians jd (d by PQ rho) and jt (tau by non-slack
+    theta) chain the edge derivatives into packed coordinates block by
+    block.
     """
 
     def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
@@ -145,20 +146,21 @@ class _Barrier:
         npq, m = len(n.pq), len(n.lines)
         f, t = n.edges[:, 0], n.edges[:, 1]
         self.f, self.t = f, t
-        rho_col = n.pq_index_of
         th_col = np.full(n.n_bus, -1)
-        th_col[n.ns] = npq + np.arange(len(n.ns))
-        # Edge Jacobian: packed x -> (d, tau); pinned ends land in the
-        # dropped last column.
+        th_col[n.ns] = np.arange(len(n.ns))
+        # Edge Jacobian, block-diagonal: d depends on the PQ rho only and
+        # tau on the non-slack theta only. Pinned ends land in the dropped
+        # last column.
         rows = np.arange(m)
-        jac = np.zeros((2 * m, npq + len(n.ns) + 1))
-        jac[rows, rho_col[t]] += 1.0
-        jac[rows, rho_col[f]] -= 1.0
-        jac[m + rows, th_col[f]] += 1.0
-        jac[m + rows, th_col[t]] -= 1.0
-        self.jac = jac[:, :-1]
+        jd = np.zeros((m, npq + 1))
+        jd[rows, n.pq_index_of[t]] += 1.0
+        jd[rows, n.pq_index_of[f]] -= 1.0
+        jt = np.zeros((m, len(n.ns) + 1))
+        jt[rows, th_col[f]] += 1.0
+        jt[rows, th_col[t]] -= 1.0
+        self.jd, self.jt = jd[:, :-1], jt[:, :-1]
         # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
-        self.sign = -0.5 * self.jac[:m, :npq].T
+        self.sign = -0.5 * self.jd.T
         self.var = np.any(self.sign != 0.0, axis=0)  # lines with a PQ end
 
     def edge_vars(self, s: PFState):
@@ -234,9 +236,15 @@ class _Barrier:
         h_dt[np.diag_indices_from(h_dt)] += 2.0 * wt * dvu
         h_tt[np.diag_indices_from(h_tt)] += w * (1.0 + 2.0 * tn * tn) * duu + h_t
 
-        hedge = np.block([[h_dd, h_dt], [h_dt.T, h_tt]])
-        return (self.jac.T @ np.concatenate((g_d, g_t)),
-                self.jac.T @ hedge @ self.jac)
+        jd, jt = self.jd, self.jt
+        npq = jd.shape[1]
+        hdt = jd.T @ h_dt @ jt
+        hess = np.empty((npq + jt.shape[1],) * 2)
+        hess[:npq, :npq] = jd.T @ h_dd @ jd
+        hess[:npq, npq:] = hdt
+        hess[npq:, :npq] = hdt.T
+        hess[npq:, npq:] = jt.T @ h_tt @ jt
+        return np.concatenate((jd.T @ g_d, jt.T @ g_t)), hess
 
 
 def _phase_slack(n: Network, s: PFState) -> float:
@@ -286,7 +294,9 @@ def _solve_barrier(n: Network, s0: PFState | None,
     barrier = _Barrier(n, opts.box)
     s = s0.copy() if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
-    if not barrier.feasible(s):
+    # The barrier value at s; each accepted trial carries its own forward.
+    bval = barrier.value(s)
+    if not math.isfinite(bval):
         raise InfeasibleStart("initial state is not strictly inside the domain")
 
     x = pack(n, s)
@@ -309,7 +319,7 @@ def _solve_barrier(n: Network, s0: PFState | None,
             if dx is None:
                 ran_out = True
                 break
-            f0 = ev.value + mu * barrier.value(s)
+            f0 = ev.value + mu * bval
             slope = float(g @ dx)
             if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
                 # Predicted decrease is below the resolution of the
@@ -318,12 +328,12 @@ def _solve_barrier(n: Network, s0: PFState | None,
             alpha, accepted = 1.0, False
             while alpha >= 1e-14:
                 sn = unpack(n, x + alpha * dx)
-                bval = barrier.value(sn)
-                if math.isfinite(bval):
-                    fnew = en.energy_value(n, sn) + mu * bval
+                btrial = barrier.value(sn)
+                if math.isfinite(btrial):
+                    fnew = en.energy_value(n, sn) + mu * btrial
                     if fnew <= f0 + opts.armijo * alpha * slope:
                         x = x + alpha * dx
-                        s = sn
+                        s, bval = sn, btrial
                         if trace is not None:
                             trace.append((mu, fnew))
                         accepted = True

@@ -67,6 +67,18 @@ class TestSolve:
         code, _ = run(capsys, "solve", "/does/not/exist.json")
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["check", "bounds", "reactive", "solve"])
+    def test_huge_susceptance(self, capsys, tmp_path, command):
+        doc = json.loads(serialize_native(load_case("threebus")))
+        doc["lines"][-1]["b"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "per unit" in captured.err
+
 
 class TestCheck:
     def test_flat_state(self, capsys):

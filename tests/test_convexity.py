@@ -275,6 +275,43 @@ class TestMaxPhaseBound:
                 keep = np.append(np.flatnonzero(ok), k)  # the failure last
                 assert not _diag_line_ok(n, d[keep], phi[keep], b_theta)
 
+    def test_box_samples_match_one_draw_per_probe(self, bundled_models):
+        # The probes are drawn one chunk of rows at a time; the stream must
+        # be the one a per-probe rng.uniform pair gives, bit for bit.
+        def per_probe(n, log_ratio, samples, seed):
+            f, t = n.edges[:, 0], n.edges[:, 1]
+            active = np.flatnonzero((n.pq_index_of[f] >= 0)
+                                    | (n.pq_index_of[t] >= 0))
+            battery = 2 * len(active)
+            d = np.zeros((max(samples, battery), len(n.lines)))
+            phi = np.zeros_like(d)
+            rows = np.arange(battery)
+            d[rows, np.repeat(active, 2)] = np.tile([log_ratio, -log_ratio],
+                                                    len(active))
+            phi[rows, np.repeat(active, 2)] = 1.0
+            rng = np.random.default_rng(seed)
+            rho, th = np.zeros(n.n_bus), np.zeros(n.n_bus)
+            for k in range(battery, len(d)):
+                rho[n.pq] = rng.uniform(-log_ratio, log_ratio, len(n.pq))
+                d[k] = rho[t] - rho[f]
+                worst = float(np.max(np.abs(d[k])))
+                if worst > log_ratio > 0:
+                    d[k] *= log_ratio / worst
+                th[n.ns] = rng.uniform(-1.0, 1.0, len(n.ns))
+                phi[k] = th[f] - th[t]
+                top = float(np.max(np.abs(phi[k])))
+                if top > 0:
+                    phi[k] /= top
+            return d, phi
+
+        for name, n in bundled_models.items():
+            # At 400 samples the random rows of ieee118 span two chunks.
+            for seed, ratio in ((0, 1.5), (7, 1.2), (7, 1.0)):
+                got = _box_samples(n, math.log(ratio), 400, seed)
+                want = per_probe(n, math.log(ratio), 400, seed)
+                assert np.array_equal(got[0], want[0]), (name, seed, ratio)
+                assert np.array_equal(got[1], want[1]), (name, seed, ratio)
+
     def test_box_is_certified_inside_c_on_trees(self):
         # exact mode really certifies: random states inside the reported
         # box must pass in_domain_C

@@ -6,8 +6,8 @@ import pytest
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
 from gridenergy.errors import ParseError
-from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
-                                incidence, is_tree, losslessify, parse_matpower,
+from gridenergy.network import (MAX_MAGNITUDE, Bus, BusKind, Line, Network,
+                                absorb_setpoints, incidence, is_tree, losslessify, parse_matpower,
                                 parse_native, scale_injections, serialize_native)
 
 TWOBUS_DOC = json.dumps({
@@ -41,6 +41,16 @@ class TestParseNative:
 
     def test_threebus_susceptance_sums(self, threebus):
         assert threebus.b_total[threebus.index[2]] == pytest.approx(43.55)
+
+    @pytest.mark.parametrize("where, key", [("lines", "b"), ("lines", "g"),
+                                            ("buses", "p"), ("buses", "q")])
+    def test_magnitude_beyond_limit_rejected(self, where, key):
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][-1][key] = 2.0 * MAX_MAGNITUDE
+        with pytest.raises(ParseError, match="1e\\+06 per unit"):
+            parse_native(json.dumps(doc))
+        doc[where][-1][key] = MAX_MAGNITUDE
+        parse_native(json.dumps(doc))  # the limit itself is accepted
 
     def test_negative_susceptance_rejected(self):
         doc = json.loads(TWOBUS_DOC)
@@ -97,6 +107,23 @@ class TestParseMatpower:
         # injections: (PG - PD)/base
         assert n.p_inj[n.index[2]] == pytest.approx(-0.10)
         assert n.q_inj[n.index[2]] == pytest.approx(-0.05)
+
+    @pytest.mark.parametrize("old, new", [
+        ("\t1\t2\t0\t1\t0", "\t1\t2\t0\t1e-150\t0"),  # b = 1e150
+        ("\t1\t2\t0\t1\t0", "\t1\t2\t1e-9\t1e-12\t0"),  # g = 1e9
+        ("\t2\t1\t10\t5", "\t2\t1\t1e9\t5"),  # p = -1e7
+        ("\t2\t1\t10\t5", "\t2\t1\t10\t-1e300")])  # q = 1e298
+    def test_magnitude_beyond_limit_rejected(self, old, new):
+        assert old in MINI_MATPOWER
+        with pytest.raises(ParseError, match="per unit"):
+            parse_matpower(MINI_MATPOWER.replace(old, new))
+
+    def test_underflowing_impedance_rejected(self):
+        # r^2 + x^2 underflows to zero; b = x / 0 must not escape as a
+        # ZeroDivisionError
+        with pytest.raises(ParseError, match="impedance too small"):
+            parse_matpower(MINI_MATPOWER.replace("\t1\t2\t0\t1\t0",
+                                                 "\t1\t2\t0\t1e-300\t0"))
 
     def test_zero_impedance_rejected(self):
         with pytest.raises(ParseError):

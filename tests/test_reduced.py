@@ -13,10 +13,10 @@ from gridenergy.linalg import fd_gradient, fd_hessian
 from gridenergy.network import (BusKind, Network, absorb_setpoints,
                                 scale_injections)
 from gridenergy.reduced import (BetaCondition, beta_condition,
-                                convex_reactive_solve, normalized,
-                                reduced_energy, reduced_hessian,
-                                region_agreement, region_grid,
-                                solve_reactive_newton, voltage_upper_bound)
+                                convex_reactive_solve, reduced_energy,
+                                reduced_hessian, region_agreement,
+                                region_grid, solve_reactive_newton,
+                                voltage_upper_bound)
 from gridenergy.solver import solve_newton
 
 
@@ -366,11 +366,23 @@ class TestBetaCondition:
         bc = beta_condition(threebus)
         assert 10.0 <= bc.angle_budget_deg <= 20.0
 
-    def test_normalized_rows(self, threebus):
-        norm = normalized(threebus)
-        sums = norm.m_matrix.sum(axis=1)
-        assert np.allclose(sums, 1.0)
-        assert np.all(norm.q_tilde > 0)
+    def test_lossy_equals_lossless_twin(self, threebus):
+        # A constant-ratio network has the energy of its lossless twin with
+        # susceptances (1 + kappa^2) b and the lossy_targets as injections;
+        # the budget, caps and normalized demand included, must match.
+        kappa = 0.2
+        lossy = Network(threebus.buses, [replace(ln, g=kappa * ln.b)
+                                         for ln in threebus.lines])
+        tp, tq = en.lossy_targets(lossy, kappa)
+        twin = Network(
+            [replace(b, p_inj=float(tp[k]), q_inj=float(tq[k]))
+             for k, b in enumerate(threebus.buses)],
+            [replace(ln, b=(1.0 + kappa * kappa) * ln.b)
+             for ln in threebus.lines])
+        a, b = beta_condition(lossy), beta_condition(twin)
+        assert a.beta_min == pytest.approx(b.beta_min, rel=1e-12, abs=1e-12)
+        assert a.angle_budget_deg == pytest.approx(b.angle_budget_deg,
+                                                   rel=1e-12, abs=1e-12)
 
 
 class TestRegionGrid:
