@@ -207,11 +207,8 @@ def cmd_reactive(args) -> int:
                 theta[n.index[int(bid)]] = float(val)
         else:
             theta[:] = [float(v) for v in doc]
-    weights = None
-    if args.weights:
-        weights = np.array([float(v) for v in args.weights.split(",")])
     try:
-        state = reduced.convex_reactive_solve(n, theta, weights)
+        state = reduced.convex_reactive_solve(n, theta)
     except NoReactiveSolution:
         _emit_json(args, {"header": _header(args, args.case),
                           "status": "NoReactiveSolution"})
@@ -292,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reactive", help="convex reactive solve at fixed phases")
     p.add_argument("case")
     p.add_argument("--theta", default=None, help="JSON phase file (per bus)")
-    p.add_argument("--weights", default=None,
-                   help="comma-separated positive weights per PQ bus")
     p.set_defaults(func=cmd_reactive)
     return ap
 

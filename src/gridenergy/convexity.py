@@ -119,18 +119,6 @@ def in_domain_C(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> Convexi
                                 tol_abs=tol_abs, scale=scale)
 
 
-def strictly_interior(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL,
-                      phase_margin: float = 1e-6) -> bool:
-    """Interior test: matrix eigenvalue clearly positive and every phase
-    clearly below 90 degrees."""
-    cert = in_domain_C(n, s, tol)
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta[f] - s.theta[t]
-    if np.any(np.abs(te) >= HALF_PI - phase_margin):
-        return False
-    return cert.lmi_min_eig > cert.tol_abs
-
-
 @dataclass(frozen=True)
 class DomainDSample:
     in_d: bool

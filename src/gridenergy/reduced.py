@@ -7,8 +7,9 @@ zeta = V^2 coordinates the feasible set
 
 (q_i the positive reactive consumption) is convex, and maximizing any
 positive combination of the zeta lands on a reactive solution with every
-constraint tight. The reduced energy is the full energy evaluated at the
-reactive solution for the given phases.
+constraint tight: the set's greatest element, which a monotone Newton
+iteration also reaches directly. The reduced energy is the full energy
+evaluated at that reactive solution for the given phases.
 """
 from __future__ import annotations
 
@@ -27,10 +28,9 @@ from .linalg import fd_hessian  # noqa: F401
 from .network import Network
 
 _REACTIVE_TOL = 1e-10
-# Newton step lengths 1, 1/2, 1/4, ... down to the last one >= 1e-12, and
-# the Armijo factor each must bring the squared residual norm below.
-_ALPHAS = 0.5 ** np.arange(40)
-_ARMIJO = 1.0 - 1e-4 * _ALPHAS
+# Relative size of a monotone Newton step that ends the iteration; a step
+# that raises a voltage by more is an error.
+_STEP_TOL = 1e-9
 
 
 @dataclass
@@ -54,56 +54,75 @@ class BetaCondition:
     angle_budget_deg: float
 
 
-def _check_theta(n: Network, theta, strict_cos: bool = True) -> np.ndarray:
+def _check_theta(n: Network, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n.n_bus,):
         raise ValueError("theta must give one phase per bus")
     if theta[n.slack_index] != 0.0:
         raise ValueError("slack phase must be zero")
     te = theta[n.edges[:, 0]] - theta[n.edges[:, 1]]
-    if strict_cos and np.any(np.abs(te) >= HALF_PI):
+    if np.any(np.abs(te) >= HALF_PI):
         raise PhaseOutOfRange("phases must keep every line below 90 degrees")
     return theta
 
 
-def solve_reactive_newton(n: Network, theta) -> np.ndarray:
-    """Newton on the reactive balances in rho with phases fixed.
+def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray) -> np.ndarray:
+    """Greatest u > 0 with B_i u_i^2 - r_i u_i + q_i = 0 at every PQ bus,
+    r = d + C u, by monotone Newton from a cap.
 
-    From the flat start this lands on the dominant (high-voltage) solution
-    branch. Returns rho at the PQ buses; residual infinity norm <= 1e-10.
+    B = -diag(g) is each PQ bus's susceptance sum, C >= 0 the PQ-PQ line
+    weights, d the weights to fixed buses and q the consumption. Row i's
+    largest root is T_i(u) = (r_i + sqrt(r_i^2 - 4 B_i q_i)) / (2 B_i), and
+    Newton runs on u - T(u) from u0 = (-g)^-1 (d + sqrt(B q-)), q- =
+    max(-q, 0). As T_i(u) <= (r_i + sqrt(B_i q-_i)) / B_i and -g is a
+    nonsingular M-matrix with a nonnegative inverse, u0 lies above every
+    solution. When every q >= 0, T is concave and isotone, so the iterates
+    decrease to the greatest solution (Ortega & Rheinboldt 1970, ch. 13);
+    there a discriminant <= 0 proves that none exists, and a step that
+    raises a voltage ends the search. With injecting buses T is not
+    concave and the same iteration is a heuristic.
+    """
+    b = -np.diag(fp.g)
+    c = fp.g + np.diag(b)
+    half_inv_b, four_bq = 0.5 / b, 4.0 * b * q
+    eye = np.eye(len(b))
+    monotone = bool((q >= 0.0).all())
+    try:
+        u = np.linalg.solve(-fp.g, fp.d + np.sqrt(b * np.maximum(-q, 0.0)))
+        for _ in range(60):
+            r = fp.d + c @ u
+            disc = r * r - four_bq
+            if not (disc > 0.0).all():
+                bad = n.buses[n.pq[np.argmin(disc)]].id
+                raise NoReactiveSolution(
+                    f"reactive balance at bus {bad} has no real root")
+            root = np.sqrt(disc)
+            jac = eye - ((1.0 + r / root) * half_inv_b)[:, None] * c
+            step = np.linalg.solve(jac, u - (r + root) * half_inv_b)
+            if monotone and (step < -_STEP_TOL * u).any():
+                raise NoReactiveSolution("monotone reactive Newton step "
+                                         "raised a voltage")
+            u = u - step
+            if (abs(step) <= _STEP_TOL * u).all():
+                break
+    except np.linalg.LinAlgError:
+        raise NoReactiveSolution("reactive Jacobian is singular")
+    if not (u > 0.0).all():
+        raise NoReactiveSolution("reactive Newton reached a non-positive voltage")
+    return u
+
+
+def solve_reactive_newton(n: Network, theta) -> np.ndarray:
+    """Dominant (greatest, high-voltage) solution of the reactive balances
+    with phases fixed, by monotone Newton from the voltage cap.
+
+    Returns rho at the PQ buses; its residual infinity norm is <= 1e-10
+    both in FixedPhase and in the phasor residuals of pf_residuals.
     """
     theta = _check_theta(n, theta)
-    return _reactive_newton(n, theta, np.zeros(len(n.pq)))
-
-
-def _reactive_newton(n: Network, theta, rho0_pq) -> np.ndarray:
-    """Damped Newton on the energy's rho-derivatives at fixed phases.
-
-    Each step takes the first step length of the halving sequence that
-    keeps |rho| <= 20 and passes the Armijo test; the lengths are tried
-    as one batch, which picks the same one as trying them in turn. The
-    converged rho must also pass the phasor residuals of pf_residuals.
-    """
     fp = en.FixedPhase(n, theta)
-    rho = np.array(rho0_pq, dtype=float)
-    rq = fp.residual(rho)
-    for _ in range(60):
-        if np.abs(rq).max(initial=0.0) <= _REACTIVE_TOL:
-            break
-        try:
-            step = np.linalg.solve(fp.hessian(rho), rq)
-        except np.linalg.LinAlgError:
-            raise NoReactiveSolution("reactive Jacobian is singular")
-        trials = rho + _ALPHAS[:, None] * step
-        # e^20 p.u. is already absurd
-        inside = np.abs(trials).max(axis=1) <= 20.0
-        trials, bound = trials[inside], _ARMIJO[inside] * float(rq @ rq)
-        res = fp.residual(trials)
-        passed = np.flatnonzero(np.einsum("ij,ij->i", res, res) <= bound)
-        if not len(passed):
-            break
-        rho, rq = trials[passed[0]], res[passed[0]]
-    if np.abs(rq).max(initial=0.0) <= _REACTIVE_TOL:
+    rho = np.log(_greatest_u(n, fp, -fp.tq))
+    if np.abs(fp.residual(rho)).max(initial=0.0) <= _REACTIVE_TOL:
         s = PFState(np.zeros(n.n_bus), theta.copy())
         s.rho[n.pq] = rho
         _, rq = en.pf_residuals(n, s)
@@ -143,7 +162,6 @@ class _ZetaProgram:
             raise UnsupportedTopology("the reactive program needs slack/PV "
                                       "set-points of 1 (see absorb_setpoints)")
         self.n = n
-        self.theta = theta
         self.fp = en.FixedPhase(n, theta)
         self.q = -self.fp.tq
         if np.any(self.q < 0):
@@ -165,29 +183,17 @@ class _ZetaProgram:
     # -- interior point hunting ------------------------------------------
 
     def interior_point(self) -> np.ndarray | None:
-        # Dominant reactive solution, nudged inward through the Jacobian.
-        try:
-            rho = _reactive_newton(self.n, self.theta, np.zeros(len(self.q)))
-            z_star = np.exp(2.0 * rho)
-            jac = self.jacobian(z_star)
-            for eps in (1e-3, 1e-4, 1e-5):
-                margin = eps * (1.0 + float(np.max(self.q)))
-                try:
-                    dz = np.linalg.solve(jac, -margin * np.ones(len(self.q)))
-                except np.linalg.LinAlgError:
-                    break
-                cand = z_star + dz
-                if np.all(cand > 0) and np.all(
-                        self.constraints(cand) < -0.25 * margin):
-                    return cand
-        except NoReactiveSolution:
-            pass
-        # Uniformly sagged voltage profiles as a fallback.
-        for y in np.linspace(0.999, 0.02, 400):
-            cand = np.full(len(self.q), y * y)
-            g = self.constraints(cand)
-            if np.max(g) < -1e-9 * (1.0 + float(np.max(np.abs(g)))):
-                return cand
+        """The greatest element at consumption q + margin: every constraint
+        holds there with slack margin."""
+        for eps in (1e-3, 1e-4, 1e-5):
+            margin = eps * (1.0 + float(np.max(self.q)))
+            try:
+                u = _greatest_u(self.n, self.fp, self.q + margin)
+            except NoReactiveSolution:
+                continue
+            z = u * u
+            if np.all(self.constraints(z) < -0.5 * margin):
+                return z
         return None
 
     # -- barrier maximization of c^T zeta --------------------------------
@@ -309,16 +315,15 @@ def voltage_upper_bound(n: Network) -> VoltageBound:
     whose left side depends on u_i alone and whose right side does not
     decrease in any u_j. So the componentwise maximum of two feasible points
     is feasible, and the compact set has a greatest element: the join of
-    the per-coordinate maximizers. Every constraint is tight there, and it
-    maximizes every positive weighting of zeta, so one maximization gives
-    all the caps.
+    the per-coordinate maximizers. Every constraint is tight there, so it
+    is the greatest solution of the reactive balances, which the monotone
+    Newton of solve_reactive_newton computes.
     """
-    # The relaxed set coincides with the reactive system at zero phases.
-    prog = _ZetaProgram(n, np.zeros(n.n_bus))
-    z0 = prog.interior_point()
-    if z0 is None:
-        raise NoReactiveSolution("relaxed constraint set has no interior")
-    return VoltageBound(v_bar=np.sqrt(prog.maximize(np.ones(len(n.pq)), z0)))
+    # The relaxed set is the reactive set at zero phases; the zeta
+    # program's checks reject networks it does not model.
+    theta = np.zeros(n.n_bus)
+    _ZetaProgram(n, theta)
+    return VoltageBound(v_bar=np.exp(solve_reactive_newton(n, theta)))
 
 
 def beta_condition(n: Network) -> BetaCondition:
@@ -390,32 +395,18 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
     count = int(round((theta_max - theta_min) / step)) + 1
     axis = theta_min + step * np.arange(count)
     a_pos, b_pos = int(n.ns[0]), int(n.ns[1])
-    npq = len(n.pq)
 
     cells = []
-    warm_row = None
     for ia, ta in enumerate(axis):
-        warm = warm_row
-        warm_row = None
         for ib, tb in enumerate(axis):
             th = np.zeros(n.n_bus)
             th[a_pos] = ta
             th[b_pos] = tb
-            te = th[n.edges[:, 0]] - th[n.edges[:, 1]]
-            rho_pq = None
-            if np.all(np.abs(te) < HALF_PI):
-                try:
-                    rho_pq = _reactive_newton(
-                        n, th, warm if warm is not None else np.zeros(npq))
-                except NoReactiveSolution:
-                    pass
-            if rho_pq is None:
+            try:
+                rho_pq = solve_reactive_newton(n, th)
+            except (PhaseOutOfRange, NoReactiveSolution):
                 cells.append(RegionCell(ia, ib, ta, tb, False, None, None))
-                warm = None
                 continue
-            warm = rho_pq
-            if ib == 0:
-                warm_row = rho_pq
             s = PFState(np.zeros(n.n_bus), th)
             s.rho[n.pq] = rho_pq
             cert = in_domain_C(n, s)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_twobus, random_network, random_state
+from test_solver import strictly_interior
 from gridenergy import energy as en
 from gridenergy.convexity import (PhaseVoltageBox, _box_samples,
                                   _diag_line_ok, convexity_matrix,
                                   in_domain_C, in_domain_D_sampled,
                                   lossy_in_domain, matrix_convexity_gap,
-                                  max_phase_bound, strictly_interior)
+                                  max_phase_bound)
 from gridenergy.energy import PFState
 from gridenergy.errors import DomainError, PhaseOutOfRange, UnsupportedTopology
 from gridenergy.linalg import DEFAULT_PSD_TOL, sym_eigen

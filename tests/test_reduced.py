@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
@@ -63,13 +65,14 @@ class TestReactiveNewton:
 
 
 def sequential_newton(n, theta):
-    """Reference for the batched line search: the same Newton on
-    FixedPhase, trying the step lengths one at a time. None when it fails."""
+    """Reference for the monotone Newton: damped Newton on FixedPhase from
+    the flat start, trying the step lengths one at a time, run to the
+    residual floor. None when it fails."""
     fp = en.FixedPhase(n, theta)
     rho = np.zeros(len(n.pq))
     rq = fp.residual(rho)
     for _ in range(60):
-        if np.max(np.abs(rq)) <= 1e-10:
+        if np.max(np.abs(rq)) <= 1e-13:
             return rho
         step = np.linalg.solve(fp.hessian(rho), rq)
         alpha = 1.0
@@ -83,10 +86,10 @@ def sequential_newton(n, theta):
         else:
             return None
         rho, rq = trial, rqn
-    return rho if np.max(np.abs(rq)) <= 1e-10 else None
+    return rho if np.max(np.abs(rq)) <= 1e-13 else None
 
 
-class TestBatchedLineSearch:
+class TestSequentialReference:
     @pytest.mark.parametrize("case,scale", [("threebus", 1.0), ("threebus", 6.0),
                                             ("threebus-tree", 1.0)])
     def test_matches_sequential_reference(self, case, scale, request):
@@ -109,6 +112,69 @@ class TestBatchedLineSearch:
                     solved += 1
                     assert np.max(np.abs(got - ref)) <= 1e-12, (ta, tb)
         assert solved > 100 if scale == 1.0 else solved == 0
+
+    def test_mixed_signs(self):
+        # PQ buses that inject reactive power make the iteration a
+        # heuristic: its verdicts and rho must still be the reference's.
+        rng = np.random.default_rng(66)
+        solved = failed = 0
+        while solved + failed < 60:
+            n = random_network(rng, n_max=8)
+            q = -n.q_inj[n.pq]
+            if not (np.any(q > 0) and np.any(q < 0)):
+                continue
+            theta = np.zeros(n.n_bus)
+            theta[n.ns] = rng.uniform(-0.4, 0.4, len(n.ns))
+            try:
+                got = solve_reactive_newton(n, theta)
+            except PhaseOutOfRange:
+                continue
+            except NoReactiveSolution:
+                got = None
+            ref = sequential_newton(n, theta)
+            assert (got is None) == (ref is None)
+            if got is None:
+                failed += 1
+            else:
+                solved += 1
+                assert np.max(np.abs(got - ref)) <= 1e-11
+        assert solved >= 40 and failed >= 1
+
+
+def zeta_or_none(solve):
+    try:
+        return solve()
+    except NoReactiveSolution:
+        return None
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_greatest_element_agrees_with_convex_program(seed):
+    # On consuming networks the monotone Newton, the damped Newton from the
+    # flat start, the barrier maximization of the zeta program and the caps
+    # are routes to one point.
+    rng = np.random.default_rng(seed)
+    n = random_network(rng, n_max=6)
+    n = Network([replace(b, q_inj=-abs(b.q_inj)) for b in n.buses], n.lines)
+    assume(len(n.pq))
+    theta = np.zeros(n.n_bus)
+    theta[n.ns] = rng.uniform(-0.4, 0.4, len(n.ns))
+    z_newton = zeta_or_none(
+        lambda: np.exp(2.0 * solve_reactive_newton(n, theta)))
+    z_convex = zeta_or_none(lambda: convex_reactive_solve(n, theta).zeta)
+    rho_ref = sequential_newton(n, theta)
+    assert (z_newton is None) == (z_convex is None) == (rho_ref is None)
+    zero = np.zeros(n.n_bus)
+    caps = zeta_or_none(lambda: voltage_upper_bound(n).v_bar ** 2)
+    z_relaxed = zeta_or_none(lambda: convex_reactive_solve(n, zero).zeta)
+    assert (caps is None) == (z_relaxed is None)
+    if caps is not None:
+        assert np.max(np.abs(caps - z_relaxed)) <= 1e-12 * (1.0 + np.max(caps))
+    if z_newton is not None:
+        assert np.max(np.abs(z_newton - z_convex)) <= 1e-12 * (1.0 + np.max(z_convex))
+        assert np.max(np.abs(z_newton - np.exp(2.0 * rho_ref))) <= 1e-12 * (1.0 + np.max(z_convex))
+        assert np.all(z_newton <= caps * (1.0 + 1e-12))
 
 
 class TestReducedEnergy:

@@ -5,14 +5,25 @@ import pytest
 
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
-from gridenergy.convexity import PhaseVoltageBox, in_domain_C, strictly_interior
-from gridenergy.energy import PFState
+from gridenergy.convexity import PhaseVoltageBox, in_domain_C
+from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import InfeasibleStart
+from gridenergy.linalg import DEFAULT_PSD_TOL
 from gridenergy.network import Line, Network
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
 
 CRITICAL_LOAD = (math.sqrt(2.0) - 1.0) / 2.0  # collapse load of the B=1 two-bus
+
+
+def strictly_interior(n, s, tol=DEFAULT_PSD_TOL, phase_margin=1e-6):
+    """Interior test: matrix eigenvalue clearly positive and every phase
+    clearly below 90 degrees."""
+    cert = in_domain_C(n, s, tol)
+    te = s.theta[n.edges[:, 0]] - s.theta[n.edges[:, 1]]
+    if np.any(np.abs(te) >= HALF_PI - phase_margin):
+        return False
+    return cert.lmi_min_eig > cert.tol_abs
 
 
 def with_ratio(n, kappa):
