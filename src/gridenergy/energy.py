@@ -19,6 +19,7 @@ lossless network is its kappa = 0 case.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,15 @@ def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     return rp, rq
 
 
+def _pq_incidence(n: Network) -> np.ndarray:
+    """inc[p, k] = 1 when line k ends at the p-th PQ bus."""
+    inc = np.zeros((len(n.pq), len(n.lines)))
+    for ends in n.edges.T:
+        p = n.pq_index_of[ends]
+        inc[p[p >= 0], np.flatnonzero(p >= 0)] = 1.0
+    return inc
+
+
 class FixedPhase:
     """The energy's rho-derivatives at PQ buses with the phases held fixed.
 
@@ -207,11 +217,7 @@ class FixedPhase:
             raise ValueError("theta must give one phase per bus")
         f, t = n.edges[:, 0], n.edges[:, 1]
         c = beff * np.cos(theta[f] - theta[t])
-        # inc[p, k] = 1 when line k ends at the p-th PQ bus.
-        inc = np.zeros((len(n.pq), len(n.lines)))
-        for ends in (f, t):
-            p = n.pq_index_of[ends]
-            inc[p[p >= 0], np.flatnonzero(p >= 0)] = 1.0
+        inc = _pq_incidence(n)
         weighted = inc * c
         self.g = weighted @ inc.T
         self.g.flat[::len(n.pq) + 1] = -(inc @ beff)
@@ -220,16 +226,27 @@ class FixedPhase:
         self.tq = tq[n.pq]
 
     def residual(self, rho_pq: np.ndarray) -> np.ndarray:
-        """-dE/drho at the PQ buses; a 2-D rho_pq gives one row per row."""
+        """-dE/drho at the PQ buses."""
         u = np.exp(rho_pq)
         return self.tq + u * (self.d + u @ self.g)
 
-    def hessian(self, rho_pq: np.ndarray) -> np.ndarray:
-        """d2E/drho2 over the PQ buses (the m block of hessian_blocks)."""
-        u = np.exp(rho_pq)
-        h = -np.outer(u, u) * self.g
-        h.flat[::len(u) + 1] -= u * (self.d + u @ self.g)
-        return h
+
+@functools.lru_cache(maxsize=16)
+def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
+    """Flat positions of hessian's 16 per-line entry groups, in its value
+    order, in a (k+1) x (k+1) scratch matrix over the k free variables in
+    pack's order; pinned ends go to the dropped last row and column.
+    Cached for the most recent networks; callers must not modify it."""
+    k = len(n.pq) + len(n.ns)
+    pos = np.full((2, n.n_bus), k)  # rho and theta position of each bus
+    pos[0, n.pq] = np.arange(len(n.pq))
+    pos[1, n.ns] = len(n.pq) + np.arange(len(n.ns))
+    (rf, rt), (hf, ht) = pos[:, n.edges.T]
+    rows = np.concatenate((rf, rt, rf, rt, rf, hf, rt, hf,
+                           rf, ht, rt, ht, hf, ht, hf, ht))
+    cols = np.concatenate((rf, rt, rt, rf, hf, rf, hf, rt,
+                           ht, rf, ht, rt, hf, ht, ht, hf))
+    return rows * (k + 1) + cols, k
 
 
 def hessian(n: Network, s: PFState) -> SymMatrix:
@@ -240,26 +257,12 @@ def hessian(n: Network, s: PFState) -> SymMatrix:
     e2 = np.exp(2.0 * s.rho)
     w = beff * exy * np.cos(te)
     sv = beff * exy * np.sin(te)
-    nb = n.n_bus
-    h = np.zeros((2 * nb, 2 * nb))
-
-    def acc(ii, jj, val):
-        np.add.at(h, (ii, jj), val)
-        if not np.array_equal(ii, jj):
-            np.add.at(h, (jj, ii), val)
-
-    acc(f, f, 2.0 * beff * e2[f] - w)
-    acc(t, t, 2.0 * beff * e2[t] - w)
-    acc(f, t, -w)
-    acc(f, nb + f, sv)
-    acc(t, nb + f, sv)
-    acc(f, nb + t, -sv)
-    acc(t, nb + t, -sv)
-    acc(nb + f, nb + f, w)
-    acc(nb + t, nb + t, w)
-    acc(nb + f, nb + t, -w)
-    keep = np.concatenate((n.pq, nb + n.ns))
-    return SymMatrix(h[np.ix_(keep, keep)])
+    flat, k = _hessian_index(n)
+    vals = np.concatenate((2.0 * beff * e2[f] - w, 2.0 * beff * e2[t] - w,
+                           -w, -w, sv, sv, sv, sv, -sv, -sv, -sv, -sv,
+                           w, w, -w, -w))
+    h = np.bincount(flat, vals, (k + 1) ** 2).reshape(k + 1, k + 1)
+    return SymMatrix(h[:k, :k])
 
 
 @dataclass
@@ -295,26 +298,11 @@ def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
     w = beff * exy * np.cos(te)
     sv = beff * exy * np.sin(te)
     npq = len(n.pq)
-    m_mat = np.zeros((npq, npq))
-    pq_of = n.pq_index_of
+    inc = _pq_incidence(n)
     # B_i scales with the susceptances, by exactly 1 when lossless.
     diag = 2.0 * (1.0 + n.lossy_ratio ** 2) * n.b_total * e2
-    for k in range(len(n.lines)):
-        pf, pt = pq_of[f[k]], pq_of[t[k]]
-        if pf >= 0:
-            m_mat[pf, pf] -= w[k]
-        if pt >= 0:
-            m_mat[pt, pt] -= w[k]
-        if pf >= 0 and pt >= 0:
-            m_mat[pf, pt] -= w[k]
-            m_mat[pt, pf] -= w[k]
-    m_mat[np.arange(npq), np.arange(npq)] += diag[n.pq]
-
-    n_block = np.zeros((npq, len(n.lines)))
-    for k in range(len(n.lines)):
-        for p in (pq_of[f[k]], pq_of[t[k]]):
-            if p >= 0:
-                n_block[p, k] += sv[k]
+    m_mat = np.diag(diag[n.pq]) - (inc * w) @ inc.T
+    n_block = inc * sv
 
     blocks = HessianBlocks(m=SymMatrix(m_mat) if npq else None,
                            n_block=n_block, r=w.copy(), theta_edges=te.copy(),

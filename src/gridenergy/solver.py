@@ -136,7 +136,8 @@ class _Barrier:
     per-line edge variables d = rho_to - rho_from and tau = theta_from -
     theta_to; constant Jacobians jd (d by PQ rho) and jt (tau by non-slack
     theta) chain the edge derivatives into packed coordinates block by
-    block.
+    block. Only lines with a PQ end (var) enter the domain matrix or move
+    with rho; the others carry the separable phase terms alone.
     """
 
     def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
@@ -158,10 +159,11 @@ class _Barrier:
         jt = np.zeros((m, len(n.ns) + 1))
         jt[rows, th_col[f]] += 1.0
         jt[rows, th_col[t]] -= 1.0
-        self.jd, self.jt = jd[:, :-1], jt[:, :-1]
+        self.var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
+        self.jd = jd[self.var, :-1]
+        self.jt, self.jt_fixed = jt[self.var, :-1], jt[~self.var, :-1]
         # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
         self.sign = -0.5 * self.jd.T
-        self.var = np.any(self.sign != 0.0, axis=0)  # lines with a PQ end
 
     def edge_vars(self, s: PFState):
         d = s.rho[self.t] - s.rho[self.f]
@@ -197,54 +199,56 @@ class _Barrier:
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
 
-        Assumes feasibility was already established. With L = diag(2B) -
-        U diag(w) U^T, K = L^-1 and V = dU/dd, every -log det block is an
+        Assumes value(s) is finite, so the domain matrix L = diag(2B) -
+        U diag(w) U^T has the Cholesky factor C that value found. With
+        K = L^-1 = C^-T C^-1 and V = dU/dd, every -log det block is an
         elementwise product of Guu = U^T K U, Gvu = V^T K U and Gvv = V^T K V
         (Boyd & Vandenberghe, Convex Optimization, App. A.4).
         """
-        n = self.n
+        n, var = self.n, self.var
         d, tau = self.edge_vars(s)
         tn = np.tan(tau)
         w = n.b / np.cos(tau)
-        wt = w * tn
 
         # Phase cone (-log cos) and operating box: separable per line.
-        g_d = np.zeros(len(d))
-        h_d = np.zeros(len(d))
-        g_t = tn.copy()
-        h_t = 1.0 + tn * tn
+        g_t, h_t = tn.copy(), 1.0 + tn * tn
+        dv = d[var]
+        g_d, h_d = np.zeros((2, len(dv)))
         if self.box is not None:
             bt, br = self.box.b_theta, self.log_brho
             g_t += 1.0 / (bt - tau) - 1.0 / (bt + tau)
             h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
-            g_d += 1.0 / (br - d) - 1.0 / (br + d)
-            h_d += 1.0 / (br - d) ** 2 + 1.0 / (br + d) ** 2
+            g_d += 1.0 / (br - dv) - 1.0 / (br + dv)
+            h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
-        # -log det L; lines without a PQ end have zero columns in U.
-        u = line_factors(n, d)
-        v = u * self.sign
-        k_inv = np.linalg.inv(domain_matrix(n, d, w))
-        ku, kv = k_inv @ u, k_inv @ v
-        guu, gvu, gvv = u.T @ ku, v.T @ ku, v.T @ kv
+        # -log det L over the var lines.
+        ci = np.linalg.inv(np.linalg.cholesky(domain_matrix(n, d, w)))
+        u = line_factors(n, d)[:, var]
+        cu, cv = ci @ u, ci @ (u * self.sign)
+        guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
         duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
+        w, tn = w[var], tn[var]
+        wt = w * tn
         g_d += 2.0 * w * dvu
-        g_t += wt * duu
+        g_tv = g_t[var] + wt * duu
         h_dd = np.outer(w, w) * 2.0 * (gvu * gvu.T + guu * gvv)
         h_dt = 2.0 * np.outer(w, wt) * gvu * guu
         h_tt = np.outer(wt, wt) * guu * guu
         h_dd[np.diag_indices_from(h_dd)] += w * (2.0 * dvv + 0.5 * duu) + h_d
         h_dt[np.diag_indices_from(h_dt)] += 2.0 * wt * dvu
-        h_tt[np.diag_indices_from(h_tt)] += w * (1.0 + 2.0 * tn * tn) * duu + h_t
+        h_tt[np.diag_indices_from(h_tt)] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
 
-        jd, jt = self.jd, self.jt
+        jd, jt, jf = self.jd, self.jt, self.jt_fixed
+        fixed = ~var
         npq = jd.shape[1]
         hdt = jd.T @ h_dt @ jt
         hess = np.empty((npq + jt.shape[1],) * 2)
         hess[:npq, :npq] = jd.T @ h_dd @ jd
         hess[:npq, npq:] = hdt
         hess[npq:, :npq] = hdt.T
-        hess[npq:, npq:] = jt.T @ h_tt @ jt
-        return np.concatenate((jd.T @ g_d, jt.T @ g_t)), hess
+        hess[npq:, npq:] = jt.T @ h_tt @ jt + (jf.T * h_t[fixed]) @ jf
+        grad = np.concatenate((jd.T @ g_d, jt.T @ g_tv + jf.T @ g_t[fixed]))
+        return grad, hess
 
 
 def _phase_slack(n: Network, s: PFState) -> float:
@@ -308,11 +312,13 @@ def _solve_barrier(n: Network, s0: PFState | None,
         # Stages only need to track the central path; the polish pass after
         # the schedule drives the raw gradient below grad_tol.
         stage_tol = max(mu * 1e-2, opts.grad_tol * 0.5)
-        for _ in range(opts.max_inner):
+        # The derivatives are taken once more after the last allowed step,
+        # so the stage always ends with them fresh at s for the predictor.
+        for k in range(opts.max_inner + 1):
             ev = en.energy_gradient(n, s)
             bg, bh = barrier.grad_hess(s)
             g = ev.as_vector() + mu * bg
-            if np.linalg.norm(g, np.inf) <= stage_tol:
+            if k == opts.max_inner or np.linalg.norm(g, np.inf) <= stage_tol:
                 break
             h = en.hessian(n, s).entries + mu * bh
             dx = _ridge_solve(h, -g)
@@ -325,36 +331,66 @@ def _solve_barrier(n: Network, s0: PFState | None,
                 # Predicted decrease is below the resolution of the
                 # objective; the stage is converged to working precision.
                 break
-            alpha, accepted = 1.0, False
-            while alpha >= 1e-14:
-                sn = unpack(n, x + alpha * dx)
-                btrial = barrier.value(sn)
-                if math.isfinite(btrial):
-                    fnew = en.energy_value(n, sn) + mu * btrial
-                    if fnew <= f0 + opts.armijo * alpha * slope:
-                        x = x + alpha * dx
-                        s, bval = sn, btrial
-                        if trace is not None:
-                            trace.append((mu, fnew))
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
+            step = _backtrack(n, barrier, x, dx, mu, f0, opts.armijo, slope,
+                              trace)
+            if step is None:
                 ran_out = True
                 break
+            x, s, bval = step
             iterations += 1
             if iterations >= opts.max_total:
                 ran_out = True
                 break
         if ran_out or mu <= opts.mu_min:
             break
-        mu *= opts.mu_decay
+        mu_next = mu * opts.mu_decay
+        x, s, bval = _predict(n, barrier, x, s, bval, ev.value, bg, bh, mu,
+                              mu_next, trace)
+        mu = mu_next
 
     grad_norm = float(np.linalg.norm(en.energy_gradient(n, s).as_vector(), np.inf))
     if opts.polish and not ran_out:
         s, grad_norm, extra = _polish(n, s, barrier, opts)
         iterations += extra
     return _classify(n, s, grad_norm, opts, iterations, ran_out, trace)
+
+
+def _predict(n: Network, barrier: _Barrier, x: np.ndarray, s: PFState,
+             bval: float, e: float, bg: np.ndarray, bh: np.ndarray, mu: float,
+             mu_next: float, trace):
+    """Step from x(mu) along the central-path tangent toward x(mu_next).
+
+    On the path grad E + mu grad phi = 0, so dx/dmu = -H^-1 grad phi with
+    H = E'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); e, bval, bg and
+    bh are E, phi, grad phi and phi'' at x. The step is halved until the
+    barrier is finite and E + mu_next phi does not rise; when no step
+    passes, x stays. Returns (x, state, barrier value).
+    """
+    t = _ridge_solve(en.hessian(n, s).entries + mu * bh, bg)
+    step = None if t is None else _backtrack(
+        n, barrier, x, (mu - mu_next) * t, mu_next, e + mu_next * bval, 0.0,
+        0.0, trace)
+    return step or (x, s, bval)
+
+
+def _backtrack(n: Network, barrier: _Barrier, x: np.ndarray, dx: np.ndarray,
+               mu: float, f0: float, armijo: float, slope: float, trace):
+    """First x + alpha dx, alpha = 1, 1/2, ... down to 1e-14, with a finite
+    barrier and E + mu phi <= f0 + armijo alpha slope, as (x, state,
+    barrier value); None when there is none. Records (mu, E + mu phi) of
+    the accepted point in trace."""
+    alpha = 1.0
+    while alpha >= 1e-14:
+        sn = unpack(n, x + alpha * dx)
+        btrial = barrier.value(sn)
+        if math.isfinite(btrial):
+            fnew = en.energy_value(n, sn) + mu * btrial
+            if fnew <= f0 + armijo * alpha * slope:
+                if trace is not None:
+                    trace.append((mu, fnew))
+                return x + alpha * dx, sn, btrial
+        alpha *= 0.5
+    return None
 
 
 def _polish(n: Network, s: PFState, barrier: _Barrier, opts: SolveOptions):

@@ -109,6 +109,36 @@ class TestHessian:
             scale = 1.0 + np.max(np.abs(hfd))
             assert np.max(np.abs(ha - hfd)) / scale < 1e-5
 
+    def test_matches_scatter_reference(self, bundled_models):
+        # hessian scatters into the free variables with one bincount; the
+        # same sums in the same order as this 2n x 2n np.add.at assembly,
+        # so the two agree bit for bit.
+        def reference(n, s):
+            f, t = n.edges[:, 0], n.edges[:, 1]
+            e2, exy = np.exp(2.0 * s.rho), np.exp(s.rho[f] + s.rho[t])
+            w = n.b * exy * np.cos(s.theta[f] - s.theta[t])
+            sv = n.b * exy * np.sin(s.theta[f] - s.theta[t])
+            nb = n.n_bus
+            h = np.zeros((2 * nb, 2 * nb))
+            for ii, jj, val in ((f, f, 2.0 * n.b * e2[f] - w),
+                                (t, t, 2.0 * n.b * e2[t] - w), (f, t, -w),
+                                (f, nb + f, sv), (t, nb + f, sv),
+                                (f, nb + t, -sv), (t, nb + t, -sv),
+                                (nb + f, nb + f, w), (nb + t, nb + t, w),
+                                (nb + f, nb + t, -w)):
+                np.add.at(h, (ii, jj), val)
+                if not np.array_equal(ii, jj):
+                    np.add.at(h, (jj, ii), val)
+            keep = np.concatenate((n.pq, nb + n.ns))
+            return 0.5 * (h + h.T)[np.ix_(keep, keep)]
+
+        rng = np.random.default_rng(27)
+        nets = list(bundled_models.values())
+        nets += [random_network(rng, pq_prob=0.5) for _ in range(20)]
+        for n in nets:
+            s = random_state(rng, n)
+            assert np.array_equal(en.hessian(n, s).entries, reference(n, s))
+
     def test_flat_start_psd(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
@@ -206,15 +236,31 @@ def _close(a, b, rtol):
     return np.max(np.abs(a - b), initial=0.0) <= rtol * (1.0 + np.max(np.abs(b), initial=0.0))
 
 
+def fixed_phase_hessian(fp, rho_pq):
+    """d2E/drho2 over the PQ buses (the m block of hessian_blocks), from
+    FixedPhase's -diag(v) - U g U."""
+    u = np.exp(rho_pq)
+    h = -np.outer(u, u) * fp.g
+    h.flat[::len(u) + 1] -= u * (fp.d + u @ fp.g)
+    return h
+
+
+def fixed_phase_residuals(fp, rho_rows):
+    """FixedPhase's residual for each row of a 2-D rho_rows."""
+    u = np.exp(rho_rows)
+    return fp.tq + u * (fp.d + u @ fp.g)
+
+
 class TestFixedPhase:
     def check(self, n, s):
         fp = en.FixedPhase(n, s.theta)
         rho = s.rho[n.pq]
         assert _close(fp.residual(rho), -en.energy_gradient(n, s).grad_rho, 1e-12)
         if len(n.pq):
-            assert _close(fp.hessian(rho), en.hessian_blocks(n, s).m.entries, 1e-12)
+            assert _close(fixed_phase_hessian(fp, rho),
+                          en.hessian_blocks(n, s).m.entries, 1e-12)
             # A batch gives one residual per row.
-            batch = fp.residual(np.stack((rho, 0.5 * rho)))
+            batch = fixed_phase_residuals(fp, np.stack((rho, 0.5 * rho)))
             assert _close(batch[0], fp.residual(rho), 1e-14)
             assert _close(batch[1], fp.residual(0.5 * rho), 1e-14)
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_twobus, random_network, random_state
+from test_energy import fixed_phase_hessian
 from gridenergy import energy as en
 from gridenergy.energy import PFState
 from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
@@ -74,7 +75,7 @@ def sequential_newton(n, theta):
     for _ in range(60):
         if np.max(np.abs(rq)) <= 1e-13:
             return rho
-        step = np.linalg.solve(fp.hessian(rho), rq)
+        step = np.linalg.solve(fixed_phase_hessian(fp, rho), rq)
         alpha = 1.0
         while alpha >= 1e-12:
             trial = rho + alpha * step

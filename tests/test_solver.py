@@ -9,7 +9,7 @@ from gridenergy.convexity import PhaseVoltageBox, in_domain_C
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import InfeasibleStart
 from gridenergy.linalg import DEFAULT_PSD_TOL
-from gridenergy.network import Line, Network
+from gridenergy.network import Line, Network, scale_injections
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
 
@@ -105,6 +105,38 @@ class TestConvex:
             by_mu.setdefault(mu, []).append(f)
         for mu, seq in by_mu.items():
             assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), mu
+
+    def test_warm_start_on_the_boundary(self, ieee14_model):
+        # Each warm row starts at mu0 = 6.4e-11. At kappa = 4.5 an accepted
+        # iterate sits numerically on the boundary of C, where a general
+        # inverse of the domain matrix failed; the Cholesky factor that
+        # admitted the point gives a verdict instead.
+        prev, statuses = None, []
+        for kappa in np.arange(1.0, 4.51, 0.5):
+            opts = SolveOptions(mu0=6.4e-11) if prev is not None else None
+            out = solve_convex(scale_injections(ieee14_model, kappa, 1.0),
+                               prev, opts)
+            prev = out.state
+            statuses.append(out.status)
+        assert statuses == ([SolveStatus.SOLUTION_FOUND] * 7
+                            + [SolveStatus.NO_SOLUTION_IN_C])
+
+    def test_predictor_lowers_next_objective(self, threebus, monkeypatch):
+        # Every tangent predictor step ends at or below E + mu_next phi at
+        # its start, as the solver itself computes both.
+        from gridenergy import solver
+
+        inner, checked = solver._predict, []
+
+        def spy(n, barrier, x, s, bval, e, bg, bh, mu, mu_next, trace):
+            out = inner(n, barrier, x, s, bval, e, bg, bh, mu, mu_next, trace)
+            after = en.energy_value(n, out[1]) + mu_next * out[2]
+            checked.append(after <= e + mu_next * bval)
+            return out
+
+        monkeypatch.setattr(solver, "_predict", spy)
+        sweep_load(threebus, 1.0, np.arange(0.5, 6.01, 0.25))
+        assert len(checked) > 100 and all(checked)
 
     def test_solution_strictly_interior(self):
         rng = np.random.default_rng(51)
@@ -232,6 +264,72 @@ class TestBarrierDerivatives:
             assert np.max(np.abs(h - hfd)) / np.max(np.abs(hfd)) < 1e-6
 
 
+def all_lines_grad_hess(n, box, s):
+    """Reference barrier gradient and Hessian: the -log det products over
+    every line, with K = L^-1 from a general inverse and dense Jacobians."""
+    from gridenergy.convexity import domain_matrix, line_factors
+
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    d, tau = s.rho[t] - s.rho[f], s.theta[f] - s.theta[t]
+    tn, w = np.tan(tau), n.b / np.cos(tau)
+    wt = w * tn
+    m, npq, nns = len(n.lines), len(n.pq), len(n.ns)
+    th_col = np.full(n.n_bus, -1)
+    th_col[n.ns] = np.arange(nns)
+    jd, jt = np.zeros((m, npq + 1)), np.zeros((m, nns + 1))
+    jd[np.arange(m), n.pq_index_of[t]] += 1.0
+    jd[np.arange(m), n.pq_index_of[f]] -= 1.0
+    jt[np.arange(m), th_col[f]] += 1.0
+    jt[np.arange(m), th_col[t]] -= 1.0
+    jd, jt = jd[:, :-1], jt[:, :-1]
+    g_d, h_d = np.zeros(m), np.zeros(m)
+    g_t, h_t = tn.copy(), 1.0 + tn * tn
+    if box is not None:
+        bt, br = box.b_theta, math.log(box.b_rho)
+        g_t += 1.0 / (bt - tau) - 1.0 / (bt + tau)
+        h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
+        g_d += 1.0 / (br - d) - 1.0 / (br + d)
+        h_d += 1.0 / (br - d) ** 2 + 1.0 / (br + d) ** 2
+    u = line_factors(n, d)
+    v = u * (-0.5 * jd.T)
+    k_inv = np.linalg.inv(domain_matrix(n, d, w))
+    guu, gvu, gvv = u.T @ k_inv @ u, v.T @ k_inv @ u, v.T @ k_inv @ v
+    duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
+    g_d += 2.0 * w * dvu
+    g_t += wt * duu
+    h_dd = np.outer(w, w) * 2.0 * (gvu * gvu.T + guu * gvv)
+    h_dt = 2.0 * np.outer(w, wt) * gvu * guu
+    h_tt = np.outer(wt, wt) * guu * guu
+    h_dd += np.diag(w * (2.0 * dvv + 0.5 * duu) + h_d)
+    h_dt += np.diag(2.0 * wt * dvu)
+    h_tt += np.diag(w * (1.0 + 2.0 * tn * tn) * duu + h_t)
+    j = np.block([[jd, np.zeros((m, nns))], [np.zeros((m, npq)), jt]])
+    h = j.T @ np.block([[h_dd, h_dt], [h_dt.T, h_tt]]) @ j
+    return j.T @ np.concatenate((g_d, g_t)), h
+
+
+class TestBarrierLines:
+    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
+    def test_var_lines_match_all_lines_chain(self, case, request):
+        # grad_hess forms the -log det products on lines with a PQ end only;
+        # the other lines contribute zero columns of U.
+        from gridenergy.solver import _Barrier
+
+        n = request.getfixturevalue(case + "_model")
+        rng = np.random.default_rng(54)
+        for box in (None, PhaseVoltageBox(b_rho=1.4, b_theta=0.6)):
+            barrier = _Barrier(n, box)
+            assert not barrier.var.all()
+            s = PFState.flat(n)
+            s.rho[n.pq] = 0.02 * rng.standard_normal(len(n.pq))
+            s.theta[n.ns] = 0.04 * rng.standard_normal(len(n.ns))
+            assert barrier.feasible(s)
+            g, h = barrier.grad_hess(s)
+            g_ref, h_ref = all_lines_grad_hess(n, box, s)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+
+
 class TestLossySolve:
     def test_kappa_zero_matches_lossless(self, bundled_models):
         # all-PQ bundled cases run through the lossy pipeline directly
@@ -305,6 +403,14 @@ class TestSweep:
         assert [r.status for r in records] == (
             [SolveStatus.SOLUTION_FOUND] * 7 + [SolveStatus.NO_SOLUTION_IN_C] * 3)
         assert sum(r.iterations for r in records) <= 240
+
+    def test_ieee118_step_budget(self, ieee118_model):
+        # The tangent predictor between mu stages keeps every verdict of the
+        # collapse path in at most 100 Newton steps; without it, 139.
+        records = sweep_load(ieee118_model, 1.0, np.arange(1.0, 4.51, 0.5))
+        assert [r.status for r in records] == (
+            [SolveStatus.SOLUTION_FOUND] * 6 + [SolveStatus.NO_SOLUTION_IN_C] * 2)
+        assert sum(r.iterations for r in records) <= 100
 
     def test_rows_in_ascending_order(self):
         records = sweep_load(make_twobus(), 1.0, [1.5, 1.0, 2.0])
