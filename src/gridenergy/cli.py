@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import convexity, network, reduced, solver
 from .energy import PFState
-from .errors import GridEnergyError, NoReactiveSolution
+from .errors import GridEnergyError, NoReactiveSolution, ParseError
 from .network import case_text, load_case
 
 EXIT_OK = 0
@@ -112,22 +112,33 @@ def cmd_solve(args) -> int:
     return EXIT_ERROR
 
 
+def _per_bus(n, values, name: str, out: np.ndarray) -> None:
+    """Fill out from a JSON object keyed by bus id or a list in bus order."""
+    index = {str(b.id): k for k, b in enumerate(n.buses)}
+    if isinstance(values, list) and len(values) == n.n_bus:
+        values = dict(zip(index, values))
+    elif isinstance(values, list):
+        raise ParseError(f"{name} has {len(values)} entries for {n.n_bus} buses")
+    elif not isinstance(values, dict):
+        raise ParseError(f"{name} must be a list or an object keyed by bus id")
+    for bid, val in values.items():
+        if bid not in index:
+            raise ParseError(f"{name}: unknown bus id {bid!r}")
+        try:
+            out[index[bid]] = float(val)
+        except (TypeError, ValueError):
+            raise ParseError(f"{name}: bus {bid} has non-numeric {val!r}") from None
+
+
 def _load_state(n, path: str) -> PFState:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError("state must be an object with 'rho' and/or 'theta'")
     s = PFState.flat(n)
     for key, arr in (("rho", s.rho), ("theta", s.theta)):
-        if key not in doc:
-            continue
-        values = doc[key]
-        if isinstance(values, dict):
-            for bid, val in values.items():
-                arr[n.index[int(bid)]] = float(val)
-        else:
-            if len(values) != n.n_bus:
-                raise GridEnergyError(
-                    f"state '{key}' has {len(values)} entries for {n.n_bus} buses")
-            arr[:] = [float(v) for v in values]
+        if key in doc:
+            _per_bus(n, doc[key], f"state '{key}'", arr)
     return s
 
 
@@ -146,6 +157,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.kappa_step > 0.0:
+        raise ValueError(f"--kappa-step must be positive, got {args.kappa_step}")
     n = _prepare(args.case, None)
     kappas = np.arange(args.kappa_min, args.kappa_max + 0.5 * args.kappa_step,
                        args.kappa_step)
@@ -165,10 +178,6 @@ def cmd_region(args) -> int:
     n = _prepare(args.case, None)
     if args.scale != 1.0:
         n = network.scale_injections(n, args.scale, 1.0)
-    if len(n.ns) != 2:
-        print("error: region grid needs exactly two non-slack buses",
-              file=sys.stderr)
-        return EXIT_ERROR
     cells = reduced.region_grid(n, step_deg=args.grid_step)
     rows = [(c.theta_a, c.theta_b, c.solvable,
              "" if c.in_c is None else c.in_c,
@@ -201,12 +210,7 @@ def cmd_reactive(args) -> int:
     theta = np.zeros(n.n_bus)
     if args.theta:
         with open(args.theta) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict):
-            for bid, val in doc.items():
-                theta[n.index[int(bid)]] = float(val)
-        else:
-            theta[:] = [float(v) for v in doc]
+            _per_bus(n, json.load(fh), "theta", theta)
     try:
         state = reduced.convex_reactive_solve(n, theta)
     except NoReactiveSolution:

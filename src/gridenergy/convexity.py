@@ -40,8 +40,8 @@ class PhaseVoltageBox:
     b_theta: float
 
     def __post_init__(self):
-        if not self.b_rho >= 1.0:
-            raise DomainError(f"b_rho must be >= 1, got {self.b_rho}")
+        if not (math.isfinite(self.b_rho) and self.b_rho >= 1.0):
+            raise DomainError(f"b_rho must be finite and >= 1, got {self.b_rho}")
         if not (0.0 <= self.b_theta < HALF_PI):
             raise DomainError(f"b_theta must lie in [0, pi/2), got {self.b_theta}")
 
@@ -313,8 +313,8 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
     headroom around the nominal profile instead, and says so via
     certified=False.
     """
-    if b_rho < 1.0:
-        raise DomainError(f"b_rho must be >= 1, got {b_rho}")
+    if not (math.isfinite(b_rho) and b_rho >= 1.0):
+        raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
     if mode not in ("auto", "exact-vertices", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(n.pq) == 0:

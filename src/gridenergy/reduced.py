@@ -26,6 +26,7 @@ from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
 # Unused here; the benchmark's span tracer pins reduced.fd_hessian as an alias.
 from .linalg import fd_hessian  # noqa: F401
 from .network import Network
+from .solver import barrier_path
 
 _REACTIVE_TOL = 1e-10
 # Relative size of a monotone Newton step that ends the iteration; a step
@@ -180,9 +181,7 @@ class _ZetaProgram:
         a.flat[::len(u) + 1] += self.fp.d + self.fp.g @ u
         return a / (-2.0 * u)
 
-    # -- interior point hunting ------------------------------------------
-
-    def interior_point(self) -> np.ndarray | None:
+    def interior_point(self) -> np.ndarray:
         """The greatest element at consumption q + margin: every constraint
         holds there with slack margin."""
         for eps in (1e-3, 1e-4, 1e-5):
@@ -194,67 +193,47 @@ class _ZetaProgram:
             z = u * u
             if np.all(self.constraints(z) < -0.5 * margin):
                 return z
-        return None
-
-    # -- barrier maximization of c^T zeta --------------------------------
+        raise NoReactiveSolution("no strictly feasible voltage profile found")
 
     def maximize(self, c: np.ndarray, z0: np.ndarray) -> np.ndarray:
-        z = z0.copy()
-        mu = 1.0 * float(np.max(c))
+        """The central path of -c^T zeta - mu sum log(-g) from z0, then
+        Newton on the all-tight system."""
+        self.c = c
         scale = 1.0 + float(np.max(self.q)) + float(np.max(c))
-        while mu > 1e-9 * scale:
-            z = self._center(c, z, mu)
-            mu *= 0.2
+        z, _, _ = barrier_path(self, z0, float(np.max(c)), 1e-9 * scale,
+                               _REACTIVE_TOL)
         return self._polish(z)
 
-    def _center(self, c, z, mu):
-        for _ in range(60):
-            slack = -self.constraints(z)
-            if np.any(slack <= 0):
-                raise NoReactiveSolution("barrier iterate left the feasible set")
-            jac = self.jacobian(z)
-            lam = mu / slack
-            lam_jac = jac.T @ lam
-            grad = lam_jac - c
-            if np.linalg.norm(grad, np.inf) <= max(mu * 1e-3, 1e-12):
-                break
-            # mu J^T diag(1/slack^2) J plus sum_i lam_i d2g_i/dzeta2. With
-            # A the u-Jacobian of g, the latter has the entries
-            # -(lam_i + lam_j) G_ij / (4 u_i u_j) and, on the diagonal, also
-            # -(lam^T A)_j / (4 u_j^3) = -(lam^T J)_j / (2 zeta_j).
-            u = np.sqrt(z)
-            h = ((jac.T * (lam / slack)) @ jac
-                 - np.add.outer(lam, lam) * self.fp.g / (4.0 * np.outer(u, u)))
-            h.flat[::len(z) + 1] -= lam_jac / (2.0 * z)
-            try:
-                step = np.linalg.solve(h + 1e-12 * np.eye(len(z)), -grad)
-            except np.linalg.LinAlgError:
-                break
-            f0 = -float(c @ z) - mu * float(np.sum(np.log(slack)))
-            slope = float(grad @ step)
-            # The stage test of solve_convex's barrier: the predicted
-            # decrease is below the resolution of the objective.
-            if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
-                break
-            alpha, ok = 1.0, False
-            while alpha >= 1e-14:
-                zn = z + alpha * step
-                if np.all(zn > 0):
-                    gn = self.constraints(zn)
-                    if np.all(gn < 0):
-                        fn = -float(c @ zn) - mu * float(np.sum(np.log(-gn)))
-                        if fn <= f0 + 1e-4 * alpha * slope:
-                            z, ok = zn, True
-                            break
-                alpha *= 0.5
-            if not ok:
-                break
-        return z
+    def trial(self, z):
+        """(-c^T zeta, -sum log(-g)); the barrier is +inf outside the set."""
+        g = self.constraints(z) if (z > 0.0).all() else None
+        if g is None or not (g < 0.0).all():
+            return math.inf, math.inf
+        return -float(self.c @ z), -float(np.sum(np.log(-g)))
+
+    def derivs(self, z):
+        """-c^T zeta, -c, zero curvature, and the barrier's gradient J^T w
+        and Hessian with w = 1 / slack.
+
+        The Hessian is J^T diag(w^2) J plus sum_i w_i d2g_i/dzeta2. With A
+        the u-Jacobian of g, the latter has the entries -(w_i + w_j) G_ij /
+        (4 u_i u_j) and, on the diagonal, also -(w^T A)_j / (4 u_j^3) =
+        -(w^T J)_j / (2 zeta_j).
+        """
+        w = -1.0 / self.constraints(z)
+        jac = self.jacobian(z)
+        grad = jac.T @ w
+        u = np.sqrt(z)
+        h = ((jac.T * (w * w)) @ jac
+             - np.add.outer(w, w) * self.fp.g / (4.0 * np.outer(u, u)))
+        h.flat[::len(z) + 1] -= grad / (2.0 * z)
+        return -float(self.c @ z), -self.c, np.zeros_like(h), grad, h
 
     def _polish(self, z):
         """Newton on the all-tight system; the optimum satisfies every
-        constraint with equality."""
-        target = 1e-11 * (1.0 + float(np.max(self.n.b_total)))
+        constraint with equality. The target is working precision, not the
+        barrier's last slack, wherever the path stopped."""
+        target = 1e-14 * (1.0 + float(np.max(self.n.b_total)))
         for _ in range(50):
             g = self.constraints(z)
             if np.linalg.norm(g, np.inf) <= target:
@@ -289,16 +268,10 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """
     theta = _check_theta(n, theta)
     prog = _ZetaProgram(n, theta)
-    npq = len(n.pq)
-    if c is None:
-        c = np.ones(npq)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (npq,) or np.any(c <= 0):
+    c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
+    if c.shape != (len(n.pq),) or np.any(c <= 0):
         raise ValueError("weights must be positive, one per PQ bus")
-    z0 = prog.interior_point()
-    if z0 is None:
-        raise NoReactiveSolution("no strictly feasible voltage profile found")
-    z = prog.maximize(c, z0)
+    z = prog.maximize(c, prog.interior_point())
     return ReducedState(zeta=z, theta=theta.copy(),
                         constraint_slack=prog.constraints(z))
 
@@ -391,6 +364,8 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
     """
     if len(n.ns) != 2:
         raise ValueError("region grid needs exactly two non-slack buses")
+    if not (math.isfinite(step_deg) and step_deg > 0.0):
+        raise ValueError(f"grid step must be positive and finite, got {step_deg}")
     step = math.radians(step_deg)
     count = int(round((theta_max - theta_min) / step)) + 1
     axis = theta_min + step * np.arange(count)

@@ -46,14 +46,19 @@ class SolveOutcome:
 class SolveOptions:
     grad_tol: float = 1e-8
     mu0: float = 1.0
-    mu_decay: float = 0.02
-    mu_min: float = 1e-9
-    max_inner: int = 80
-    max_total: int = 4000
-    armijo: float = 1e-4
     box: PhaseVoltageBox | None = None
-    polish: bool = True
     collect_trace: bool = False
+
+
+# barrier_path's schedule: mu falls by MU_DECAY a stage (a long step; Boyd &
+# Vandenberghe, Convex Optimization, sec. 11.3.3), with at most MAX_INNER
+# Newton steps a stage, MAX_TOTAL a path, each winning ARMIJO times its
+# predicted decrease. solve_convex's path ends at MU_MIN.
+MU_DECAY = 0.02
+MU_MIN = 1e-9
+MAX_INNER = 80
+MAX_TOTAL = 4000
+ARMIJO = 1e-4
 
 
 def _residual_vec(n: Network, s: PFState) -> np.ndarray:
@@ -129,7 +134,8 @@ def _certificate(n: Network, s: PFState) -> ConvexityCertificate:
 # log-barrier machinery
 
 class _Barrier:
-    """Value/gradient/Hessian of the domain barrier in packed coordinates.
+    """Value/gradient/Hessian of the domain barrier in packed coordinates,
+    and barrier_path's problem of the energy over the domain.
 
     Barrier = -sum_lines log cos(theta_ij) - log det(domain matrix), plus
     optional per-line operating-box terms. Everything is a function of the
@@ -164,6 +170,21 @@ class _Barrier:
         self.jt, self.jt_fixed = jt[self.var, :-1], jt[~self.var, :-1]
         # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
         self.sign = -0.5 * self.jd.T
+
+    def trial(self, x: np.ndarray):
+        """(E, barrier) at packed x; E is not evaluated outside the domain."""
+        s = unpack(self.n, x)
+        phi = self.value(s)
+        return (en.energy_value(self.n, s) if math.isfinite(phi) else math.inf), phi
+
+    def derivs(self, x: np.ndarray):
+        """E, its gradient and Hessian, and the barrier's gradient and
+        Hessian at packed x."""
+        s = unpack(self.n, x)
+        ev = en.energy_gradient(self.n, s)
+        # grad_hess's line-sized temporaries peak before E'' is allocated.
+        bg, bh = self.grad_hess(s)
+        return ev.value, ev.as_vector(), en.hessian(self.n, s).entries, bg, bh
 
     def edge_vars(self, s: PFState):
         d = s.rho[self.t] - s.rho[self.f]
@@ -284,111 +305,110 @@ def solve_convex(n: Network, s0: PFState | None = None,
     a uniform nonzero loss ratio run through the same energy, on its
     constant-ratio model.
     """
-    return _solve_barrier(n, s0, opts or SolveOptions())
-
-
-def solve_convex_lossy(n: Network, s0: PFState | None = None,
-                       opts: SolveOptions | None = None) -> SolveOutcome:
-    """The same solve as solve_convex, under the lossy model's name."""
-    return _solve_barrier(n, s0, opts or SolveOptions())
-
-
-def _solve_barrier(n: Network, s0: PFState | None,
-                   opts: SolveOptions) -> SolveOutcome:
-    barrier = _Barrier(n, opts.box)
-    s = s0.copy() if s0 is not None else PFState.flat(n)
+    opts = opts or SolveOptions()
+    s = s0 if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
-    # The barrier value at s; each accepted trial carries its own forward.
-    bval = barrier.value(s)
-    if not math.isfinite(bval):
-        raise InfeasibleStart("initial state is not strictly inside the domain")
-
-    x = pack(n, s)
-    iterations = 0
+    barrier = _Barrier(n, opts.box)
     trace: list | None = [] if opts.collect_trace else None
-    mu = opts.mu0
-    ran_out = False
-    while True:
-        # Stages only need to track the central path; the polish pass after
-        # the schedule drives the raw gradient below grad_tol.
-        stage_tol = max(mu * 1e-2, opts.grad_tol * 0.5)
-        # The derivatives are taken once more after the last allowed step,
-        # so the stage always ends with them fresh at s for the predictor.
-        for k in range(opts.max_inner + 1):
-            ev = en.energy_gradient(n, s)
-            bg, bh = barrier.grad_hess(s)
-            g = ev.as_vector() + mu * bg
-            if k == opts.max_inner or np.linalg.norm(g, np.inf) <= stage_tol:
-                break
-            h = en.hessian(n, s).entries + mu * bh
-            dx = _ridge_solve(h, -g)
-            if dx is None:
-                ran_out = True
-                break
-            f0 = ev.value + mu * bval
-            slope = float(g @ dx)
-            if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
-                # Predicted decrease is below the resolution of the
-                # objective; the stage is converged to working precision.
-                break
-            step = _backtrack(n, barrier, x, dx, mu, f0, opts.armijo, slope,
-                              trace)
-            if step is None:
-                ran_out = True
-                break
-            x, s, bval = step
-            iterations += 1
-            if iterations >= opts.max_total:
-                ran_out = True
-                break
-        if ran_out or mu <= opts.mu_min:
-            break
-        mu_next = mu * opts.mu_decay
-        x, s, bval = _predict(n, barrier, x, s, bval, ev.value, bg, bh, mu,
-                              mu_next, trace)
-        mu = mu_next
-
-    grad_norm = float(np.linalg.norm(en.energy_gradient(n, s).as_vector(), np.inf))
-    if opts.polish and not ran_out:
+    # The stages only track the central path; _polish meets grad_tol.
+    x, iterations, ran_out = barrier_path(barrier, pack(n, s), opts.mu0,
+                                          MU_MIN, opts.grad_tol, trace)
+    s = unpack(n, x)
+    if ran_out:
+        grad_norm = float(np.linalg.norm(en.energy_gradient(n, s).as_vector(), np.inf))
+    else:
         s, grad_norm, extra = _polish(n, s, barrier, opts)
         iterations += extra
     return _classify(n, s, grad_norm, opts, iterations, ran_out, trace)
 
 
-def _predict(n: Network, barrier: _Barrier, x: np.ndarray, s: PFState,
-             bval: float, e: float, bg: np.ndarray, bh: np.ndarray, mu: float,
-             mu_next: float, trace):
+def solve_convex_lossy(n: Network, s0: PFState | None = None,
+                       opts: SolveOptions | None = None) -> SolveOutcome:
+    """The same solve as solve_convex, under the lossy model's name."""
+    return solve_convex(n, s0, opts)
+
+
+def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
+                 tol: float, trace: list | None = None):
+    """Follow the central path of min f + mu phi from x down to mu_min.
+
+    problem.trial(x) returns (f, phi), phi = +inf outside the strict
+    interior; problem.derivs(x) returns f, grad f, f'', grad phi and phi''
+    at an interior x. Each stage takes damped Newton steps on f + mu phi
+    until the gradient is below max(mu / 100, tol / 2) or the predicted
+    decrease is below the objective's resolution; then mu falls by
+    MU_DECAY and a tangent predictor moves x toward the next stage.
+    Appends (mu, f + mu phi) of every accepted step to trace. Returns
+    (x, Newton steps, ran_out), ran_out when a step failed or MAX_TOTAL
+    steps were spent. Raises InfeasibleStart when phi(x) is not finite.
+    """
+    _, phi = problem.trial(x)
+    if not math.isfinite(phi):
+        raise InfeasibleStart("initial state is not strictly inside the domain")
+    steps = 0
+    while True:
+        stage_tol = max(mu * 1e-2, tol * 0.5)
+        # The derivatives are taken once more after the last allowed step,
+        # so the stage always ends with them fresh at x for the predictor.
+        for k in range(MAX_INNER + 1):
+            f, gf, hf, gphi, hphi = problem.derivs(x)
+            g = gf + mu * gphi
+            h = hf + mu * hphi
+            if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
+                break
+            dx = _ridge_solve(h, -g)
+            if dx is None:
+                return x, steps, True
+            f0 = f + mu * phi
+            slope = float(g @ dx)
+            if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
+                # Predicted decrease is below the resolution of the
+                # objective; the stage is converged to working precision.
+                break
+            step = _backtrack(problem, x, dx, mu, f0, ARMIJO * slope, trace)
+            if step is None:
+                return x, steps, True
+            x, phi = step
+            steps += 1
+            if steps >= MAX_TOTAL:
+                return x, steps, True
+        if mu <= mu_min:
+            return x, steps, False
+        mu_next = mu * MU_DECAY
+        x, phi = _predict(problem, x, f, phi, gphi, h, mu, mu_next, trace)
+        mu = mu_next
+
+
+def _predict(problem, x: np.ndarray, f: float, phi: float, gphi: np.ndarray,
+             h: np.ndarray, mu: float, mu_next: float, trace):
     """Step from x(mu) along the central-path tangent toward x(mu_next).
 
-    On the path grad E + mu grad phi = 0, so dx/dmu = -H^-1 grad phi with
-    H = E'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); e, bval, bg and
-    bh are E, phi, grad phi and phi'' at x. The step is halved until the
-    barrier is finite and E + mu_next phi does not rise; when no step
-    passes, x stays. Returns (x, state, barrier value).
+    On the path grad f + mu grad phi = 0, so dx/dmu = -H^-1 grad phi with
+    H = f'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); f, phi, gphi
+    and h are f, phi, grad phi and H at x. The step is halved until phi is
+    finite and f + mu_next phi does not rise; when no step passes, x
+    stays. Returns (x, phi).
     """
-    t = _ridge_solve(en.hessian(n, s).entries + mu * bh, bg)
+    t = _ridge_solve(h, gphi)
     step = None if t is None else _backtrack(
-        n, barrier, x, (mu - mu_next) * t, mu_next, e + mu_next * bval, 0.0,
-        0.0, trace)
-    return step or (x, s, bval)
+        problem, x, (mu - mu_next) * t, mu_next, f + mu_next * phi, 0.0, trace)
+    return step or (x, phi)
 
 
-def _backtrack(n: Network, barrier: _Barrier, x: np.ndarray, dx: np.ndarray,
-               mu: float, f0: float, armijo: float, slope: float, trace):
+def _backtrack(problem, x: np.ndarray, dx: np.ndarray, mu: float, f0: float,
+               decrease: float, trace):
     """First x + alpha dx, alpha = 1, 1/2, ... down to 1e-14, with a finite
-    barrier and E + mu phi <= f0 + armijo alpha slope, as (x, state,
-    barrier value); None when there is none. Records (mu, E + mu phi) of
-    the accepted point in trace."""
+    phi and f + mu phi <= f0 + alpha decrease, as (x, phi); None when there
+    is none. Records (mu, f + mu phi) of the accepted point in trace."""
     alpha = 1.0
     while alpha >= 1e-14:
-        sn = unpack(n, x + alpha * dx)
-        btrial = barrier.value(sn)
-        if math.isfinite(btrial):
-            fnew = en.energy_value(n, sn) + mu * btrial
-            if fnew <= f0 + armijo * alpha * slope:
-                if trace is not None:
-                    trace.append((mu, fnew))
-                return x + alpha * dx, sn, btrial
+        xn = x + alpha * dx
+        f, phi = problem.trial(xn)
+        fnew = f + mu * phi
+        if fnew <= f0 + alpha * decrease:
+            if trace is not None:
+                trace.append((mu, fnew))
+            return xn, phi
         alpha *= 0.5
     return None
 

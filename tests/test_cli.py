@@ -14,6 +14,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_error(capsys, message, *argv):
+    """argv exits 1 with one 'error:' line naming message and no output."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def heavy_twobus(tmp_path):
     n = load_case("twobus")
@@ -106,6 +115,17 @@ class TestCheck:
         state.write_text(json.dumps({"rho": [0.0, 0.0, 0.0]}))
         code, _ = run(capsys, "check", "twobus", "--state", str(state))
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rho": {"99": 0.1}}, "unknown bus id '99'"),
+        ({"rho": 3}, "must be a list or an object"),
+        ([0.0, 0.0], "state must be an object"),
+        ({"theta": {"2": None}}, "non-numeric"),
+    ])
+    def test_malformed_state(self, capsys, tmp_path, doc, message):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        assert_error(capsys, message, "check", "twobus", "--state", str(state))
 
     def test_d_samples(self, capsys):
         code, out = run(capsys, "check", "twobus", "--d-samples", "8")
@@ -238,6 +258,31 @@ class TestReactive:
         code = main(["reactive", str(path)])
         assert code == EXIT_ERROR
         assert "needs a PQ bus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"7": 0.1}, "unknown bus id '7'"),
+        (5, "must be a list or an object"),
+        ([0.0, 0.1], "has 2 entries for 3 buses"),
+    ])
+    def test_malformed_theta(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(doc))
+        assert_error(capsys, message, "reactive", "threebus", "--theta", str(path))
+
+
+class TestBadRanges:
+    def test_zero_kappa_step(self, capsys):
+        assert_error(capsys, "--kappa-step must be positive",
+                     "sweep", "twobus", "--kappa-step", "0")
+
+    def test_zero_grid_step(self, capsys):
+        assert_error(capsys, "grid step must be positive",
+                     "region", "threebus", "--grid-step", "0")
+
+    @pytest.mark.parametrize("b_rho", ["inf", "nan"])
+    def test_non_finite_ratio(self, capsys, b_rho):
+        assert_error(capsys, "b_rho must be finite",
+                     "bounds", "ieee14", "--b-rho", b_rho)
 
 
 class TestOutputPlumbing:

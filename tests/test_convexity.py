@@ -241,6 +241,11 @@ class TestMaxPhaseBound:
         with pytest.raises(DomainError):
             max_phase_bound(twobus, 0.9)
 
+    @pytest.mark.parametrize("b_rho", [math.inf, math.nan])
+    def test_non_finite_ratio_rejected(self, ieee14_model, b_rho):
+        with pytest.raises(DomainError):
+            max_phase_bound(ieee14_model, b_rho)
+
     def test_sampled_flagged(self, ieee14_model):
         res = max_phase_bound(ieee14_model, 1.5, samples=500)
         assert res.mode == "sampled" and not res.certified
@@ -342,6 +347,12 @@ class TestPhaseVoltageBox:
             PhaseVoltageBox(b_rho=0.8, b_theta=0.1)
         with pytest.raises(DomainError):
             PhaseVoltageBox(b_rho=1.2, b_theta=2.0)
+
+    @pytest.mark.parametrize("b_rho", [math.inf, math.nan])
+    def test_non_finite_ratio_rejected(self, b_rho):
+        # An infinite ratio made the barrier -inf at the flat start.
+        with pytest.raises(DomainError):
+            PhaseVoltageBox(b_rho=b_rho, b_theta=0.1)
 
     def test_strict_interior_helper(self, threebus):
         assert strictly_interior(threebus, PFState.flat(threebus))

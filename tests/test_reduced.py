@@ -281,6 +281,26 @@ class TestConvexReactive:
         for b in sols[1:]:
             assert np.max(np.abs(b - sols[0])) <= 1e-12 * (1.0 + np.max(sols[0]))
 
+    def test_work_budget(self, threebus, monkeypatch):
+        # The cli_oneshot benchmark's 24 Latin-hypercube phase pairs over
+        # +-0.35 rad: one jacobian per barrier Newton step or polish step.
+        from gridenergy import reduced
+
+        inner, calls = reduced._ZetaProgram.jacobian, []
+
+        def spy(prog, z):
+            calls.append(z)
+            return inner(prog, z)
+
+        monkeypatch.setattr(reduced._ZetaProgram, "jacobian", spy)
+        rng = np.random.default_rng(0)
+        strata = [rng.permutation(24) for _ in range(2)]
+        for i in range(24):
+            theta = np.array([0.0] + [-0.35 + 0.7 * (s[i] + rng.uniform()) / 24
+                                      for s in strata])
+            convex_reactive_solve(threebus, theta)
+        assert len(calls) <= 1000
+
     def test_lossy_uses_constant_ratio_model(self, threebus):
         # g = 0.2 b: the program's targets are the combined Q + 0.2 P, the
         # same model as the reactive Newton and the phasor residuals.
@@ -483,6 +503,11 @@ class TestRegionGrid:
         assert sum(1 for c in cells if c.in_c) == 0
         # Over the whole 6-degree grid no cell is even solvable.
         assert not any(c.solvable for c in region_grid(n6, step_deg=6.0))
+
+    @pytest.mark.parametrize("step", [0.0, -2.0, math.inf])
+    def test_non_positive_step_rejected(self, threebus, step):
+        with pytest.raises(ValueError):
+            region_grid(threebus, step_deg=step)
 
     def test_wrong_dimension_rejected(self, ieee14_model):
         with pytest.raises(ValueError):

@@ -122,21 +122,30 @@ class TestConvex:
                             + [SolveStatus.NO_SOLUTION_IN_C])
 
     def test_predictor_lowers_next_objective(self, threebus, monkeypatch):
-        # Every tangent predictor step ends at or below E + mu_next phi at
-        # its start, as the solver itself computes both.
-        from gridenergy import solver
+        # Every tangent predictor step ends at or below f + mu_next phi at
+        # its start, as barrier_path itself computes both: for the energy
+        # over a threebus sweep and for the zeta program at threebus phases.
+        from gridenergy import reduced, solver
 
-        inner, checked = solver._predict, []
+        inner, checked = solver._predict, {}
 
-        def spy(n, barrier, x, s, bval, e, bg, bh, mu, mu_next, trace):
-            out = inner(n, barrier, x, s, bval, e, bg, bh, mu, mu_next, trace)
-            after = en.energy_value(n, out[1]) + mu_next * out[2]
-            checked.append(after <= e + mu_next * bval)
+        def spy(problem, x, f, phi, gphi, h, mu, mu_next, trace):
+            out = inner(problem, x, f, phi, gphi, h, mu, mu_next, trace)
+            f_out, phi_out = problem.trial(out[0])
+            checked.setdefault(type(problem).__name__, []).append(
+                f_out + mu_next * phi_out <= f + mu_next * phi)
             return out
 
         monkeypatch.setattr(solver, "_predict", spy)
         sweep_load(threebus, 1.0, np.arange(0.5, 6.01, 0.25))
-        assert len(checked) > 100 and all(checked)
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            theta = np.zeros(3)
+            theta[threebus.ns] = rng.uniform(-0.35, 0.35, 2)
+            reduced.convex_reactive_solve(threebus, theta)
+        energy, zeta = checked["_Barrier"], checked["_ZetaProgram"]
+        assert len(energy) > 100 and all(energy)
+        assert len(zeta) > 50 and all(zeta)
 
     def test_solution_strictly_interior(self):
         rng = np.random.default_rng(51)
