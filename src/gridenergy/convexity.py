@@ -69,11 +69,14 @@ def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
     return u
 
 
-def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray, u=None,
+                  diag_2b=None) -> np.ndarray:
     """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from per-line
-    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta)."""
-    u = line_factors(n, d)
-    return np.diag(2.0 * n.b_total[n.pq]) - (u * w) @ u.T
+    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta).
+    Callers holding U = line_factors(n, d) or diag(2B) pass them along."""
+    u = line_factors(n, d) if u is None else u
+    diag_2b = np.diag(2.0 * n.b_total[n.pq]) if diag_2b is None else diag_2b
+    return diag_2b - (u * w) @ u.T
 
 
 def convexity_matrix(n: Network, s: PFState) -> SymMatrix:

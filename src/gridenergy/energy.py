@@ -54,8 +54,8 @@ def check_state(n: Network, s: PFState) -> None:
         raise ValueError("state arrays do not match network size")
     if not (np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.theta))):
         raise ValueError("state has non-finite entries")
-    pinned = np.concatenate((n.pv, [n.slack_index]))
-    if np.any(s.rho[pinned] != 0.0) or s.theta[n.slack_index] != 0.0:
+    slack = n.slack_index
+    if np.any(s.rho[n.pv] != 0.0) or s.rho[slack] != 0.0 or s.theta[slack] != 0.0:
         raise ValueError("pinned state entries must be exactly zero")
 
 

@@ -23,11 +23,13 @@ class SymMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        # Symmetrize once so both triangles are bit-identical from here on.
-        self.a = 0.5 * (a + a.T)
+        # Symmetrize once so both triangles are bit-identical from here on;
+        # 0.5 (a + a^T) goes into one new array, never into the caller's.
+        self.a = a + a.T
+        self.a *= 0.5
 
     @property
     def order(self) -> int:

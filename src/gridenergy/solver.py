@@ -67,12 +67,12 @@ def _residual_vec(n: Network, s: PFState) -> np.ndarray:
 
 
 def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    scale = 1.0 + float(np.max(np.abs(np.diag(h))))
     reg = 0.0
     for _ in range(8):
         try:
-            return solve_spd(SymMatrix(h + reg * np.eye(h.shape[0])), rhs)
+            return solve_spd(SymMatrix(h + reg * np.eye(len(h)) if reg else h), rhs)
         except NotPositiveDefinite:
+            scale = 1.0 + float(np.max(np.abs(np.diag(h))))
             reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
     return None
 
@@ -170,6 +170,9 @@ class _Barrier:
         self.jt, self.jt_fixed = jt[self.var, :-1], jt[~self.var, :-1]
         # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
         self.sign = -0.5 * self.jd.T
+        self.diag_2b = np.diag(2.0 * n.b_total[n.pq])
+        # (rho, theta) bytes, U and Cholesky factor of the last point factored.
+        self.key, self.u, self.chol = None, None, None
 
     def trial(self, x: np.ndarray):
         """(E, barrier) at packed x; E is not evaluated outside the domain."""
@@ -210,18 +213,26 @@ class _Barrier:
             val -= float(np.sum(np.log(bt - tau) + np.log(bt + tau)))
             br = self.log_brho
             val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
-        lm = domain_matrix(self.n, d, self.n.b / np.cos(tau))
         try:
-            chol = np.linalg.cholesky(lm)
+            _, chol = self._factor(s, d, self.n.b / np.cos(tau))
         except np.linalg.LinAlgError:
             return math.inf
         return val - 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+    def _factor(self, s: PFState, d: np.ndarray, w: np.ndarray):
+        """U and the domain matrix's Cholesky factor at s, kept for the last s."""
+        key = s.rho.tobytes() + s.theta.tobytes()
+        if key != self.key:
+            u = line_factors(self.n, d)
+            chol = np.linalg.cholesky(domain_matrix(self.n, d, w, u, self.diag_2b))
+            self.key, self.u, self.chol = key, u, chol
+        return self.u, self.chol
 
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
 
         Assumes value(s) is finite, so the domain matrix L = diag(2B) -
-        U diag(w) U^T has the Cholesky factor C that value found. With
+        U diag(w) U^T has a Cholesky factor C, value's own if it saw s last. With
         K = L^-1 = C^-T C^-1 and V = dU/dd, every -log det block is an
         elementwise product of Guu = U^T K U, Gvu = V^T K U and Gvv = V^T K V
         (Boyd & Vandenberghe, Convex Optimization, App. A.4).
@@ -243,8 +254,9 @@ class _Barrier:
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
         # -log det L over the var lines.
-        ci = np.linalg.inv(np.linalg.cholesky(domain_matrix(n, d, w)))
-        u = line_factors(n, d)[:, var]
+        u, chol = self._factor(s, d, w)
+        ci = np.linalg.inv(chol)
+        u = u[:, var]
         cu, cv = ci @ u, ci @ (u * self.sign)
         guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
         duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
@@ -252,12 +264,18 @@ class _Barrier:
         wt = w * tn
         g_d += 2.0 * w * dvu
         g_tv = g_t[var] + wt * duu
-        h_dd = np.outer(w, w) * 2.0 * (gvu * gvu.T + guu * gvv)
-        h_dt = 2.0 * np.outer(w, wt) * gvu * guu
-        h_tt = np.outer(wt, wt) * guu * guu
-        h_dd[np.diag_indices_from(h_dd)] += w * (2.0 * dvv + 0.5 * duu) + h_d
-        h_dt[np.diag_indices_from(h_dt)] += 2.0 * wt * dvu
-        h_tt[np.diag_indices_from(h_tt)] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
+        # Outer products, then the other factors in place, left to right.
+        h_dd = (2.0 * w)[:, None] * w
+        h_dd *= gvu * gvu.T + guu * gvv
+        h_dt = (2.0 * w)[:, None] * wt
+        h_dt *= gvu
+        h_dt *= guu
+        h_tt = wt[:, None] * wt
+        h_tt *= guu
+        h_tt *= guu
+        h_dd.flat[::len(w) + 1] += w * (2.0 * dvv + 0.5 * duu) + h_d
+        h_dt.flat[::len(w) + 1] += 2.0 * wt * dvu
+        h_tt.flat[::len(w) + 1] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
 
         jd, jt, jf = self.jd, self.jt, self.jt_fixed
         fixed = ~var
@@ -353,7 +371,8 @@ def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
         for k in range(MAX_INNER + 1):
             f, gf, hf, gphi, hphi = problem.derivs(x)
             g = gf + mu * gphi
-            h = hf + mu * hphi
+            h = mu * hphi
+            h += hf
             if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
                 break
             dx = _ridge_solve(h, -g)

@@ -14,6 +14,31 @@ from gridenergy.reduced import reduced_energy
 from gridenergy.solver import solve_newton
 
 
+class TestCheckState:
+    # Slack bus 1, PV bus 2, PQ bus 3.
+    NET = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PV), Bus(3, BusKind.PQ)],
+                  [Line(1, 2, b=1.0), Line(2, 3, b=1.0)])
+
+    @pytest.mark.parametrize("field, bus", [("rho", 0), ("rho", 1), ("theta", 0)],
+                             ids=["slack-rho", "pv-rho", "slack-theta"])
+    def test_pinned_entry_rejected(self, field, bus):
+        s = PFState.flat(self.NET)
+        getattr(s, field)[bus] = 1e-300
+        with pytest.raises(ValueError, match="pinned state entries"):
+            en.check_state(self.NET, s)
+
+    def test_wrong_shape_rejected(self):
+        s = PFState(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="do not match network size"):
+            en.check_state(self.NET, s)
+
+    def test_nan_rejected(self):
+        s = PFState.flat(self.NET)
+        s.theta[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            en.check_state(self.NET, s)
+
+
 class TestEnergyValue:
     def test_flat_start_is_zero(self, bundled_models):
         for n in bundled_models.values():

@@ -172,6 +172,22 @@ def test_storage_is_exactly_symmetric(seed):
     assert np.array_equal(m.entries, m.entries.T)
 
 
+class TestSymMatrixStorage:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetrizes_into_new_array(self, seed):
+        a = np.random.default_rng(seed).normal(size=(6, 6))
+        before = a.copy()
+        m = SymMatrix(a)
+        assert np.array_equal(m.entries, 0.5 * (before + before.T))
+        assert np.array_equal(a, before)
+
+    def test_int_list(self):
+        rows = [[1, 2, 4], [3, 5, 7], [0, 9, 6]]
+        a = np.array(rows, dtype=float)
+        assert np.array_equal(SymMatrix(rows).entries, 0.5 * (a + a.T))
+        assert rows == [[1, 2, 4], [3, 5, 7], [0, 9, 6]]
+
+
 class TestFiniteDifferences:
     def test_gradient_of_quadratic(self):
         h = np.array([[2.0, 0.5], [0.5, 3.0]])

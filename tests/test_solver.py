@@ -339,6 +339,30 @@ class TestBarrierLines:
             assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
 
 
+class TestBarrierFactorReuse:
+    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
+    def test_grad_hess_follows_its_point(self, case, request):
+        # value keeps its point's Cholesky factor for grad_hess; grad_hess
+        # at another point must factor that point instead.
+        from gridenergy.solver import _Barrier
+
+        n = request.getfixturevalue(case + "_model")
+        rng = np.random.default_rng(56)
+        for box in (None, PhaseVoltageBox(b_rho=1.4, b_theta=0.6)):
+            s1, s2 = PFState.flat(n), PFState.flat(n)
+            for s in (s1, s2):
+                s.rho[n.pq] = 0.02 * rng.standard_normal(len(n.pq))
+                s.theta[n.ns] = 0.04 * rng.standard_normal(len(n.ns))
+            g_ref, h_ref = _Barrier(n, box).grad_hess(s2)
+            barrier = _Barrier(n, box)
+            assert math.isfinite(barrier.value(s1))
+            g, h = barrier.grad_hess(s2)
+            assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+            assert math.isfinite(barrier.value(s2))
+            g, h = barrier.grad_hess(s2)
+            assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+
+
 class TestLossySolve:
     def test_kappa_zero_matches_lossless(self, bundled_models):
         # all-PQ bundled cases run through the lossy pipeline directly
@@ -420,6 +444,31 @@ class TestSweep:
         assert [r.status for r in records] == (
             [SolveStatus.SOLUTION_FOUND] * 6 + [SolveStatus.NO_SOLUTION_IN_C] * 2)
         assert sum(r.iterations for r in records) <= 100
+
+    def test_ieee14_one_factorization_per_barrier_point(self, ieee14_model,
+                                                        monkeypatch):
+        # grad_hess reuses the Cholesky factor of the domain matrix that
+        # value computed to accept the point, so the sweep factors PQ x PQ
+        # matrices at most once per value call.
+        from gridenergy import solver
+
+        npq = len(ieee14_model.pq)
+        calls = {"cholesky": 0, "value": 0}
+        cholesky, value = np.linalg.cholesky, solver._Barrier.value
+
+        def counted_cholesky(a, *args, **kwargs):
+            calls["cholesky"] += np.shape(a) == (npq, npq)
+            return cholesky(a, *args, **kwargs)
+
+        def counted_value(self, s):
+            calls["value"] += 1
+            return value(self, s)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(solver._Barrier, "value", counted_value)
+        sweep_load(ieee14_model, 1.0, np.arange(1.0, 5.51, 0.5))
+        assert calls["value"] > 0
+        assert calls["cholesky"] <= calls["value"]
 
     def test_rows_in_ascending_order(self):
         records = sweep_load(make_twobus(), 1.0, [1.5, 1.0, 2.0])
