@@ -194,6 +194,13 @@ def _merge_parallel(lines) -> list[Line]:
 _KINDS = {"slack": BusKind.SLACK, "pv": BusKind.PV, "pq": BusKind.PQ}
 
 
+def _whole(v, where: str) -> int:
+    """v as an int; ParseError at where unless v is a whole number."""
+    if type(v) is int or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ParseError(f"{where}: expected an integer, got {v!r}")
+
+
 def parse_native(text: str) -> Network:
     """Parse the native JSON case format (see serialize_native)."""
     try:
@@ -209,7 +216,7 @@ def parse_native(text: str) -> Network:
     for k, rec in enumerate(doc["buses"]):
         try:
             kind = _KINDS[rec["kind"]]
-            buses.append(Bus(id=int(rec["id"]), kind=kind,
+            buses.append(Bus(id=_whole(rec["id"], f"buses[{k}].id"), kind=kind,
                              p_inj=float(rec.get("p", 0.0)),
                              q_inj=float(rec.get("q", 0.0)),
                              v_set=float(rec.get("v", 1.0))))
@@ -218,7 +225,8 @@ def parse_native(text: str) -> Network:
     lines = []
     for k, rec in enumerate(doc["lines"]):
         try:
-            lines.append(Line(i=int(rec["from"]), j=int(rec["to"]),
+            lines.append(Line(i=_whole(rec["from"], f"lines[{k}].from"),
+                              j=_whole(rec["to"], f"lines[{k}].to"),
                               b=float(rec["b"]), g=float(rec.get("g", 0.0))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"lines[{k}]: {exc}") from exc
@@ -292,7 +300,7 @@ def parse_matpower(text: str) -> Network:
             raise ParseError(f"gen row {rn + 1}: too few columns")
         if row[_GEN_STATUS] <= 0:
             continue
-        gens.setdefault(int(row[_GEN_BUS]), []).append(row)
+        gens.setdefault(_whole(row[_GEN_BUS], f"gen row {rn + 1}"), []).append(row)
 
     buses = []
     kinds_seen = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
@@ -300,8 +308,8 @@ def parse_matpower(text: str) -> Network:
     for rn, row in enumerate(bus_rows):
         if len(row) <= _QD:
             raise ParseError(f"bus row {rn + 1}: too few columns")
-        bid = int(row[_BUS_I])
-        btype = int(row[_BUS_TYPE])
+        bid = _whole(row[_BUS_I], f"bus row {rn + 1}")
+        btype = _whole(row[_BUS_TYPE], f"bus row {rn + 1}")
         if btype not in kinds_seen:
             raise ParseError(f"bus {bid}: unsupported type {btype}")
         kind = kinds_seen[btype]
@@ -345,8 +353,8 @@ def parse_matpower(text: str) -> Network:
         den = r * r + x * x
         if den == 0.0:  # both squares underflow: an admittance beyond any limit
             raise ParseError(f"branch row {rn + 1}: impedance too small")
-        lines.append(Line(i=int(row[_F_BUS]), j=int(row[_T_BUS]),
-                          b=x / den, g=r / den))
+        i, j = (_whole(row[c], f"branch row {rn + 1}") for c in (_F_BUS, _T_BUS))
+        lines.append(Line(i=i, j=j, b=x / den, g=r / den))
     return Network(buses, _merge_parallel(lines))
 
 

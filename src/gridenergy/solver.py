@@ -2,11 +2,12 @@
 
 Two routes: a classic damped Newton-Raphson iteration on the balance
 residuals, and the convex route that minimizes the energy function over the
-convexity domain with a log-barrier interior method. Inside the domain the
-energy is strictly convex, so the convex route either returns the unique
-solution there or certifies that the constrained minimum sits on the
-boundary with a nonzero gradient, i.e. that no solution exists in the
-domain.
+convexity domain. Inside the domain the energy is strictly convex, so an
+interior stationary point is the unique solution there. The convex route
+first tries full Newton steps that stay inside; when they stall, a
+log-barrier interior method either finds that point or shows that the
+constrained minimum sits on the boundary with a nonzero gradient, i.e. that
+no solution exists in the domain.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ class SolveOutcome:
 
 @dataclass
 class SolveOptions:
+    """grad_tol: largest gradient norm of a SolutionFound state. mu0: first
+    barrier weight. box: operating box added to the domain. collect_trace:
+    keep (mu, E + mu phi) of each accepted barrier step as the outcome's
+    trace, [] when Newton steps alone settle the solve."""
     grad_tol: float = 1e-8
     mu0: float = 1.0
     box: PhaseVoltageBox | None = None
@@ -315,29 +320,36 @@ def _classify(n: Network, s: PFState, grad_norm: float, opts: SolveOptions,
 
 def solve_convex(n: Network, s0: PFState | None = None,
                  opts: SolveOptions | None = None) -> SolveOutcome:
-    """Minimize the energy over the convexity domain by a log-barrier method.
+    """Minimize the energy over the convexity domain C, Newton first.
 
-    Returns SolutionFound with the unique interior stationary point when
-    one exists; otherwise the minimizer is pinned to the domain boundary
-    with a nonzero gradient and the outcome is NoSolutionInC. Networks with
-    a uniform nonzero loss ratio run through the same energy, on its
-    constant-ratio model.
+    E is strictly convex on C, so a stationary point strictly inside C is
+    the unique solution there: full Newton steps on E that stay inside C and
+    meet the gradient target return it before any barrier. Otherwise the
+    log-barrier path runs from the start and the same steps polish its end;
+    a minimizer pinned to the boundary with a nonzero gradient is
+    NoSolutionInC. iterations counts the Newton steps to the returned state;
+    trace gets (mu, E + mu phi) per barrier step, [] when Newton alone
+    settled. Uniform-ratio lossy networks run on the same energy. Raises
+    InfeasibleStart when the start is not strictly inside C.
     """
     opts = opts or SolveOptions()
     s = s0 if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
     barrier = _Barrier(n, opts.box)
+    if not barrier.feasible(s):
+        raise InfeasibleStart("initial state is not strictly inside the domain")
     trace: list | None = [] if opts.collect_trace else None
-    # The stages only track the central path; _polish meets grad_tol.
+    target = min(opts.grad_tol * 1e-3, 1e-11)
+    sn, grad_norm, steps = _newton(n, s, barrier, target)
+    if grad_norm <= target:
+        out = _classify(n, sn, grad_norm, opts, steps, False, trace)
+        if out.status is SolveStatus.SOLUTION_FOUND:
+            return out
+    # The stages only track the central path; _newton meets grad_tol.
     x, iterations, ran_out = barrier_path(barrier, pack(n, s), opts.mu0,
                                           MU_MIN, opts.grad_tol, trace)
-    s = unpack(n, x)
-    if ran_out:
-        grad_norm = float(np.linalg.norm(en.energy_gradient(n, s).as_vector(), np.inf))
-    else:
-        s, grad_norm, extra = _polish(n, s, barrier, opts)
-        iterations += extra
-    return _classify(n, s, grad_norm, opts, iterations, ran_out, trace)
+    s, grad_norm, extra = _newton(n, unpack(n, x), barrier, target)
+    return _classify(n, s, grad_norm, opts, iterations + extra, ran_out, trace)
 
 
 def solve_convex_lossy(n: Network, s0: PFState | None = None,
@@ -432,39 +444,29 @@ def _backtrack(problem, x: np.ndarray, dx: np.ndarray, mu: float, f0: float,
     return None
 
 
-def _polish(n: Network, s: PFState, barrier: _Barrier, opts: SolveOptions):
-    """Newton steps on the raw gradient, staying strictly feasible.
-
-    The barrier leaves an O(mu) offset from the interior stationary point;
-    a few guarded Newton steps remove it when the point is interior.
-    """
+def _newton(n: Network, s: PFState, barrier: _Barrier, target: float):
+    """Full Newton steps on E from s until the gradient's infinity norm is
+    at most target. A step is kept only when it stays strictly inside the
+    barrier's domain and lowers that norm; the first that does not ends the
+    loop. Returns (state, gradient norm, steps kept)."""
     x = pack(n, s)
     g = en.energy_gradient(n, s).as_vector()
     best = float(np.linalg.norm(g, np.inf))
-    extra = 0
-    target = min(opts.grad_tol * 1e-3, 1e-11)
-    for _ in range(40):
-        if best <= target:
-            break
-        h = en.hessian(n, s).entries
-        dx = _ridge_solve(h, -g)
+    steps = 0
+    while best > target and steps < 40:
+        dx = _ridge_solve(en.hessian(n, s).entries, -g)
         if dx is None:
             break
-        alpha, accepted = 1.0, False
-        while alpha >= 1e-10:
-            sn = unpack(n, x + alpha * dx)
-            if barrier.feasible(sn):
-                gn = en.energy_gradient(n, sn).as_vector()
-                norm = float(np.linalg.norm(gn, np.inf))
-                if norm < best:
-                    x, s, g, best = x + alpha * dx, sn, gn, norm
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
+        sn = unpack(n, x + dx)
+        if not barrier.feasible(sn):
             break
-        extra += 1
-    return s, best, extra
+        gn = en.energy_gradient(n, sn).as_vector()
+        norm = float(np.linalg.norm(gn, np.inf))
+        if norm >= best:
+            break
+        x, s, g, best = x + dx, sn, gn, norm
+        steps += 1
+    return s, best, steps
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +489,7 @@ def sweep_load(n: Network, delta: float, kappa_grid,
     Q -> delta kappa Q (PQ buses), in ascending kappa order.
 
     The domain does not depend on the injections, so the previous solution
-    stays strictly feasible and warm-starts the next solve.
+    stays strictly feasible and warm-starts the next solve's Newton steps.
     """
     opts = opts or SolveOptions()
     records = []

@@ -76,6 +76,16 @@ class TestSolve:
         code, _ = run(capsys, "solve", "/does/not/exist.json")
         assert code == EXIT_ERROR
 
+    def test_overflowing_bus_id(self, capsys, tmp_path):
+        # 1e400 reads as an infinite float; it used to escape int() as a raw
+        # OverflowError with a traceback.
+        text = serialize_native(load_case("twobus"))
+        assert text.count('"from": 1,') == 1
+        path = tmp_path / "overflow.json"
+        path.write_text(text.replace('"from": 1,', '"from": 1e400,'))
+        assert_error(capsys, "lines[0].from: expected an integer, got inf",
+                     "solve", str(path))
+
     @pytest.mark.parametrize("command", ["check", "bounds", "reactive", "solve"])
     def test_huge_susceptance(self, capsys, tmp_path, command):
         doc = json.loads(serialize_native(load_case("threebus")))

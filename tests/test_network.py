@@ -86,6 +86,26 @@ class TestParseNative:
         with pytest.raises(ParseError, match="set-point must be positive and finite"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, key, raw", [
+        ("buses", "id", "1e400"), ("lines", "from", "1e400"),
+        ("lines", "to", "-1e400"), ("buses", "id", "2.5"),
+        ("lines", "to", "NaN"), ("buses", "id", '"2"'), ("buses", "id", "true")])
+    def test_non_integer_id_rejected(self, where, key, raw):
+        # JSON reads 1e400 as inf, which int() turns into a raw
+        # OverflowError; 2.5 must not pass as bus 2.
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][-1][key] = "@"
+        text = json.dumps(doc).replace('"@"', raw)
+        k = len(doc[where]) - 1
+        message = rf"{where}\[{k}\]\.{key}: expected an integer"
+        with pytest.raises(ParseError, match=message):
+            parse_native(text)
+
+    def test_whole_float_id_accepted(self):
+        doc = json.loads(TWOBUS_DOC)
+        doc["buses"][1]["id"] = doc["lines"][0]["to"] = 2.0
+        assert parse_native(json.dumps(doc)).buses[1].id == 2
+
     def test_parallel_lines_merged(self):
         doc = json.loads(TWOBUS_DOC)
         doc["lines"].append({"from": 2, "to": 1, "b": 2.5})
@@ -116,6 +136,17 @@ class TestParseMatpower:
     def test_magnitude_beyond_limit_rejected(self, old, new):
         assert old in MINI_MATPOWER
         with pytest.raises(ParseError, match="per unit"):
+            parse_matpower(MINI_MATPOWER.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("\t2\t1\t10\t5", "\tInf\t1\t10\t5", "bus row 2"),
+        ("\t2\t1\t10\t5", "\t2.5\t1\t10\t5", "bus row 2"),
+        ("\t2\t1\t10\t5", "\t2\t1.5\t10\t5", "bus row 2"),
+        ("\t1\t2\t0\t1\t0", "\t1\t1e400\t0\t1\t0", "branch row 1"),
+        ("\t1\t20\t0\t99", "\tNaN\t20\t0\t99", "gen row 1")])
+    def test_non_integer_id_rejected(self, old, new, where):
+        assert old in MINI_MATPOWER
+        with pytest.raises(ParseError, match=f"{where}: expected an integer"):
             parse_matpower(MINI_MATPOWER.replace(old, new))
 
     def test_underflowing_impedance_rejected(self):

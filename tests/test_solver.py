@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
+from gridenergy import solver
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import InfeasibleStart
@@ -97,11 +100,18 @@ class TestConvex:
             assert diff <= 1e-6, name
 
     def test_descent_within_stages(self):
-        opts = SolveOptions(collect_trace=True)
-        out = solve_convex(make_twobus(p=-0.15, q=-0.15), opts=opts)
-        assert out.trace
+        # Newton steps alone settle this row, so solve_convex leaves the
+        # trace empty; the barrier path from the flat start is checked
+        # directly.
+        n = make_twobus(p=-0.15, q=-0.15)
+        out = solve_convex(n, opts=SolveOptions(collect_trace=True))
+        assert out.status is SolveStatus.SOLUTION_FOUND and out.trace == []
+        trace = []
+        solver.barrier_path(solver._Barrier(n), en.pack(n, PFState.flat(n)),
+                            1.0, solver.MU_MIN, 1e-8, trace)
+        assert trace
         by_mu = {}
-        for mu, f in out.trace:
+        for mu, f in trace:
             by_mu.setdefault(mu, []).append(f)
         for mu, seq in by_mu.items():
             assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), mu
@@ -137,7 +147,12 @@ class TestConvex:
             return out
 
         monkeypatch.setattr(solver, "_predict", spy)
-        sweep_load(threebus, 1.0, np.arange(0.5, 6.01, 0.25))
+        # Newton steps settle the solvable rows of a sweep before any
+        # barrier, so the energy's path runs from the flat start on each row.
+        for kappa in np.arange(0.5, 6.01, 0.25):
+            nk = scale_injections(threebus, kappa, 1.0)
+            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
+                                1.0, solver.MU_MIN, 1e-8)
         rng = np.random.default_rng(5)
         for _ in range(12):
             theta = np.zeros(3)
@@ -220,6 +235,137 @@ class TestEdgeTopologies:
         nt = solve_newton(n)
         assert cv.status is SolveStatus.SOLUTION_FOUND
         assert np.max(np.abs(cv.state.rho - nt.state.rho)) < 1e-8
+
+
+def barrier_only(n, s0=None, opts=None):
+    """solve_convex with its first Newton try taking no step, so that the
+    barrier path settles every row; the final polish still runs."""
+    real, calls = solver._newton, []
+
+    def first_try_idle(n, s, barrier, target):
+        calls.append(None)
+        return (s, math.inf, 0) if len(calls) == 1 else real(n, s, barrier, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton", first_try_idle)
+        return solve_convex(n, s0, opts)
+
+
+def assert_agrees_with_barrier_only(n, s0=None):
+    first, barrier = solve_convex(n, s0), barrier_only(n, s0)
+    assert first.status is barrier.status
+    if first.status is SolveStatus.SOLUTION_FOUND:
+        diff = max(np.max(np.abs(first.state.rho - barrier.state.rho)),
+                   np.max(np.abs(first.state.theta - barrier.state.theta)))
+        assert diff <= 1e-9
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.5))
+@settings(max_examples=100, deadline=None)
+def test_newton_first_agrees_with_barrier_only(seed, inj_scale):
+    # E is strictly convex on C, so the interior stationary point that full
+    # Newton steps reach is the one the barrier path reaches, from a flat
+    # or any feasible start.
+    rng = np.random.default_rng(seed)
+    n = random_network(rng, n_max=7, inj_scale=inj_scale)
+    assert_agrees_with_barrier_only(n)
+    s0 = random_state(rng, n)
+    if solver._Barrier(n).feasible(s0):
+        assert_agrees_with_barrier_only(n, s0)
+
+
+class TestNewtonFirst:
+    def test_bundled_cases_agree_with_barrier_only(self, bundled_models):
+        for name, n in bundled_models.items():
+            for kappa in (1.0, 2.5, 4.0, 5.5):
+                assert_agrees_with_barrier_only(scale_injections(n, kappa, 1.0))
+
+    @pytest.mark.parametrize("case, kappas", [
+        ("ieee14", np.arange(1.0, 5.76, 0.5)), ("ieee118", np.arange(1.0, 4.51, 0.5))])
+    def test_solved_sweep_rows_skip_the_barrier(self, case, kappas, request,
+                                                monkeypatch):
+        # Criterion 8's delta = 1 sweeps: Newton steps settle every solvable
+        # row, so only the NoSolutionInC rows differentiate the barrier.
+        n = request.getfixturevalue(case + "_model")
+        rows, calls = [], [0]
+        grad_hess, solve = solver._Barrier.grad_hess, solver.solve_convex
+
+        def counted(self, s):
+            calls[0] += 1
+            return grad_hess(self, s)
+
+        def per_row(*args):
+            calls[0] = 0
+            out = solve(*args)
+            rows.append((out.status, calls[0]))
+            return out
+
+        monkeypatch.setattr(solver._Barrier, "grad_hess", counted)
+        monkeypatch.setattr(solver, "solve_convex", per_row)
+        sweep_load(n, 1.0, kappas)
+        found = [c for status, c in rows if status is SolveStatus.SOLUTION_FOUND]
+        assert len(found) >= 6 and not any(found)
+        assert all(c for status, c in rows if status is not SolveStatus.SOLUTION_FOUND)
+
+    def test_infeasible_starts_still_rejected(self):
+        # From a start outside C full Newton steps often land inside it and
+        # converge to the solution there; the start is still rejected.
+        rng = np.random.default_rng(7)
+        outside = into_c = 0
+        for _ in range(200):
+            n = random_network(rng, n_max=7, inj_scale=0.3)
+            s0 = random_state(rng, n)
+            barrier = solver._Barrier(n)
+            if barrier.feasible(s0):
+                continue
+            outside += 1
+            with pytest.raises(InfeasibleStart):
+                solve_convex(n, s0)
+            s, grad_norm, _ = solver._newton(n, s0, barrier, 1e-11)
+            into_c += grad_norm <= 1e-11 and strictly_interior(n, s)
+        assert outside > 20 and into_c > 0
+
+    def test_threebus_solutions_outside_c(self, threebus):
+        # At kappa = 1 threebus has 4 real solutions with every line below
+        # 90 degrees and only one in C. Starts at the other three, refined
+        # by undamped Newton on the energy's gradient, are rejected.
+        n = threebus
+        found = solve_convex(n)
+        assert found.status is SolveStatus.SOLUTION_FOUND
+        for v, theta in (((0.0771, 0.0931), (-0.9594, -0.9289)),
+                         ((0.0571, 0.5746), (-1.0004, -0.1566)),
+                         ((0.5873, 0.0673), (-0.1394, -0.9849))):
+            s0 = PFState.flat(n)
+            s0.rho[n.pq], s0.theta[n.ns] = np.log(v), theta
+            x = en.pack(n, s0)
+            for _ in range(8):
+                s0 = en.unpack(n, x)
+                x = x - np.linalg.solve(en.hessian(n, s0).entries,
+                                        en.energy_gradient(n, s0).as_vector())
+            s0 = en.unpack(n, x)
+            assert np.max(np.abs(en.energy_gradient(n, s0).as_vector())) <= 1e-10
+            te = s0.theta[n.edges[:, 0]] - s0.theta[n.edges[:, 1]]
+            assert np.all(np.abs(te) < HALF_PI)
+            assert not in_domain_C(n, s0).in_c
+            assert np.max(np.abs(s0.rho - found.state.rho)) > 0.5
+            with pytest.raises(InfeasibleStart):
+                solve_convex(n, s0)
+
+    def test_outcomes_stay_inside_the_domain(self, threebus):
+        # Newton steps are kept only strictly inside C and the box, so every
+        # outcome's state is a point of both: a solution outside the box is
+        # not returned, and a NoSolutionInC state stays inside.
+        for box in (None, PhaseVoltageBox(b_rho=1.1, b_theta=0.1)):
+            opts = SolveOptions(box=box)
+            for kappa in np.arange(1.0, 6.01, 0.5):
+                for delta in (1.0, 0.1):
+                    nk = scale_injections(threebus, kappa, delta)
+                    out = solve_convex(nk, opts=opts)
+                    assert solver._Barrier(nk, box).feasible(out.state), (kappa, delta)
+            for p in (-0.2, -0.25, -0.4):
+                n = make_twobus(p=p, q=p)
+                out = solve_convex(n, opts=opts)
+                assert solver._Barrier(n, box).feasible(out.state), p
 
 
 class TestBarrierDerivatives:
@@ -429,21 +575,22 @@ class TestSweep:
             assert rec.status is SolveStatus.SOLUTION_FOUND, name
 
     def test_ieee14_step_budget(self, ieee14_model):
-        # The long-step schedule (mu cut 50x per stage) keeps every verdict
-        # of the collapse sweep in at most 240 Newton steps; the 5x schedule
-        # took 340.
+        # Newton-first solves keep every verdict of the collapse sweep in at
+        # most 90 Newton steps (79 measured); the barrier-only long-step
+        # schedule took 108, the 5x schedule 340.
         records = sweep_load(ieee14_model, 1.0, np.arange(1.0, 5.51, 0.5))
         assert [r.status for r in records] == (
             [SolveStatus.SOLUTION_FOUND] * 7 + [SolveStatus.NO_SOLUTION_IN_C] * 3)
-        assert sum(r.iterations for r in records) <= 240
+        assert sum(r.iterations for r in records) <= 90
 
     def test_ieee118_step_budget(self, ieee118_model):
-        # The tangent predictor between mu stages keeps every verdict of the
-        # collapse path in at most 100 Newton steps; without it, 139.
+        # Newton-first solves keep every verdict of the collapse path in at
+        # most 72 Newton steps (65 measured); the barrier with the tangent
+        # predictor took 80, without it 139.
         records = sweep_load(ieee118_model, 1.0, np.arange(1.0, 4.51, 0.5))
         assert [r.status for r in records] == (
             [SolveStatus.SOLUTION_FOUND] * 6 + [SolveStatus.NO_SOLUTION_IN_C] * 2)
-        assert sum(r.iterations for r in records) <= 100
+        assert sum(r.iterations for r in records) <= 72
 
     def test_ieee14_one_factorization_per_barrier_point(self, ieee14_model,
                                                         monkeypatch):
