@@ -145,7 +145,7 @@ def _load_state(n, path: str) -> PFState:
 def cmd_check(args) -> int:
     n = _prepare(args.case, None)
     s = _load_state(n, args.state) if args.state else PFState.flat(n)
-    cert = convexity.in_domain_C(n, s, tol=args.tol)
+    cert = convexity.in_domain_C(n, s)
     payload = {"header": _header(args, args.case),
                "certificate": _certificate_payload(cert)}
     if args.d_samples > 0:

@@ -26,7 +26,7 @@ class ConvexityCertificate:
     phase_ok: bool
     lmi_min_eig: float
     tol_abs: float
-    scale: float = 1.0  # 1 + max |diag| of the domain matrix; tol_abs = tol * scale
+    scale: float = 1.0  # 1 + max |diag| of the domain matrix; tol_abs = DEFAULT_PSD_TOL * scale
     in_d_sampled: bool | None = None
     d_samples: int = 0
 
@@ -92,12 +92,12 @@ def convexity_matrix(n: Network, s: PFState) -> SymMatrix:
     return SymMatrix(domain_matrix(n, s.rho[t] - s.rho[f], n.b / np.cos(te)))
 
 
-def in_domain_C(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> ConvexityCertificate:
+def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     """Certificate of membership in the convexity domain.
 
     Out-of-range phases yield in_c=False rather than an error. The matrix
     test uses the closed-set convention: smallest eigenvalue down to
-    -tol*(1 + max diagonal) still passes.
+    -DEFAULT_PSD_TOL*(1 + max diagonal) still passes.
     """
     check_state(n, s)
     f, t = n.edges[:, 0], n.edges[:, 1]
@@ -116,7 +116,7 @@ def in_domain_C(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> Convexi
     w, _ = sym_eigen(SymMatrix(lm))
     lmi_min = float(w[0])
     scale = 1.0 + float(np.max(np.abs(np.diag(lm))))
-    tol_abs = tol * scale
+    tol_abs = DEFAULT_PSD_TOL * scale
     return ConvexityCertificate(in_c=phase_ok and lmi_min >= -tol_abs,
                                 phase_ok=phase_ok, lmi_min_eig=lmi_min,
                                 tol_abs=tol_abs, scale=scale)
@@ -130,8 +130,8 @@ class DomainDSample:
     min_eigs: np.ndarray  # smallest Hessian eigenvalue at each checked alpha
 
 
-def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64,
-                        tol: float = DEFAULT_PSD_TOL) -> DomainDSample:
+def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
+                        ) -> DomainDSample:
     """Sampled test of the scaled-segment Hessian condition.
 
     Checks positive semidefiniteness of the full Hessian at alpha*(rho,
@@ -153,14 +153,14 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64,
         scale = 1.0 + float(np.max(np.abs(np.diag(h.entries))))
         alphas.append(alpha)
         min_eigs.append(float(w[0]))
-        if w[0] < -tol * scale:
+        if w[0] < -DEFAULT_PSD_TOL * scale:
             ok = False
             break
     return DomainDSample(in_d=ok, samples=samples,
                          alphas=np.array(alphas), min_eigs=np.array(min_eigs))
 
 
-def lossy_in_domain(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> ConvexityCertificate:
+def lossy_in_domain(n: Network, s: PFState) -> ConvexityCertificate:
     """Domain certificate for a constant-ratio lossy network.
 
     The lossy Hessian is the lossless one scaled by kappa^2 + 1, so the
@@ -172,7 +172,7 @@ def lossy_in_domain(n: Network, s: PFState, tol: float = DEFAULT_PSD_TOL) -> Con
             "constant-ratio lossy model requires all non-slack buses to be PQ")
     if n.lossy_ratio is None:
         raise NotConstantRatio("line g/b ratios are not uniform")
-    return in_domain_C(n, s, tol)
+    return in_domain_C(n, s)
 
 
 def matrix_convexity_gap(x1: float, y1: float, x2: float, y2: float,
@@ -295,10 +295,12 @@ def _diag_line_ok(n: Network, d: np.ndarray, phi: np.ndarray,
     return ok
 
 
+# Width of max_phase_bound's bisection on b_theta: 0.1 degree.
+_BOUND_RESOLUTION = math.radians(0.1)
+
+
 def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
-                    samples: int = 10000, seed: int = 0,
-                    resolution_deg: float = 0.1,
-                    tol: float = DEFAULT_PSD_TOL) -> PhaseBound:
+                    samples: int = 10000, seed: int = 0) -> PhaseBound:
     """Phase budget b_theta for the per-line operating box at ratio b_rho.
 
     Exact mode is a certificate: the domain matrix is Loewner-concave in
@@ -322,7 +324,7 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
         raise ValueError(f"unknown mode {mode!r}")
     if len(n.pq) == 0:
         # No matrix condition at all; any phases below 90 degrees qualify.
-        return PhaseBound(b_theta=HALF_PI - math.radians(resolution_deg),
+        return PhaseBound(b_theta=HALF_PI - _BOUND_RESOLUTION,
                           b_rho=b_rho, mode="exact-vertices", certified=True)
 
     active = np.flatnonzero(_active_mask(n))
@@ -344,7 +346,7 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
         def box_ok(b_theta: float) -> bool:
             w = n.b / math.cos(b_theta)
             for d in patterns:
-                if not cholesky_psd(SymMatrix(domain_matrix(n, d, w)), tol).psd:
+                if not cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd:
                     return False
             return True
 
@@ -358,14 +360,13 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
 
         certified = False
 
-    res = math.radians(resolution_deg)
     lo, hi = 0.0, HALF_PI - 1e-9
     if not box_ok(lo):
         return PhaseBound(b_theta=0.0, b_rho=b_rho, mode=mode,
                           certified=certified, samples=n_used, seed=seed)
     if box_ok(hi):
         lo = hi
-    while hi - lo > res:
+    while hi - lo > _BOUND_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if box_ok(mid):
             lo = mid

@@ -26,12 +26,14 @@ from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
 # Unused here; the benchmark's span tracer pins reduced.fd_hessian as an alias.
 from .linalg import fd_hessian  # noqa: F401
 from .network import Network
-from .solver import barrier_path
+from .solver import barrier_path, damped_newton
 
 _REACTIVE_TOL = 1e-10
 # Relative size of a monotone Newton step that ends the iteration; a step
 # that raises a voltage by more is an error.
 _STEP_TOL = 1e-9
+# Relative eigenvalue tolerance of region_agreement's reduced-Hessian test.
+_EIG_TOL = 1e-6
 
 
 @dataclass
@@ -152,11 +154,13 @@ class _ZetaProgram:
 
         B_i zeta_i - sum_j c_ij sqrt(zeta_i zeta_j) + q_i <= 0
 
-    with line weights c = b_eff cos(theta_ij), fixed buses at zeta = 1 and
-    q = -tq the consumption of the energy's constant-ratio model.
+    with line weights c_ij = b_eff cos(theta_ij), fixed buses at zeta = 1
+    and q = -tq the consumption of the energy's constant-ratio model. As
+    barrier_path's problem it maximizes self.c^T zeta over the set, for
+    positive per-bus weights (all ones by default).
     """
 
-    def __init__(self, n: Network, theta):
+    def __init__(self, n: Network, theta, c=None):
         if len(n.pq) == 0:
             raise UnsupportedTopology("the reactive program needs a PQ bus")
         if np.any(np.delete(n.v_set, n.pq) != 1.0):
@@ -169,6 +173,9 @@ class _ZetaProgram:
             bad = [n.buses[p].id for p in n.pq[self.q < 0]]
             raise UnsupportedSign(f"PQ buses must consume reactive power; got "
                                   f"injection at buses {bad}")
+        self.c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
+        if self.c.shape != (len(n.pq),) or np.any(self.c <= 0):
+            raise ValueError("weights must be positive, one per PQ bus")
 
     def constraints(self, z) -> np.ndarray:
         return -self.fp.residual(0.5 * np.log(z))
@@ -195,15 +202,6 @@ class _ZetaProgram:
                 return z
         raise NoReactiveSolution("no strictly feasible voltage profile found")
 
-    def maximize(self, c: np.ndarray, z0: np.ndarray) -> np.ndarray:
-        """The central path of -c^T zeta - mu sum log(-g) from z0, then
-        Newton on the all-tight system."""
-        self.c = c
-        scale = 1.0 + float(np.max(self.q)) + float(np.max(c))
-        z, _, _ = barrier_path(self, z0, float(np.max(c)), 1e-9 * scale,
-                               _REACTIVE_TOL)
-        return self._polish(z)
-
     def trial(self, z):
         """(-c^T zeta, -sum log(-g)); the barrier is +inf outside the set."""
         g = self.constraints(z) if (z > 0.0).all() else None
@@ -229,35 +227,6 @@ class _ZetaProgram:
         h.flat[::len(z) + 1] -= grad / (2.0 * z)
         return -float(self.c @ z), -self.c, np.zeros_like(h), grad, h
 
-    def _polish(self, z):
-        """Newton on the all-tight system; the optimum satisfies every
-        constraint with equality. The target is working precision, not the
-        barrier's last slack, wherever the path stopped."""
-        target = 1e-14 * (1.0 + float(np.max(self.n.b_total)))
-        for _ in range(50):
-            g = self.constraints(z)
-            if np.linalg.norm(g, np.inf) <= target:
-                return z
-            try:
-                step = np.linalg.solve(self.jacobian(z), -g)
-            except np.linalg.LinAlgError:
-                break
-            merit = float(g @ g)
-            alpha, ok = 1.0, False
-            while alpha >= 1e-12:
-                zn = z + alpha * step
-                if np.all(zn > 0):
-                    gn = self.constraints(zn)
-                    if float(gn @ gn) <= (1.0 - 1e-4 * alpha) * merit:
-                        z, ok = zn, True
-                        break
-                alpha *= 0.5
-            if not ok:
-                break
-        if np.linalg.norm(self.constraints(z), np.inf) <= 1e-8:
-            return z
-        raise NoReactiveSolution("could not drive the constraints tight")
-
 
 def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """Reactive solution by maximizing a positive combination of squared
@@ -267,13 +236,25 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     reactive balances for the given phases; the voltages are sqrt(zeta).
     """
     theta = _check_theta(n, theta)
-    prog = _ZetaProgram(n, theta)
-    c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
-    if c.shape != (len(n.pq),) or np.any(c <= 0):
-        raise ValueError("weights must be positive, one per PQ bus")
-    z = prog.maximize(c, prog.interior_point())
-    return ReducedState(zeta=z, theta=theta.copy(),
-                        constraint_slack=prog.constraints(z))
+    prog = _ZetaProgram(n, theta, c)
+    cmax = float(np.max(prog.c))
+    z, _, _ = barrier_path(prog, prog.interior_point(), cmax,
+                           1e-9 * (1.0 + float(np.max(prog.q)) + cmax),
+                           _REACTIVE_TOL)
+
+    def direction(z, g):
+        try:
+            return np.linalg.solve(prog.jacobian(z), -g)
+        except np.linalg.LinAlgError:
+            return None
+
+    # The target is working precision, not the barrier's last slack.
+    z, g, _ = damped_newton(prog.constraints, direction, z,
+                            1e-14 * (1.0 + float(np.max(n.b_total))),
+                            lambda z: (z > 0.0).all())
+    if not np.linalg.norm(g, np.inf) <= 1e-8:
+        raise NoReactiveSolution("could not drive the constraints tight")
+    return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g)
 
 
 def voltage_upper_bound(n: Network) -> VoltageBound:
@@ -396,17 +377,17 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
     return cells
 
 
-def region_agreement(cells: list[RegionCell], eig_tol: float = 1e-6
-                     ) -> tuple[int, int]:
+def region_agreement(cells: list[RegionCell]) -> tuple[int, int]:
     """Count (agreeing, comparable) solvable cells outside a one-step band
-    around classification boundaries and unsolvable patches."""
+    around classification boundaries and unsolvable patches. A cell's
+    reduced Hessian counts as PSD down to -_EIG_TOL (1 + |min eig|)."""
     by_idx = {(c.ia, c.ib): c for c in cells}
 
     def status(c):
         if not c.solvable or c.reduced_min_eig is None or c.in_c is None:
             return None
         scale = 1.0 + abs(c.reduced_min_eig)
-        return (c.in_c, c.reduced_min_eig >= -eig_tol * scale)
+        return (c.in_c, c.reduced_min_eig >= -_EIG_TOL * scale)
 
     agree = comparable = 0
     for c in cells:

@@ -45,12 +45,11 @@ class SolveOutcome:
 
 @dataclass
 class SolveOptions:
-    """grad_tol: largest gradient norm of a SolutionFound state. mu0: first
-    barrier weight. box: operating box added to the domain. collect_trace:
-    keep (mu, E + mu phi) of each accepted barrier step as the outcome's
-    trace, [] when Newton steps alone settle the solve."""
+    """grad_tol: largest gradient norm of a SolutionFound state. box:
+    operating box added to the domain. collect_trace: keep (mu, E + mu phi)
+    of each accepted barrier step as the outcome's trace, [] when Newton
+    steps alone settle the solve."""
     grad_tol: float = 1e-8
-    mu0: float = 1.0
     box: PhaseVoltageBox | None = None
     collect_trace: bool = False
 
@@ -58,12 +57,15 @@ class SolveOptions:
 # barrier_path's schedule: mu falls by MU_DECAY a stage (a long step; Boyd &
 # Vandenberghe, Convex Optimization, sec. 11.3.3), with at most MAX_INNER
 # Newton steps a stage, MAX_TOTAL a path, each winning ARMIJO times its
-# predicted decrease. solve_convex's path ends at MU_MIN.
+# predicted decrease. solve_convex's path runs from MU0 to MU_MIN.
+MU0 = 1.0
 MU_DECAY = 0.02
 MU_MIN = 1e-9
 MAX_INNER = 80
 MAX_TOTAL = 4000
 ARMIJO = 1e-4
+# damped_newton's step cap; each of its steps cuts r.r by ARMIJO alpha.
+MAX_NEWTON = 50
 
 
 def _residual_vec(n: Network, s: PFState) -> np.ndarray:
@@ -82,53 +84,62 @@ def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def solve_newton(n: Network, s0: PFState | None = None, tol: float = 1e-10,
-                 max_iter: int = 50) -> SolveOutcome:
-    """Damped Newton-Raphson on the balance residuals.
+def damped_newton(residual, direction, x: np.ndarray, tol: float, valid):
+    """Damped Newton on residual(x) = 0 from x until ||r||_inf <= tol.
 
-    Works for lossless networks and for constant-ratio lossy ones (where
-    the residuals are the ratio-combined balances). SolutionFound means the
-    residual infinity norm reached tol; it does not imply membership in the
-    convexity domain.
+    direction(x, r) returns the Newton step at x, or None when there is
+    none. Each step starts at alpha = 1 and is halved down to 1e-12 until
+    the trial passes valid and r.r falls by a factor of at least 1 - ARMIJO
+    alpha; residual is never called at a trial that fails valid. Stops
+    after MAX_NEWTON steps, or at the first step where no alpha passes or
+    direction returns None. Returns (x, r, steps).
     """
-    s = s0.copy() if s0 is not None else PFState.flat(n)
-    en.check_state(n, s)
-    x = pack(n, s)
-    r = _residual_vec(n, s)
-    iterations = 0
-    for _ in range(max_iter):
-        if np.linalg.norm(r, np.inf) <= tol:
-            break
-        h = en.hessian(n, s).entries
-        dx = _ridge_solve(h, r)
+    r = residual(x)
+    steps = 0
+    while steps < MAX_NEWTON and np.linalg.norm(r, np.inf) > tol:
+        dx = direction(x, r)
         if dx is None:
             break
         merit = float(r @ r)
         alpha = 1.0
-        accepted = False
         while alpha >= 1e-12:
             xn = x + alpha * dx
-            if np.max(np.abs(xn)) > 30.0:  # runaway trial, reject cheaply
-                alpha *= 0.5
-                continue
-            sn = unpack(n, xn)
-            rn = _residual_vec(n, sn)
-            if float(rn @ rn) <= (1.0 - 1e-4 * alpha) * merit:
-                x = xn
-                s, r = sn, rn
-                accepted = True
-                break
+            if valid(xn):
+                rn = residual(xn)
+                if float(rn @ rn) <= (1.0 - ARMIJO * alpha) * merit:
+                    break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
-        iterations += 1
+        x, r = xn, rn
+        steps += 1
+    return x, r, steps
+
+
+def solve_newton(n: Network, s0: PFState | None = None,
+                 tol: float = 1e-10) -> SolveOutcome:
+    """Damped Newton-Raphson on the balance residuals.
+
+    Works for lossless networks and for constant-ratio lossy ones (where
+    the residuals are the ratio-combined balances). The residuals are
+    -grad E, so the step solves E'' dx = r; a trial with a packed entry
+    beyond 30 is a runaway and rejected. SolutionFound means the residual
+    infinity norm reached tol; it does not imply membership in the
+    convexity domain.
+    """
+    s = s0 if s0 is not None else PFState.flat(n)
+    en.check_state(n, s)
+    x, r, iterations = damped_newton(
+        lambda x: _residual_vec(n, unpack(n, x)),
+        lambda x, r: _ridge_solve(en.hessian(n, unpack(n, x)).entries, r),
+        pack(n, s), tol, lambda x: np.max(np.abs(x)) <= 30.0)
+    s = unpack(n, x)
     grad_norm = float(np.linalg.norm(r, np.inf))
-    cert = _certificate(n, s)
     status = (SolveStatus.SOLUTION_FOUND if grad_norm <= tol
               else SolveStatus.MAX_ITERATIONS)
     return SolveOutcome(status=status, state=s, grad_norm=grad_norm,
                         boundary_active=False, iterations=iterations,
-                        certificate=cert)
+                        certificate=_certificate(n, s))
 
 
 def _certificate(n: Network, s: PFState) -> ConvexityCertificate:
@@ -346,8 +357,8 @@ def solve_convex(n: Network, s0: PFState | None = None,
         if out.status is SolveStatus.SOLUTION_FOUND:
             return out
     # The stages only track the central path; _newton meets grad_tol.
-    x, iterations, ran_out = barrier_path(barrier, pack(n, s), opts.mu0,
-                                          MU_MIN, opts.grad_tol, trace)
+    x, iterations, ran_out = barrier_path(barrier, pack(n, s), MU0, MU_MIN,
+                                          opts.grad_tol, trace)
     s, grad_norm, extra = _newton(n, unpack(n, x), barrier, target)
     return _classify(n, s, grad_norm, opts, iterations + extra, ran_out, trace)
 
@@ -488,18 +499,16 @@ def sweep_load(n: Network, delta: float, kappa_grid,
     """Convex solves along the loading path P -> kappa P (non-slack),
     Q -> delta kappa Q (PQ buses), in ascending kappa order.
 
-    The domain does not depend on the injections, so the previous solution
-    stays strictly feasible and warm-starts the next solve's Newton steps.
+    The barrier does not depend on the injections, so a SolutionFound
+    state, which it admitted, stays strictly feasible and warm-starts the
+    next solve's Newton steps.
     """
     opts = opts or SolveOptions()
     records = []
     prev: PFState | None = None
     for kappa in sorted(float(k) for k in kappa_grid):
         nk = scale_injections(n, kappa, delta)
-        try:
-            out = solve_convex(nk, prev, opts)
-        except InfeasibleStart:
-            out = solve_convex(nk, None, opts)
+        out = solve_convex(nk, prev, opts)
         records.append(SweepRecord(kappa=kappa, delta=delta, status=out.status,
                                    grad_norm=out.grad_norm,
                                    lmi_min_eig=out.certificate.lmi_min_eig,

@@ -144,6 +144,21 @@ class TestCheck:
         assert cert["d_samples"] == 8
 
 
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-3"]])
+    def test_psd_tolerance_is_the_certificate_own(self, capsys, tol):
+        # --tol is the solver's gradient tolerance; check judges the matrix
+        # with in_domain_C's own PSD tolerance, as solve's certificate does.
+        from gridenergy.cli import _prepare
+        from gridenergy.convexity import in_domain_C
+        from gridenergy.energy import PFState
+
+        code, out = run(capsys, "check", "twobus", *tol)
+        n = _prepare("twobus", None)
+        assert code == EXIT_OK
+        assert (json.loads(out)["certificate"]["tol_abs"]
+                == in_domain_C(n, PFState.flat(n)).tol_abs)
+
+
 class TestSweep:
     def test_two_bus_transition(self, capsys):
         code, out = run(capsys, "sweep", "twobus", "--kappa-min", "1.9",

@@ -11,7 +11,6 @@ from gridenergy import solver
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import InfeasibleStart
-from gridenergy.linalg import DEFAULT_PSD_TOL
 from gridenergy.network import Line, Network, scale_injections
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
@@ -19,10 +18,10 @@ from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
 CRITICAL_LOAD = (math.sqrt(2.0) - 1.0) / 2.0  # collapse load of the B=1 two-bus
 
 
-def strictly_interior(n, s, tol=DEFAULT_PSD_TOL, phase_margin=1e-6):
+def strictly_interior(n, s, phase_margin=1e-6):
     """Interior test: matrix eigenvalue clearly positive and every phase
     clearly below 90 degrees."""
-    cert = in_domain_C(n, s, tol)
+    cert = in_domain_C(n, s)
     te = s.theta[n.edges[:, 0]] - s.theta[n.edges[:, 1]]
     if np.any(np.abs(te) >= HALF_PI - phase_margin):
         return False
@@ -67,6 +66,64 @@ class TestNewton:
             assert out.status is SolveStatus.SOLUTION_FOUND, name
             rp, rq = en.pf_residuals(n, out.state)
             assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) <= 1e-10
+
+
+class TestDampedNewton:
+    @staticmethod
+    def square_minus_two(x):
+        return x * x - 2.0
+
+    @staticmethod
+    def newton_step(x, r):
+        return -r / (2.0 * x)
+
+    def test_converges_and_counts_steps(self):
+        x, r, steps = solver.damped_newton(self.square_minus_two, self.newton_step,
+                                           np.array([1.0]), 1e-12, lambda x: True)
+        assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert np.array_equal(r, self.square_minus_two(x))
+        # Full steps from 1: 1.5, 1.4167, 1.4142157, then a residual of 4.5e-12
+        # and one at machine precision.
+        assert steps == 5
+
+    def test_residual_only_at_valid_trials(self):
+        seen, rejected = [], []
+
+        def residual(x):
+            seen.append(x[0])
+            return self.square_minus_two(x)
+
+        def valid(x):
+            if x[0] < 1.5:
+                rejected.append(x[0])
+            return x[0] >= 1.5
+
+        x, _, steps = solver.damped_newton(residual, self.newton_step,
+                                           np.array([3.0]), 1e-12, valid)
+        assert rejected and steps > 0 and x[0] >= 1.5
+        assert min(seen) >= 1.5
+
+    def test_no_direction_leaves_x(self):
+        x0 = np.array([1.0])
+        x, r, steps = solver.damped_newton(self.square_minus_two,
+                                           lambda x, r: None, x0, 1e-12,
+                                           lambda x: True)
+        assert steps == 0 and np.array_equal(x, x0)
+        assert np.array_equal(r, [-1.0])
+
+    def test_uphill_direction_accepts_no_step(self):
+        x0 = np.array([1.0])
+        x, r, steps = solver.damped_newton(
+            self.square_minus_two, lambda x, r: -self.newton_step(x, r), x0,
+            1e-12, lambda x: True)
+        assert steps == 0 and np.array_equal(x, x0)
+
+    def test_step_cap(self):
+        # Newton on x^2 = 0 halves x a step and never meets tol = 0.
+        x, _, steps = solver.damped_newton(lambda x: x * x, self.newton_step,
+                                           np.array([1.0]), 0.0, lambda x: True)
+        assert steps == solver.MAX_NEWTON
+        assert x[0] == 0.5 ** solver.MAX_NEWTON
 
 
 class TestConvex:
@@ -116,16 +173,15 @@ class TestConvex:
         for mu, seq in by_mu.items():
             assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), mu
 
-    def test_warm_start_on_the_boundary(self, ieee14_model):
-        # Each warm row starts at mu0 = 6.4e-11. At kappa = 4.5 an accepted
-        # iterate sits numerically on the boundary of C, where a general
-        # inverse of the domain matrix failed; the Cholesky factor that
-        # admitted the point gives a verdict instead.
+    def test_warm_start_on_the_boundary(self, ieee14_model, monkeypatch):
+        # Each warm row's barrier starts at mu = 6.4e-11. At kappa = 4.5 an
+        # accepted iterate sits numerically on the boundary of C, where a
+        # general inverse of the domain matrix failed; the Cholesky factor
+        # that admitted the point gives a verdict instead.
         prev, statuses = None, []
         for kappa in np.arange(1.0, 4.51, 0.5):
-            opts = SolveOptions(mu0=6.4e-11) if prev is not None else None
-            out = solve_convex(scale_injections(ieee14_model, kappa, 1.0),
-                               prev, opts)
+            out = solve_convex(scale_injections(ieee14_model, kappa, 1.0), prev)
+            monkeypatch.setattr(solver, "MU0", 6.4e-11)
             prev = out.state
             statuses.append(out.status)
         assert statuses == ([SolveStatus.SOLUTION_FOUND] * 7
