@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def _state_payload(n, s: PFState) -> dict:
 def _certificate_payload(cert) -> dict:
     return {"in_c": cert.in_c, "phase_ok": cert.phase_ok,
             "lmi_min_eig": cert.lmi_min_eig, "tol_abs": cert.tol_abs,
-            "in_d_sampled": cert.in_d_sampled}
+            "in_d_sampled": None}
 
 
 def cmd_solve(args) -> int:
@@ -143,6 +144,8 @@ def _load_state(n, path: str) -> PFState:
 
 
 def cmd_check(args) -> int:
+    if args.d_samples < 0:
+        raise ValueError(f"--d-samples must be non-negative, got {args.d_samples}")
     n = _prepare(args.case, None)
     s = _load_state(n, args.state) if args.state else PFState.flat(n)
     cert = convexity.in_domain_C(n, s)
@@ -300,11 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        return args.func(args)
-    except (GridEnergyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():
+        # One line per warning, free of the package's source paths.
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (GridEnergyError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -27,8 +27,6 @@ class ConvexityCertificate:
     lmi_min_eig: float
     tol_abs: float
     scale: float = 1.0  # 1 + max |diag| of the domain matrix; tol_abs = DEFAULT_PSD_TOL * scale
-    in_d_sampled: bool | None = None
-    d_samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,18 @@ class PhaseVoltageBox:
     b_theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.b_rho) and self.b_rho >= 1.0):
-            raise DomainError(f"b_rho must be finite and >= 1, got {self.b_rho}")
+        _check_b_rho(self.b_rho)
         if not (0.0 <= self.b_theta < HALF_PI):
             raise DomainError(f"b_theta must lie in [0, pi/2), got {self.b_theta}")
+
+    @property
+    def b_theta_deg(self) -> float:
+        return math.degrees(self.b_theta)
+
+
+def _check_b_rho(b_rho: float) -> None:
+    if not (math.isfinite(b_rho) and b_rho >= 1.0):
+        raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
 
 
 def _active_mask(n: Network) -> np.ndarray:
@@ -127,7 +133,6 @@ class DomainDSample:
     in_d: bool
     samples: int
     alphas: np.ndarray
-    min_eigs: np.ndarray  # smallest Hessian eigenvalue at each checked alpha
 
 
 def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
@@ -143,7 +148,6 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
         raise ValueError("samples must be positive")
     check_state(n, s)
     alphas = []
-    min_eigs = []
     ok = True
     for k in range(samples + 1):
         alpha = k / samples
@@ -152,12 +156,10 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
         w, _ = sym_eigen(h)
         scale = 1.0 + float(np.max(np.abs(np.diag(h.entries))))
         alphas.append(alpha)
-        min_eigs.append(float(w[0]))
         if w[0] < -DEFAULT_PSD_TOL * scale:
             ok = False
             break
-    return DomainDSample(in_d=ok, samples=samples,
-                         alphas=np.array(alphas), min_eigs=np.array(min_eigs))
+    return DomainDSample(in_d=ok, samples=samples, alphas=np.array(alphas))
 
 
 def lossy_in_domain(n: Network, s: PFState) -> ConvexityCertificate:
@@ -200,17 +202,15 @@ def matrix_convexity_gap(x1: float, y1: float, x2: float, y2: float,
 # operating-box phase bounds
 
 @dataclass(frozen=True)
-class PhaseBound:
-    b_theta: float  # radians
-    b_rho: float
-    mode: str  # "exact-vertices" or "sampled"
+class PhaseBound(PhaseVoltageBox):
+    """A phase budget: the operating box at ratio b_rho, certified when the
+    whole box is proved inside C and a sampled estimate otherwise."""
+
     certified: bool
-    samples: int = 0
-    seed: int = 0
 
     @property
-    def b_theta_deg(self) -> float:
-        return math.degrees(self.b_theta)
+    def mode(self) -> str:
+        return "exact-vertices" if self.certified else "sampled"
 
 
 # Line entries of the box samples that the sampled test handles in one go:
@@ -299,71 +299,54 @@ def _diag_line_ok(n: Network, d: np.ndarray, phi: np.ndarray,
 _BOUND_RESOLUTION = math.radians(0.1)
 
 
-def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
-                    samples: int = 10000, seed: int = 0) -> PhaseBound:
+def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
+                    seed: int = 0) -> PhaseBound:
     """Phase budget b_theta for the per-line operating box at ratio b_rho.
 
-    Exact mode is a certificate: the domain matrix is Loewner-concave in
-    the box variables and monotone in each per-line 1/cos(theta), so
-    checking positive semidefiniteness at every ratio sign pattern with all
-    phases at the budget covers the whole box (conservative on meshes,
-    exact on trees). It is only feasible up to 12 matrix-relevant lines.
+    Up to 12 matrix-relevant lines the budget is a certificate: the domain
+    matrix is Loewner-concave in the box variables and monotone in each
+    per-line 1/cos(theta), so checking positive semidefiniteness at every
+    ratio sign pattern with all phases at the budget covers the whole box
+    (conservative on meshes, exact on trees).
 
-    Sampled mode is a non-certifying operational estimate: one line at a
-    time is pushed to its ratio/phase corner (plus random box profiles) and
-    judged by the fixed-neighbor diagonal criterion. Full box certification
-    is hopeless at practical ratios - a single bus sagged b_rho below all
-    its neighbors already leaves the domain at zero phase difference on
-    realistic networks - so the estimate deliberately measures per-line
-    headroom around the nominal profile instead, and says so via
-    certified=False.
+    Past that it is a non-certifying operational estimate from samples: one
+    line at a time is pushed to its ratio/phase corner (plus random box
+    profiles) and judged by the fixed-neighbor diagonal criterion. Full box
+    certification is hopeless at practical ratios - a single bus sagged
+    b_rho below all its neighbors already leaves the domain at zero phase
+    difference on realistic networks - so the estimate deliberately
+    measures per-line headroom around the nominal profile instead, and says
+    so via certified=False.
     """
-    if not (math.isfinite(b_rho) and b_rho >= 1.0):
-        raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
-    if mode not in ("auto", "exact-vertices", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_b_rho(b_rho)
     if len(n.pq) == 0:
         # No matrix condition at all; any phases below 90 degrees qualify.
-        return PhaseBound(b_theta=HALF_PI - _BOUND_RESOLUTION,
-                          b_rho=b_rho, mode="exact-vertices", certified=True)
+        return PhaseBound(b_rho=b_rho, b_theta=HALF_PI - _BOUND_RESOLUTION,
+                          certified=True)
 
     active = np.flatnonzero(_active_mask(n))
     log_ratio = math.log(b_rho)
-    if mode == "auto":
-        mode = "exact-vertices" if len(active) <= 12 else "sampled"
-
-    if mode == "exact-vertices":
-        if len(active) > 20:
-            raise DomainError("too many matrix-relevant lines for exact mode")
-        patterns = []
-        for bits in range(1 << len(active)):
-            d = np.zeros(len(n.lines))
-            for pos, k in enumerate(active):
-                d[k] = log_ratio if bits >> pos & 1 else -log_ratio
-            patterns.append(d)
-        n_used = len(patterns)
+    certified = len(active) <= 12
+    if certified:
+        # Row p holds sign pattern p: line active[k] at +log_ratio where
+        # bit k of p is set, at -log_ratio otherwise.
+        bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
+        patterns = np.zeros((len(bits), len(n.lines)))
+        patterns[:, active] = np.where(bits, log_ratio, -log_ratio)
 
         def box_ok(b_theta: float) -> bool:
             w = n.b / math.cos(b_theta)
-            for d in patterns:
-                if not cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd:
-                    return False
-            return True
-
-        certified = True
+            return all(cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd
+                       for d in patterns)
     else:
         d, phi = _box_samples(n, log_ratio, samples, seed)
-        n_used = len(d)
 
         def box_ok(b_theta: float) -> bool:
             return _diag_line_ok(n, d, phi, b_theta)
 
-        certified = False
-
     lo, hi = 0.0, HALF_PI - 1e-9
     if not box_ok(lo):
-        return PhaseBound(b_theta=0.0, b_rho=b_rho, mode=mode,
-                          certified=certified, samples=n_used, seed=seed)
+        return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=certified)
     if box_ok(hi):
         lo = hi
     while hi - lo > _BOUND_RESOLUTION:
@@ -372,5 +355,4 @@ def max_phase_bound(n: Network, b_rho: float, mode: str = "auto",
             lo = mid
         else:
             hi = mid
-    return PhaseBound(b_theta=lo, b_rho=b_rho, mode=mode, certified=certified,
-                      samples=n_used, seed=seed)
+    return PhaseBound(b_rho=b_rho, b_theta=lo, certified=certified)

@@ -53,6 +53,9 @@ class SolveOptions:
     box: PhaseVoltageBox | None = None
     collect_trace: bool = False
 
+    def __post_init__(self):
+        _check_tol("grad_tol", self.grad_tol)
+
 
 # barrier_path's schedule: mu falls by MU_DECAY a stage (a long step; Boyd &
 # Vandenberghe, Convex Optimization, sec. 11.3.3), with at most MAX_INNER
@@ -66,6 +69,11 @@ MAX_TOTAL = 4000
 ARMIJO = 1e-4
 # damped_newton's step cap; each of its steps cuts r.r by ARMIJO alpha.
 MAX_NEWTON = 50
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
 def _residual_vec(n: Network, s: PFState) -> np.ndarray:
@@ -127,6 +135,7 @@ def solve_newton(n: Network, s0: PFState | None = None,
     infinity norm reached tol; it does not imply membership in the
     convexity domain.
     """
+    _check_tol("tol", tol)
     s = s0 if s0 is not None else PFState.flat(n)
     en.check_state(n, s)
     x, r, iterations = damped_newton(

@@ -15,12 +15,15 @@ def run(capsys, *argv):
 
 
 def assert_error(capsys, message, *argv):
-    """argv exits 1 with one 'error:' line naming message and no output."""
+    """argv exits 1 with one 'error:' line naming message and no output;
+    every other stderr line is a 'warning:' line."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == EXIT_ERROR and captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
-    assert captured.err.count("\n") == 1
+    lines = captured.err.splitlines()
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    assert all(ln.startswith("warning: ") for ln in lines if ln not in errors)
 
 
 @pytest.fixture
@@ -86,6 +89,21 @@ class TestSolve:
         assert_error(capsys, "lines[0].from: expected an integer, got inf",
                      "solve", str(path))
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", [["solve", "twobus"],
+                                      ["solve", "twobus", "--method", "newton"],
+                                      ["sweep", "twobus"]])
+    def test_malformed_tol(self, capsys, argv, tol):
+        # A tolerance no gradient norm can meet used to end in a false
+        # NoSolutionInC verdict (or MaxIterations for Newton).
+        assert_error(capsys, "must be finite and positive", *argv, f"--tol={tol}")
+
+    def test_warnings_are_one_line_each(self, capsys):
+        code = main(["solve", "ieee14"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_OK and lines
+        assert all(ln.startswith("warning: ") and ".py" not in ln for ln in lines)
+
     @pytest.mark.parametrize("command", ["check", "bounds", "reactive", "solve"])
     def test_huge_susceptance(self, capsys, tmp_path, command):
         doc = json.loads(serialize_native(load_case("threebus")))
@@ -142,7 +160,14 @@ class TestCheck:
         cert = json.loads(out)["certificate"]
         assert cert["in_d_sampled"] is True
         assert cert["d_samples"] == 8
+        code, out = run(capsys, "check", "twobus", "--d-samples", "0")
+        assert code == EXIT_OK
+        cert = json.loads(out)["certificate"]
+        assert cert["in_d_sampled"] is None and "d_samples" not in cert
 
+    def test_negative_d_samples(self, capsys):
+        assert_error(capsys, "--d-samples must be non-negative",
+                     "check", "twobus", "--d-samples", "-3")
 
     @pytest.mark.parametrize("tol", [[], ["--tol", "1e-3"]])
     def test_psd_tolerance_is_the_certificate_own(self, capsys, tol):

@@ -14,7 +14,8 @@ from gridenergy.convexity import (PhaseVoltageBox, _box_samples,
 from gridenergy.energy import PFState
 from gridenergy.errors import DomainError, PhaseOutOfRange, UnsupportedTopology
 from gridenergy.linalg import DEFAULT_PSD_TOL, sym_eigen
-from gridenergy.network import Bus, BusKind, Line, Network
+from gridenergy.network import Bus, BusKind, Line, Network, load_case
+from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
 
 
 class TestConvexityMatrix:
@@ -228,6 +229,14 @@ class TestMaxPhaseBound:
             assert res.b_theta == pytest.approx(math.acos(b_rho / 2.0),
                                                 abs=math.radians(0.15))
 
+    def test_budget_is_a_box(self, bundled_models):
+        for name, n in bundled_models.items():
+            res = max_phase_bound(n, 1.5, samples=300)
+            assert isinstance(res, PhaseVoltageBox), name
+            assert res.b_rho == 1.5
+            assert res.mode == ("exact-vertices" if res.certified else "sampled"), name
+            assert res.certified == (name not in ("ieee14", "ieee118")), name
+
     def test_ratio_past_two_gives_zero(self):
         res = max_phase_bound(make_twobus(), 2.5)
         assert res.b_theta == 0.0
@@ -353,6 +362,30 @@ class TestPhaseVoltageBox:
         # An infinite ratio made the barrier -inf at the flat start.
         with pytest.raises(DomainError):
             PhaseVoltageBox(b_rho=b_rho, b_theta=0.1)
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "threebus-tree"])
+    def test_phase_budget_bounds_the_solve(self, case):
+        # The certified budget is a box the convex solve takes: it returns
+        # the unboxed solution when that lies strictly inside the box, and
+        # no solution in C otherwise.
+        n = load_case(case)
+        free = solve_convex(n)
+        assert free.status is SolveStatus.SOLUTION_FOUND
+        f, t = n.edges[:, 0], n.edges[:, 1]
+        d = np.abs(free.state.rho[t] - free.state.rho[f])
+        tau = np.abs(free.state.theta[f] - free.state.theta[t])
+        inside = []
+        for b_rho in (1.05, 1.2, 1.5):
+            box = max_phase_bound(n, b_rho)
+            out = solve_convex(n, opts=SolveOptions(box=box))
+            if np.all(d < math.log(b_rho)) and np.all(tau < box.b_theta):
+                inside.append(b_rho)
+                assert out.status is SolveStatus.SOLUTION_FOUND, b_rho
+                assert np.allclose(out.state.rho, free.state.rho, atol=1e-9)
+                assert np.allclose(out.state.theta, free.state.theta, atol=1e-9)
+            else:
+                assert out.status is SolveStatus.NO_SOLUTION_IN_C, b_rho
+        assert inside == [1.2, 1.5]
 
     def test_strict_interior_helper(self, threebus):
         assert strictly_interior(threebus, PFState.flat(threebus))

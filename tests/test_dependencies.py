@@ -23,3 +23,37 @@ def test_numpy_only():
     foreign = {f"{m.name}: {root}" for m in modules
                for root in imported_roots(m) if root not in ALLOWED}
     assert not foreign
+
+
+def bench_aliases() -> set[tuple[str, str]]:
+    """(module, name) of every import bench/spans.py's ALIASES pins."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["ALIASES"]):
+            return {tuple(alias.split(".")) for alias in ast.literal_eval(node.value)}
+    raise AssertionError("bench/spans.py has no ALIASES")
+
+
+def unused_imports(path: Path):
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(((a.asname or a.name).split(".")[0], node.lineno)
+                         for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in Path(gridenergy.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    assert len(modules) >= 8
+    allowed = bench_aliases()
+    assert ("reduced", "fd_hessian") in allowed
+    dead = [f"{m.stem}.{name}" for m in modules for name in unused_imports(m)
+            if (m.stem, name) not in allowed]
+    assert not dead

@@ -252,6 +252,15 @@ class TestConvex:
             box=PhaseVoltageBox(b_rho=1.2, b_theta=0.1)))
         assert tight.status is not SolveStatus.SOLUTION_FOUND
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_malformed_tolerance_rejected(self, tol):
+        # No gradient norm meets such a tolerance, so a solve would end in
+        # a false NoSolutionInC (or MaxIterations) instead of an error.
+        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+            SolveOptions(grad_tol=tol)
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            solve_newton(make_twobus(), tol=tol)
+
 
 class TestEdgeTopologies:
     def test_pv_only_network(self):
