@@ -65,6 +65,8 @@ def _write(args, text: str) -> None:
 
 def _prepare(case: str, lossy_kappa: float | None):
     """Parse, normalize set-points, and null out (or impose) conductances."""
+    if lossy_kappa is not None and not np.isfinite(lossy_kappa):
+        raise ValueError(f"--lossy-kappa must be finite, got {lossy_kappa}")
     n = load_case(case)
     n = network.absorb_setpoints(network.losslessify(n))
     if lossy_kappa is not None and lossy_kappa != 0.0:
@@ -162,6 +164,10 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.kappa_step > 0.0:
         raise ValueError(f"--kappa-step must be positive, got {args.kappa_step}")
+    for flag, kappa in (("--kappa-min", args.kappa_min),
+                        ("--kappa-max", args.kappa_max)):
+        if not np.isfinite(kappa):
+            raise ValueError(f"{flag} must be finite, got {kappa}")
     n = _prepare(args.case, None)
     kappas = np.arange(args.kappa_min, args.kappa_max + 0.5 * args.kappa_step,
                        args.kappa_step)

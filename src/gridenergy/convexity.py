@@ -213,86 +213,95 @@ class PhaseBound(PhaseVoltageBox):
         return "exact-vertices" if self.certified else "sampled"
 
 
-# Line entries of the box samples that the sampled test handles in one go:
+# PQ line ends of the box samples that the sampled test handles in one go:
 # enough to amortize numpy's per-call cost, few enough that the temporaries
 # stay near 128 kB each.
 _CHUNK_ENTRIES = 1 << 14
+
+
+def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line, sign (+1 from-end, -1 to-end) and PQ position of every PQ line
+    end: the from-ends in line order, then the to-ends."""
+    pq = n.pq_index_of[n.edges.T].ravel()
+    end = np.flatnonzero(pq >= 0)
+    return end % len(n.lines), np.where(end < len(n.lines), 1.0, -1.0), pq[end]
 
 
 def _box_samples(n: Network, log_ratio: float, samples: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Probe points of the operating box for the sampled estimate.
 
-    Row k of the two arrays is one sample (d, phi): per-line ratio
-    exponents d_e = rho_to - rho_from and per-line phase fractions phi_e in
-    [-1, 1] of the phase budget under test. The deterministic battery
-    worst-cases one line at a time (both ratio directions, that line's phase
-    at the budget, the rest nominal); the random points draw bus profiles
-    and rescale them onto the box boundary.
+    A probe (d, phi) holds per-line ratio exponents d_e = rho_to - rho_from
+    and per-line phase fractions phi_e in [-1, 1] of the phase budget under
+    test. The deterministic battery worst-cases one line at a time (both
+    ratio directions, that line's phase at the budget, the rest nominal);
+    the random points draw bus profiles and rescale them onto the box
+    boundary. Row k of the two arrays is probe k at the PQ ends of
+    _pq_ends: the load term b_e e^{+-d_e} and the phase fraction phi_e.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
     active = np.flatnonzero(_active_mask(n))
-    m = len(n.lines)
+    line, sign, _ = _pq_ends(n)
     battery = 2 * len(active)
-    d = np.zeros((max(samples, battery), m))
-    phi = np.zeros_like(d)
-    rows = np.arange(battery)
-    d[rows, np.repeat(active, 2)] = np.tile([log_ratio, -log_ratio], len(active))
-    phi[rows, np.repeat(active, 2)] = 1.0
+    terms = np.empty((max(samples, battery), len(line)))
+    phi = np.empty_like(terms)
+    hit = line == np.repeat(active, 2)[:, None]
+    d = np.where(hit, np.tile([log_ratio, -log_ratio], len(active))[:, None], 0.0)
+    terms[:battery] = n.b[line] * np.exp(d * sign)
+    phi[:battery] = hit
     rng = np.random.default_rng(seed)
     npq = len(n.pq)
     # Per-column draw bounds: the PQ rho, then the non-slack theta, the
-    # layout one rng.uniform pair per probe would consume.
+    # layout one rng.uniform pair per probe would consume; a draw is
+    # rng.uniform's low + (high - low) u, without its per-element broadcast.
     high = np.concatenate((np.full(npq, log_ratio), np.ones(len(n.ns))))
-    step = max(1, _CHUNK_ENTRIES // max(m, 1))
-    for lo in range(battery, len(d), step):
-        hi = min(lo + step, len(d))
-        draw = rng.uniform(-high, high, (hi - lo, len(high)))
+    step = max(1, _CHUNK_ENTRIES // len(n.lines))
+    for lo in range(battery, len(terms), step):
+        hi = min(lo + step, len(terms))
+        draw = -high + (high - -high) * rng.random((hi - lo, len(high)))
         rho = np.zeros((hi - lo, n.n_bus))
         rho[:, n.pq] = draw[:, :npq]
-        dk = rho[:, t] - rho[:, f]
-        worst = np.max(np.abs(dk), axis=1, initial=0.0)
+        # Lines without a PQ end have d = 0 and so leave the worst |d| alone.
+        d = rho[:, t[line]] - rho[:, f[line]]
         if log_ratio > 0:
-            big = worst > log_ratio
-            dk[big] *= (log_ratio / worst[big])[:, None]
-        d[lo:hi] = dk
+            # Rows within the ratio bound scale by log_ratio / log_ratio = 1.
+            d *= (log_ratio / np.max(np.abs(d), axis=1, initial=log_ratio))[:, None]
+        terms[lo:hi] = n.b[line] * np.exp(d * sign)
         th = np.zeros_like(rho)
         th[:, n.ns] = draw[:, npq:]
         pk = th[:, f] - th[:, t]
         top = np.max(np.abs(pk), axis=1, initial=0.0)
-        phi[lo:hi] = pk / np.where(top > 0, top, 1.0)[:, None]
-    return d, phi
+        phi[lo:hi] = pk[:, line] / np.where(top > 0, top, 1.0)[:, None]
+    return terms, phi
 
 
-def _diag_line_ok(n: Network, d: np.ndarray, phi: np.ndarray,
-                  b_theta: float) -> bool:
-    """Fixed-neighbor diagonal test at every box sample, one per row of d
-    and phi.
+def _diag_line_failures(n: Network, terms: np.ndarray, phi: np.ndarray,
+                        b_theta: float) -> int:
+    """Fixed-neighbor diagonal test at every box probe of _box_samples.
 
     For every PQ bus: 2 B_i >= sum over its lines of B_e e^{u}/cos(theta).
     This is the domain condition when no two PQ buses are adjacent; on
     meshed networks it is the per-line operational criterion behind the
-    sampled (non-certifying) phase budgets. Every sample is tested whatever
-    the earlier ones gave, so a call costs the same at every seed.
+    sampled (non-certifying) phase budgets. The failing probes move to the
+    front of terms and phi in probe order; returns their count.
     """
-    m = len(n.lines)
-    step = max(1, _CHUNK_ENTRIES // max(m, 1))
-    # Positions in a chunk's flattened (rows, n_bus) loads: per row the
+    npq = len(n.pq)
+    step = max(1, _CHUNK_ENTRIES // terms.shape[1])
+    # Positions in a chunk's flattened (rows, PQ bus) loads: per row the
     # from-ends, then the to-ends, in line order, the order np.add.at would
     # sum them in.
-    ends = (np.concatenate((n.edges[:, 0], n.edges[:, 1]))
-            + n.n_bus * np.arange(step)[:, None])
+    bins = _pq_ends(n)[2] + npq * np.arange(step)[:, None]
     cap = 2.0 * n.b_total[n.pq]
-    ok = True
-    for lo in range(0, len(d), step):
-        dk = d[lo:lo + step]
-        rows = len(dk)
-        inv_cos = 1.0 / np.cos(phi[lo:lo + step] * b_theta)
-        flow = np.concatenate((n.b * np.exp(dk) * inv_cos,
-                               n.b * np.exp(-dk) * inv_cos), axis=1)
-        load = np.bincount(ends[:rows].ravel(), flow.ravel(), rows * n.n_bus)
-        ok &= bool(np.all(load.reshape(rows, n.n_bus)[:, n.pq] <= cap))
-    return ok
+    failed = 0
+    for lo in range(0, len(terms), step):
+        flow = terms[lo:lo + step] * (1.0 / np.cos(phi[lo:lo + step] * b_theta))
+        rows = len(flow)
+        load = np.bincount(bins[:rows].ravel(), flow.ravel(), rows * npq)
+        bad = lo + np.flatnonzero(~np.all(load.reshape(rows, npq) <= cap, axis=1))
+        terms[failed:failed + len(bad)] = terms[bad]
+        phi[failed:failed + len(bad)] = phi[bad]
+        failed += len(bad)
+    return failed
 
 
 # Width of max_phase_bound's bisection on b_theta: 0.1 degree.
@@ -316,9 +325,14 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     b_rho below all its neighbors already leaves the domain at zero phase
     difference on realistic networks - so the estimate deliberately
     measures per-line headroom around the nominal profile instead, and says
-    so via certified=False.
+    so via certified=False. Once a bisection point fails, only the probes
+    that failed it are retested: a probe's loads are non-decreasing in
+    b_theta (b e^{+-d} > 0, and 1/cos(phi b_theta) rises for |phi| <= 1), and
+    every later point lies below the failed one.
     """
     _check_b_rho(b_rho)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if len(n.pq) == 0:
         # No matrix condition at all; any phases below 90 degrees qualify.
         return PhaseBound(b_rho=b_rho, b_theta=HALF_PI - _BOUND_RESOLUTION,
@@ -339,10 +353,14 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
             return all(cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd
                        for d in patterns)
     else:
-        d, phi = _box_samples(n, log_ratio, samples, seed)
+        terms, phi = _box_samples(n, log_ratio, samples, seed)
 
         def box_ok(b_theta: float) -> bool:
-            return _diag_line_ok(n, d, phi, b_theta)
+            nonlocal terms, phi
+            failed = _diag_line_failures(n, terms, phi, b_theta)
+            if failed:
+                terms, phi = terms[:failed], phi[:failed]
+            return not failed
 
     lo, hi = 0.0, HALF_PI - 1e-9
     if not box_ok(lo):

@@ -325,6 +325,22 @@ class TestBadRanges:
         assert_error(capsys, "--kappa-step must be positive",
                      "sweep", "twobus", "--kappa-step", "0")
 
+    @pytest.mark.parametrize("flag, kappa", [("--kappa-min", "nan"),
+                                             ("--kappa-max", "inf")])
+    def test_non_finite_kappa_bound(self, capsys, flag, kappa):
+        assert_error(capsys, f"{flag} must be finite", "sweep", "twobus",
+                     flag, kappa)
+
+    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    def test_non_finite_lossy_kappa(self, capsys, kappa):
+        assert_error(capsys, "--lossy-kappa must be finite",
+                     "solve", "twobus", "--lossy-kappa", kappa)
+
+    @pytest.mark.parametrize("case", ["threebus", "ieee14"])
+    def test_negative_seed(self, capsys, case):
+        assert_error(capsys, "seed must be nonnegative",
+                     "bounds", case, "--seed", "-1")
+
     def test_zero_grid_step(self, capsys):
         assert_error(capsys, "grid step must be positive",
                      "region", "threebus", "--grid-step", "0")

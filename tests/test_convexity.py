@@ -6,11 +6,12 @@ import pytest
 from conftest import make_twobus, random_network, random_state
 from test_solver import strictly_interior
 from gridenergy import energy as en
-from gridenergy.convexity import (PhaseVoltageBox, _box_samples,
-                                  _diag_line_ok, convexity_matrix,
-                                  in_domain_C, in_domain_D_sampled,
-                                  lossy_in_domain, matrix_convexity_gap,
-                                  max_phase_bound)
+from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
+                                  _active_mask, _box_samples,
+                                  _diag_line_failures, _pq_ends,
+                                  convexity_matrix, in_domain_C,
+                                  in_domain_D_sampled, lossy_in_domain,
+                                  matrix_convexity_gap, max_phase_bound)
 from gridenergy.energy import PFState
 from gridenergy.errors import DomainError, PhaseOutOfRange, UnsupportedTopology
 from gridenergy.linalg import DEFAULT_PSD_TOL, sym_eigen
@@ -265,34 +266,42 @@ class TestMaxPhaseBound:
         assert a.b_theta == b.b_theta
 
     def test_sampled_test_matches_one_sample_at_a_time(self, ieee118_model):
-        # The sampled test scatters the samples' line loads in chunks of
-        # rows; each sample's verdict must be the one-sample scatter's, and
-        # a failing sample must fail the whole batch in whichever chunk.
+        # The sampled test scatters the probes' PQ-end loads in chunks of
+        # rows; each probe's verdict must be the one-probe scatter's, a
+        # failing probe must fail the whole batch in whichever chunk, and the
+        # failing probes must come out in front, in probe order.
         n = ieee118_model
-        d, phi = _box_samples(n, math.log(1.5), 300, seed=5)
-        f, t = n.edges[:, 0], n.edges[:, 1]
+        terms, phi = _box_samples(n, math.log(1.5), 300, seed=5)
+        line, sign, _ = _pq_ends(n)
+        bus = np.where(sign > 0, n.edges[line, 0], n.edges[line, 1])
 
         def one(k, b_theta):
-            inv_cos = 1.0 / np.cos(phi[k] * b_theta)
             load = np.zeros(n.n_bus)
-            np.add.at(load, f, n.b * np.exp(d[k]) * inv_cos)
-            np.add.at(load, t, n.b * np.exp(-d[k]) * inv_cos)
+            np.add.at(load, bus, terms[k] * (1.0 / np.cos(phi[k] * b_theta)))
             return bool(np.all(load[n.pq] <= 2.0 * n.b_total[n.pq]))
 
+        def failures(rows, b_theta):
+            t, p = terms[rows], phi[rows]
+            failed = _diag_line_failures(n, t, p, b_theta)
+            return failed, t[:failed], p[:failed]
+
         b_hat = max_phase_bound(n, 1.5, samples=300, seed=5).b_theta
+        every = np.arange(len(terms))
         for b_theta in (0.5 * b_hat, b_hat, b_hat + math.radians(0.1)):
-            ok = np.array([one(k, b_theta) for k in range(len(d))])
-            assert [_diag_line_ok(n, d[k:k + 1], phi[k:k + 1], b_theta)
-                    for k in range(len(d))] == ok.tolist()
-            assert _diag_line_ok(n, d, phi, b_theta) == ok.all()
-            assert ok.all() == (b_theta <= b_hat)
+            ok = np.array([one(k, b_theta) for k in every])
+            assert [failures([k], b_theta)[0] for k in every] == (~ok).tolist()
+            failed, t, p = failures(every, b_theta)
+            assert (failed == 0) == ok.all() == (b_theta <= b_hat)
+            assert np.array_equal(t, terms[~ok]) and np.array_equal(p, phi[~ok])
             for k in np.flatnonzero(~ok)[:3]:
                 keep = np.append(np.flatnonzero(ok), k)  # the failure last
-                assert not _diag_line_ok(n, d[keep], phi[keep], b_theta)
+                failed, t, _ = failures(keep, b_theta)
+                assert failed == 1 and np.array_equal(t[0], terms[k])
 
     def test_box_samples_match_one_draw_per_probe(self, bundled_models):
-        # The probes are drawn one chunk of rows at a time; the stream must
-        # be the one a per-probe rng.uniform pair gives, bit for bit.
+        # The probes are drawn one chunk of rows at a time and kept only at
+        # the PQ line ends; the stream must be the one a per-probe
+        # rng.uniform pair gives, bit for bit.
         def per_probe(n, log_ratio, samples, seed):
             f, t = n.edges[:, 0], n.edges[:, 1]
             active = np.flatnonzero((n.pq_index_of[f] >= 0)
@@ -317,7 +326,11 @@ class TestMaxPhaseBound:
                 top = float(np.max(np.abs(phi[k])))
                 if top > 0:
                     phi[k] /= top
-            return d, phi
+            kf = np.flatnonzero(n.pq_index_of[f] >= 0)
+            kt = np.flatnonzero(n.pq_index_of[t] >= 0)
+            terms = np.concatenate((n.b[kf] * np.exp(d[:, kf]),
+                                    n.b[kt] * np.exp(-d[:, kt])), axis=1)
+            return terms, np.concatenate((phi[:, kf], phi[:, kt]), axis=1)
 
         for name, n in bundled_models.items():
             # At 400 samples the random rows of ieee118 span two chunks.
@@ -326,6 +339,80 @@ class TestMaxPhaseBound:
                 want = per_probe(n, math.log(ratio), 400, seed)
                 assert np.array_equal(got[0], want[0]), (name, seed, ratio)
                 assert np.array_equal(got[1], want[1]), (name, seed, ratio)
+
+    @staticmethod
+    def _unpruned_bound(n, b_rho, samples=10000, seed=0):
+        # Plain bisection that scatters every probe's loads at every step.
+        terms, phi = _box_samples(n, math.log(b_rho), samples, seed)
+        line, sign, _ = _pq_ends(n)
+        bus = np.where(sign > 0, n.edges[line, 0], n.edges[line, 1])
+        at = (bus + n.n_bus * np.arange(len(terms))[:, None]).ravel()
+
+        def box_ok(b_theta):
+            load = np.zeros(len(terms) * n.n_bus)
+            np.add.at(load, at, (terms * (1.0 / np.cos(phi * b_theta))).ravel())
+            load = load.reshape(len(terms), n.n_bus)
+            return bool(np.all(load[:, n.pq] <= 2.0 * n.b_total[n.pq]))
+
+        lo, hi = 0.0, math.pi / 2 - 1e-9
+        if not box_ok(lo):
+            return lo
+        if box_ok(hi):
+            lo = hi
+        while hi - lo > _BOUND_RESOLUTION:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if box_ok(mid) else (lo, mid)
+        return lo
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
+    def test_pruned_bisection_matches_unpruned(self, bundled_models, case):
+        # Bisection retests only the probes that failed the last failing
+        # point; every probe's load is monotone in b_theta, so the budget
+        # must be the one that retests every probe, bit for bit.
+        n = bundled_models[case]
+        for b_rho in (1.0, 1.2, 1.5, 2.0):
+            for seed in (0, 1):
+                got = max_phase_bound(n, b_rho, seed=seed)
+                assert not got.certified
+                assert got.b_theta == self._unpruned_bound(n, b_rho, seed=seed), (
+                    b_rho, seed)
+
+    def test_pruned_bisection_matches_unpruned_on_random_meshes(self):
+        rng = np.random.default_rng(44)
+        checked = 0
+        while checked < 20:
+            n = random_network(rng, n_max=30)
+            if len(n.pq) == 0 or np.sum(_active_mask(n)) <= 12:
+                continue
+            samples = int(rng.choice([1, 50, 700, 3000]))
+            b_rho = float(rng.uniform(1.0, 2.0))
+            got = max_phase_bound(n, b_rho, samples=samples, seed=checked)
+            want = self._unpruned_bound(n, b_rho, samples, seed=checked)
+            assert got.b_theta == want, (checked, samples, b_rho)
+            checked += 1
+
+    @pytest.mark.parametrize("case, b_rho, seed, b_theta", [
+        ("ieee14", 1.2, 0, "0x1.e49735eb95862p-1"),
+        ("ieee14", 1.2, 1, "0x1.e49735eb95862p-1"),
+        ("ieee14", 1.5, 0, "0x1.7e7d28e657bb4p-1"),
+        ("ieee14", 1.5, 1, "0x1.800f489b97b28p-1"),
+        ("ieee118", 1.2, 0, "0x1.da6167d175beap-1"),
+        ("ieee118", 1.2, 1, "0x1.da6167d175beap-1"),
+        ("ieee118", 1.5, 0, "0x1.71ec2b3c5800cp-1"),
+        ("ieee118", 1.5, 1, "0x1.71ec2b3c5800cp-1"),
+    ])
+    def test_sampled_golden_budgets(self, bundled_models, case, b_rho, seed,
+                                    b_theta):
+        # The budgets of the design that tested every probe at every
+        # bisection point over per-line arrays.
+        got = max_phase_bound(bundled_models[case], b_rho, seed=seed)
+        assert got.b_theta.hex() == b_theta
+
+    @pytest.mark.parametrize("case", ["threebus", "ieee14"])
+    def test_negative_seed_rejected(self, bundled_models, case):
+        # Both modes, though only the sampled one draws.
+        with pytest.raises(DomainError, match="seed"):
+            max_phase_bound(bundled_models[case], 1.5, seed=-1)
 
     def test_box_is_certified_inside_c_on_trees(self):
         # exact mode really certifies: random states inside the reported
