@@ -164,10 +164,10 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.kappa_step > 0.0:
         raise ValueError(f"--kappa-step must be positive, got {args.kappa_step}")
-    for flag, kappa in (("--kappa-min", args.kappa_min),
+    for flag, value in (("--delta", args.delta), ("--kappa-min", args.kappa_min),
                         ("--kappa-max", args.kappa_max)):
-        if not np.isfinite(kappa):
-            raise ValueError(f"{flag} must be finite, got {kappa}")
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     n = _prepare(args.case, None)
     kappas = np.arange(args.kappa_min, args.kappa_max + 0.5 * args.kappa_step,
                        args.kappa_step)
@@ -184,6 +184,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if not np.isfinite(args.scale):
+        raise ValueError(f"--scale must be finite, got {args.scale}")
     n = _prepare(args.case, None)
     if args.scale != 1.0:
         n = network.scale_injections(n, args.scale, 1.0)

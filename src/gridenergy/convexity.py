@@ -16,7 +16,8 @@ import numpy as np
 from .energy import HALF_PI, PFState, check_state, hessian
 from .errors import (DomainError, NotConstantRatio, PhaseOutOfRange,
                      UnsupportedTopology)
-from .linalg import DEFAULT_PSD_TOL, SymMatrix, cholesky_psd, sym_eigen
+# cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
+from .linalg import DEFAULT_PSD_TOL, SymMatrix, cholesky_psd, sym_eigen  # noqa: F401
 from .network import Network
 
 
@@ -213,10 +214,11 @@ class PhaseBound(PhaseVoltageBox):
         return "exact-vertices" if self.certified else "sampled"
 
 
-# PQ line ends of the box samples that the sampled test handles in one go:
-# enough to amortize numpy's per-call cost, few enough that the temporaries
-# stay near 128 kB each.
+# Entries the sampled test (PQ line ends) and the vertex stack (matrix entries)
+# take per numpy call: enough to amortize its cost, temporaries near 128 kB.
 _CHUNK_ENTRIES = 1 << 14
+_MAX_BUDGET = HALF_PI - 1e-9  # the largest budget: every phase below 90 degrees
+_BOUND_RESOLUTION = math.radians(0.1)  # the sampled bisection's width
 
 
 def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,8 +306,21 @@ def _diag_line_failures(n: Network, terms: np.ndarray, phi: np.ndarray,
     return failed
 
 
-# Width of max_phase_bound's bisection on b_theta: 0.1 degree.
-_BOUND_RESOLUTION = math.radians(0.1)
+def _vertex_budget(n: Network, active: np.ndarray, log_ratio: float) -> float:
+    """Closed-form certified budget. With all phases at theta, pattern p's
+    vertex matrix D - sec(theta) M_p, D = diag(2B), M_p = U_p diag(b) U_p^T,
+    is PSD exactly when cos(theta) >= lambda_max(D^-1/2 M_p D^-1/2). Bit k
+    of p puts line active[k] at +log_ratio, else -log_ratio. Scaled first,
+    entries stay below b_rho / 2; without PQ buses the stack is empty."""
+    scale = np.sqrt(n.b[active] / (2.0 * n.b_total[n.pq])[:, None])
+    v_lo, v_hi = (scale * line_factors(n, np.full(len(n.lines), d))[:, active]
+                  for d in (-log_ratio, log_ratio))
+    bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
+    step, top = _CHUNK_ENTRIES // (len(n.pq) ** 2 or 1), 0.0
+    for lo in range(0, len(bits), step):
+        v = np.where(bits[lo:lo + step, None] == 1, v_hi, v_lo)
+        top = max(top, np.linalg.eigvalsh(v @ v.transpose(0, 2, 1)).max(initial=0.0))
+    return min(math.acos(min(top, 1.0)), _MAX_BUDGET)
 
 
 def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
@@ -314,57 +329,41 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
 
     Up to 12 matrix-relevant lines the budget is a certificate: the domain
     matrix is Loewner-concave in the box variables and monotone in each
-    per-line 1/cos(theta), so checking positive semidefiniteness at every
-    ratio sign pattern with all phases at the budget covers the whole box
-    (conservative on meshes, exact on trees).
+    per-line 1/cos(theta), so positive semidefiniteness at every ratio sign
+    pattern with all phases at the budget covers the whole box (conservative
+    on meshes, exact on trees); _vertex_budget solves that in closed form.
 
-    Past that it is a non-certifying operational estimate from samples: one
-    line at a time is pushed to its ratio/phase corner (plus random box
-    profiles) and judged by the fixed-neighbor diagonal criterion. Full box
-    certification is hopeless at practical ratios - a single bus sagged
-    b_rho below all its neighbors already leaves the domain at zero phase
-    difference on realistic networks - so the estimate deliberately
-    measures per-line headroom around the nominal profile instead, and says
-    so via certified=False. Once a bisection point fails, only the probes
-    that failed it are retested: a probe's loads are non-decreasing in
-    b_theta (b e^{+-d} > 0, and 1/cos(phi b_theta) rises for |phi| <= 1), and
-    every later point lies below the failed one.
+    Past that it is a non-certifying estimate (certified=False), bisected
+    to _BOUND_RESOLUTION over probes that push one line at a time to its
+    ratio/phase corner, plus random box profiles, judged by the
+    fixed-neighbor diagonal criterion: full box certification is hopeless at
+    practical ratios, as one bus sagged b_rho below all its neighbors leaves
+    the domain at zero phase difference on realistic networks. After a
+    failed point only its failing probes are retested: a probe's loads are
+    non-decreasing in b_theta (b e^{+-d} > 0, and 1/cos(phi b_theta) rises
+    for |phi| <= 1), and every later point lies below the failed one.
     """
     _check_b_rho(b_rho)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if len(n.pq) == 0:
-        # No matrix condition at all; any phases below 90 degrees qualify.
-        return PhaseBound(b_rho=b_rho, b_theta=HALF_PI - _BOUND_RESOLUTION,
-                          certified=True)
-
     active = np.flatnonzero(_active_mask(n))
     log_ratio = math.log(b_rho)
-    certified = len(active) <= 12
-    if certified:
-        # Row p holds sign pattern p: line active[k] at +log_ratio where
-        # bit k of p is set, at -log_ratio otherwise.
-        bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
-        patterns = np.zeros((len(bits), len(n.lines)))
-        patterns[:, active] = np.where(bits, log_ratio, -log_ratio)
+    if len(active) <= 12:
+        return PhaseBound(b_rho=b_rho, certified=True,
+                          b_theta=_vertex_budget(n, active, log_ratio))
 
-        def box_ok(b_theta: float) -> bool:
-            w = n.b / math.cos(b_theta)
-            return all(cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd
-                       for d in patterns)
-    else:
-        terms, phi = _box_samples(n, log_ratio, samples, seed)
+    terms, phi = _box_samples(n, log_ratio, samples, seed)
 
-        def box_ok(b_theta: float) -> bool:
-            nonlocal terms, phi
-            failed = _diag_line_failures(n, terms, phi, b_theta)
-            if failed:
-                terms, phi = terms[:failed], phi[:failed]
-            return not failed
+    def box_ok(b_theta: float) -> bool:
+        nonlocal terms, phi
+        failed = _diag_line_failures(n, terms, phi, b_theta)
+        if failed:
+            terms, phi = terms[:failed], phi[:failed]
+        return not failed
 
-    lo, hi = 0.0, HALF_PI - 1e-9
+    lo, hi = 0.0, _MAX_BUDGET
     if not box_ok(lo):
-        return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=certified)
+        return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=False)
     if box_ok(hi):
         lo = hi
     while hi - lo > _BOUND_RESOLUTION:
@@ -373,4 +372,4 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
             lo = mid
         else:
             hi = mid
-    return PhaseBound(b_rho=b_rho, b_theta=lo, certified=certified)
+    return PhaseBound(b_rho=b_rho, b_theta=lo, certified=False)

@@ -59,8 +59,8 @@ class BetaCondition:
 
 def _check_theta(n: Network, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n.n_bus,):
-        raise ValueError("theta must give one phase per bus")
+    if theta.shape != (n.n_bus,) or not np.all(np.isfinite(theta)):
+        raise ValueError("theta must give one finite phase per bus")
     if theta[n.slack_index] != 0.0:
         raise ValueError("slack phase must be zero")
     te = theta[n.edges[:, 0]] - theta[n.edges[:, 1]]
@@ -137,9 +137,8 @@ def solve_reactive_newton(n: Network, theta) -> np.ndarray:
 def reduced_energy(n: Network, theta) -> float:
     """Energy evaluated at the dominant reactive solution for the phases."""
     theta = _check_theta(n, theta)
-    rho_pq = solve_reactive_newton(n, theta)
     s = PFState(np.zeros(n.n_bus), theta.copy())
-    s.rho[n.pq] = rho_pq
+    s.rho[n.pq] = solve_reactive_newton(n, theta)
     return en.energy_value(n, s)
 
 

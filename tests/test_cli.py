@@ -257,6 +257,16 @@ class TestBounds:
         assert doc["b_theta_deg"] == pytest.approx(
             math.degrees(math.acos(0.6)), abs=0.2)
 
+    @pytest.mark.parametrize("case", ["twobus", "threebus"])
+    def test_huge_ratio_gives_zero(self, capsys, case):
+        # Past b_rho = 2 a PQ bus fails at zero phase; at 1e308 that is a
+        # zero budget, not an overflow warning and an error.
+        code = main(["bounds", case, "--b-rho", "1e308"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["b_theta_deg"] == 0.0 and doc["certified"] is True
+
     def test_ieee14_estimate(self, capsys):
         code, out = run(capsys, "bounds", "ieee14", "--b-rho", "1.5")
         doc = json.loads(out)
@@ -309,6 +319,13 @@ class TestReactive:
         assert code == EXIT_ERROR
         assert "needs a PQ bus" in capsys.readouterr().err
 
+    def test_non_finite_theta(self, capsys, tmp_path):
+        # An input error (exit 1), not a certified no-solution verdict (3).
+        path = tmp_path / "theta.json"
+        path.write_text("[0, NaN, 0.1]")
+        assert_error(capsys, "finite phase", "reactive", "threebus",
+                     "--theta", str(path))
+
     @pytest.mark.parametrize("doc, message", [
         ({"7": 0.1}, "unknown bus id '7'"),
         (5, "must be a list or an object"),
@@ -330,6 +347,16 @@ class TestBadRanges:
     def test_non_finite_kappa_bound(self, capsys, flag, kappa):
         assert_error(capsys, f"{flag} must be finite", "sweep", "twobus",
                      flag, kappa)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_delta(self, capsys, value):
+        assert_error(capsys, "--delta must be finite", "sweep", "twobus",
+                     f"--delta={value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_scale(self, capsys, value):
+        assert_error(capsys, "--scale must be finite", "region", "threebus",
+                     f"--scale={value}")
 
     @pytest.mark.parametrize("kappa", ["inf", "nan"])
     def test_non_finite_lossy_kappa(self, capsys, kappa):

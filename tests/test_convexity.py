@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +12,12 @@ from gridenergy import energy as en
 from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
                                   _active_mask, _box_samples,
                                   _diag_line_failures, _pq_ends,
-                                  convexity_matrix, in_domain_C,
+                                  convexity_matrix, domain_matrix, in_domain_C,
                                   in_domain_D_sampled, lossy_in_domain,
                                   matrix_convexity_gap, max_phase_bound)
 from gridenergy.energy import PFState
 from gridenergy.errors import DomainError, PhaseOutOfRange, UnsupportedTopology
-from gridenergy.linalg import DEFAULT_PSD_TOL, sym_eigen
+from gridenergy.linalg import DEFAULT_PSD_TOL, SymMatrix, cholesky_psd, sym_eigen
 from gridenergy.network import Bus, BusKind, Line, Network, load_case
 from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
 
@@ -221,6 +224,32 @@ class TestDomainProperties:
                 1 + max(abs(v) for v in vals))
 
 
+def bisected_vertex_bound(n, b_rho):
+    """Reference for the certified budget: bisection on b_theta to
+    _BOUND_RESOLUTION, each point tested by pivoted LDL on the domain matrix
+    at every ratio sign pattern with all phases at that point."""
+    active = np.flatnonzero(_active_mask(n))
+    log_ratio = math.log(b_rho)
+    bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
+    patterns = np.zeros((len(bits), len(n.lines)))
+    patterns[:, active] = np.where(bits, log_ratio, -log_ratio)
+
+    def box_ok(b_theta):
+        w = n.b / math.cos(b_theta)
+        return all(cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd
+                   for d in patterns)
+
+    lo, hi = 0.0, math.pi / 2 - 1e-9
+    if not box_ok(lo):
+        return lo
+    if box_ok(hi):
+        lo = hi
+    while hi - lo > _BOUND_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if box_ok(mid) else (lo, mid)
+    return lo
+
+
 class TestMaxPhaseBound:
     def test_two_bus_closed_form(self):
         n = make_twobus()
@@ -228,7 +257,69 @@ class TestMaxPhaseBound:
             res = max_phase_bound(n, b_rho)
             assert res.mode == "exact-vertices" and res.certified
             assert res.b_theta == pytest.approx(math.acos(b_rho / 2.0),
-                                                abs=math.radians(0.15))
+                                                abs=1e-12)
+
+    def test_closed_form_matches_bisection(self, bundled_models):
+        # The closed form is the threshold the bisection brackets: never
+        # below the bisected budget, and at most one bisection width above.
+        rng = np.random.default_rng(45)
+        nets = [bundled_models[c] for c in ("twobus", "threebus", "threebus-tree")]
+        while len(nets) < 40:
+            n = random_network(rng, n_max=8, tree=bool(rng.random() < 0.4))
+            if len(n.pq) and np.sum(_active_mask(n)) <= 8:
+                nets.append(n)
+        for k, n in enumerate(nets):
+            for b_rho in (1.0, 1.05, 1.2, 1.5, 2.0):
+                got = max_phase_bound(n, b_rho)
+                want = bisected_vertex_bound(n, b_rho)
+                assert got.certified
+                assert want - 1e-12 <= got.b_theta <= want + _BOUND_RESOLUTION, (
+                    k, b_rho)
+
+    def test_budget_is_tight_on_trees(self):
+        # On a tree whose non-slack buses are all PQ every per-line ratio
+        # and phase is realizable, so the certified budget is exact: each
+        # vertex state at the budget is in C, and one just past it is not.
+        rng = np.random.default_rng(46)
+        checked = 0
+        while checked < 20:
+            n = random_network(rng, n_max=6, tree=True, pq_prob=1.0)
+            b_rho = float(rng.uniform(1.0, 1.6))
+            budget = max_phase_bound(n, b_rho).b_theta
+            if budget < math.radians(1.0):
+                continue
+            # Row k of a maps bus values x to line k's x_from - x_to.
+            a = np.zeros((len(n.lines), n.n_bus))
+            rows = np.arange(len(n.lines))
+            a[rows, n.edges[:, 0]], a[rows, n.edges[:, 1]] = 1.0, -1.0
+
+            def vertices_in_c(b_theta):
+                for signs in itertools.product((-1.0, 1.0), repeat=len(n.lines)):
+                    s = PFState.flat(n)
+                    # d = rho_to - rho_from = -(a rho)
+                    s.rho[n.ns] = np.linalg.solve(
+                        a[:, n.ns], -math.log(b_rho) * np.array(signs))
+                    s.theta[n.ns] = np.linalg.solve(
+                        a[:, n.ns], np.full(len(n.lines), b_theta))
+                    yield in_domain_C(n, s).in_c
+
+            assert all(vertices_in_c(budget)), checked
+            assert not all(vertices_in_c(budget + 1e-5)), checked
+            checked += 1
+
+    def test_no_pq_bus_has_no_matrix_condition(self):
+        res = max_phase_bound(make_twobus(pq_kind=BusKind.PV), 1.5)
+        assert res.certified and res.b_theta == math.pi / 2 - 1e-9
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus"])
+    def test_huge_ratio_gives_zero_quietly(self, bundled_models, case):
+        # Scaled before the product, the vertex stack's entries stay below
+        # b_rho / 2: no overflow even at the largest finite ratio.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b_rho in (2.5, 1e10, 1e308, sys.float_info.max):
+                res = max_phase_bound(bundled_models[case], b_rho)
+                assert res.certified and res.b_theta == 0.0, b_rho
 
     def test_budget_is_a_box(self, bundled_models):
         for name, n in bundled_models.items():

@@ -65,6 +65,20 @@ class TestReactiveNewton:
             solve_reactive_newton(n, np.zeros(2))
 
 
+class TestNonFinitePhases:
+    @pytest.mark.parametrize("solve", [solve_reactive_newton, reduced_energy,
+                                       convex_reactive_solve])
+    @pytest.mark.parametrize("theta", [[0.0, math.nan, 0.1],
+                                       [0.0, 0.1, math.inf],
+                                       [0.0, -math.inf, 0.0],
+                                       [math.nan, 0.0, 0.0]])
+    def test_rejected(self, threebus, solve, theta):
+        # A NaN phase compared False with the 90-degree test and then read
+        # as a certified NoReactiveSolution.
+        with pytest.raises(ValueError, match="finite phase"):
+            solve(threebus, np.array(theta))
+
+
 def sequential_newton(n, theta):
     """Reference for the monotone Newton: damped Newton on FixedPhase from
     the flat start, trying the step lengths one at a time, run to the
