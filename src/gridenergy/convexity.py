@@ -17,7 +17,8 @@ from .energy import HALF_PI, PFState, check_state, hessian
 from .errors import (DomainError, NotConstantRatio, PhaseOutOfRange,
                      UnsupportedTopology)
 # cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
-from .linalg import DEFAULT_PSD_TOL, SymMatrix, cholesky_psd, sym_eigen  # noqa: F401
+from .linalg import (DEFAULT_PSD_TOL, SymMatrix, _check_finite, _symmetrize,
+                     cholesky_psd, sym_eigen)  # noqa: F401
 from .network import Network
 
 
@@ -64,26 +65,26 @@ def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
 
     Column k holds e^{d_k/2} at line k's from-bus and e^{-d_k/2} at its
     to-bus (PQ ends only), where d_k = rho_to - rho_from. Each line's block
-    (b/cos theta) [[e^d, 1], [1, e^-d]] is then w_k u_k u_k^T.
+    (b/cos theta) [[e^d, 1], [1, e^-d]] is then w_k u_k u_k^T. A leading
+    stack axis of d gives one U per row.
     """
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    pf, pt = n.pq_index_of[f], n.pq_index_of[t]
-    k = np.arange(len(n.lines))
-    u = np.zeros((len(n.pq), len(n.lines)))
-    mf, mt = pf >= 0, pt >= 0
-    u[pf[mf], k[mf]] = np.exp(0.5 * d[mf])
-    u[pt[mt], k[mt]] = np.exp(-0.5 * d[mt])
+    pf, pt = n.pq_index_of[n.edges[:, 0]], n.pq_index_of[n.edges[:, 1]]
+    kf, kt = np.flatnonzero(pf >= 0), np.flatnonzero(pt >= 0)
+    u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.lines)))
+    u[..., pf[kf], kf] = np.exp(0.5 * d.take(kf, -1))
+    u[..., pt[kt], kt] = np.exp(-0.5 * d.take(kt, -1))
     return u
 
 
 def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray, u=None,
                   diag_2b=None) -> np.ndarray:
     """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from per-line
-    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta).
+    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta),
+    over an optional leading stack axis of d and w.
     Callers holding U = line_factors(n, d) or diag(2B) pass them along."""
     u = line_factors(n, d) if u is None else u
     diag_2b = np.diag(2.0 * n.b_total[n.pq]) if diag_2b is None else diag_2b
-    return diag_2b - (u * w) @ u.T
+    return diag_2b - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def convexity_matrix(n: Network, s: PFState) -> SymMatrix:
@@ -110,23 +111,36 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     f, t = n.edges[:, 0], n.edges[:, 1]
     te = s.theta[f] - s.theta[t]
     phase_ok = bool(np.all(np.abs(te) <= HALF_PI))
-    if len(n.pq) == 0:
-        return ConvexityCertificate(in_c=phase_ok, phase_ok=phase_ok,
-                                    lmi_min_eig=math.inf, tol_abs=0.0)
-    active = _active_mask(n)
-    if np.any(np.abs(te[active]) >= HALF_PI):
+    if len(n.pq) and np.any(np.abs(te[_active_mask(n)]) >= HALF_PI):
         return ConvexityCertificate(in_c=False, phase_ok=phase_ok,
                                     lmi_min_eig=-math.inf, tol_abs=0.0)
-    inv_cos = np.ones(len(n.lines))
-    inv_cos[active] = 1.0 / np.cos(te[active])
-    lm = domain_matrix(n, s.rho[t] - s.rho[f], n.b * inv_cos)
-    w, _ = sym_eigen(SymMatrix(lm))
-    lmi_min = float(w[0])
-    scale = 1.0 + float(np.max(np.abs(np.diag(lm))))
-    tol_abs = DEFAULT_PSD_TOL * scale
+    lmi_min, tol_abs, scale = map(float, _domain_min_eig(n, s))
     return ConvexityCertificate(in_c=phase_ok and lmi_min >= -tol_abs,
                                 phase_ok=phase_ok, lmi_min_eig=lmi_min,
                                 tol_abs=tol_abs, scale=scale)
+
+
+def _domain_min_eig(n: Network, s: PFState):
+    """Smallest eigenvalue of the domain matrix at s, the PSD tolerance
+    DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|,
+    over an optional leading stack axis of s. Every active line's phase
+    difference must lie inside 90 degrees. Without PQ buses the matrix is
+    empty: +inf, 0 and 1."""
+    lead = s.theta.shape[:-1]
+    if len(n.pq) == 0:
+        return np.full(lead, math.inf), np.zeros(lead), np.ones(lead)
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    te = s.theta.take(f, -1) - s.theta.take(t, -1)
+    active = _active_mask(n)
+    inv_cos = np.ones(te.shape)
+    inv_cos[..., active] = 1.0 / np.cos(te[..., active])
+    # Symmetrized and checked as sym_eigen takes a SymMatrix, so the
+    # eigenvalues are its own.
+    lm = _check_finite(_symmetrize(
+        domain_matrix(n, s.rho.take(t, -1) - s.rho.take(f, -1), n.b * inv_cos)))
+    w, _ = np.linalg.eigh(lm)
+    scale = 1.0 + abs(lm.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+    return w[..., 0], DEFAULT_PSD_TOL * scale, scale
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ lossless network is its kappa = 0 case.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,12 @@ def lossy_targets(n: Network, kappa: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edge_terms(n: Network, s: PFState):
+    """Per-line ends, phase differences and e^{rho_f + rho_t}; s may hold a
+    leading stack axis. take(., -1) gathers along the bus axis as fast as
+    plain indexing does on one state."""
     f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta[f] - s.theta[t]
-    exy = np.exp(s.rho[f] + s.rho[t])
+    te = s.theta.take(f, -1) - s.theta.take(t, -1)
+    exy = np.exp(s.rho.take(f, -1) + s.rho.take(t, -1))
     return f, t, te, exy
 
 
@@ -168,15 +172,22 @@ def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     """
     check_state(n, s)
     _model(n)
+    return _phasor_residuals(n, s)
+
+
+def _phasor_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
+    """pf_residuals over an optional leading stack axis of s, unchecked."""
     v = np.exp(s.rho + 1j * s.theta)
     f, t = n.edges[:, 0], n.edges[:, 1]
-    # Current from bus i into line k is y (V_i - V_j).
-    cur = np.zeros(n.n_bus, dtype=complex)
-    np.add.at(cur, f, n.y * (v[f] - v[t]))
-    np.add.at(cur, t, n.y * (v[t] - v[f]))
+    # Current from bus i into line k is y (V_i - V_j). With the bus axis
+    # first, each bus sums its lines in line order whatever the stack.
+    cur = np.zeros(v.shape, dtype=complex)
+    vf, vt = v.take(f, -1), v.take(t, -1)
+    np.add.at(cur.T, f, (n.y * (vf - vt)).T)
+    np.add.at(cur.T, t, (n.y * (vt - vf)).T)
     inj = v * np.conj(cur)
-    rp = n.p_inj[n.ns] - inj.real[n.ns]
-    rq = n.q_inj[n.pq] - inj.imag[n.pq]
+    rp = n.p_inj[n.ns] - inj.real.take(n.ns, -1)
+    rq = n.q_inj[n.pq] - inj.imag.take(n.pq, -1)
     kappa = n.lossy_ratio
     if kappa:
         # _model admits kappa != 0 only when every non-slack bus is PQ, so
@@ -208,19 +219,23 @@ class FixedPhase:
     each PQ bus's susceptance sum on it, and d sums the weights of the
     lines from each PQ bus to fixed buses. The gradient identity makes
     `residual` the reactive mismatch that pf_residuals computes by phasors.
+
+    theta may carry a leading stack axis of phase vectors; g, d and the
+    argument and result of `residual` then carry it too.
     """
 
     def __init__(self, n: Network, theta):
         beff, _, tq = _model(n)
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (n.n_bus,):
+        if theta.shape[-1:] != (n.n_bus,):
             raise ValueError("theta must give one phase per bus")
         f, t = n.edges[:, 0], n.edges[:, 1]
-        c = beff * np.cos(theta[f] - theta[t])
+        c = beff * np.cos(theta.take(f, -1) - theta.take(t, -1))
         inc = _pq_incidence(n)
-        weighted = inc * c
+        weighted = inc * c[..., None, :]
         self.g = weighted @ inc.T
-        self.g.flat[::len(n.pq) + 1] = -(inc @ beff)
+        # Every (flattened) (npq + 1)-th entry of each matrix: its diagonal.
+        self.g.reshape(*self.g.shape[:-2], -1)[..., ::len(n.pq) + 1] = -(inc @ beff)
         to_fixed = (n.pq_index_of[f] < 0) | (n.pq_index_of[t] < 0)
         self.d = weighted @ to_fixed
         self.tq = tq[n.pq]
@@ -228,7 +243,7 @@ class FixedPhase:
     def residual(self, rho_pq: np.ndarray) -> np.ndarray:
         """-dE/drho at the PQ buses."""
         u = np.exp(rho_pq)
-        return self.tq + u * (self.d + u @ self.g)
+        return self.tq + u * (self.d + (u[..., None, :] @ self.g)[..., 0, :])
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,17 +267,31 @@ def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
 def hessian(n: Network, s: PFState) -> SymMatrix:
     """Analytic Hessian over the free variables (rho_pq, theta_ns)."""
     check_state(n, s)
+    return SymMatrix(_hessian_entries(n, s))
+
+
+def _hessian_entries(n: Network, s: PFState) -> np.ndarray:
+    """hessian's entries before symmetrization, over an optional leading
+    stack axis of s, unchecked."""
     beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     e2 = np.exp(2.0 * s.rho)
     w = beff * exy * np.cos(te)
     sv = beff * exy * np.sin(te)
     flat, k = _hessian_index(n)
-    vals = np.concatenate((2.0 * beff * e2[f] - w, 2.0 * beff * e2[t] - w,
+    vals = np.concatenate((2.0 * beff * e2.take(f, -1) - w,
+                           2.0 * beff * e2.take(t, -1) - w,
                            -w, -w, sv, sv, sv, sv, -sv, -sv, -sv, -sv,
-                           w, w, -w, -w))
-    h = np.bincount(flat, vals, (k + 1) ** 2).reshape(k + 1, k + 1)
-    return SymMatrix(h[:k, :k])
+                           w, w, -w, -w), axis=-1)
+    # One bincount over the whole stack: matrix i takes bins i*size up to
+    # (i+1)*size, filled in hessian's value order.
+    lead, size = vals.shape[:-1], (k + 1) ** 2
+    count = math.prod(lead)
+    if lead:
+        flat = (flat + size * np.arange(count)[:, None]).ravel()
+    # bincount gives integers for an empty stack; the dtype keeps it float.
+    h = np.bincount(flat, vals.ravel(), size * count).astype(float, copy=False)
+    return h.reshape(lead + (k + 1, k + 1))[..., :k, :k]
 
 
 @dataclass

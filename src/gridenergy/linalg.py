@@ -17,6 +17,15 @@ from .errors import InvalidMatrix, NotPositiveDefinite, NumericalFailure
 DEFAULT_PSD_TOL = 1e-9
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^T) of a square matrix, or of each matrix in a leading
+    stack, in one new array, never in the caller's. SymMatrix stores this,
+    and stacked kernels that must match it bit for bit call it too."""
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5
+    return s
+
+
 class SymMatrix:
     """Dense symmetric real matrix; storage keeps a[i, j] == a[j, i] exactly."""
 
@@ -26,10 +35,8 @@ class SymMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        # Symmetrize once so both triangles are bit-identical from here on;
-        # 0.5 (a + a^T) goes into one new array, never into the caller's.
-        self.a = a + a.T
-        self.a *= 0.5
+        # Symmetrize once so both triangles are bit-identical from here on.
+        self.a = _symmetrize(a)
 
     @property
     def order(self) -> int:
@@ -49,8 +56,8 @@ class PsdVerdict:
     min_pivot: float
 
 
-def _check_finite(m: SymMatrix) -> np.ndarray:
-    a = m.entries
+def _check_finite(a: np.ndarray) -> np.ndarray:
+    """a itself, after raising InvalidMatrix if any entry is not finite."""
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
     return a
@@ -65,7 +72,7 @@ def cholesky_psd(m: SymMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    a = _check_finite(m).copy()
+    a = _check_finite(m.entries).copy()
     n = m.order
     scale = 1.0 + float(np.max(np.abs(np.diag(a)))) if n else 1.0
     floor = -tol * scale
@@ -96,7 +103,7 @@ def cholesky_psd(m: SymMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
 
 def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition; eigenvalues ascending, eigenvectors in columns."""
-    a = _check_finite(m)
+    a = _check_finite(m.entries)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -106,7 +113,7 @@ def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_spd(m: SymMatrix, rhs) -> np.ndarray:
     """Solve m x = rhs for symmetric positive definite m."""
-    a = _check_finite(m)
+    a = _check_finite(m.entries)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != m.order:
         raise InvalidMatrix(f"rhs length {b.shape[0]} != order {m.order}")

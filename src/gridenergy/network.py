@@ -122,7 +122,9 @@ class Network:
         self.q_inj = np.array([b.q_inj for b in buses])
         self.v_set = np.array([b.v_set for b in buses])
         self.edges = np.array([[index[ln.i], index[ln.j]] for ln in lines], dtype=int)
-        self.edges = self.edges.reshape(len(lines), 2)
+        # Column-major, so each end column edges[:, 0], edges[:, 1] is
+        # contiguous: the per-line gathers by it run at full speed.
+        self.edges = np.asfortranarray(self.edges.reshape(len(lines), 2))
         self.b = np.array([ln.b for ln in lines])
         self.g = np.array([ln.g for ln in lines])
         self.y = self.g - 1j * self.b

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as en
-from .convexity import in_domain_C
+# in_domain_C is unused here; the benchmark's span tracer pins it as an alias.
+from .convexity import _domain_min_eig, in_domain_C  # noqa: F401
 from .energy import HALF_PI, PFState
 from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
                      UnsupportedSign, UnsupportedTopology)
-# Unused here; the benchmark's span tracer pins reduced.fd_hessian as an alias.
-from .linalg import fd_hessian  # noqa: F401
+# fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
+from .linalg import _symmetrize, fd_hessian  # noqa: F401
 from .network import Network
 from .solver import barrier_path, damped_newton
 
@@ -32,8 +33,24 @@ _REACTIVE_TOL = 1e-10
 # Relative size of a monotone Newton step that ends the iteration; a step
 # that raises a voltage by more is an error.
 _STEP_TOL = 1e-9
+_NEWTON_STEPS = 60
+_RANGE_MESSAGE = "phases must keep every line below 90 degrees"
+_SINGULAR = "reactive Jacobian is singular"
+_NOT_CONVERGED = "reactive Newton iteration did not converge"
 # Relative eigenvalue tolerance of region_agreement's reduced-Hessian test.
 _EIG_TOL = 1e-6
+# Phase rows per stacked solve of region_grid. Each chunk costs about 0.8 ms
+# of numpy call overhead plus a few microseconds a row, so larger chunks run
+# faster: a 6-degree threebus grid (441 cells) takes about 5 ms at 4096 and
+# 13-18 ms at 32 on a 2-core host. But bench/clock.py fails when a
+# region_grid run's three passes end inside its first 50 ms probe period.
+# At 32 they take 62-83 ms at that clock's reference speed, so only a host
+# about 1.25 times faster than the reference ends them that early. Raise it
+# once the benchmark handles short runs (ROADMAP item 1).
+_CHUNK_CELLS = 32
+# Largest grid region_grid builds. Its cells are returned as one list of
+# RegionCell objects, about 170 bytes each: a million cells take 0.17 GB.
+_MAX_CELLS = 1_000_000
 
 
 @dataclass
@@ -63,13 +80,38 @@ def _check_theta(n: Network, theta) -> np.ndarray:
         raise ValueError("theta must give one finite phase per bus")
     if theta[n.slack_index] != 0.0:
         raise ValueError("slack phase must be zero")
-    te = theta[n.edges[:, 0]] - theta[n.edges[:, 1]]
-    if np.any(np.abs(te) >= HALF_PI):
-        raise PhaseOutOfRange("phases must keep every line below 90 degrees")
+    if not _phases_in_range(n, theta):
+        raise PhaseOutOfRange(_RANGE_MESSAGE)
     return theta
 
 
-def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray) -> np.ndarray:
+def _phases_in_range(n: Network, theta: np.ndarray) -> np.ndarray:
+    """Whether every line's phase difference lies inside 90 degrees, over an
+    optional leading stack axis of theta."""
+    te = theta.take(n.edges[:, 0], -1) - theta.take(n.edges[:, 1], -1)
+    return (abs(te) < HALF_PI).all(axis=-1)
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray):
+    """np.linalg.solve over the leading stack axes of a (..., m, m) and
+    b (..., m, k), and a mask over those axes of the singular systems, whose
+    solutions are NaN. When the stacked call fails on a singular matrix it is
+    redone one system at a time, so that the others still get theirs."""
+    lead = a.shape[:-2]
+    try:
+        return np.linalg.solve(a, b), np.zeros(lead, dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        singular = np.zeros(lead, dtype=bool)
+        for i in np.ndindex(lead):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
+
+
+def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray):
     """Greatest u > 0 with B_i u_i^2 - r_i u_i + q_i = 0 at every PQ bus,
     r = d + C u, by monotone Newton from a cap.
 
@@ -84,35 +126,112 @@ def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray) -> np.ndarray:
     there a discriminant <= 0 proves that none exists, and a step that
     raises a voltage ends the search. With injecting buses T is not
     concave and the same iteration is a heuristic.
+
+    fp may carry a leading stack axis of phase vectors. Every row iterates
+    in one stack and stops at the step where it would alone: when it
+    converges, fails, or after _NEWTON_STEPS. Returns u and a list with,
+    per row (one entry when fp is unstacked), None or why the row has no
+    solution.
     """
-    b = -np.diag(fp.g)
-    c = fp.g + np.diag(b)
+    m, lead = len(q), fp.d.shape[:-1]
+    # An explicit row count: reshape cannot infer one when m is 0.
+    count = math.prod(lead)
+    g, d = fp.g.reshape(count, m, m), fp.d.reshape(count, m)
+    b = -np.diagonal(g, axis1=1, axis2=2)
+    eye = np.eye(m)
+    c = g + b[:, :, None] * eye
     half_inv_b, four_bq = 0.5 / b, 4.0 * b * q
-    eye = np.eye(len(b))
     monotone = bool((q >= 0.0).all())
-    try:
-        u = np.linalg.solve(-fp.g, fp.d + np.sqrt(b * np.maximum(-q, 0.0)))
-        for _ in range(60):
-            r = fp.d + c @ u
-            disc = r * r - four_bq
-            if not (disc > 0.0).all():
-                bad = n.buses[n.pq[np.argmin(disc)]].id
-                raise NoReactiveSolution(
-                    f"reactive balance at bus {bad} has no real root")
-            root = np.sqrt(disc)
-            jac = eye - ((1.0 + r / root) * half_inv_b)[:, None] * c
-            step = np.linalg.solve(jac, u - (r + root) * half_inv_b)
-            if monotone and (step < -_STEP_TOL * u).any():
-                raise NoReactiveSolution("monotone reactive Newton step "
-                                         "raised a voltage")
-            u = u - step
-            if (abs(step) <= _STEP_TOL * u).all():
+    why = [None] * count
+    u, singular = _solve_rows(-g, (d + np.sqrt(b * np.maximum(-q, 0.0)))[:, :, None])
+    u = u[:, :, 0]
+    # The rows still iterating and their slices of the per-row arrays; a
+    # row's u goes back into u when it leaves.
+    live, ul, cl, dl, fbq, hib = np.arange(count), u, c, d, four_bq, half_inv_b
+    if singular.any():
+        for row in np.flatnonzero(singular):
+            why[row] = _SINGULAR
+        live, ul, cl, dl, fbq, hib = (x[~singular] for x in (live, ul, cl, dl, fbq, hib))
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        r = dl + np.matvec(cl, ul)
+        disc = r * r - fbq
+        if not (disc > 0.0).all():
+            real = (disc > 0.0).all(axis=1)
+            for row, k in zip(live[~real], np.argmin(disc[~real], axis=1)):
+                why[row] = (f"reactive balance at bus {n.buses[n.pq[k]].id} "
+                            "has no real root")
+            live, r, disc, ul, cl, dl, fbq, hib = (
+                x[real] for x in (live, r, disc, ul, cl, dl, fbq, hib))
+        root = np.sqrt(disc)
+        jac = eye - ((1.0 + r / root) * hib)[:, :, None] * cl
+        step, singular = _solve_rows(jac, (ul - (r + root) * hib)[:, :, None])
+        step = step[:, :, 0]
+        # Whole-stack tests first, since most steps stop no row. A singular
+        # row's step is NaN, so it neither raises a voltage nor converges.
+        raised = monotone and (step < -_STEP_TOL * ul).any()
+        prev, ul = ul, ul - step
+        stop = (abs(step) <= _STEP_TOL * ul).all(axis=1)
+        if raised or singular.any():
+            raised = monotone & (step < -_STEP_TOL * prev).any(axis=1)
+            for row in np.flatnonzero(singular | raised):
+                why[live[row]] = _SINGULAR if singular[row] else (
+                    "monotone reactive Newton step raised a voltage")
+            stop |= singular | raised
+        if stop.any():
+            if stop.all():
                 break
-    except np.linalg.LinAlgError:
-        raise NoReactiveSolution("reactive Jacobian is singular")
+            u[live[stop]] = ul[stop]
+            live, ul, cl, dl, fbq, hib = (x[~stop] for x in (live, ul, cl, dl, fbq, hib))
+    u[live] = ul
     if not (u > 0.0).all():
-        raise NoReactiveSolution("reactive Newton reached a non-positive voltage")
-    return u
+        for row in np.flatnonzero(~(u > 0.0).all(axis=1)):
+            if why[row] is None:
+                why[row] = "reactive Newton reached a non-positive voltage"
+    return u.reshape(lead + (m,)), why
+
+
+def _reactive_solve(n: Network, theta: np.ndarray):
+    """The dominant reactive solution at phases theta and its two residual
+    checks, over an optional leading stack axis of theta. Every row must
+    keep its lines below 90 degrees.
+
+    Returns rho at the PQ buses, meaningful where the row solves, whether
+    each row solves, and _greatest_u's list of reasons.
+    """
+    fp = en.FixedPhase(n, theta)
+    u, why = _greatest_u(n, fp, -fp.tq)
+    ok = np.array([reason is None for reason in why]).reshape(theta.shape[:-1])
+    rho = np.log(np.where(ok[..., None], u, 1.0))
+    ok &= np.abs(fp.residual(rho)).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
+    # The phasor check of pf_residuals.
+    s = PFState(np.zeros(theta.shape), theta)
+    s.rho[..., n.pq] = rho
+    _, rq = en._phasor_residuals(n, s)
+    ok &= np.abs(rq).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
+    return rho, ok, why
+
+
+def _reactive_rows(n: Network, theta: np.ndarray):
+    """solve_reactive_newton over a stack of phase rows, each finite with
+    the slack phase at zero.
+
+    Returns rho at the PQ buses, meaningful in the rows that solve, and a
+    list with, per row, None or the exception that the row's own call
+    raises.
+    """
+    errors = [None] * len(theta)
+    rho = np.zeros((len(theta), len(n.pq)))
+    in_range = _phases_in_range(n, theta)
+    for row in np.flatnonzero(~in_range):
+        errors[row] = PhaseOutOfRange(_RANGE_MESSAGE)
+    live = np.flatnonzero(in_range)
+    if live.size:
+        rho[live], ok, why = _reactive_solve(n, theta[live])
+        for row in np.flatnonzero(~ok):
+            errors[live[row]] = NoReactiveSolution(why[row] or _NOT_CONVERGED)
+    return rho, errors
 
 
 def solve_reactive_newton(n: Network, theta) -> np.ndarray:
@@ -123,15 +242,10 @@ def solve_reactive_newton(n: Network, theta) -> np.ndarray:
     both in FixedPhase and in the phasor residuals of pf_residuals.
     """
     theta = _check_theta(n, theta)
-    fp = en.FixedPhase(n, theta)
-    rho = np.log(_greatest_u(n, fp, -fp.tq))
-    if np.abs(fp.residual(rho)).max(initial=0.0) <= _REACTIVE_TOL:
-        s = PFState(np.zeros(n.n_bus), theta.copy())
-        s.rho[n.pq] = rho
-        _, rq = en.pf_residuals(n, s)
-        if np.abs(rq).max(initial=0.0) <= _REACTIVE_TOL:
-            return rho
-    raise NoReactiveSolution("reactive Newton iteration did not converge")
+    rho, ok, why = _reactive_solve(n, theta)
+    if not ok:
+        raise NoReactiveSolution(why[0] or _NOT_CONVERGED)
+    return rho
 
 
 def reduced_energy(n: Network, theta) -> float:
@@ -192,9 +306,8 @@ class _ZetaProgram:
         holds there with slack margin."""
         for eps in (1e-3, 1e-4, 1e-5):
             margin = eps * (1.0 + float(np.max(self.q)))
-            try:
-                u = _greatest_u(self.n, self.fp, self.q + margin)
-            except NoReactiveSolution:
+            u, why = _greatest_u(self.n, self.fp, self.q + margin)
+            if why[0] is not None:
                 continue
             z = u * u
             if np.all(self.constraints(z) < -0.5 * margin):
@@ -324,13 +437,19 @@ def reduced_hessian(n: Network, s: PFState) -> np.ndarray:
     the Schur complement H_tt - H_tr H_rr^-1 H_rt of the full Hessian.
     Raises SingularReduction when H_rr is singular.
     """
-    h = en.hessian(n, s).entries
-    npq = len(n.pq)
-    h_rt = h[:npq, npq:]
-    try:
-        return h[npq:, npq:] - h_rt.T @ np.linalg.solve(h[:npq, :npq], h_rt)
-    except np.linalg.LinAlgError:
+    hess, singular = _schur(en.hessian(n, s).entries, len(n.pq))
+    if singular:
         raise SingularReduction("rho-rho Hessian block is singular")
+    return hess
+
+
+def _schur(h: np.ndarray, npq: int):
+    """H_tt - H_tr H_rr^-1 H_rt of symmetric h over an optional leading
+    stack axis, with the rho block first, and a mask of the rows whose H_rr
+    is singular (their complement is NaN)."""
+    h_rt = h[..., :npq, npq:]
+    x, singular = _solve_rows(h[..., :npq, :npq], h_rt)
+    return h[..., npq:, npq:] - h_rt.swapaxes(-1, -2) @ x, singular
 
 
 def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
@@ -340,40 +459,64 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
     each point and recording domain membership next to the smallest
     eigenvalue of the reduced-energy Hessian.
 
-    Needs exactly two non-slack buses so the grid covers all free phases.
+    Needs exactly two non-slack buses so the grid covers all free phases,
+    finite bounds with theta_min <= theta_max (equal bounds give one cell),
+    and at most _MAX_CELLS cells. The cells are solved as stacks of
+    _CHUNK_CELLS phase rows, each cell with the verdicts that
+    solve_reactive_newton, in_domain_C and reduced_hessian give it alone.
     """
     if len(n.ns) != 2:
         raise ValueError("region grid needs exactly two non-slack buses")
     if not (math.isfinite(step_deg) and step_deg > 0.0):
         raise ValueError(f"grid step must be positive and finite, got {step_deg}")
+    for name, bound in (("theta_min", theta_min), ("theta_max", theta_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
+    if theta_min > theta_max:
+        raise ValueError(f"theta_min {theta_min} exceeds theta_max {theta_max}")
     step = math.radians(step_deg)
-    count = int(round((theta_max - theta_min) / step)) + 1
+    steps = (theta_max - theta_min) / step
+    n_cells = (round(steps) + 1) ** 2 if math.isfinite(steps) else math.inf
+    if n_cells > _MAX_CELLS:
+        raise ValueError(f"grid step {step_deg} deg gives {n_cells} cells, "
+                         f"above the cap of {_MAX_CELLS}")
+    count = round(steps) + 1
     axis = theta_min + step * np.arange(count)
-    a_pos, b_pos = int(n.ns[0]), int(n.ns[1])
+    # One numpy scalar per phase value, shared by the cells that carry it.
+    values = list(axis)
+    out: list[RegionCell] = []
+    for lo in range(0, n_cells, _CHUNK_CELLS):
+        ia, ib = np.divmod(np.arange(lo, min(lo + _CHUNK_CELLS, n_cells)), count)
+        theta = np.zeros((len(ia), n.n_bus))
+        theta[:, n.ns[0]] = axis[ia]
+        theta[:, n.ns[1]] = axis[ib]
+        solvable, in_c, min_eig = _region_rows(n, theta)
+        out.extend(RegionCell(a, b, values[a], values[b], ok, c, e) for a, b, ok, c, e
+                   in zip(ia.tolist(), ib.tolist(), solvable, in_c, min_eig))
+    return out
 
-    cells = []
-    for ia, ta in enumerate(axis):
-        for ib, tb in enumerate(axis):
-            th = np.zeros(n.n_bus)
-            th[a_pos] = ta
-            th[b_pos] = tb
-            try:
-                rho_pq = solve_reactive_newton(n, th)
-            except (PhaseOutOfRange, NoReactiveSolution):
-                cells.append(RegionCell(ia, ib, ta, tb, False, None, None))
-                continue
-            s = PFState(np.zeros(n.n_bus), th)
-            s.rho[n.pq] = rho_pq
-            cert = in_domain_C(n, s)
-            try:
-                hess = reduced_hessian(n, s)
-                tr, det = hess[0, 0] + hess[1, 1], np.linalg.det(hess)
-                disc = max(0.25 * tr * tr - det, 0.0)
-                min_eig = float(0.5 * tr - math.sqrt(disc))
-            except SingularReduction:
-                min_eig = None
-            cells.append(RegionCell(ia, ib, ta, tb, True, cert.in_c, min_eig))
-    return cells
+
+def _region_rows(n: Network, theta: np.ndarray):
+    """Per phase row of a region grid: solvable, in_c and the reduced
+    Hessian's smallest eigenvalue, as lists with None where a value does
+    not exist."""
+    rho, errors = _reactive_rows(n, theta)
+    solvable = np.array([error is None for error in errors], dtype=bool)
+    rows = np.flatnonzero(solvable)
+    s = PFState(np.zeros((len(rows), n.n_bus)), theta[rows])
+    s.rho[:, n.pq] = rho[rows]
+    lmi_min, tol_abs, _ = _domain_min_eig(n, s)
+    # Symmetrized as hessian's SymMatrix stores them.
+    hess, singular = _schur(_symmetrize(en._hessian_entries(n, s)), len(n.pq))
+    # The smaller root of the 2 x 2 characteristic polynomial.
+    tr, det = hess[:, 0, 0] + hess[:, 1, 1], np.linalg.det(hess)
+    disc = 0.25 * tr * tr - det
+    min_eig = 0.5 * tr - np.sqrt(np.where(disc < 0.0, 0.0, disc))
+    in_c = np.full(len(theta), None, dtype=object)
+    in_c[rows] = (lmi_min >= -tol_abs).tolist()
+    eig = np.full(len(theta), None, dtype=object)
+    eig[rows[~singular]] = min_eig[~singular].tolist()
+    return solvable.tolist(), in_c.tolist(), eig.tolist()
 
 
 def region_agreement(cells: list[RegionCell]) -> tuple[int, int]:

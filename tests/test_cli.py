@@ -241,6 +241,22 @@ class TestRegion:
         code, _ = run(capsys, "region", "ieee14")
         assert code == EXIT_ERROR
 
+    def test_pv_only_case(self, capsys, tmp_path):
+        # No PQ bus: every solvable cell's reactive solve is empty.
+        path = tmp_path / "pv_only.json"
+        path.write_text(json.dumps({
+            "buses": [{"id": 1, "kind": "slack"},
+                      {"id": 2, "kind": "pv", "p": 0.5},
+                      {"id": 3, "kind": "pv", "p": -0.4}],
+            "lines": [{"from": 1, "to": 2, "b": 1.2}, {"from": 2, "to": 3, "b": 0.8},
+                      {"from": 1, "to": 3, "b": 2.0}]}))
+        code, out = run(capsys, "region", str(path), "--grid-step", "20")
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in out.strip().splitlines()[2:]]
+        assert len(rows) == 7 * 7
+        assert sum(r[2] == "True" for r in rows) == 43
+        assert all(r[3] == "True" for r in rows if r[2] == "True")
+
     def test_overload_scale(self, capsys):
         code, out = run(capsys, "region", "threebus", "--grid-step", "30",
                         "--scale", "6")
@@ -371,6 +387,13 @@ class TestBadRanges:
     def test_zero_grid_step(self, capsys):
         assert_error(capsys, "grid step must be positive",
                      "region", "threebus", "--grid-step", "0")
+
+    @pytest.mark.parametrize("step, cells", [("1e-9", 120000000001 ** 2),
+                                             ("1e-4", 1200001 ** 2)])
+    def test_grid_too_fine(self, capsys, step, cells):
+        # The +-60 degree grid would need `cells` cells.
+        assert_error(capsys, f"grid step {float(step)} deg gives {cells} cells",
+                     "region", "threebus", "--grid-step", step)
 
     @pytest.mark.parametrize("b_rho", ["inf", "nan"])
     def test_non_finite_ratio(self, capsys, b_rho):

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from conftest import make_twobus, random_network, random_state
 from test_energy import fixed_phase_hessian
 from gridenergy import energy as en
+from gridenergy.convexity import in_domain_C
 from gridenergy.energy import PFState
 from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
                                UnsupportedSign, UnsupportedTopology)
 from gridenergy.linalg import fd_gradient, fd_hessian
-from gridenergy.network import (BusKind, Network, absorb_setpoints,
+from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 scale_injections)
-from gridenergy.reduced import (BetaCondition, beta_condition,
-                                convex_reactive_solve, reduced_energy,
-                                reduced_hessian, region_agreement,
-                                region_grid, solve_reactive_newton,
-                                voltage_upper_bound)
+from gridenergy.reduced import (_EIG_TOL, _MAX_CELLS, BetaCondition,
+                                _greatest_u, _reactive_rows, _schur,
+                                beta_condition, convex_reactive_solve,
+                                reduced_energy, reduced_hessian,
+                                region_agreement, region_grid,
+                                solve_reactive_newton, voltage_upper_bound)
 from gridenergy.solver import solve_newton
 
 
@@ -526,3 +528,250 @@ class TestRegionGrid:
     def test_wrong_dimension_rejected(self, ieee14_model):
         with pytest.raises(ValueError):
             region_grid(ieee14_model)
+
+    @pytest.mark.parametrize("bounds, message", [
+        ((0.5, -0.5), "theta_min 0.5 exceeds theta_max -0.5"),
+        ((math.nan, 0.5), "theta_min must be finite, got nan"),
+        ((-0.5, math.nan), "theta_max must be finite, got nan"),
+        ((-0.5, math.inf), "theta_max must be finite, got inf"),
+        ((-math.inf, 0.5), "theta_min must be finite, got -inf"),
+    ])
+    def test_bad_bounds_rejected(self, threebus, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            region_grid(threebus, *bounds)
+
+    def test_equal_bounds_give_one_cell(self, threebus):
+        cells = region_grid(threebus, 0.0, 0.0)
+        assert [(c.ia, c.ib, c.theta_a, c.theta_b) for c in cells] == [(0, 0, 0.0, 0.0)]
+        assert cells[0].solvable and cells[0].in_c
+
+    @pytest.mark.parametrize("step", [1e-9, 1e-4, 0.1])
+    def test_grid_above_cap_refused(self, threebus, step):
+        count = round(math.radians(120.0) / math.radians(step)) + 1
+        assert count * count > _MAX_CELLS
+        with pytest.raises(ValueError, match=f"grid step {step} deg gives "
+                                             f"{count * count} cells"):
+            region_grid(threebus, step_deg=step)
+
+
+def _psd(cell) -> bool:
+    """region_agreement's PSD test of a cell's reduced Hessian."""
+    return cell.reduced_min_eig >= -_EIG_TOL * (1.0 + abs(cell.reduced_min_eig))
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_paper_region_claims(threebus, threebus_tree, scale):
+    """C is an inner approximation of where the reduced energy is convex,
+    and exact on trees: on every solvable cell of a 1-degree grid, in_c
+    implies a PSD reduced Hessian on the mesh, and matches it on the tree."""
+    mesh, tree = ([c for c in region_grid(scale_injections(n, scale, 1.0), step_deg=1.0)
+                   if c.solvable] for n in (threebus, threebus_tree))
+    assert len(mesh) > 5000 and len(tree) > 5000
+    assert all(c.reduced_min_eig is not None for c in mesh + tree)
+    assert [c for c in mesh if c.in_c and not _psd(c)] == []
+    assert [c for c in tree if c.in_c != _psd(c)] == []
+    # The mesh's inner-approximation gap: PSD cells outside C.
+    assert any(_psd(c) and not c.in_c for c in mesh)
+
+
+def reference_greatest_u(n, fp, q):
+    """Reference for the stacked Newton: the monotone Newton on one phase
+    vector, raising NoReactiveSolution where a stacked row reports why."""
+    b = -np.diag(fp.g)
+    c = fp.g + np.diag(b)
+    half_inv_b, four_bq = 0.5 / b, 4.0 * b * q
+    eye = np.eye(len(b))
+    monotone = bool((q >= 0.0).all())
+    try:
+        u = np.linalg.solve(-fp.g, fp.d + np.sqrt(b * np.maximum(-q, 0.0)))
+        for _ in range(60):
+            r = fp.d + c @ u
+            disc = r * r - four_bq
+            if not (disc > 0.0).all():
+                bad = n.buses[n.pq[np.argmin(disc)]].id
+                raise NoReactiveSolution(
+                    f"reactive balance at bus {bad} has no real root")
+            root = np.sqrt(disc)
+            jac = eye - ((1.0 + r / root) * half_inv_b)[:, None] * c
+            step = np.linalg.solve(jac, u - (r + root) * half_inv_b)
+            if monotone and (step < -1e-9 * u).any():
+                raise NoReactiveSolution("monotone reactive Newton step "
+                                         "raised a voltage")
+            u = u - step
+            if (abs(step) <= 1e-9 * u).all():
+                break
+    except np.linalg.LinAlgError:
+        raise NoReactiveSolution("reactive Jacobian is singular")
+    if not (u > 0.0).all():
+        raise NoReactiveSolution("reactive Newton reached a non-positive voltage")
+    return u
+
+
+class ReferenceFixedPhase:
+    """Reference for en.FixedPhase on one phase vector."""
+
+    def __init__(self, n, theta):
+        beff, _, tq = en._model(n)
+        f, t = n.edges[:, 0], n.edges[:, 1]
+        c = beff * np.cos(theta[f] - theta[t])
+        inc = en._pq_incidence(n)
+        weighted = inc * c
+        self.g = weighted @ inc.T
+        self.g.flat[::len(n.pq) + 1] = -(inc @ beff)
+        to_fixed = (n.pq_index_of[f] < 0) | (n.pq_index_of[t] < 0)
+        self.d = weighted @ to_fixed
+        self.tq = tq[n.pq]
+
+    def residual(self, rho_pq):
+        u = np.exp(rho_pq)
+        return self.tq + u * (self.d + u @ self.g)
+
+
+def reference_reactive(n, theta):
+    """Reference for solve_reactive_newton on one finite phase vector with
+    the slack phase at zero, checks included: the range check, the Newton,
+    then the FixedPhase and the phasor reactive residuals (lossless only)."""
+    assert not n.lossy_ratio
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    if np.any(np.abs(theta[f] - theta[t]) >= math.pi / 2):
+        raise PhaseOutOfRange("phases must keep every line below 90 degrees")
+    fp = ReferenceFixedPhase(n, theta)
+    rho = np.log(reference_greatest_u(n, fp, -fp.tq))
+    if np.abs(fp.residual(rho)).max(initial=0.0) <= 1e-10:
+        r = np.zeros(n.n_bus)
+        r[n.pq] = rho
+        v = np.exp(r + 1j * theta)
+        cur = np.zeros(n.n_bus, dtype=complex)
+        np.add.at(cur, f, n.y * (v[f] - v[t]))
+        np.add.at(cur, t, n.y * (v[t] - v[f]))
+        rq = n.q_inj[n.pq] - (v * np.conj(cur)).imag[n.pq]
+        if np.abs(rq).max(initial=0.0) <= 1e-10:
+            return rho
+    raise NoReactiveSolution("reactive Newton iteration did not converge")
+
+
+def reference_region_grid(n, theta_min=-math.pi / 3.0, theta_max=math.pi / 3.0,
+                          step_deg=2.0):
+    """Reference for region_grid: one cell at a time, each through
+    reference_reactive and the per-state in_domain_C and hessian."""
+    step = math.radians(step_deg)
+    axis = theta_min + step * np.arange(int(round((theta_max - theta_min) / step)) + 1)
+    cells = []
+    for ia, ta in enumerate(axis):
+        for ib, tb in enumerate(axis):
+            th = np.zeros(n.n_bus)
+            th[n.ns] = ta, tb
+            try:
+                rho_pq = reference_reactive(n, th)
+            except (PhaseOutOfRange, NoReactiveSolution):
+                cells.append((ia, ib, ta, tb, False, None, None))
+                continue
+            s = PFState(np.zeros(n.n_bus), th)
+            s.rho[n.pq] = rho_pq
+            h, npq = en.hessian(n, s).entries, len(n.pq)
+            h_rt = h[:npq, npq:]
+            try:
+                hess = h[npq:, npq:] - h_rt.T @ np.linalg.solve(h[:npq, :npq], h_rt)
+                tr, det = hess[0, 0] + hess[1, 1], np.linalg.det(hess)
+                min_eig = float(0.5 * tr - math.sqrt(max(0.25 * tr * tr - det, 0.0)))
+            except np.linalg.LinAlgError:
+                min_eig = None
+            cells.append((ia, ib, ta, tb, True, in_domain_C(n, s).in_c, min_eig))
+    return cells
+
+
+def pv_only_network():
+    """Three buses and no PQ bus: the reactive equations are empty."""
+    return Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PV, p_inj=0.5),
+                    Bus(3, BusKind.PV, p_inj=-0.4)],
+                   [Line(1, 2, 1.2), Line(2, 3, 0.8), Line(1, 3, 2.0)])
+
+
+def _outcome(solve, n, theta):
+    """solve(n, theta)'s rho or raised error."""
+    try:
+        return solve(n, theta), None
+    except (PhaseOutOfRange, NoReactiveSolution) as exc:
+        return None, exc
+
+
+class TestStackedRows:
+    """The stacked reactive solve and region grid against the one-state
+    references above."""
+
+    def test_rows_match_reference(self):
+        rng = np.random.default_rng(2024)
+        nets = [random_network(rng, n_max=7, inj_scale=[0.2, 0.8, 2.0][draw % 3],
+                               pq_prob=0.4 if draw % 5 == 4 else 0.75)
+                for draw in range(40)]
+        assert sum(len(n.pq) == 0 for n in nets) >= 2
+        outcomes = set()
+        mixed = 0
+        for n in nets + [pv_only_network()]:
+            mixed += bool(np.any(n.q_inj[n.pq] > 0) and np.any(n.q_inj[n.pq] < 0))
+            theta = np.zeros((25, n.n_bus))
+            # Up to 70 degrees per bus: some lines pass 90 degrees.
+            theta[:, n.ns] = rng.uniform(-1.2, 1.2, (25, len(n.ns)))
+            rho, errors = _reactive_rows(n, theta)
+            for row in range(len(theta)):
+                want, exc = _outcome(reference_reactive, n, theta[row])
+                for got_rho, got in ((rho[row], errors[row]),
+                                     _outcome(solve_reactive_newton, n, theta[row])):
+                    if exc is None:
+                        assert got is None
+                        assert got_rho.tobytes() == want.tobytes()
+                        outcomes.add("solved")
+                    else:
+                        assert type(got) is type(exc) and str(got) == str(exc)
+                        outcomes.add(str(exc).split(" at bus")[0])
+        assert mixed > 0
+        assert {"solved", "phases must keep every line below 90 degrees",
+                "reactive balance"} <= outcomes
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 6.0])
+    def test_grid_matches_reference(self, threebus, threebus_tree, scale):
+        for base in (threebus, threebus_tree):
+            n = scale_injections(base, scale, 1.0)
+            got = [(c.ia, c.ib, c.theta_a, c.theta_b, c.solvable, c.in_c,
+                    c.reduced_min_eig) for c in region_grid(n, step_deg=8.0)]
+            assert got == reference_region_grid(n, step_deg=8.0)
+
+    def test_pv_only_network(self):
+        n = pv_only_network()
+        theta = np.array([0.0, 0.3, -0.2])
+        assert solve_reactive_newton(n, theta).shape == (0,)
+        s = PFState(np.zeros(3), theta)
+        assert reduced_energy(n, theta) == en.energy_value(n, s)
+        cells = region_grid(n, step_deg=20.0)
+        got = [(c.ia, c.ib, c.theta_a, c.theta_b, c.solvable, c.in_c,
+                c.reduced_min_eig) for c in cells]
+        assert got == reference_region_grid(n, step_deg=20.0)
+        assert sum(c.solvable for c in cells) == 43
+        assert all(c.in_c for c in cells if c.solvable)
+
+    def test_singular_row_leaves_others(self, threebus):
+        theta = np.zeros((30, 3))
+        theta[:, 1:] = np.random.default_rng(7).uniform(-0.6, 0.6, (30, 2))
+        fp = en.FixedPhase(threebus, theta)
+        u0, why0 = _greatest_u(threebus, fp, -fp.tq)
+        # -g = [[1, 1], [1, 1]] is singular: the starting solve fails there.
+        fp.g[7] = -1.0
+        u1, why1 = _greatest_u(threebus, fp, -fp.tq)
+        assert why1[7] == "reactive Jacobian is singular"
+        others = np.arange(30) != 7
+        assert u1[others].tobytes() == u0[others].tobytes()
+        assert why1[:7] + why1[8:] == why0[:7] + why0[8:] == [None] * 29
+
+    def test_singular_schur_row_leaves_others(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 4, 4))
+        h = a @ np.swapaxes(a, -1, -2)
+        h[2, :2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        hess, singular = _schur(h, 2)
+        assert singular.tolist() == [False, False, True, False, False, False]
+        assert np.isnan(hess[2]).all()
+        for row in (0, 1, 3, 4, 5):
+            alone, alone_singular = _schur(h[row], 2)
+            assert not alone_singular
+            assert hess[row].tobytes() == alone.tobytes()
+        assert _schur(h[2], 2)[1]
