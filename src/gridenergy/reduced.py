@@ -27,9 +27,11 @@ from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
 # fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
 from .linalg import _symmetrize, fd_hessian  # noqa: F401
 from .network import Network
-from .solver import barrier_path, damped_newton
+from .solver import damped_newton
 
 _REACTIVE_TOL = 1e-10
+# Largest constraint value at an accepted optimum of the zeta program.
+_TIGHT_TOL = 1e-8
 # Relative size of a monotone Newton step that ends the iteration; a step
 # that raises a voltage by more is an error.
 _STEP_TOL = 1e-9
@@ -268,9 +270,9 @@ class _ZetaProgram:
         B_i zeta_i - sum_j c_ij sqrt(zeta_i zeta_j) + q_i <= 0
 
     with line weights c_ij = b_eff cos(theta_ij), fixed buses at zeta = 1
-    and q = -tq the consumption of the energy's constant-ratio model. As
-    barrier_path's problem it maximizes self.c^T zeta over the set, for
-    positive per-bus weights (all ones by default).
+    and q = -tq the consumption of the energy's constant-ratio model. The
+    program maximizes self.c^T zeta over the set, for finite positive
+    per-bus weights (all ones by default).
     """
 
     def __init__(self, n: Network, theta, c=None):
@@ -287,8 +289,9 @@ class _ZetaProgram:
             raise UnsupportedSign(f"PQ buses must consume reactive power; got "
                                   f"injection at buses {bad}")
         self.c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
-        if self.c.shape != (len(n.pq),) or np.any(self.c <= 0):
-            raise ValueError("weights must be positive, one per PQ bus")
+        if self.c.shape != (len(n.pq),) or not np.all(np.isfinite(self.c)
+                                                      & (self.c > 0)):
+            raise ValueError("weights must be finite and positive, one per PQ bus")
 
     def constraints(self, z) -> np.ndarray:
         return -self.fp.residual(0.5 * np.log(z))
@@ -314,45 +317,22 @@ class _ZetaProgram:
                 return z
         raise NoReactiveSolution("no strictly feasible voltage profile found")
 
-    def trial(self, z):
-        """(-c^T zeta, -sum log(-g)); the barrier is +inf outside the set."""
-        g = self.constraints(z) if (z > 0.0).all() else None
-        if g is None or not (g < 0.0).all():
-            return math.inf, math.inf
-        return -float(self.c @ z), -float(np.sum(np.log(-g)))
-
-    def derivs(self, z):
-        """-c^T zeta, -c, zero curvature, and the barrier's gradient J^T w
-        and Hessian with w = 1 / slack.
-
-        The Hessian is J^T diag(w^2) J plus sum_i w_i d2g_i/dzeta2. With A
-        the u-Jacobian of g, the latter has the entries -(w_i + w_j) G_ij /
-        (4 u_i u_j) and, on the diagonal, also -(w^T A)_j / (4 u_j^3) =
-        -(w^T J)_j / (2 zeta_j).
-        """
-        w = -1.0 / self.constraints(z)
-        jac = self.jacobian(z)
-        grad = jac.T @ w
-        u = np.sqrt(z)
-        h = ((jac.T * (w * w)) @ jac
-             - np.add.outer(w, w) * self.fp.g / (4.0 * np.outer(u, u)))
-        h.flat[::len(z) + 1] -= grad / (2.0 * z)
-        return -float(self.c @ z), -self.c, np.zeros_like(h), grad, h
-
 
 def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """Reactive solution by maximizing a positive combination of squared
     voltages over the convex constraint set.
 
-    Every constraint is tight at the optimum, so the result solves the
-    reactive balances for the given phases; the voltages are sqrt(zeta).
+    Every constraint is tight at the optimum, so the optimum is a root of
+    the tight system g(zeta) = 0, which solves the reactive balances for
+    the given phases; the voltages are sqrt(zeta). Newton on that system
+    runs from the program's interior point, and its root is kept only when
+    _kkt_witness passes. Below 90 degrees every g_i is convex, so a
+    feasible point with nonnegative multipliers that meets KKT is a global
+    optimum (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3). Where
+    the witness fails, no solution is certified (NoReactiveSolution).
     """
     theta = _check_theta(n, theta)
     prog = _ZetaProgram(n, theta, c)
-    cmax = float(np.max(prog.c))
-    z, _, _ = barrier_path(prog, prog.interior_point(), cmax,
-                           1e-9 * (1.0 + float(np.max(prog.q)) + cmax),
-                           _REACTIVE_TOL)
 
     def direction(z, g):
         try:
@@ -360,13 +340,31 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
         except np.linalg.LinAlgError:
             return None
 
-    # The target is working precision, not the barrier's last slack.
-    z, g, _ = damped_newton(prog.constraints, direction, z,
+    z, g, _ = damped_newton(prog.constraints, direction, prog.interior_point(),
                             1e-14 * (1.0 + float(np.max(n.b_total))),
                             lambda z: (z > 0.0).all())
-    if not np.linalg.norm(g, np.inf) <= 1e-8:
-        raise NoReactiveSolution("could not drive the constraints tight")
+    if not _kkt_witness(prog, z, g):
+        raise NoReactiveSolution("could not certify a root of the tight "
+                                 "constraints as the optimum")
     return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g)
+
+
+def _kkt_witness(prog: _ZetaProgram, z: np.ndarray, g: np.ndarray) -> bool:
+    """Whether z, with constraint values g, is the zeta program's optimum by
+    KKT: every constraint tight to _TIGHT_TOL, and the multipliers that
+    make the objective's gradient c equal J(z)^T lambda all finite and
+    positive.
+
+    The multipliers are solved for c / max(c), which has the same signs
+    and cannot overflow.
+    """
+    if not np.linalg.norm(g, np.inf) <= _TIGHT_TOL:
+        return False
+    try:
+        lam = np.linalg.solve(prog.jacobian(z).T, prog.c / np.max(prog.c))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(lam) & (lam > 0.0)))
 
 
 def voltage_upper_bound(n: Network) -> VoltageBound:

@@ -1,30 +1,73 @@
-"""Regenerate the golden `region` outputs that tests/test_golden.py compares
+"""Regenerate the golden CLI outputs that tests/test_golden.py compares
 against.
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [NAME ...]
 
-Each file holds one line naming the numpy and BLAS builds it was made with,
-then the command's CSV output byte for byte. The grid's floats depend on
-the linear-algebra build, so a file is only comparable under the same one.
+With names, only those files are rewritten. Each file holds a line naming
+the numpy and BLAS builds it was made with, a '# '-prefixed JSON line with
+the command's argv, exit code and stderr, and then its stdout byte for
+byte. Floats depend on the linear-algebra build, so a file is only
+comparable under the same one.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from gridenergy import cli
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-# File name -> the command it records.
+TESTS_DIR = Path(__file__).resolve().parent
+GOLDEN_DIR = TESTS_DIR / "golden"
+# Phase files passed with --theta, as paths relative to tests/.
+THETA = "golden/theta_threebus.json"
+THETA_NAN = "golden/theta_nan.json"
+# File name -> the command it records. The IEEE-118 case is left out: its
+# last digits depend on the BLAS thread count.
 GOLDEN = {
     "region_threebus_step6_scale1.csv": ["region", "threebus", "--grid-step", "6",
                                          "--scale", "1"],
     "region_threebus_step6_scale3.csv": ["region", "threebus", "--grid-step", "6",
                                          "--scale", "3"],
     "region_threebus-tree_step6.csv": ["region", "threebus-tree", "--grid-step", "6"],
+    "solve_twobus.json": ["solve", "twobus"],
+    "solve_twobus_newton.json": ["solve", "twobus", "--method", "newton"],
+    "solve_twobus_lossy.json": ["solve", "twobus", "--lossy-kappa", "0.2"],
+    "solve_threebus.json": ["solve", "threebus"],
+    "solve_threebus_newton.json": ["solve", "threebus", "--method", "newton"],
+    "solve_threebus_lossy.json": ["solve", "threebus", "--lossy-kappa", "0.2"],
+    "solve_threebus-tree.json": ["solve", "threebus-tree"],
+    "solve_threebus-tree_newton.json": ["solve", "threebus-tree", "--method", "newton"],
+    "solve_threebus-tree_lossy.json": ["solve", "threebus-tree", "--lossy-kappa", "0.2"],
+    "check_threebus_d8.json": ["check", "threebus", "--d-samples", "8"],
+    "sweep_twobus_delta1.csv": ["sweep", "twobus", "--delta", "1"],
+    "sweep_twobus_delta0.1.csv": ["sweep", "twobus", "--delta", "0.1"],
+    "bounds_threebus_rho1.2.json": ["bounds", "threebus", "--b-rho", "1.2"],
+    "bounds_threebus_rho1.5.json": ["bounds", "threebus", "--b-rho", "1.5"],
+    "bounds_threebus-tree_rho1.2.json": ["bounds", "threebus-tree", "--b-rho", "1.2"],
+    "bounds_threebus-tree_rho1.5.json": ["bounds", "threebus-tree", "--b-rho", "1.5"],
+    "bounds_ieee14_rho1.2.json": ["bounds", "ieee14", "--b-rho", "1.2"],
+    "bounds_ieee14_rho1.5.json": ["bounds", "ieee14", "--b-rho", "1.5"],
+    "error_tol_nan.json": ["solve", "twobus", "--tol", "nan"],
+    "error_kappa_min_inf.csv": ["sweep", "twobus", "--kappa-min", "inf"],
+    "error_lossy_kappa_nan.json": ["solve", "twobus", "--lossy-kappa", "nan"],
+    "error_delta_inf.csv": ["sweep", "twobus", "--delta", "inf"],
+    "error_scale_nan.csv": ["region", "threebus", "--scale", "nan"],
+    "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
+    "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
+    "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
+    "error_unknown_flag.json": ["solve", "twobus", "--bogus"],
+    "reactive_twobus.json": ["reactive", "twobus"],
+    "reactive_threebus.json": ["reactive", "threebus"],
+    "reactive_threebus_theta.json": ["reactive", "threebus", "--theta", THETA],
+    "reactive_threebus-tree.json": ["reactive", "threebus-tree"],
+    "reactive_threebus-tree_theta.json": ["reactive", "threebus-tree", "--theta", THETA],
+    "reactive_ieee14.json": ["reactive", "ieee14"],
 }
 
 
@@ -38,22 +81,50 @@ def versions() -> str:
     return f"# numpy {np.__version__}; blas {blas}"
 
 
+@contextlib.contextmanager
+def _columns(width: str):
+    """argparse wraps its usage lines to the terminal: fix the width."""
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = width
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the command; argparse's SystemExit
+    gives its exit code."""
+    args = [str(TESTS_DIR / a) if a.startswith("golden/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _columns("80"):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def render(argv: list[str]) -> str:
-    """The command's stdout; raises if it does not exit 0."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    if code != cli.EXIT_OK:
-        raise RuntimeError(f"{' '.join(argv)} exited {code}")
-    return buf.getvalue()
+    """The golden file's text after the build line."""
+    code, out, err = run(argv)
+    meta = json.dumps({"argv": argv, "exit": code, "stderr": err}, sort_keys=True)
+    return f"# {meta}\n{out}"
 
 
-def main() -> None:
+def main(names: list[str]) -> None:
+    unknown = sorted(set(names) - set(GOLDEN))
+    if unknown:
+        raise SystemExit(f"unknown golden files {unknown}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN.items():
-        (GOLDEN_DIR / name).write_text(versions() + "\n" + render(argv))
-        print(f"wrote {name}")
+        if not names or name in names:
+            (GOLDEN_DIR / name).write_text(versions() + "\n" + render(argv))
+            print(f"wrote {name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

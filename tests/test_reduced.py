@@ -299,7 +299,7 @@ class TestConvexReactive:
 
     def test_work_budget(self, threebus, monkeypatch):
         # The cli_oneshot benchmark's 24 Latin-hypercube phase pairs over
-        # +-0.35 rad: one jacobian per barrier Newton step or polish step.
+        # +-0.35 rad: one jacobian per Newton step and one for the witness.
         from gridenergy import reduced
 
         inner, calls = reduced._ZetaProgram.jacobian, []
@@ -316,6 +316,63 @@ class TestConvexReactive:
                                       for s in strata])
             convex_reactive_solve(threebus, theta)
         assert len(calls) <= 1000
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize("c", [[math.nan, 1.0], [math.inf, 1.0],
+                                   [1.0, -math.inf], [0.0, 1.0]])
+    def test_weights_must_be_finite_and_positive(self, threebus, c):
+        with pytest.raises(ValueError, match="finite and positive"):
+            convex_reactive_solve(threebus, np.array([0.0, 0.1, -0.05]), c)
+
+    def test_huge_weight_same_optimum(self, threebus):
+        # The optimum is the set's greatest element whatever the positive
+        # weights, and a weight of 1e300 must not overflow the witness.
+        theta = np.array([0.0, 0.1, -0.05])
+        st = convex_reactive_solve(threebus, theta, [1e300, 1.0])
+        assert np.array_equal(st.zeta, convex_reactive_solve(threebus, theta).zeta)
+
+    def test_matches_monotone_newton(self, threebus, threebus_tree,
+                                     ieee118_model):
+        # Against the independent monotone Newton, zeta = exp(2 rho).
+        rng = np.random.default_rng(66)
+        draws = []
+        while len(draws) < 30:
+            n = random_network(rng, n_max=8)
+            n = Network([replace(b, q_inj=-abs(b.q_inj)) for b in n.buses],
+                        n.lines)
+            if len(n.pq):
+                theta = np.zeros(n.n_bus)
+                theta[n.ns] = rng.uniform(-0.35, 0.35, len(n.ns))
+                draws.append((n, theta))
+        for n, amp, k in ((threebus, 0.35, 20), (threebus_tree, 0.35, 20),
+                          (ieee118_model, 0.05, 3)):
+            for _ in range(k):
+                theta = np.zeros(n.n_bus)
+                theta[n.ns] = rng.uniform(-amp, amp, len(n.ns))
+                draws.append((n, theta))
+        checked = 0
+        for n, theta in draws:
+            try:
+                rho = solve_reactive_newton(n, theta)
+            except (NoReactiveSolution, PhaseOutOfRange):
+                continue
+            z = convex_reactive_solve(n, theta).zeta
+            assert np.max(np.abs(z / np.exp(2.0 * rho) - 1.0)) <= 1e-12
+            checked += 1
+        assert checked >= 60
+
+    def test_witness_rejects_low_root(self):
+        # u^2 - u + 0.1 = 0 has two roots; only the high one maximizes zeta.
+        # At the low one g' < 0, so the multiplier c / g' is negative.
+        from gridenergy import reduced
+
+        prog = reduced._ZetaProgram(make_twobus(), np.zeros(2))
+        for u, optimal in ((0.5 * (1.0 + math.sqrt(0.6)), True),
+                           (0.5 * (1.0 - math.sqrt(0.6)), False)):
+            z = np.array([u * u])
+            g = prog.constraints(z)
+            assert np.max(np.abs(g)) <= 1e-15
+            assert reduced._kkt_witness(prog, z, g) is optimal
 
     def test_lossy_uses_constant_ratio_model(self, threebus):
         # g = 0.2 b: the program's targets are the combined Q + 0.2 P, the

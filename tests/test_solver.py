@@ -189,17 +189,16 @@ class TestConvex:
 
     def test_predictor_lowers_next_objective(self, threebus, monkeypatch):
         # Every tangent predictor step ends at or below f + mu_next phi at
-        # its start, as barrier_path itself computes both: for the energy
-        # over a threebus sweep and for the zeta program at threebus phases.
-        from gridenergy import reduced, solver
+        # its start, as barrier_path itself computes both, for the energy
+        # over a threebus sweep.
+        from gridenergy import solver
 
-        inner, checked = solver._predict, {}
+        inner, checked = solver._predict, []
 
         def spy(problem, x, f, phi, gphi, h, mu, mu_next, trace):
             out = inner(problem, x, f, phi, gphi, h, mu, mu_next, trace)
             f_out, phi_out = problem.trial(out[0])
-            checked.setdefault(type(problem).__name__, []).append(
-                f_out + mu_next * phi_out <= f + mu_next * phi)
+            checked.append(f_out + mu_next * phi_out <= f + mu_next * phi)
             return out
 
         monkeypatch.setattr(solver, "_predict", spy)
@@ -209,14 +208,7 @@ class TestConvex:
             nk = scale_injections(threebus, kappa, 1.0)
             solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
                                 1.0, solver.MU_MIN, 1e-8)
-        rng = np.random.default_rng(5)
-        for _ in range(12):
-            theta = np.zeros(3)
-            theta[threebus.ns] = rng.uniform(-0.35, 0.35, 2)
-            reduced.convex_reactive_solve(threebus, theta)
-        energy, zeta = checked["_Barrier"], checked["_ZetaProgram"]
-        assert len(energy) > 100 and all(energy)
-        assert len(zeta) > 50 and all(zeta)
+        assert len(checked) > 100 and all(checked)
 
     def test_solution_strictly_interior(self):
         rng = np.random.default_rng(51)
