@@ -128,9 +128,13 @@ def _per_bus(n, values, name: str, out: np.ndarray) -> None:
         if bid not in index:
             raise ParseError(f"{name}: unknown bus id {bid!r}")
         try:
-            out[index[bid]] = float(val)
+            number = float(val)
         except (TypeError, ValueError):
-            raise ParseError(f"{name}: bus {bid} has non-numeric {val!r}") from None
+            number = None
+        # bool subclasses int, so float() reads a JSON true as 1.0.
+        if number is None or isinstance(val, bool):
+            raise ParseError(f"{name}: bus {bid} has non-numeric {val!r}")
+        out[index[bid]] = number
 
 
 def _load_state(n, path: str) -> PFState:

@@ -203,6 +203,14 @@ def _whole(v, where: str) -> int:
     raise ParseError(f"{where}: expected an integer, got {v!r}")
 
 
+def _real(v, where: str) -> float:
+    """float(v); ParseError at where for a JSON boolean, which float() would
+    read as 0 or 1."""
+    if isinstance(v, bool):
+        raise ParseError(f"{where}: expected a number, got {v!r}")
+    return float(v)
+
+
 def parse_native(text: str) -> Network:
     """Parse the native JSON case format (see serialize_native)."""
     try:
@@ -219,9 +227,9 @@ def parse_native(text: str) -> Network:
         try:
             kind = _KINDS[rec["kind"]]
             buses.append(Bus(id=_whole(rec["id"], f"buses[{k}].id"), kind=kind,
-                             p_inj=float(rec.get("p", 0.0)),
-                             q_inj=float(rec.get("q", 0.0)),
-                             v_set=float(rec.get("v", 1.0))))
+                             p_inj=_real(rec.get("p", 0.0), f"buses[{k}].p"),
+                             q_inj=_real(rec.get("q", 0.0), f"buses[{k}].q"),
+                             v_set=_real(rec.get("v", 1.0), f"buses[{k}].v")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"buses[{k}]: {exc}") from exc
     lines = []
@@ -229,7 +237,8 @@ def parse_native(text: str) -> Network:
         try:
             lines.append(Line(i=_whole(rec["from"], f"lines[{k}].from"),
                               j=_whole(rec["to"], f"lines[{k}].to"),
-                              b=float(rec["b"]), g=float(rec.get("g", 0.0))))
+                              b=_real(rec["b"], f"lines[{k}].b"),
+                              g=_real(rec.get("g", 0.0), f"lines[{k}].g")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"lines[{k}]: {exc}") from exc
     return Network(buses, _merge_parallel(lines))

@@ -7,9 +7,10 @@ zeta = V^2 coordinates the feasible set
 
 (q_i the positive reactive consumption) is convex, and maximizing any
 positive combination of the zeta lands on a reactive solution with every
-constraint tight: the set's greatest element, which a monotone Newton
-iteration also reaches directly. The reduced energy is the full energy
-evaluated at that reactive solution for the given phases.
+constraint tight: the set's greatest element. One monotone Newton iteration
+computes it for every caller; the convex program keeps it only with a KKT
+witness. The reduced energy is the full energy evaluated at that reactive
+solution for the given phases.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
 # fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
 from .linalg import _symmetrize, fd_hessian  # noqa: F401
 from .network import Network
-from .solver import damped_newton
 
 _REACTIVE_TOL = 1e-10
 # Largest constraint value at an accepted optimum of the zeta program.
@@ -281,7 +281,6 @@ class _ZetaProgram:
         if np.any(np.delete(n.v_set, n.pq) != 1.0):
             raise UnsupportedTopology("the reactive program needs slack/PV "
                                       "set-points of 1 (see absorb_setpoints)")
-        self.n = n
         self.fp = en.FixedPhase(n, theta)
         self.q = -self.fp.tq
         if np.any(self.q < 0):
@@ -304,45 +303,28 @@ class _ZetaProgram:
         a.flat[::len(u) + 1] += self.fp.d + self.fp.g @ u
         return a / (-2.0 * u)
 
-    def interior_point(self) -> np.ndarray:
-        """The greatest element at consumption q + margin: every constraint
-        holds there with slack margin."""
-        for eps in (1e-3, 1e-4, 1e-5):
-            margin = eps * (1.0 + float(np.max(self.q)))
-            u, why = _greatest_u(self.n, self.fp, self.q + margin)
-            if why[0] is not None:
-                continue
-            z = u * u
-            if np.all(self.constraints(z) < -0.5 * margin):
-                return z
-        raise NoReactiveSolution("no strictly feasible voltage profile found")
-
 
 def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """Reactive solution by maximizing a positive combination of squared
     voltages over the convex constraint set.
 
-    Every constraint is tight at the optimum, so the optimum is a root of
-    the tight system g(zeta) = 0, which solves the reactive balances for
-    the given phases; the voltages are sqrt(zeta). Newton on that system
-    runs from the program's interior point, and its root is kept only when
-    _kkt_witness passes. Below 90 degrees every g_i is convex, so a
-    feasible point with nonnegative multipliers that meets KKT is a global
-    optimum (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.3). Where
-    the witness fails, no solution is certified (NoReactiveSolution).
+    Every constraint is tight at the optimum, at the larger root, so the
+    optimum is the set's greatest element: the greatest solution of the
+    reactive balances, which _greatest_u's monotone Newton computes. It is
+    kept only when _kkt_witness passes. Below 90 degrees every g_i is
+    convex, so a feasible point with nonnegative multipliers that meets KKT
+    is a global optimum (Boyd & Vandenberghe, Convex Optimization, sec.
+    5.5.3). The program admits consumption only (q >= 0), where the Newton
+    is monotone, so a refusal for a discriminant <= 0 proves that no
+    solution exists. Every refusal raises NoReactiveSolution.
     """
     theta = _check_theta(n, theta)
     prog = _ZetaProgram(n, theta, c)
-
-    def direction(z, g):
-        try:
-            return np.linalg.solve(prog.jacobian(z), -g)
-        except np.linalg.LinAlgError:
-            return None
-
-    z, g, _ = damped_newton(prog.constraints, direction, prog.interior_point(),
-                            1e-14 * (1.0 + float(np.max(n.b_total))),
-                            lambda z: (z > 0.0).all())
+    u, why = _greatest_u(n, prog.fp, prog.q)
+    if why[0] is not None:
+        raise NoReactiveSolution(why[0])
+    z = u * u
+    g = prog.constraints(z)
     if not _kkt_witness(prog, z, g):
         raise NoReactiveSolution("could not certify a root of the tight "
                                  "constraints as the optimum")

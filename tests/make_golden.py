@@ -27,6 +27,10 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 # Phase files passed with --theta, as paths relative to tests/.
 THETA = "golden/theta_threebus.json"
 THETA_NAN = "golden/theta_nan.json"
+# Malformed state files passed to check --state, each of which ends in an
+# error line.
+STATES = ("list", "unknown_bus", "short_list", "non_numeric", "truncated",
+          "pinned_rho")
 # File name -> the command it records. The IEEE-118 case is left out: its
 # last digits depend on the BLAS thread count.
 GOLDEN = {
@@ -46,13 +50,17 @@ GOLDEN = {
     "solve_threebus-tree_lossy.json": ["solve", "threebus-tree", "--lossy-kappa", "0.2"],
     "check_threebus_d8.json": ["check", "threebus", "--d-samples", "8"],
     "sweep_twobus_delta1.csv": ["sweep", "twobus", "--delta", "1"],
+    "sweep_twobus_delta0.5.csv": ["sweep", "twobus", "--delta", "0.5"],
     "sweep_twobus_delta0.1.csv": ["sweep", "twobus", "--delta", "0.1"],
-    "bounds_threebus_rho1.2.json": ["bounds", "threebus", "--b-rho", "1.2"],
-    "bounds_threebus_rho1.5.json": ["bounds", "threebus", "--b-rho", "1.5"],
-    "bounds_threebus-tree_rho1.2.json": ["bounds", "threebus-tree", "--b-rho", "1.2"],
-    "bounds_threebus-tree_rho1.5.json": ["bounds", "threebus-tree", "--b-rho", "1.5"],
-    "bounds_ieee14_rho1.2.json": ["bounds", "ieee14", "--b-rho", "1.2"],
-    "bounds_ieee14_rho1.5.json": ["bounds", "ieee14", "--b-rho", "1.5"],
+    "solve_ieee14.json": ["solve", "ieee14"],
+    "solve_ieee14_newton.json": ["solve", "ieee14", "--method", "newton"],
+    "sweep_ieee14_kappa1-5.5.csv": ["sweep", "ieee14", "--kappa-min", "1",
+                                    "--kappa-max", "5.5", "--kappa-step", "0.5"],
+    **{f"bounds_{case}_rho{rho}.json": ["bounds", case, "--b-rho", rho]
+       for case in ("threebus", "threebus-tree", "ieee14")
+       for rho in ("1.0", "1.05", "1.2", "1.5")},
+    "bounds_ieee14_rho1.5_seed1.json": ["bounds", "ieee14", "--b-rho", "1.5",
+                                        "--seed", "1"],
     "error_tol_nan.json": ["solve", "twobus", "--tol", "nan"],
     "error_kappa_min_inf.csv": ["sweep", "twobus", "--kappa-min", "inf"],
     "error_lossy_kappa_nan.json": ["solve", "twobus", "--lossy-kappa", "nan"],
@@ -62,6 +70,9 @@ GOLDEN = {
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
     "error_unknown_flag.json": ["solve", "twobus", "--bogus"],
+    **{f"error_state_{name}.json": ["check", "threebus", "--state",
+                                    f"golden/state_{name}.json"]
+       for name in STATES},
     "reactive_twobus.json": ["reactive", "twobus"],
     "reactive_threebus.json": ["reactive", "threebus"],
     "reactive_threebus_theta.json": ["reactive", "threebus", "--theta", THETA],

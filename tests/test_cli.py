@@ -323,6 +323,20 @@ class TestReactive:
         code, out = run(capsys, "reactive", str(path))
         assert code == EXIT_NO_SOLUTION
 
+    def test_solves_near_the_nose(self, capsys, tmp_path):
+        # The twobus nose is at q = -0.25; just short of it the greatest
+        # solution exists and is certified.
+        n = load_case("twobus")
+        doc = json.loads(serialize_native(n))
+        for rec in doc["buses"]:
+            if rec["kind"] == "pq":
+                rec["q"] = -0.24999
+        path = tmp_path / "near_nose.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "reactive", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "Solved"
+
     def test_no_pq_bus_is_an_error(self, capsys, tmp_path):
         n = load_case("twobus")
         doc = json.loads(serialize_native(n))
@@ -346,6 +360,7 @@ class TestReactive:
         ({"7": 0.1}, "unknown bus id '7'"),
         (5, "must be a list or an object"),
         ([0.0, 0.1], "has 2 entries for 3 buses"),
+        ({"2": True, "3": False}, "bus 2 has non-numeric True"),
     ])
     def test_malformed_theta(self, capsys, tmp_path, doc, message):
         path = tmp_path / "theta.json"

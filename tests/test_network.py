@@ -101,6 +101,17 @@ class TestParseNative:
         with pytest.raises(ParseError, match=message):
             parse_native(text)
 
+    @pytest.mark.parametrize("where, key", [("buses", "p"), ("buses", "q"),
+                                            ("buses", "v"), ("lines", "b"),
+                                            ("lines", "g")])
+    def test_boolean_number_rejected(self, where, key):
+        # float() would read true as 1.0.
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][-1][key] = True
+        k = len(doc[where]) - 1
+        with pytest.raises(ParseError, match=rf"{where}\[{k}\]\.{key}: expected a number"):
+            parse_native(json.dumps(doc))
+
     def test_whole_float_id_accepted(self):
         doc = json.loads(TWOBUS_DOC)
         doc["buses"][1]["id"] = doc["lines"][0]["to"] = 2.0

@@ -168,9 +168,9 @@ def zeta_or_none(solve):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_greatest_element_agrees_with_convex_program(seed):
-    # On consuming networks the monotone Newton, the damped Newton from the
-    # flat start, the barrier maximization of the zeta program and the caps
-    # are routes to one point.
+    # On consuming networks the monotone Newton, the sequential reference
+    # Newton, the zeta program's KKT-certified optimum and the caps all
+    # reach one point.
     rng = np.random.default_rng(seed)
     n = random_network(rng, n_max=6)
     n = Network([replace(b, q_inj=-abs(b.q_inj)) for b in n.buses], n.lines)
@@ -299,16 +299,23 @@ class TestConvexReactive:
 
     def test_work_budget(self, threebus, monkeypatch):
         # The cli_oneshot benchmark's 24 Latin-hypercube phase pairs over
-        # +-0.35 rad: one jacobian per Newton step and one for the witness.
+        # +-0.35 rad: one monotone Newton solve and one jacobian, for the
+        # witness, per phase pair.
         from gridenergy import reduced
 
         inner, calls = reduced._ZetaProgram.jacobian, []
+        greatest, solves = reduced._greatest_u, []
 
         def spy(prog, z):
             calls.append(z)
             return inner(prog, z)
 
+        def solve_spy(*args):
+            solves.append(args)
+            return greatest(*args)
+
         monkeypatch.setattr(reduced._ZetaProgram, "jacobian", spy)
+        monkeypatch.setattr(reduced, "_greatest_u", solve_spy)
         rng = np.random.default_rng(0)
         strata = [rng.permutation(24) for _ in range(2)]
         for i in range(24):
@@ -317,6 +324,22 @@ class TestConvexReactive:
             convex_reactive_solve(threebus, theta)
         assert len(calls) <= 1000
         assert len(calls) <= 100
+        assert len(calls) <= 24
+        assert len(solves) == 24
+
+    def test_solves_up_to_the_nose(self):
+        # Consumption q on twobus has its nose at q = 1/4, where the two
+        # roots of u^2 - u + q merge. Just below it the greatest solution is
+        # still certified, and it is the closed-form high root.
+        for q in (0.24999, 0.249999, 0.2499999):
+            n = make_twobus(q=-q)
+            z = convex_reactive_solve(n, np.zeros(2)).zeta[0]
+            for ref in (twobus_reactive_root(0.0, q) ** 2,
+                        voltage_upper_bound(n).v_bar[0] ** 2):
+                assert abs(z / ref - 1.0) <= 1e-12
+        for q in (0.25, 0.2500001):
+            with pytest.raises(NoReactiveSolution):
+                convex_reactive_solve(make_twobus(q=-q), np.zeros(2))
 
     @pytest.mark.parametrize("c", [[math.nan, 1.0], [math.inf, 1.0],
                                    [1.0, -math.inf], [0.0, 1.0]])
