@@ -127,19 +127,28 @@ def _per_bus(n, values, name: str, out: np.ndarray) -> None:
     for bid, val in values.items():
         if bid not in index:
             raise ParseError(f"{name}: unknown bus id {bid!r}")
-        try:
-            number = float(val)
-        except (TypeError, ValueError):
-            number = None
-        # bool subclasses int, so float() reads a JSON true as 1.0.
-        if number is None or isinstance(val, bool):
+        # Only JSON numbers: float() would also read "0.5" as 0.5, and a
+        # JSON true (bool subclasses int) as 1.0.
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ParseError(f"{name}: bus {bid} has non-numeric {val!r}")
-        out[index[bid]] = number
+        try:
+            out[index[bid]] = float(val)
+        except OverflowError as exc:
+            raise ParseError(f"{name}: bus {bid}: {exc}") from None
+
+
+def _read_json(path: str, flag: str):
+    """The JSON document in the file passed with flag."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{flag} {path}: invalid JSON: {exc}") from exc
 
 
 def _load_state(n, path: str) -> PFState:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "--state")
     if not isinstance(doc, dict):
         raise ParseError("state must be an object with 'rho' and/or 'theta'")
     s = PFState.flat(n)
@@ -224,8 +233,7 @@ def cmd_reactive(args) -> int:
     n = _prepare(args.case, None)
     theta = np.zeros(n.n_bus)
     if args.theta:
-        with open(args.theta) as fh:
-            _per_bus(n, json.load(fh), "theta", theta)
+        _per_bus(n, _read_json(args.theta, "--theta"), "theta", theta)
     try:
         state = reduced.convex_reactive_solve(n, theta)
     except NoReactiveSolution:

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import HALF_PI, PFState, check_state, hessian
-from .errors import (DomainError, NotConstantRatio, PhaseOutOfRange,
-                     UnsupportedTopology)
-# cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
+# hessian, cholesky_psd and sym_eigen are unused here; the benchmark's span
+# tracer pins them as aliases.
+from .energy import (HALF_PI, PFState, _hessian_entries, check_state,
+                     hessian)  # noqa: F401
+from .errors import (DomainError, InvalidMatrix, NotConstantRatio,
+                     PhaseOutOfRange, UnsupportedTopology)
 from .linalg import (DEFAULT_PSD_TOL, SymMatrix, _check_finite, _symmetrize,
                      cholesky_psd, sym_eigen)  # noqa: F401
 from .network import Network
@@ -158,23 +160,40 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
     theta) for alpha = k/samples, k = 0..samples, stopping at the first
     failure. This is a necessary check by sampling, not a certificate; on
     trees the matrix-domain test decides membership exactly instead.
+
+    The samples are evaluated in stacks, with the result of testing them one
+    at a time: InvalidMatrix only for a non-finite Hessian before the first
+    failure, and only the warnings that sample prints.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     check_state(n, s)
-    alphas = []
-    ok = True
-    for k in range(samples + 1):
-        alpha = k / samples
-        sa = PFState(alpha * s.rho, alpha * s.theta)
-        h = hessian(n, sa)
-        w, _ = sym_eigen(h)
-        scale = 1.0 + float(np.max(np.abs(np.diag(h.entries))))
-        alphas.append(alpha)
-        if w[0] < -DEFAULT_PSD_TOL * scale:
-            ok = False
-            break
-    return DomainDSample(in_d=ok, samples=samples, alphas=np.array(alphas))
+    order = len(n.pq) + len(n.ns)
+    if order == 0:
+        raise InvalidMatrix("expected a square matrix, got shape (0, 0)")
+    alphas = np.arange(samples + 1) / samples
+    step = max(1, _CHUNK_ENTRIES // order ** 2)
+    for lo in range(0, samples + 1, step):
+        a = alphas[lo:lo + step, None]
+        # Samples past the first failure would warn where the one-at-a-time
+        # test never looked: each chunk runs silent, and the first
+        # non-finite sample is redone alone below, warnings and all.
+        with np.errstate(all="ignore"):
+            h = _symmetrize(_hessian_entries(n, PFState(a * s.rho, a * s.theta)))
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        good = len(h) if finite.all() else int(np.argmin(finite))
+        # eigh, not eigvalsh: eigh's eigenvalues are sym_eigen's bit for bit.
+        w, _ = np.linalg.eigh(h[:good])
+        scale = 1.0 + np.abs(h[:good].diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+        failed = np.flatnonzero(w[:, 0] < -DEFAULT_PSD_TOL * scale)
+        if len(failed):
+            return DomainDSample(in_d=False, samples=samples,
+                                 alphas=alphas[:lo + failed[0] + 1])
+        if good < len(h):
+            # Bit for bit its stacked row, so _check_finite raises.
+            _check_finite(_symmetrize(_hessian_entries(
+                n, PFState(a[good] * s.rho, a[good] * s.theta))))
+    return DomainDSample(in_d=True, samples=samples, alphas=alphas)
 
 
 def lossy_in_domain(n: Network, s: PFState) -> ConvexityCertificate:

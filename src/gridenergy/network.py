@@ -73,65 +73,63 @@ class Network:
         ids = [b.id for b in buses]
         if len(set(ids)) != len(ids):
             raise ParseError("duplicate bus ids")
-        slack = [b for b in buses if b.kind is BusKind.SLACK]
-        if len(slack) != 1:
-            raise ParseError(f"expected exactly one slack bus, found {len(slack)}")
-        for b in buses:
-            if not (np.isfinite(b.p_inj) and np.isfinite(b.q_inj)):
-                raise ParseError(f"bus {b.id}: non-finite injection")
-            if max(abs(b.p_inj), abs(b.q_inj)) > MAX_MAGNITUDE:
-                raise ParseError(
-                    f"bus {b.id}: injection beyond {MAX_MAGNITUDE:g} per unit")
-            if b.kind is not BusKind.PQ and not (np.isfinite(b.v_set) and b.v_set > 0):
-                raise ParseError(
-                    f"bus {b.id}: voltage set-point must be positive and finite")
+        kinds = [b.kind for b in buses]
+        n_slack = kinds.count(BusKind.SLACK)
+        if n_slack != 1:
+            raise ParseError(f"expected exactly one slack bus, found {n_slack}")
+        inj = np.array([[b.p_inj for b in buses], [b.q_inj for b in buses]])
+        v = np.array([b.v_set for b in buses])
+        pq = np.array([k is BusKind.PQ for k in kinds])
+        # (x > 0) & (x < inf) is False for NaN: positive and finite.
+        _raise_first(buses, lambda b: f"bus {b.id}", (
+            (~np.isfinite(inj).all(axis=0), "non-finite injection"),
+            (abs(inj).max(axis=0) > MAX_MAGNITUDE,
+             f"injection beyond {MAX_MAGNITUDE:g} per unit"),
+            (~(pq | (v > 0) & (v < np.inf)),
+             "voltage set-point must be positive and finite")))
 
         index = {bid: k for k, bid in enumerate(ids)}
-        seen_pairs = set()
-        for ln in lines:
-            if ln.i not in index or ln.j not in index:
-                raise ParseError(f"line {ln.i}-{ln.j}: unknown bus id")
-            if ln.i == ln.j:
-                raise ParseError(f"line {ln.i}-{ln.j}: self loop")
-            if not (np.isfinite(ln.b) and ln.b > 0):
-                raise ParseError(f"line {ln.i}-{ln.j}: b must be positive, got {ln.b}")
-            if not (np.isfinite(ln.g) and ln.g >= 0):
-                raise ParseError(f"line {ln.i}-{ln.j}: g must be nonnegative")
-            if max(ln.b, ln.g) > MAX_MAGNITUDE:
-                raise ParseError(
-                    f"line {ln.i}-{ln.j}: b and g must be at most "
-                    f"{MAX_MAGNITUDE:g} per unit")
-            pair = frozenset((ln.i, ln.j))
-            if pair in seen_pairs:
-                raise ParseError(
-                    f"line {ln.i}-{ln.j}: duplicate pair (merge parallel lines first)")
-            seen_pairs.add(pair)
+        n, m = len(buses), len(lines)
+        ends = np.array([[index.get(ln.i, -1) for ln in lines],
+                         [index.get(ln.j, -1) for ln in lines]], dtype=int)
+        bg = np.array([[ln.b for ln in lines], [ln.g for ln in lines]])
+        b, g = bg
+        # Line k repeats a pair when the pair first appears before k: code
+        # each sorted end pair as one integer (negative for an unknown end)
+        # and compare neighbours in a stable sort, which keeps first
+        # appearances first.
+        lo, hi = np.sort(ends, axis=0)
+        code = lo * n + hi
+        order = np.argsort(code, kind="stable")
+        repeat = np.zeros(m, dtype=bool)
+        repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
+        _raise_first(lines, lambda ln: f"line {ln.i}-{ln.j}", (
+            ((ends < 0).any(axis=0), "unknown bus id"),
+            (ends[0] == ends[1], "self loop"),
+            (~((b > 0) & (b < np.inf)), "b must be positive, got {item.b}"),
+            (~((g >= 0) & (g < np.inf)), "g must be nonnegative"),
+            (bg.max(axis=0) > MAX_MAGNITUDE,
+             f"b and g must be at most {MAX_MAGNITUDE:g} per unit"),
+            (repeat, "duplicate pair (merge parallel lines first)")))
 
         self.buses = buses
         self.lines = lines
         self.index = index
-        n = len(buses)
         self.n_bus = n
-        self.slack_index = index[slack[0].id]
-        self.slack = slack[0].id
-        kinds = [b.kind for b in buses]
-        self.pq = np.array([k for k, kd in enumerate(kinds) if kd is BusKind.PQ], dtype=int)
-        self.pv = np.array([k for k, kd in enumerate(kinds) if kd is BusKind.PV], dtype=int)
-        self.ns = np.array([k for k in range(n) if k != self.slack_index], dtype=int)
-        self.p_inj = np.array([b.p_inj for b in buses])
-        self.q_inj = np.array([b.q_inj for b in buses])
-        self.v_set = np.array([b.v_set for b in buses])
-        self.edges = np.array([[index[ln.i], index[ln.j]] for ln in lines], dtype=int)
+        self.slack_index = kinds.index(BusKind.SLACK)
+        self.slack = ids[self.slack_index]
+        self.pq = np.flatnonzero(pq)
+        self.pv = np.flatnonzero([k is BusKind.PV for k in kinds])
+        self.ns = np.flatnonzero([k is not BusKind.SLACK for k in kinds])
+        self.p_inj, self.q_inj = inj
+        self.v_set = v
         # Column-major, so each end column edges[:, 0], edges[:, 1] is
         # contiguous: the per-line gathers by it run at full speed.
-        self.edges = np.asfortranarray(self.edges.reshape(len(lines), 2))
-        self.b = np.array([ln.b for ln in lines])
-        self.g = np.array([ln.g for ln in lines])
-        self.y = self.g - 1j * self.b
-        self.b_total = np.zeros(n)
-        if lines:
-            np.add.at(self.b_total, self.edges[:, 0], self.b)
-            np.add.at(self.b_total, self.edges[:, 1], self.b)
+        self.edges = ends.T
+        self.b, self.g = b, g
+        self.y = g - 1j * b
+        # Every bus sums its from-ends, then its to-ends, in line order.
+        self.b_total = np.bincount(ends.ravel(), np.concatenate((b, b)), n)
 
         self._check_connected()
         self.lossy_ratio = self._uniform_ratio()
@@ -140,20 +138,18 @@ class Network:
         self.pq_index_of[self.pq] = np.arange(len(self.pq))
 
     def _check_connected(self):
-        n = self.n_bus
-        seen = np.zeros(n, dtype=bool)
+        """Spread from the slack bus along every line at once, until no
+        line leads anywhere new."""
+        ends = self.edges.ravel(order="F")
+        across = self.edges[:, ::-1].ravel(order="F")
+        seen = np.zeros(self.n_bus, dtype=bool)
         seen[self.slack_index] = True
-        stack = [self.slack_index]
-        adj = [[] for _ in range(n)]
-        for f, t in self.edges:
-            adj[f].append(t)
-            adj[t].append(f)
-        while stack:
-            k = stack.pop()
-            for nb in adj[k]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
+        while True:
+            reached = across[seen[ends]]
+            new = reached[~seen[reached]]
+            if not len(new):
+                break
+            seen[new] = True
         if not seen.all():
             missing = [self.buses[k].id for k in np.flatnonzero(~seen)]
             raise ParseError(f"network is disconnected; unreachable buses {missing}")
@@ -174,6 +170,20 @@ class Network:
     def __repr__(self):
         return (f"Network(n_bus={self.n_bus}, n_line={len(self.lines)}, "
                 f"slack={self.slack})")
+
+
+def _raise_first(items, name, checks) -> None:
+    """Raise ParseError for the first item, in input order, that fails any
+    check, naming its first failing check. checks holds (failing mask over
+    the items, message) pairs in the order an item is tested; the message is
+    prefixed by name(item) and may format the item as {item}."""
+    bad = checks[0][0]
+    for mask, _ in checks[1:]:
+        bad = bad | mask
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(message for mask, message in checks if mask[k])
+        raise ParseError(f"{name(items[k])}: {message.format(item=items[k])}")
 
 
 def _merge_parallel(lines) -> list[Line]:
@@ -204,11 +214,23 @@ def _whole(v, where: str) -> int:
 
 
 def _real(v, where: str) -> float:
-    """float(v); ParseError at where for a JSON boolean, which float() would
-    read as 0 or 1."""
-    if isinstance(v, bool):
+    """float(v); ParseError at where for a JSON boolean or string, which
+    float() would read as 0 or 1 or parse, and for an integer beyond the
+    float range."""
+    if isinstance(v, (bool, str)):
         raise ParseError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _key(rec, key: str, where: str):
+    """rec[key]; ParseError at where when a record lacks the key."""
+    try:
+        return rec[key]
+    except KeyError:
+        raise ParseError(f"{where}: missing key {key!r}") from None
 
 
 def parse_native(text: str) -> Network:
@@ -224,23 +246,25 @@ def parse_native(text: str) -> Network:
             raise ParseError(f"'{key}' must be a list")
     buses = []
     for k, rec in enumerate(doc["buses"]):
+        at = f"buses[{k}]"
         try:
-            kind = _KINDS[rec["kind"]]
-            buses.append(Bus(id=_whole(rec["id"], f"buses[{k}].id"), kind=kind,
-                             p_inj=_real(rec.get("p", 0.0), f"buses[{k}].p"),
-                             q_inj=_real(rec.get("q", 0.0), f"buses[{k}].q"),
-                             v_set=_real(rec.get("v", 1.0), f"buses[{k}].v")))
+            kind = _KINDS[_key(rec, "kind", at)]
+            buses.append(Bus(id=_whole(_key(rec, "id", at), f"{at}.id"), kind=kind,
+                             p_inj=_real(rec.get("p", 0.0), f"{at}.p"),
+                             q_inj=_real(rec.get("q", 0.0), f"{at}.q"),
+                             v_set=_real(rec.get("v", 1.0), f"{at}.v")))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"buses[{k}]: {exc}") from exc
+            raise ParseError(f"{at}: {exc}") from exc
     lines = []
     for k, rec in enumerate(doc["lines"]):
+        at = f"lines[{k}]"
         try:
-            lines.append(Line(i=_whole(rec["from"], f"lines[{k}].from"),
-                              j=_whole(rec["to"], f"lines[{k}].to"),
-                              b=_real(rec["b"], f"lines[{k}].b"),
-                              g=_real(rec.get("g", 0.0), f"lines[{k}].g")))
+            lines.append(Line(i=_whole(_key(rec, "from", at), f"{at}.from"),
+                              j=_whole(_key(rec, "to", at), f"{at}.to"),
+                              b=_real(_key(rec, "b", at), f"{at}.b"),
+                              g=_real(rec.get("g", 0.0), f"{at}.g")))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"lines[{k}]: {exc}") from exc
+            raise ParseError(f"{at}: {exc}") from exc
     return Network(buses, _merge_parallel(lines))
 
 
@@ -373,8 +397,11 @@ def parse_matpower(text: str) -> Network:
 # transformations
 
 def losslessify(n: Network) -> Network:
-    """Zero out all conductances; susceptances are kept as they are."""
-    return Network(n.buses, [replace(ln, g=0.0) for ln in n.lines])
+    """Zero out all conductances; susceptances are kept as they are. A
+    network whose conductances are all +0.0 already is returned as it is."""
+    if not (n.g.any() or np.signbit(n.g).any()):
+        return n
+    return Network(n.buses, [Line(ln.i, ln.j, ln.b) for ln in n.lines])
 
 
 def absorb_setpoints(n: Network) -> Network:
@@ -384,12 +411,16 @@ def absorb_setpoints(n: Network) -> Network:
     b * v_i * v_j, with v = 1 at PQ ends. The active power balances of the
     rescaled network match the original exactly; the reactive self terms at
     PQ buses next to non-unit set-points are rescaled along with the line,
-    which is the standard flat-set-point normalization of this model.
+    which is the standard flat-set-point normalization of this model. A
+    network whose set-points are all 1 already is returned as it is.
     """
+    if n.v_set[n.slack_index] == 1.0 and np.all(n.v_set[n.pv] == 1.0):
+        return n
     v_eff = {b.id: (b.v_set if b.kind is not BusKind.PQ else 1.0) for b in n.buses}
-    buses = [replace(b, v_set=1.0) if b.kind is not BusKind.PQ else b
+    buses = [b if b.kind is BusKind.PQ else Bus(b.id, b.kind, b.p_inj, b.q_inj, 1.0)
              for b in n.buses]
-    lines = [replace(ln, b=ln.b * v_eff[ln.i] * v_eff[ln.j]) for ln in n.lines]
+    lines = [Line(ln.i, ln.j, ln.b * v_eff[ln.i] * v_eff[ln.j], ln.g)
+             for ln in n.lines]
     return Network(buses, lines)
 
 
@@ -414,10 +445,10 @@ def scale_injections(n: Network, kappa: float, delta: float = 1.0) -> Network:
         if b.kind is BusKind.SLACK:
             buses.append(b)
         elif b.kind is BusKind.PV:
-            buses.append(replace(b, p_inj=kappa * b.p_inj))
+            buses.append(Bus(b.id, b.kind, kappa * b.p_inj, b.q_inj, b.v_set))
         else:
-            buses.append(replace(b, p_inj=kappa * b.p_inj,
-                                 q_inj=delta * kappa * b.q_inj))
+            buses.append(Bus(b.id, b.kind, kappa * b.p_inj,
+                             delta * kappa * b.q_inj, b.v_set))
     return Network(buses, n.lines)
 
 

@@ -7,7 +7,9 @@ With names, only those files are rewritten. Each file holds a line naming
 the numpy and BLAS builds it was made with, a '# '-prefixed JSON line with
 the command's argv, exit code and stderr, and then its stdout byte for
 byte. Floats depend on the linear-algebra build, so a file is only
-comparable under the same one.
+comparable under the same one. IEEE-118 commands run in a child process
+with every BLAS thread count pinned to 1: their last digits depend on how
+the build splits a product across threads.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,12 +30,18 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 # Phase files passed with --theta, as paths relative to tests/.
 THETA = "golden/theta_threebus.json"
 THETA_NAN = "golden/theta_nan.json"
+THETA_TRUNCATED = "golden/theta_truncated.json"
 # Malformed state files passed to check --state, each of which ends in an
 # error line.
 STATES = ("list", "unknown_bus", "short_list", "non_numeric", "truncated",
           "pinned_rho")
-# File name -> the command it records. The IEEE-118 case is left out: its
-# last digits depend on the BLAS thread count.
+# State files for check --d-samples 64: the segment test fails partway
+# (phases at +-0.8 rad), fails before the exponentials overflow (rho 400),
+# and meets non-finite matrices first (rho 360 at both PQ buses).
+D_STATES = ("partial", "rho400", "rho360")
+# Environment variables that fix the BLAS thread count.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# File name -> the command it records.
 GOLDEN = {
     "region_threebus_step6_scale1.csv": ["region", "threebus", "--grid-step", "6",
                                          "--scale", "1"],
@@ -49,6 +58,10 @@ GOLDEN = {
     "solve_threebus-tree_newton.json": ["solve", "threebus-tree", "--method", "newton"],
     "solve_threebus-tree_lossy.json": ["solve", "threebus-tree", "--lossy-kappa", "0.2"],
     "check_threebus_d8.json": ["check", "threebus", "--d-samples", "8"],
+    "check_ieee14_d64.json": ["check", "ieee14", "--d-samples", "64"],
+    **{f"check_threebus_state_{name}_d64.json": [
+        "check", "threebus", "--state", f"golden/state_{name}.json",
+        "--d-samples", "64"] for name in D_STATES},
     "sweep_twobus_delta1.csv": ["sweep", "twobus", "--delta", "1"],
     "sweep_twobus_delta0.5.csv": ["sweep", "twobus", "--delta", "0.5"],
     "sweep_twobus_delta0.1.csv": ["sweep", "twobus", "--delta", "0.1"],
@@ -56,6 +69,10 @@ GOLDEN = {
     "solve_ieee14_newton.json": ["solve", "ieee14", "--method", "newton"],
     "sweep_ieee14_kappa1-5.5.csv": ["sweep", "ieee14", "--kappa-min", "1",
                                     "--kappa-max", "5.5", "--kappa-step", "0.5"],
+    "solve_ieee118.json": ["solve", "ieee118"],
+    "solve_ieee118_newton.json": ["solve", "ieee118", "--method", "newton"],
+    "sweep_ieee118_kappa3.5-4.5.csv": ["sweep", "ieee118", "--kappa-min", "3.5",
+                                       "--kappa-max", "4.5", "--kappa-step", "0.5"],
     **{f"bounds_{case}_rho{rho}.json": ["bounds", case, "--b-rho", rho]
        for case in ("threebus", "threebus-tree", "ieee14")
        for rho in ("1.0", "1.05", "1.2", "1.5")},
@@ -69,6 +86,7 @@ GOLDEN = {
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
+    "error_theta_truncated.json": ["reactive", "threebus", "--theta", THETA_TRUNCATED],
     "error_unknown_flag.json": ["solve", "twobus", "--bogus"],
     **{f"error_state_{name}.json": ["check", "threebus", "--state",
                                     f"golden/state_{name}.json"]
@@ -93,13 +111,17 @@ def versions() -> str:
 
 
 @contextlib.contextmanager
-def _columns(width: str):
-    """argparse wraps its usage lines to the terminal: fix the width."""
-    old = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = width
+def _as_recorded():
+    """argparse wraps its usage lines to the terminal, and error lines quote
+    file paths as given: fix the width at 80 columns and run from tests/,
+    where argv's golden/ paths lead."""
+    old, cwd = os.environ.get("COLUMNS"), os.getcwd()
+    os.environ["COLUMNS"] = "80"
+    os.chdir(TESTS_DIR)
     try:
         yield
     finally:
+        os.chdir(cwd)
         if old is None:
             del os.environ["COLUMNS"]
         else:
@@ -108,12 +130,31 @@ def _columns(width: str):
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of the command; argparse's SystemExit
-    gives its exit code."""
-    args = [str(TESTS_DIR / a) if a.startswith("golden/") else a for a in argv]
+    gives its exit code. IEEE-118 commands run single-threaded in a child
+    process."""
+    if "ieee118" in argv:
+        return _run_single_threaded(argv)
+    return _run_here(argv)
+
+
+def _run_single_threaded(argv: list[str]) -> tuple[int, str, str]:
+    """run(argv) in a fresh interpreter on this gridenergy package, with one
+    BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, **{k: "1" for k in BLAS_THREADS})
+    child = subprocess.run([sys.executable, __file__, "--run", json.dumps(argv)],
+                           env=env, capture_output=True, text=True, check=True,
+                           timeout=300)
+    return tuple(json.loads(child.stdout))
+
+
+def _run_here(argv: list[str]) -> tuple[int, str, str]:
+    """run(argv) in this process."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _columns("80"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _as_recorded():
         try:
-            code = cli.main(args)
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -138,4 +179,7 @@ def main(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    if sys.argv[1:2] == ["--run"]:
+        print(json.dumps(_run_here(json.loads(sys.argv[2]))))
+    else:
+        main(sys.argv[1:])

@@ -149,6 +149,9 @@ class TestCheck:
         ({"rho": 3}, "must be a list or an object"),
         ([0.0, 0.0], "state must be an object"),
         ({"theta": {"2": None}}, "non-numeric"),
+        ({"rho": {"2": "-0.1"}}, "state 'rho': bus 2 has non-numeric '-0.1'"),
+        ({"theta": [0.0, " 1e-1 "]}, "state 'theta': bus 2 has non-numeric ' 1e-1 '"),
+        ({"rho": {"2": 10 ** 400}}, "state 'rho': bus 2: int too large to convert to float"),
     ])
     def test_malformed_state(self, capsys, tmp_path, doc, message):
         state = tmp_path / "state.json"
@@ -361,11 +364,20 @@ class TestReactive:
         (5, "must be a list or an object"),
         ([0.0, 0.1], "has 2 entries for 3 buses"),
         ({"2": True, "3": False}, "bus 2 has non-numeric True"),
+        ({"2": "0.5"}, "theta: bus 2 has non-numeric '0.5'"),
     ])
     def test_malformed_theta(self, capsys, tmp_path, doc, message):
         path = tmp_path / "theta.json"
         path.write_text(json.dumps(doc))
         assert_error(capsys, message, "reactive", "threebus", "--theta", str(path))
+
+    @pytest.mark.parametrize("command, flag", [("check", "--state"),
+                                               ("reactive", "--theta")])
+    def test_invalid_json_names_flag_and_path(self, capsys, tmp_path, command, flag):
+        path = tmp_path / "cut.json"
+        path.write_text('{"2": 0.1,\n')
+        assert_error(capsys, f"{flag} {path}: invalid JSON: Expecting property name",
+                     command, "threebus", flag, str(path))
 
 
 class TestBadRanges:

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_twobus, random_network, random_state
 from test_solver import strictly_interior
 from gridenergy import energy as en
+from gridenergy import convexity
 from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
                                   _active_mask, _box_samples,
                                   _diag_line_failures, _pq_ends,
@@ -16,8 +17,10 @@ from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
                                   in_domain_D_sampled, lossy_in_domain,
                                   matrix_convexity_gap, max_phase_bound)
 from gridenergy.energy import PFState
-from gridenergy.errors import DomainError, PhaseOutOfRange, UnsupportedTopology
-from gridenergy.linalg import DEFAULT_PSD_TOL, SymMatrix, cholesky_psd, sym_eigen
+from gridenergy.errors import (DomainError, GridEnergyError, PhaseOutOfRange,
+                               UnsupportedTopology)
+from gridenergy.linalg import (DEFAULT_PSD_TOL, SymMatrix, _symmetrize, cholesky_psd,
+                               sym_eigen)
 from gridenergy.network import Bus, BusKind, Line, Network, load_case
 from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
 
@@ -101,6 +104,118 @@ class TestInDomainDSampled:
         rep = in_domain_D_sampled(n, s, samples=32)
         assert not rep.in_d
         assert rep.alphas[-1] == pytest.approx(1.0)  # failed only at the end
+
+
+def reference_d_sampled(n, s, samples):
+    """in_domain_D_sampled one sample at a time, as it was before the
+    samples were stacked: (in_d, alphas, each sample's smallest eigenvalue)."""
+    alphas, mins = [], []
+    for k in range(samples + 1):
+        alpha = k / samples
+        h = en.hessian(n, PFState(alpha * s.rho, alpha * s.theta))
+        w, _ = sym_eigen(h)
+        scale = 1.0 + float(np.max(np.abs(np.diag(h.entries))))
+        alphas.append(alpha)
+        mins.append(w[0])
+        if w[0] < -DEFAULT_PSD_TOL * scale:
+            return False, np.array(alphas), mins
+    return True, np.array(alphas), mins
+
+
+def d_outcome(fn, n, s, samples):
+    """(in_d, alphas bytes) or the error raised, and every warning message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(n, s, samples)
+            result = (out[0], out[1].tobytes()) if isinstance(out, tuple) else (
+                out.in_d, out.alphas.tobytes())
+        except GridEnergyError as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def stacked_min_eigs(n, s, alphas):
+    """Smallest eigenvalue of the Hessian at every alpha * s, from one stacked
+    Hessian and one batched eigh."""
+    a = alphas[:, None]
+    h = _symmetrize(en._hessian_entries(n, PFState(a * s.rho, a * s.theta)))
+    return np.linalg.eigh(h)[0][:, 0]
+
+
+class TestStackedDSamples:
+    """The stacked test must give the one-at-a-time test's verdict, samples,
+    errors and warnings exactly."""
+
+    def assert_as_before(self, n, s, samples):
+        new = d_outcome(in_domain_D_sampled, n, s, samples)
+        assert new == d_outcome(reference_d_sampled, n, s, samples)
+        return new[0]
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "threebus-tree", "ieee14"])
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_random_states(self, case, small_chunks, bundled_models, monkeypatch):
+        n = bundled_models[case]
+        order = len(n.pq) + len(n.ns)
+        if small_chunks:  # three samples a chunk: failures land mid-stack
+            monkeypatch.setattr(convexity, "_CHUNK_ENTRIES", 3 * order ** 2)
+        rng = np.random.default_rng([ord(c) for c in case] + [small_chunks])
+        verdicts = set()
+        for k in range(50 if small_chunks else 25):
+            amp = (0.2, 0.8, 3.0, 400.0, 0.1)[k % 5]
+            s = random_state(rng, n, rho_amp=amp, theta_amp=amp)
+            if k % 5 == 4:  # PQ voltages near e^350: overflow can come first
+                s.rho[n.pq] += rng.uniform(300.0, 400.0)
+            samples = (64, 7, 1, 33)[k % 4]
+            result = self.assert_as_before(n, s, samples)
+            verdicts.add(result[0])
+            if isinstance(result[0], bool):
+                _, alphas, mins = reference_d_sampled(n, s, samples)
+                assert stacked_min_eigs(n, s, alphas).tobytes() == np.array(mins).tobytes()
+        assert {True, False, "InvalidMatrix"} <= verdicts
+
+    def test_fails_at_first_sample(self, threebus):
+        s = PFState.flat(threebus)
+        s.theta[1:] = (64 * 2.0, -64 * 2.0)
+        assert reference_d_sampled(threebus, s, 64)[1].tolist() == [0.0, 1 / 64]
+        self.assert_as_before(threebus, s, 64)
+
+    def test_fails_at_last_sample(self, threebus):
+        base = PFState.flat(threebus)
+        base.theta[1:] = (1.0, -1.0)
+        lo, hi = 0.0, 1.0  # in_d holds at lo, fails at hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            s = PFState(mid * base.rho, mid * base.theta)
+            if reference_d_sampled(threebus, s, 64)[0]:
+                lo = mid
+            else:
+                hi = mid
+        s = PFState(hi * base.rho, hi * base.theta)
+        assert len(reference_d_sampled(threebus, s, 64)[1]) == 65
+        assert self.assert_as_before(threebus, s, 64)[0] is False
+
+    def test_overflow_after_failure_is_silent(self, threebus):
+        # The exponentials overflow only past the first failing sample.
+        s = PFState.flat(threebus)
+        s.rho[1] = 400.0
+        result, caught = d_outcome(in_domain_D_sampled, threebus, s, 64)
+        assert result[0] is False and caught == []
+        self.assert_as_before(threebus, s, 64)
+
+    def test_overflow_before_failure_raises(self, threebus):
+        s = PFState.flat(threebus)
+        s.rho[1:] = 360.0
+        result, caught = d_outcome(in_domain_D_sampled, threebus, s, 64)
+        assert result == ("InvalidMatrix", "matrix has non-finite entries")
+        assert caught
+        self.assert_as_before(threebus, s, 64)
+
+    def test_no_free_variable(self):
+        n = Network([Bus(1, BusKind.SLACK)], [])
+        assert d_outcome(in_domain_D_sampled, n, PFState.flat(n), 4)[0] == (
+            "InvalidMatrix", "expected a square matrix, got shape (0, 0)")
+        self.assert_as_before(n, PFState.flat(n), 4)
 
 
 class TestLossyDomain:

@@ -1,4 +1,6 @@
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from conftest import make_twobus, random_network, random_state
 from gridenergy import energy as en
 from gridenergy.errors import ParseError
-from gridenergy.network import (MAX_MAGNITUDE, Bus, BusKind, Line, Network,
-                                absorb_setpoints, incidence, is_tree, losslessify, parse_matpower,
-                                parse_native, scale_injections, serialize_native)
+from gridenergy.network import (BUNDLED_CASES, MAX_MAGNITUDE, Bus, BusKind, Line,
+                                Network, absorb_setpoints, incidence, is_tree, load_case,
+                                losslessify, parse_matpower, parse_native, scale_injections,
+                                serialize_native)
 
 TWOBUS_DOC = json.dumps({
     "buses": [{"id": 1, "kind": "slack", "p": 0, "q": 0, "v": 1},
@@ -111,6 +114,47 @@ class TestParseNative:
         k = len(doc[where]) - 1
         with pytest.raises(ParseError, match=rf"{where}\[{k}\]\.{key}: expected a number"):
             parse_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, key", [("buses", "p"), ("buses", "q"),
+                                            ("buses", "v"), ("lines", "b"),
+                                            ("lines", "g")])
+    @pytest.mark.parametrize("raw", ["-0.1", " -1e-1 ", "1"])
+    def test_numeric_string_rejected(self, where, key, raw):
+        # float() would parse the string.
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][-1][key] = raw
+        k = len(doc[where]) - 1
+        with pytest.raises(ParseError, match=rf"{where}\[{k}\]\.{key}: expected a number, "
+                                             rf"got '{raw}'"):
+            parse_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, key", [("buses", "p"), ("lines", "b")])
+    def test_integer_beyond_float_range_rejected(self, where, key):
+        # float() of a 401-digit JSON integer raises OverflowError.
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][-1][key] = "@"
+        text = json.dumps(doc).replace('"@"', "1" + "0" * 400)
+        k = len(doc[where]) - 1
+        with pytest.raises(ParseError, match=rf"{where}\[{k}\]\.{key}: int too large"):
+            parse_native(text)
+
+    @pytest.mark.parametrize("where, key", [("buses", "kind"), ("buses", "id"),
+                                            ("lines", "from"), ("lines", "to"),
+                                            ("lines", "b")])
+    def test_missing_key_named(self, where, key):
+        doc = json.loads(TWOBUS_DOC)
+        del doc[where][-1][key]
+        k = len(doc[where]) - 1
+        with pytest.raises(ParseError) as info:
+            parse_native(json.dumps(doc))
+        assert str(info.value) == f"{where}[{k}]: missing key '{key}'"
+
+    def test_unknown_kind_message_kept(self):
+        doc = json.loads(TWOBUS_DOC)
+        doc["buses"][1]["kind"] = "load"
+        with pytest.raises(ParseError) as info:
+            parse_native(json.dumps(doc))
+        assert str(info.value) == "buses[1]: 'load'"
 
     def test_whole_float_id_accepted(self):
         doc = json.loads(TWOBUS_DOC)
@@ -307,3 +351,213 @@ class TestScaleInjections:
         assert np.allclose(out.p_inj[n.ns], 2.0 * n.p_inj[n.ns])
         assert np.allclose(out.q_inj[n.pq], n.q_inj[n.pq])  # 0.5 * 2.0
         assert out.p_inj[n.slack_index] == n.p_inj[n.slack_index]
+
+
+def reference_fault(buses, lines):
+    """The first ParseError message of Network(buses, lines), or None, from
+    the one-item-at-a-time checks that the array form replaced."""
+    buses, lines = tuple(buses), tuple(lines)
+    if not buses:
+        return "network has no buses"
+    ids = [b.id for b in buses]
+    if len(set(ids)) != len(ids):
+        return "duplicate bus ids"
+    slack = [b for b in buses if b.kind is BusKind.SLACK]
+    if len(slack) != 1:
+        return f"expected exactly one slack bus, found {len(slack)}"
+    for b in buses:
+        if not (np.isfinite(b.p_inj) and np.isfinite(b.q_inj)):
+            return f"bus {b.id}: non-finite injection"
+        if max(abs(b.p_inj), abs(b.q_inj)) > MAX_MAGNITUDE:
+            return f"bus {b.id}: injection beyond {MAX_MAGNITUDE:g} per unit"
+        if b.kind is not BusKind.PQ and not (np.isfinite(b.v_set) and b.v_set > 0):
+            return f"bus {b.id}: voltage set-point must be positive and finite"
+    index = {bid: k for k, bid in enumerate(ids)}
+    seen_pairs = set()
+    for ln in lines:
+        if ln.i not in index or ln.j not in index:
+            return f"line {ln.i}-{ln.j}: unknown bus id"
+        if ln.i == ln.j:
+            return f"line {ln.i}-{ln.j}: self loop"
+        if not (np.isfinite(ln.b) and ln.b > 0):
+            return f"line {ln.i}-{ln.j}: b must be positive, got {ln.b}"
+        if not (np.isfinite(ln.g) and ln.g >= 0):
+            return f"line {ln.i}-{ln.j}: g must be nonnegative"
+        if max(ln.b, ln.g) > MAX_MAGNITUDE:
+            return f"line {ln.i}-{ln.j}: b and g must be at most {MAX_MAGNITUDE:g} per unit"
+        pair = frozenset((ln.i, ln.j))
+        if pair in seen_pairs:
+            return f"line {ln.i}-{ln.j}: duplicate pair (merge parallel lines first)"
+        seen_pairs.add(pair)
+    adj = {bid: [] for bid in ids}
+    for ln in lines:
+        adj[ln.i].append(ln.j)
+        adj[ln.j].append(ln.i)
+    seen, stack = {slack[0].id}, [slack[0].id]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if len(seen) != len(ids):
+        return f"network is disconnected; unreachable buses {[i for i in ids if i not in seen]}"
+    return None
+
+
+S, PV, PQ = BusKind.SLACK, BusKind.PV, BusKind.PQ
+NAN, INF = float("nan"), float("inf")
+OK_BUSES = [Bus(1, S), Bus(2, PQ, -0.1, -0.1), Bus(3, PV, 0.2, v_set=1.02), Bus(4, PQ)]
+OK_LINES = [Line(1, 2, 1.0), Line(2, 3, 2.0), Line(3, 4, 1.5)]
+
+
+def with_bus(k, **change):
+    return [replace(b, **change) if i == k else b for i, b in enumerate(OK_BUSES)]
+
+
+def with_line(k, **change):
+    return [replace(ln, **change) if i == k else ln for i, ln in enumerate(OK_LINES)]
+
+
+# Each malformed network holds two or more faults; the first in the old
+# order must be the one reported.
+MALFORMED = {
+    "no buses, lines unknown": ([], OK_LINES),
+    "duplicate ids and two slacks": (OK_BUSES + [Bus(2, S)], OK_LINES),
+    "two slacks and a bad bus": (with_bus(1, kind=S, p_inj=NAN), OK_LINES),
+    "no slack and a bad line": (with_bus(0, kind=PQ), with_line(0, b=-1.0)),
+    "two bad buses": ([Bus(1, S), Bus(2, PQ, INF), Bus(3, PV, v_set=0.0), Bus(4, PQ)],
+                      OK_LINES),
+    "one bus, two faults": (with_bus(2, p_inj=2e6, v_set=NAN), OK_LINES),
+    "bad set-point, then a bad injection": (
+        [Bus(1, S, v_set=-1.0), Bus(2, PQ, q_inj=NAN), Bus(3, PV), Bus(4, PQ)], OK_LINES),
+    "PQ set-point ignored, bad lines": (with_bus(1, v_set=NAN),
+                                        with_line(1, g=-1.0) + [Line(1, 4, 0.0)]),
+    "bad bus before bad lines": (with_bus(3, q_inj=-INF), with_line(0, i=9)),
+    "unknown end and self loop": (OK_BUSES, [Line(1, 7, 1.0), Line(2, 2, 1.0)] + OK_LINES),
+    "self loop with bad b": (OK_BUSES, OK_LINES + [Line(4, 4, -1.0)]),
+    "b before g": (OK_BUSES, with_line(1, b=NAN, g=NAN)),
+    "g before magnitude": (OK_BUSES, with_line(2, b=2e6, g=-INF)),
+    "magnitude before duplicate": (OK_BUSES, OK_LINES + [Line(2, 1, 3e6)]),
+    "duplicate before disconnection": (OK_BUSES + [Bus(5, PQ)], OK_LINES + [Line(4, 3, 1.0)]),
+    "reversed duplicate, then bad b": (OK_BUSES, OK_LINES + [Line(3, 2, 1.0), Line(1, 4, 0.0)]),
+    "first of two bad lines": (OK_BUSES, with_line(2, b=0.0) + [Line(1, 3, INF)]),
+    "two islands": (OK_BUSES + [Bus(5, PQ), Bus(6, PQ)], OK_LINES + [Line(5, 6, 1.0)]),
+    "unknown ends on both sides": (OK_BUSES, OK_LINES + [Line(8, 9, NAN)]),
+}
+
+
+def quiet_case(case):
+    """A bundled case, without the IEEE files' ignored-column warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return load_case(case)
+
+
+class TestArrayValidation:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_first_fault_as_before(self, name):
+        buses, lines = MALFORMED[name]
+        expected = reference_fault(buses, lines)
+        assert expected is not None
+        with pytest.raises(ParseError) as info:
+            Network(buses, lines)
+        assert str(info.value) == expected
+
+    def test_random_faults_as_before(self):
+        rng = np.random.default_rng(20)
+        bad_bus = [dict(p_inj=NAN), dict(q_inj=INF), dict(p_inj=-2e6),
+                   dict(v_set=0.0), dict(v_set=NAN), dict(kind=S), dict(id=1)]
+        bad_line = [dict(i=99), dict(j=-5), dict(b=0.0), dict(b=NAN), dict(g=-1.0),
+                    dict(g=INF), dict(b=5e6), dict(g=2e6)]
+        seen = set()
+        for _ in range(300):
+            n = random_network(rng, n_max=8)
+            buses, lines = list(n.buses), list(n.lines)
+            for _ in range(int(rng.integers(2, 5))):
+                if rng.random() < 0.4:
+                    k = int(rng.integers(len(buses)))
+                    buses[k] = replace(buses[k], **bad_bus[rng.integers(len(bad_bus))])
+                elif rng.random() < 0.8:
+                    k = int(rng.integers(len(lines)))
+                    lines[k] = replace(lines[k], **bad_line[rng.integers(len(bad_line))])
+                else:
+                    ln = lines[int(rng.integers(len(lines)))]
+                    lines.insert(int(rng.integers(len(lines) + 1)), Line(ln.j, ln.i, 1.0))
+            expected = reference_fault(buses, lines)
+            if expected is None:
+                Network(buses, lines)
+                continue
+            with pytest.raises(ParseError) as info:
+                Network(buses, lines)
+            assert str(info.value) == expected
+            seen.add(expected.split(":")[-1].split(",")[0].strip())
+        assert len(seen) >= 8
+
+    @pytest.mark.parametrize("case", sorted(BUNDLED_CASES))
+    def test_bundled_cases_accepted(self, case):
+        n = quiet_case(case)
+        assert reference_fault(n.buses, n.lines) is None
+        assert n.edges.flags.f_contiguous and n.edges.shape == (len(n.lines), 2)
+        assert n.edges.tolist() == [[n.index[ln.i], n.index[ln.j]] for ln in n.lines]
+        for name, kinds in (("pq", {PQ}), ("pv", {PV}), ("ns", {PQ, PV})):
+            assert getattr(n, name).tolist() == [
+                k for k, b in enumerate(n.buses) if b.kind in kinds]
+
+
+def reference_scale(n, kappa, delta):
+    buses = []
+    for b in n.buses:
+        if b.kind is BusKind.SLACK:
+            buses.append(b)
+        elif b.kind is BusKind.PV:
+            buses.append(replace(b, p_inj=kappa * b.p_inj))
+        else:
+            buses.append(replace(b, p_inj=kappa * b.p_inj, q_inj=delta * kappa * b.q_inj))
+    return Network(buses, n.lines)
+
+
+def reference_losslessify(n):
+    return Network(n.buses, [replace(ln, g=0.0) for ln in n.lines])
+
+
+def reference_absorb(n):
+    v_eff = {b.id: (b.v_set if b.kind is not BusKind.PQ else 1.0) for b in n.buses}
+    buses = [replace(b, v_set=1.0) if b.kind is not BusKind.PQ else b for b in n.buses]
+    return Network(buses, [replace(ln, b=ln.b * v_eff[ln.i] * v_eff[ln.j]) for ln in n.lines])
+
+
+ARRAYS = ("p_inj", "q_inj", "v_set", "b", "g", "y", "b_total", "edges", "pq", "pv",
+          "ns", "pq_index_of")
+
+
+class TestTransformsAsBefore:
+    @pytest.mark.parametrize("case", sorted(BUNDLED_CASES))
+    def test_bit_equal_arrays(self, case):
+        n = quiet_case(case)
+        for new, old in ((losslessify(n), reference_losslessify(n)),
+                         (absorb_setpoints(n), reference_absorb(n)),
+                         (scale_injections(n, 1.7, 0.3), reference_scale(n, 1.7, 0.3)),
+                         (scale_injections(n, 3.9), reference_scale(n, 3.9, 1.0))):
+            assert new.buses == old.buses and new.lines == old.lines
+            for name in ARRAYS:
+                a, b = getattr(new, name), getattr(old, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert new.lossy_ratio == old.lossy_ratio
+
+    def test_no_op_returns_the_network(self, threebus, ieee14):
+        # threebus has no conductance and unit set-points; ieee14 has both.
+        assert losslessify(threebus) is threebus
+        assert absorb_setpoints(threebus) is threebus
+        assert losslessify(ieee14) is not ieee14
+        assert absorb_setpoints(ieee14) is not ieee14
+        # A -0.0 conductance comes back as +0.0, as a rebuilt line has it.
+        n = make_twobus(g=-0.0)
+        assert np.signbit(n.g[0]) and not np.signbit(losslessify(n).g[0])
+
+    def test_bus_total_as_before(self, bundled_models):
+        # np.add.at over the from-ends, then the to-ends, in line order.
+        for n in bundled_models.values():
+            total = np.zeros(n.n_bus)
+            np.add.at(total, n.edges[:, 0], n.b)
+            np.add.at(total, n.edges[:, 1], n.b)
+            assert total.tobytes() == n.b_total.tobytes()
