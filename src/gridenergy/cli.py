@@ -28,9 +28,8 @@ EXIT_ERROR = 1
 EXIT_NO_SOLUTION = 3
 
 
-def _header(args, case: str) -> dict:
-    digest = hashlib.sha256(case_text(case).encode()).hexdigest()[:16]
-    return {"tool": f"gridenergy {__version__}", "case": case,
+def _header(args, digest: str) -> dict:
+    return {"tool": f"gridenergy {__version__}", "case": args.case,
             "case_sha256": digest, "seed": args.seed, "tol": args.tol}
 
 
@@ -63,17 +62,20 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _prepare(case: str, lossy_kappa: float | None):
-    """Parse, normalize set-points, and null out (or impose) conductances."""
+def _prepare(case: str, lossy_kappa: float | None) -> tuple[network.Network, str]:
+    """Parse, normalize set-points, and null out (or impose) conductances;
+    with the network, the digest of the case text for the header."""
     if lossy_kappa is not None and not np.isfinite(lossy_kappa):
         raise ValueError(f"--lossy-kappa must be finite, got {lossy_kappa}")
-    n = load_case(case)
+    text = case_text(case)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    n = load_case(case, text)
     n = network.absorb_setpoints(network.losslessify(n))
     if lossy_kappa is not None and lossy_kappa != 0.0:
         lines = [network.Line(ln.i, ln.j, ln.b, lossy_kappa * ln.b)
                  for ln in n.lines]
         n = network.Network(n.buses, lines)
-    return n
+    return n, digest
 
 
 def _state_payload(n, s: PFState) -> dict:
@@ -91,14 +93,14 @@ def _certificate_payload(cert) -> dict:
 
 
 def cmd_solve(args) -> int:
-    n = _prepare(args.case, args.lossy_kappa)
+    n, digest = _prepare(args.case, args.lossy_kappa)
     opts = solver.SolveOptions(grad_tol=args.tol)
     if args.method == "newton":
         out = solver.solve_newton(n, tol=args.tol)
     else:
         out = solver.solve_convex(n, opts=opts)
     payload = {
-        "header": _header(args, args.case),
+        "header": _header(args, digest),
         "method": args.method,
         "status": out.status.value,
         "grad_norm": out.grad_norm,
@@ -161,10 +163,10 @@ def _load_state(n, path: str) -> PFState:
 def cmd_check(args) -> int:
     if args.d_samples < 0:
         raise ValueError(f"--d-samples must be non-negative, got {args.d_samples}")
-    n = _prepare(args.case, None)
+    n, digest = _prepare(args.case, None)
     s = _load_state(n, args.state) if args.state else PFState.flat(n)
     cert = convexity.in_domain_C(n, s)
-    payload = {"header": _header(args, args.case),
+    payload = {"header": _header(args, digest),
                "certificate": _certificate_payload(cert)}
     if args.d_samples > 0:
         report = convexity.in_domain_D_sampled(n, s, samples=args.d_samples)
@@ -181,14 +183,14 @@ def cmd_sweep(args) -> int:
                         ("--kappa-max", args.kappa_max)):
         if not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    n = _prepare(args.case, None)
+    n, digest = _prepare(args.case, None)
     kappas = np.arange(args.kappa_min, args.kappa_max + 0.5 * args.kappa_step,
                        args.kappa_step)
     opts = solver.SolveOptions(grad_tol=args.tol)
     records = solver.sweep_load(n, args.delta, kappas, opts)
     rows = [(r.kappa, r.delta, r.status.value, r.grad_norm, r.lmi_min_eig,
              r.boundary_active, r.iterations) for r in records]
-    header = _header(args, args.case)
+    header = _header(args, digest)
     header["delta"] = args.delta
     _emit_table(args, header,
                 ["kappa", "delta", "status", "grad_norm", "lmi_min_eig",
@@ -199,7 +201,7 @@ def cmd_sweep(args) -> int:
 def cmd_region(args) -> int:
     if not np.isfinite(args.scale):
         raise ValueError(f"--scale must be finite, got {args.scale}")
-    n = _prepare(args.case, None)
+    n, digest = _prepare(args.case, None)
     if args.scale != 1.0:
         n = network.scale_injections(n, args.scale, 1.0)
     cells = reduced.region_grid(n, step_deg=args.grid_step)
@@ -207,7 +209,7 @@ def cmd_region(args) -> int:
              "" if c.in_c is None else c.in_c,
              "" if c.reduced_min_eig is None else c.reduced_min_eig)
             for c in cells]
-    header = _header(args, args.case)
+    header = _header(args, digest)
     header["scale"] = args.scale
     header["grid_step_deg"] = args.grid_step
     _emit_table(args, header,
@@ -217,9 +219,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    n = _prepare(args.case, None)
+    n, digest = _prepare(args.case, None)
     bound = convexity.max_phase_bound(n, args.b_rho, seed=args.seed)
-    payload = {"header": _header(args, args.case),
+    payload = {"header": _header(args, digest),
                "b_rho": args.b_rho,
                "b_theta_deg": bound.b_theta_deg,
                "b_theta_rad": bound.b_theta,
@@ -230,18 +232,18 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reactive(args) -> int:
-    n = _prepare(args.case, None)
+    n, digest = _prepare(args.case, None)
     theta = np.zeros(n.n_bus)
     if args.theta:
         _per_bus(n, _read_json(args.theta, "--theta"), "theta", theta)
     try:
         state = reduced.convex_reactive_solve(n, theta)
     except NoReactiveSolution:
-        _emit_json(args, {"header": _header(args, args.case),
+        _emit_json(args, {"header": _header(args, digest),
                           "status": "NoReactiveSolution"})
         return EXIT_NO_SOLUTION
     v_bar = reduced.voltage_upper_bound(n).v_bar
-    payload = {"header": _header(args, args.case),
+    payload = {"header": _header(args, digest),
                "status": "Solved",
                "pq_bus": [n.buses[p].id for p in n.pq],
                "zeta": [float(z) for z in state.zeta],

@@ -9,6 +9,7 @@ networks and is exact on trees.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,8 +248,9 @@ class PhaseBound(PhaseVoltageBox):
         return "exact-vertices" if self.certified else "sampled"
 
 
-# Entries the sampled test (PQ line ends) and the vertex stack (matrix entries)
-# take per numpy call: enough to amortize its cost, temporaries near 128 kB.
+# Entries the sampled probes (lines per probe), the D-sampling and the vertex
+# stack (matrix entries) take per numpy call: enough to amortize its cost,
+# temporaries near 128 kB.
 _CHUNK_ENTRIES = 1 << 14
 _MAX_BUDGET = HALF_PI - 1e-9  # the largest budget: every phase below 90 degrees
 _BOUND_RESOLUTION = math.radians(0.1)  # the sampled bisection's width
@@ -262,81 +264,70 @@ def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return end % len(n.lines), np.where(end < len(n.lines), 1.0, -1.0), pq[end]
 
 
-def _box_samples(n: Network, log_ratio: float, samples: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probe points of the operating box for the sampled estimate.
+def _box_chunks(n: Network, log_ratio: float,
+                samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Probe points of the operating box for the sampled estimate, a chunk
+    of rows at a time.
 
     A probe (d, phi) holds per-line ratio exponents d_e = rho_to - rho_from
     and per-line phase fractions phi_e in [-1, 1] of the phase budget under
     test. The deterministic battery worst-cases one line at a time (both
     ratio directions, that line's phase at the budget, the rest nominal);
     the random points draw bus profiles and rescale them onto the box
-    boundary. Row k of the two arrays is probe k at the PQ ends of
-    _pq_ends: the load term b_e e^{+-d_e} and the phase fraction phi_e.
+    boundary, max(samples, battery) probes in all. Row k of a chunk's two
+    arrays is one probe at the PQ ends of _pq_ends: the load term
+    b_e e^{+-d_e} and the phase fraction phi_e.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
     active = np.flatnonzero(_active_mask(n))
     line, sign, _ = _pq_ends(n)
-    battery = 2 * len(active)
-    terms = np.empty((max(samples, battery), len(line)))
-    phi = np.empty_like(terms)
-    hit = line == np.repeat(active, 2)[:, None]
-    d = np.where(hit, np.tile([log_ratio, -log_ratio], len(active))[:, None], 0.0)
-    terms[:battery] = n.b[line] * np.exp(d * sign)
-    phi[:battery] = hit
+    step = max(1, _CHUNK_ENTRIES // len(n.lines))
+    hot = np.repeat(active, 2)
+    corner = np.tile([log_ratio, -log_ratio], len(active))
+    for lo in range(0, len(hot), step):
+        hit = line == hot[lo:lo + step, None]
+        d = np.where(hit, corner[lo:lo + step, None], 0.0)
+        yield n.b[line] * np.exp(d * sign), hit.astype(float)
     rng = np.random.default_rng(seed)
     npq = len(n.pq)
     # Per-column draw bounds: the PQ rho, then the non-slack theta, the
     # layout one rng.uniform pair per probe would consume; a draw is
     # rng.uniform's low + (high - low) u, without its per-element broadcast.
     high = np.concatenate((np.full(npq, log_ratio), np.ones(len(n.ns))))
-    step = max(1, _CHUNK_ENTRIES // len(n.lines))
-    for lo in range(battery, len(terms), step):
-        hi = min(lo + step, len(terms))
-        draw = -high + (high - -high) * rng.random((hi - lo, len(high)))
-        rho = np.zeros((hi - lo, n.n_bus))
+    for lo in range(len(hot), samples, step):
+        draw = -high + (high - -high) * rng.random((min(step, samples - lo), len(high)))
+        rho = np.zeros((len(draw), n.n_bus))
         rho[:, n.pq] = draw[:, :npq]
         # Lines without a PQ end have d = 0 and so leave the worst |d| alone.
         d = rho[:, t[line]] - rho[:, f[line]]
         if log_ratio > 0:
             # Rows within the ratio bound scale by log_ratio / log_ratio = 1.
             d *= (log_ratio / np.max(np.abs(d), axis=1, initial=log_ratio))[:, None]
-        terms[lo:hi] = n.b[line] * np.exp(d * sign)
         th = np.zeros_like(rho)
         th[:, n.ns] = draw[:, npq:]
         pk = th[:, f] - th[:, t]
         top = np.max(np.abs(pk), axis=1, initial=0.0)
-        phi[lo:hi] = pk[:, line] / np.where(top > 0, top, 1.0)[:, None]
-    return terms, phi
+        yield (n.b[line] * np.exp(d * sign),
+               pk[:, line] / np.where(top > 0, top, 1.0)[:, None])
 
 
-def _diag_line_failures(n: Network, terms: np.ndarray, phi: np.ndarray,
-                        b_theta: float) -> int:
-    """Fixed-neighbor diagonal test at every box probe of _box_samples.
+def _probes_pass(n: Network, terms: np.ndarray, phi: np.ndarray,
+                 b_theta: float) -> bool:
+    """Fixed-neighbor diagonal test at every probe of a _box_chunks chunk.
 
     For every PQ bus: 2 B_i >= sum over its lines of B_e e^{u}/cos(theta).
     This is the domain condition when no two PQ buses are adjacent; on
     meshed networks it is the per-line operational criterion behind the
-    sampled (non-certifying) phase budgets. The failing probes move to the
-    front of terms and phi in probe order; returns their count.
+    sampled (non-certifying) phase budgets. True when every probe passes.
     """
     npq = len(n.pq)
-    step = max(1, _CHUNK_ENTRIES // terms.shape[1])
-    # Positions in a chunk's flattened (rows, PQ bus) loads: per row the
+    # Positions in the chunk's flattened (rows, PQ bus) loads: per row the
     # from-ends, then the to-ends, in line order, the order np.add.at would
     # sum them in.
-    bins = _pq_ends(n)[2] + npq * np.arange(step)[:, None]
-    cap = 2.0 * n.b_total[n.pq]
-    failed = 0
-    for lo in range(0, len(terms), step):
-        flow = terms[lo:lo + step] * (1.0 / np.cos(phi[lo:lo + step] * b_theta))
-        rows = len(flow)
-        load = np.bincount(bins[:rows].ravel(), flow.ravel(), rows * npq)
-        bad = lo + np.flatnonzero(~np.all(load.reshape(rows, npq) <= cap, axis=1))
-        terms[failed:failed + len(bad)] = terms[bad]
-        phi[failed:failed + len(bad)] = phi[bad]
-        failed += len(bad)
-    return failed
+    bins = _pq_ends(n)[2] + npq * np.arange(len(terms))[:, None]
+    flow = terms * (1.0 / np.cos(phi * b_theta))
+    load = np.bincount(bins.ravel(), flow.ravel(), len(terms) * npq)
+    return bool(np.all(load.reshape(len(terms), npq) <= 2.0 * n.b_total[n.pq]))
 
 
 def _vertex_budget(n: Network, active: np.ndarray, log_ratio: float) -> float:
@@ -371,10 +362,14 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     ratio/phase corner, plus random box profiles, judged by the
     fixed-neighbor diagonal criterion: full box certification is hopeless at
     practical ratios, as one bus sagged b_rho below all its neighbors leaves
-    the domain at zero phase difference on realistic networks. After a
-    failed point only its failing probes are retested: a probe's loads are
-    non-decreasing in b_theta (b e^{+-d} > 0, and 1/cos(phi b_theta) rises
-    for |phi| <= 1), and every later point lies below the failed one.
+    the domain at zero phase difference on realistic networks. The probes
+    stream through in chunks, so memory does not grow with samples. A
+    probe's loads are non-decreasing in b_theta (b e^{+-d} > 0, and
+    1/cos(phi b_theta) rises for |phi| <= 1), and the bisection points form
+    one fixed tree from (0, _MAX_BUDGET), so the budget over all probes is
+    the least of the chunks' budgets: a chunk that passes at the running
+    least cannot lower it, and one that fails there is bisected with every
+    point at or above it failed untested.
     """
     _check_b_rho(b_rho)
     if seed < 0:
@@ -385,24 +380,18 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
         return PhaseBound(b_rho=b_rho, certified=True,
                           b_theta=_vertex_budget(n, active, log_ratio))
 
-    terms, phi = _box_samples(n, log_ratio, samples, seed)
-
-    def box_ok(b_theta: float) -> bool:
-        nonlocal terms, phi
-        failed = _diag_line_failures(n, terms, phi, b_theta)
-        if failed:
-            terms, phi = terms[:failed], phi[:failed]
-        return not failed
-
-    lo, hi = 0.0, _MAX_BUDGET
-    if not box_ok(lo):
-        return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=False)
-    if box_ok(hi):
-        lo = hi
-    while hi - lo > _BOUND_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if box_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return PhaseBound(b_rho=b_rho, b_theta=lo, certified=False)
+    best = _MAX_BUDGET
+    for terms, phi in _box_chunks(n, log_ratio, samples, seed):
+        if _probes_pass(n, terms, phi, best):
+            continue
+        if not _probes_pass(n, terms, phi, 0.0):
+            return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=False)
+        lo, hi = 0.0, _MAX_BUDGET
+        while hi - lo > _BOUND_RESOLUTION:
+            mid = 0.5 * (lo + hi)
+            if mid < best and _probes_pass(n, terms, phi, mid):
+                lo = mid
+            else:
+                hi = mid
+        best = lo
+    return PhaseBound(b_rho=b_rho, b_theta=best, certified=False)

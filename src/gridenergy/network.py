@@ -225,6 +225,14 @@ def _real(v, where: str) -> float:
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _kind(v, where: str) -> BusKind:
+    """The bus kind named v; ParseError at where for anything else."""
+    if isinstance(v, str) and v in _KINDS:
+        return _KINDS[v]
+    raise ParseError(f"{where}: expected one of {', '.join(map(repr, _KINDS))}, "
+                     f"got {v!r}")
+
+
 def _key(rec, key: str, where: str):
     """rec[key]; ParseError at where when a record lacks the key."""
     try:
@@ -248,7 +256,7 @@ def parse_native(text: str) -> Network:
     for k, rec in enumerate(doc["buses"]):
         at = f"buses[{k}]"
         try:
-            kind = _KINDS[_key(rec, "kind", at)]
+            kind = _kind(_key(rec, "kind", at), f"{at}.kind")
             buses.append(Bus(id=_whole(_key(rec, "id", at), f"{at}.id"), kind=kind,
                              p_inj=_real(rec.get("p", 0.0), f"{at}.p"),
                              q_inj=_real(rec.get("q", 0.0), f"{at}.q"),
@@ -475,13 +483,15 @@ def case_text(name_or_path: str) -> str:
         raise ParseError(f"cannot read case file: {exc}") from exc
 
 
-def load_case(name_or_path: str) -> Network:
+def load_case(name_or_path: str, text: str | None = None) -> Network:
     """Load a bundled case by name or any case file by path.
 
     Files ending in .m are read as MATPOWER text, everything else as the
-    native JSON format.
+    native JSON format. Given text, the case_text of name_or_path, it is
+    parsed without reading the file again.
     """
-    text = case_text(name_or_path)
+    if text is None:
+        text = case_text(name_or_path)
     if BUNDLED_CASES.get(name_or_path, name_or_path).endswith(".m"):
         return parse_matpower(text)
     return parse_native(text)

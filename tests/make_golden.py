@@ -31,6 +31,8 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 THETA = "golden/theta_threebus.json"
 THETA_NAN = "golden/theta_nan.json"
 THETA_TRUNCATED = "golden/theta_truncated.json"
+# A native case file whose second bus has the unknown kind "load".
+CASE_BAD_KIND = "golden/case_bad_kind.json"
 # Malformed state files passed to check --state, each of which ends in an
 # error line.
 STATES = ("list", "unknown_bus", "short_list", "non_numeric", "truncated",
@@ -74,10 +76,11 @@ GOLDEN = {
     "sweep_ieee118_kappa3.5-4.5.csv": ["sweep", "ieee118", "--kappa-min", "3.5",
                                        "--kappa-max", "4.5", "--kappa-step", "0.5"],
     **{f"bounds_{case}_rho{rho}.json": ["bounds", case, "--b-rho", rho]
-       for case in ("threebus", "threebus-tree", "ieee14")
+       for case in ("threebus", "threebus-tree", "ieee14", "ieee118")
        for rho in ("1.0", "1.05", "1.2", "1.5")},
-    "bounds_ieee14_rho1.5_seed1.json": ["bounds", "ieee14", "--b-rho", "1.5",
-                                        "--seed", "1"],
+    **{f"bounds_{case}_rho1.5_seed1.json": ["bounds", case, "--b-rho", "1.5",
+                                            "--seed", "1"]
+       for case in ("ieee14", "ieee118")},
     "error_tol_nan.json": ["solve", "twobus", "--tol", "nan"],
     "error_kappa_min_inf.csv": ["sweep", "twobus", "--kappa-min", "inf"],
     "error_lossy_kappa_nan.json": ["solve", "twobus", "--lossy-kappa", "nan"],
@@ -88,6 +91,7 @@ GOLDEN = {
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
     "error_theta_truncated.json": ["reactive", "threebus", "--theta", THETA_TRUNCATED],
     "error_unknown_flag.json": ["solve", "twobus", "--bogus"],
+    "error_case_bad_kind.json": ["solve", CASE_BAD_KIND],
     **{f"error_state_{name}.json": ["check", "threebus", "--state",
                                     f"golden/state_{name}.json"]
        for name in STATES},

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -181,7 +182,7 @@ class TestCheck:
         from gridenergy.energy import PFState
 
         code, out = run(capsys, "check", "twobus", *tol)
-        n = _prepare("twobus", None)
+        n, _ = _prepare("twobus", None)
         assert code == EXIT_OK
         assert (json.loads(out)["certificate"]["tol_abs"]
                 == in_domain_C(n, PFState.flat(n)).tol_abs)
@@ -463,3 +464,25 @@ class TestOutputPlumbing:
         assert header["tol"] == 1e-9
         assert header["tool"].startswith("gridenergy ")
         assert len(header["case_sha256"]) == 16
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "twobus"], ["check", "threebus"], ["bounds", "threebus"],
+        ["reactive", "threebus"], ["region", "threebus", "--grid-step", "30"],
+        ["sweep", "twobus", "--kappa-min", "1", "--kappa-max", "1"]])
+    def test_case_read_once(self, capsys, monkeypatch, argv):
+        # The header hashes the text the command parsed, read once.
+        from gridenergy import cli, network
+
+        read, reads = network.case_text, []
+
+        def counted(name_or_path):
+            reads.append(read(name_or_path))
+            return reads[-1]
+
+        monkeypatch.setattr(network, "case_text", counted)
+        monkeypatch.setattr(cli, "case_text", counted)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == EXIT_OK and len(reads) == 1
+        digest = hashlib.sha256(reads[0].encode()).hexdigest()[:16]
+        assert f'"case_sha256": "{digest}"' in out

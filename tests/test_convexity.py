@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ from test_solver import strictly_interior
 from gridenergy import energy as en
 from gridenergy import convexity
 from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
-                                  _active_mask, _box_samples,
-                                  _diag_line_failures, _pq_ends,
+                                  _active_mask, _box_chunks, _pq_ends,
+                                  _probes_pass,
                                   convexity_matrix, domain_matrix, in_domain_C,
                                   in_domain_D_sampled, lossy_in_domain,
                                   matrix_convexity_gap, max_phase_bound)
@@ -339,6 +340,12 @@ class TestDomainProperties:
                 1 + max(abs(v) for v in vals))
 
 
+def _box_samples(n, log_ratio, samples, seed):
+    """Every probe of the sampled phase budget: the chunk stream, joined."""
+    terms, phi = zip(*_box_chunks(n, log_ratio, samples, seed))
+    return np.concatenate(terms), np.concatenate(phi)
+
+
 def bisected_vertex_bound(n, b_rho):
     """Reference for the certified budget: bisection on b_theta to
     _BOUND_RESOLUTION, each point tested by pivoted LDL on the domain matrix
@@ -472,10 +479,9 @@ class TestMaxPhaseBound:
         assert a.b_theta == b.b_theta
 
     def test_sampled_test_matches_one_sample_at_a_time(self, ieee118_model):
-        # The sampled test scatters the probes' PQ-end loads in chunks of
-        # rows; each probe's verdict must be the one-probe scatter's, a
-        # failing probe must fail the whole batch in whichever chunk, and the
-        # failing probes must come out in front, in probe order.
+        # The sampled test scatters a chunk's PQ-end loads in one bincount;
+        # each probe's verdict must be the one-probe scatter's, and a
+        # failing probe must fail the whole chunk in whichever row.
         n = ieee118_model
         terms, phi = _box_samples(n, math.log(1.5), 300, seed=5)
         line, sign, _ = _pq_ends(n)
@@ -486,28 +492,25 @@ class TestMaxPhaseBound:
             np.add.at(load, bus, terms[k] * (1.0 / np.cos(phi[k] * b_theta)))
             return bool(np.all(load[n.pq] <= 2.0 * n.b_total[n.pq]))
 
-        def failures(rows, b_theta):
-            t, p = terms[rows], phi[rows]
-            failed = _diag_line_failures(n, t, p, b_theta)
-            return failed, t[:failed], p[:failed]
+        def passes(rows, b_theta):
+            return _probes_pass(n, terms[rows], phi[rows], b_theta)
 
         b_hat = max_phase_bound(n, 1.5, samples=300, seed=5).b_theta
         every = np.arange(len(terms))
         for b_theta in (0.5 * b_hat, b_hat, b_hat + math.radians(0.1)):
             ok = np.array([one(k, b_theta) for k in every])
-            assert [failures([k], b_theta)[0] for k in every] == (~ok).tolist()
-            failed, t, p = failures(every, b_theta)
-            assert (failed == 0) == ok.all() == (b_theta <= b_hat)
-            assert np.array_equal(t, terms[~ok]) and np.array_equal(p, phi[~ok])
+            assert [passes([k], b_theta) for k in every] == ok.tolist()
+            assert passes(every, b_theta) == ok.all() == (b_theta <= b_hat)
             for k in np.flatnonzero(~ok)[:3]:
-                keep = np.append(np.flatnonzero(ok), k)  # the failure last
-                failed, t, _ = failures(keep, b_theta)
-                assert failed == 1 and np.array_equal(t[0], terms[k])
+                keep = np.flatnonzero(ok)
+                for at in (0, len(keep) // 2, len(keep)):
+                    assert not passes(np.insert(keep, at, k), b_theta), (k, at)
+            assert ok.any() and passes(np.flatnonzero(ok), b_theta)
 
     def test_box_samples_match_one_draw_per_probe(self, bundled_models):
         # The probes are drawn one chunk of rows at a time and kept only at
-        # the PQ line ends; the stream must be the one a per-probe
-        # rng.uniform pair gives, bit for bit.
+        # the PQ line ends; the joined chunk stream must be the one a
+        # per-probe rng.uniform pair gives, bit for bit.
         def per_probe(n, log_ratio, samples, seed):
             f, t = n.edges[:, 0], n.edges[:, 1]
             active = np.flatnonzero((n.pq_index_of[f] >= 0)
@@ -539,7 +542,8 @@ class TestMaxPhaseBound:
             return terms, np.concatenate((phi[:, kf], phi[:, kt]), axis=1)
 
         for name, n in bundled_models.items():
-            # At 400 samples the random rows of ieee118 span two chunks.
+            # At 400 samples the battery of ieee118 spans three chunks and
+            # its random rows two.
             for seed, ratio in ((0, 1.5), (7, 1.2), (7, 1.0)):
                 got = _box_samples(n, math.log(ratio), 400, seed)
                 want = per_probe(n, math.log(ratio), 400, seed)
@@ -572,9 +576,10 @@ class TestMaxPhaseBound:
 
     @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
     def test_pruned_bisection_matches_unpruned(self, bundled_models, case):
-        # Bisection retests only the probes that failed the last failing
-        # point; every probe's load is monotone in b_theta, so the budget
-        # must be the one that retests every probe, bit for bit.
+        # The bisection judges one chunk of probes at a time against the
+        # running least budget; every probe's load is monotone in b_theta,
+        # so the budget must be the one that retests every probe, bit for
+        # bit.
         n = bundled_models[case]
         for b_rho in (1.0, 1.2, 1.5, 2.0):
             for seed in (0, 1):
@@ -596,6 +601,30 @@ class TestMaxPhaseBound:
             want = self._unpruned_bound(n, b_rho, samples, seed=checked)
             assert got.b_theta == want, (checked, samples, b_rho)
             checked += 1
+
+    @pytest.mark.parametrize("entries", [1, 60, 1000])
+    def test_streamed_bisection_matches_unpruned_at_any_chunk(
+            self, ieee14_model, monkeypatch, entries):
+        # One, three and fifty probes a chunk on ieee14's 20 lines: the
+        # budget is the least chunk budget however the probes are cut.
+        monkeypatch.setattr(convexity, "_CHUNK_ENTRIES", entries)
+        for b_rho in (1.0, 1.5, 2.0):
+            for seed in (0, 3):
+                got = max_phase_bound(ieee14_model, b_rho, samples=700, seed=seed)
+                want = self._unpruned_bound(ieee14_model, b_rho, 700, seed)
+                assert got.b_theta == want, (b_rho, seed)
+
+    def test_sampled_memory_does_not_grow_with_samples(self, ieee118_model):
+        # The probes stream through in chunks; holding every probe at once
+        # traced 28 MB at 10 000 probes and 107 MB at 40 000.
+        for samples in (10000, 40000):
+            tracemalloc.start()
+            try:
+                max_phase_bound(ieee118_model, 1.5, samples=samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, (samples, peak)
 
     @pytest.mark.parametrize("case, b_rho, seed, b_theta", [
         ("ieee14", 1.2, 0, "0x1.e49735eb95862p-1"),

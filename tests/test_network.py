@@ -149,12 +149,16 @@ class TestParseNative:
             parse_native(json.dumps(doc))
         assert str(info.value) == f"{where}[{k}]: missing key '{key}'"
 
-    def test_unknown_kind_message_kept(self):
-        doc = json.loads(TWOBUS_DOC)
-        doc["buses"][1]["kind"] = "load"
-        with pytest.raises(ParseError) as info:
-            parse_native(json.dumps(doc))
-        assert str(info.value) == "buses[1]: 'load'"
+    def test_unknown_kind_named(self):
+        # Kinds are the lower-case names only; an unhashable kind used to
+        # escape the lookup as "unhashable type".
+        for kind in ("load", "PQ", "", 1, None, True, ["pq"], {"pq": 1}):
+            doc = json.loads(TWOBUS_DOC)
+            doc["buses"][1]["kind"] = kind
+            with pytest.raises(ParseError) as info:
+                parse_native(json.dumps(doc))
+            assert str(info.value) == ("buses[1].kind: expected one of 'slack', "
+                                       f"'pv', 'pq', got {kind!r}")
 
     def test_whole_float_id_accepted(self):
         doc = json.loads(TWOBUS_DOC)
