@@ -25,8 +25,8 @@ from .network import (Bus, BusKind, Line, Network, absorb_setpoints,
                       parse_matpower, parse_native, scale_injections,
                       serialize_native)
 from .reduced import (BetaCondition, ReducedState, VoltageBound,
-                      beta_condition, convex_reactive_solve, reduced_energy,
-                      region_agreement, region_grid, solve_reactive_newton,
-                      voltage_upper_bound)
+                      beta_condition, convex_reactive_solve, reactive_with_bound,
+                      reduced_energy, region_agreement, region_grid,
+                      solve_reactive_newton, voltage_upper_bound)
 from .solver import (SolveOptions, SolveOutcome, SolveStatus, SweepRecord,
                      solve_convex, solve_convex_lossy, solve_newton, sweep_load)

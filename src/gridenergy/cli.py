@@ -180,12 +180,19 @@ def cmd_sweep(args) -> int:
     if not args.kappa_step > 0.0:
         raise ValueError(f"--kappa-step must be positive, got {args.kappa_step}")
     for flag, value in (("--delta", args.delta), ("--kappa-min", args.kappa_min),
-                        ("--kappa-max", args.kappa_max)):
+                        ("--kappa-max", args.kappa_max),
+                        ("--kappa-step", args.kappa_step)):
         if not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    # np.arange's own row count, taken before it allocates the rows.
+    stop = args.kappa_max + 0.5 * args.kappa_step
+    rows = (stop - args.kappa_min) / args.kappa_step
+    if not rows <= convexity.MAX_ROWS:
+        raise ValueError(f"--kappa-min {args.kappa_min}, --kappa-max "
+                         f"{args.kappa_max} and --kappa-step {args.kappa_step} "
+                         f"give more than the cap of {convexity.MAX_ROWS} rows")
     n, digest = _prepare(args.case, None)
-    kappas = np.arange(args.kappa_min, args.kappa_max + 0.5 * args.kappa_step,
-                       args.kappa_step)
+    kappas = np.arange(args.kappa_min, stop, args.kappa_step)
     opts = solver.SolveOptions(grad_tol=args.tol)
     records = solver.sweep_load(n, args.delta, kappas, opts)
     rows = [(r.kappa, r.delta, r.status.value, r.grad_norm, r.lmi_min_eig,
@@ -237,19 +244,18 @@ def cmd_reactive(args) -> int:
     if args.theta:
         _per_bus(n, _read_json(args.theta, "--theta"), "theta", theta)
     try:
-        state = reduced.convex_reactive_solve(n, theta)
+        state, bound = reduced.reactive_with_bound(n, theta)
     except NoReactiveSolution:
         _emit_json(args, {"header": _header(args, digest),
                           "status": "NoReactiveSolution"})
         return EXIT_NO_SOLUTION
-    v_bar = reduced.voltage_upper_bound(n).v_bar
     payload = {"header": _header(args, digest),
                "status": "Solved",
                "pq_bus": [n.buses[p].id for p in n.pq],
                "zeta": [float(z) for z in state.zeta],
                "v": [float(v) for v in state.voltages()],
                "constraint_slack": [float(v) for v in state.constraint_slack],
-               "v_bar": [float(v) for v in v_bar]}
+               "v_bar": [float(v) for v in bound.v_bar]}
     _emit_json(args, payload)
     return EXIT_OK
 

@@ -24,6 +24,11 @@ from .linalg import (DEFAULT_PSD_TOL, SymMatrix, _check_finite, _symmetrize,
                      cholesky_psd, sym_eigen)  # noqa: F401
 from .network import Network
 
+# Largest count of rows that one call or command builds: region grid cells,
+# kappa rows of a sweep, segment samples. A million grid cells, as
+# RegionCell objects of about 170 bytes each, take 0.17 GB.
+MAX_ROWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
@@ -168,6 +173,8 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    if samples > MAX_ROWS:
+        raise ValueError(f"samples {samples} is above the cap of {MAX_ROWS}")
     check_state(n, s)
     order = len(n.pq) + len(n.ns)
     if order == 0:

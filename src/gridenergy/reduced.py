@@ -21,10 +21,10 @@ import numpy as np
 
 from . import energy as en
 # in_domain_C is unused here; the benchmark's span tracer pins it as an alias.
-from .convexity import _domain_min_eig, in_domain_C  # noqa: F401
+from .convexity import MAX_ROWS, _domain_min_eig, in_domain_C  # noqa: F401
 from .energy import HALF_PI, PFState
-from .errors import (NoReactiveSolution, PhaseOutOfRange, SingularReduction,
-                     UnsupportedSign, UnsupportedTopology)
+from .errors import (NoReactiveSolution, NumericalFailure, PhaseOutOfRange,
+                     SingularReduction, UnsupportedSign, UnsupportedTopology)
 # fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
 from .linalg import _symmetrize, fd_hessian  # noqa: F401
 from .network import Network
@@ -50,9 +50,6 @@ _EIG_TOL = 1e-6
 # about 1.25 times faster than the reference ends them that early. Raise it
 # once the benchmark handles short runs (ROADMAP item 1).
 _CHUNK_CELLS = 32
-# Largest grid region_grid builds. Its cells are returned as one list of
-# RegionCell objects, about 170 bytes each: a million cells take 0.17 GB.
-_MAX_CELLS = 1_000_000
 
 
 @dataclass
@@ -204,6 +201,15 @@ def _reactive_solve(n: Network, theta: np.ndarray):
     """
     fp = en.FixedPhase(n, theta)
     u, why = _greatest_u(n, fp, -fp.tq)
+    rho, ok = _checked_rho(n, fp, theta, u, why)
+    return rho, ok, why
+
+
+def _checked_rho(n: Network, fp: en.FixedPhase, theta: np.ndarray,
+                 u: np.ndarray, why: list):
+    """rho = log u at the PQ buses from _greatest_u's (u, why) at fp's
+    phases theta, and whether each row solves: it has no reason in why and
+    both its residual checks are within _REACTIVE_TOL."""
     ok = np.array([reason is None for reason in why]).reshape(theta.shape[:-1])
     rho = np.log(np.where(ok[..., None], u, 1.0))
     ok &= np.abs(fp.residual(rho)).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
@@ -212,7 +218,7 @@ def _reactive_solve(n: Network, theta: np.ndarray):
     s.rho[..., n.pq] = rho
     _, rq = en._phasor_residuals(n, s)
     ok &= np.abs(rq).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
-    return rho, ok, why
+    return rho, ok
 
 
 def _reactive_rows(n: Network, theta: np.ndarray):
@@ -318,6 +324,12 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     is monotone, so a refusal for a discriminant <= 0 proves that no
     solution exists. Every refusal raises NoReactiveSolution.
     """
+    return _convex_reactive(n, theta, c)[0]
+
+
+def _convex_reactive(n: Network, theta, c):
+    """convex_reactive_solve's state, with the FixedPhase and the greatest
+    solution u of the balances that it came from."""
     theta = _check_theta(n, theta)
     prog = _ZetaProgram(n, theta, c)
     u, why = _greatest_u(n, prog.fp, prog.q)
@@ -328,7 +340,7 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     if not _kkt_witness(prog, z, g):
         raise NoReactiveSolution("could not certify a root of the tight "
                                  "constraints as the optimum")
-    return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g)
+    return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g), prog.fp, u
 
 
 def _kkt_witness(prog: _ZetaProgram, z: np.ndarray, g: np.ndarray) -> bool:
@@ -370,6 +382,27 @@ def voltage_upper_bound(n: Network) -> VoltageBound:
     theta = np.zeros(n.n_bus)
     _ZetaProgram(n, theta)
     return VoltageBound(v_bar=np.exp(solve_reactive_newton(n, theta)))
+
+
+def reactive_with_bound(n: Network, theta) -> tuple[ReducedState, VoltageBound]:
+    """convex_reactive_solve(n, theta) and voltage_upper_bound(n).
+
+    At zero phases the relaxed set is the reactive set itself, so the caps
+    come from the solve's greatest solution, with solve_reactive_newton's
+    residual checks and without a second monotone Newton. The solve refuses
+    as convex_reactive_solve does. Its solution lies in the relaxed set, so
+    a bound that then fails raises NumericalFailure, not NoReactiveSolution.
+    """
+    state, fp, u = _convex_reactive(n, theta, None)
+    if np.any(state.theta):
+        try:
+            return state, voltage_upper_bound(n)
+        except NoReactiveSolution as exc:
+            raise NumericalFailure(str(exc)) from None
+    rho, ok = _checked_rho(n, fp, state.theta, u, [None])
+    if not ok:
+        raise NumericalFailure(_NOT_CONVERGED)
+    return state, VoltageBound(v_bar=np.exp(rho))
 
 
 def beta_condition(n: Network) -> BetaCondition:
@@ -441,7 +474,7 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
 
     Needs exactly two non-slack buses so the grid covers all free phases,
     finite bounds with theta_min <= theta_max (equal bounds give one cell),
-    and at most _MAX_CELLS cells. The cells are solved as stacks of
+    and at most MAX_ROWS cells. The cells are solved as stacks of
     _CHUNK_CELLS phase rows, each cell with the verdicts that
     solve_reactive_newton, in_domain_C and reduced_hessian give it alone.
     """
@@ -457,9 +490,9 @@ def region_grid(n: Network, theta_min: float = -math.pi / 3.0,
     step = math.radians(step_deg)
     steps = (theta_max - theta_min) / step
     n_cells = (round(steps) + 1) ** 2 if math.isfinite(steps) else math.inf
-    if n_cells > _MAX_CELLS:
+    if n_cells > MAX_ROWS:
         raise ValueError(f"grid step {step_deg} deg gives {n_cells} cells, "
-                         f"above the cap of {_MAX_CELLS}")
+                         f"above the cap of {MAX_ROWS}")
     count = round(steps) + 1
     axis = theta_min + step * np.arange(count)
     # One numpy scalar per phase value, shared by the cells that carry it.

@@ -12,6 +12,7 @@ no solution exists in the domain.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +83,10 @@ def _residual_vec(n: Network, s: PFState) -> np.ndarray:
 
 
 def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve h dx = rhs by solve_spd, adding a ridge reg I when h is not
+    positive definite: reg starts at 1e-10 (1 + max |diag h|) and grows
+    100-fold a try. None after eight failed tries; InvalidMatrix when h is
+    not finite. For a positive definite h it is solve_spd's own answer."""
     reg = 0.0
     for _ in range(8):
         try:
@@ -90,6 +95,30 @@ def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
             scale = 1.0 + float(np.max(np.abs(np.diag(h))))
             reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
     return None
+
+
+def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """The convex route's Newton step: solve h dx = rhs with one LU
+    factorization of the symmetrized h.
+
+    Every Newton matrix of the convex route is positive definite: E'' on
+    C's interior, where E is strictly convex, and E'' + mu phi'' on the
+    barrier's domain (Boyd & Vandenberghe, Convex Optimization, secs. 9.5
+    and 11.3). So the LU answer is kept when h is finite and rhs . dx is
+    positive and finite, which every positive definite h gives; there it is
+    the very solve that solve_spd makes after its Cholesky test. Otherwise,
+    and when LU meets an exactly singular h, the answer is _ridge_solve's.
+    """
+    a = SymMatrix(h).entries
+    if np.isfinite(a).all():
+        try:
+            dx = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            dx = None
+        # A finite positive rhs . dx rules out every non-finite entry of dx.
+        if dx is not None and 0.0 < float(rhs @ dx) < math.inf:
+            return dx
+    return _ridge_solve(h, rhs)
 
 
 def damped_newton(residual, direction, x: np.ndarray, tol: float, valid):
@@ -175,26 +204,9 @@ class _Barrier:
         self.n = n
         self.box = box
         self.log_brho = math.log(box.b_rho) if box is not None else None
-        npq, m = len(n.pq), len(n.lines)
         f, t = n.edges[:, 0], n.edges[:, 1]
         self.f, self.t = f, t
-        th_col = np.full(n.n_bus, -1)
-        th_col[n.ns] = np.arange(len(n.ns))
-        # Edge Jacobian, block-diagonal: d depends on the PQ rho only and
-        # tau on the non-slack theta only. Pinned ends land in the dropped
-        # last column.
-        rows = np.arange(m)
-        jd = np.zeros((m, npq + 1))
-        jd[rows, n.pq_index_of[t]] += 1.0
-        jd[rows, n.pq_index_of[f]] -= 1.0
-        jt = np.zeros((m, len(n.ns) + 1))
-        jt[rows, th_col[f]] += 1.0
-        jt[rows, th_col[t]] -= 1.0
         self.var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
-        self.jd = jd[self.var, :-1]
-        self.jt, self.jt_fixed = jt[self.var, :-1], jt[~self.var, :-1]
-        # dU/dd = U * sign: +1/2 at from-rows, -1/2 at to-rows.
-        self.sign = -0.5 * self.jd.T
         self.diag_2b = np.diag(2.0 * n.b_total[n.pq])
         # (rho, theta) bytes, U and Cholesky factor of the last point factored.
         self.key, self.u, self.chol = None, None, None
@@ -253,6 +265,29 @@ class _Barrier:
             self.key, self.u, self.chol = key, u, chol
         return self.u, self.chol
 
+    @functools.cached_property
+    def _chain(self):
+        """(jd, jt, jt_fixed, sign): the edge Jacobians over the var lines
+        and the fixed ones, and dU/dd = U * sign (+1/2 at from-rows, -1/2 at
+        to-rows). Built on grad_hess's first call: a solve that Newton
+        steps settle never makes one."""
+        n, f, t, var = self.n, self.f, self.t, self.var
+        m = len(n.lines)
+        th_col = np.full(n.n_bus, -1)
+        th_col[n.ns] = np.arange(len(n.ns))
+        # Edge Jacobian, block-diagonal: d depends on the PQ rho only and
+        # tau on the non-slack theta only. Pinned ends land in the dropped
+        # last column.
+        rows = np.arange(m)
+        jd = np.zeros((m, len(n.pq) + 1))
+        jd[rows, n.pq_index_of[t]] += 1.0
+        jd[rows, n.pq_index_of[f]] -= 1.0
+        jt = np.zeros((m, len(n.ns) + 1))
+        jt[rows, th_col[f]] += 1.0
+        jt[rows, th_col[t]] -= 1.0
+        jd = jd[var, :-1]
+        return jd, jt[var, :-1], jt[~var, :-1], -0.5 * jd.T
+
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
 
@@ -279,10 +314,11 @@ class _Barrier:
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
         # -log det L over the var lines.
+        jd, jt, jf, sign = self._chain
         u, chol = self._factor(s, d, w)
         ci = np.linalg.inv(chol)
         u = u[:, var]
-        cu, cv = ci @ u, ci @ (u * self.sign)
+        cu, cv = ci @ u, ci @ (u * sign)
         guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
         duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
         w, tn = w[var], tn[var]
@@ -302,7 +338,6 @@ class _Barrier:
         h_dt.flat[::len(w) + 1] += 2.0 * wt * dvu
         h_tt.flat[::len(w) + 1] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
 
-        jd, jt, jf = self.jd, self.jt, self.jt_fixed
         fixed = ~var
         npq = jd.shape[1]
         hdt = jd.T @ h_dt @ jt
@@ -324,8 +359,9 @@ def _phase_slack(n: Network, s: PFState) -> float:
 def _classify(n: Network, s: PFState, grad_norm: float, opts: SolveOptions,
               iterations: int, ran_out: bool, trace) -> SolveOutcome:
     cert = _certificate(n, s)
-    boundary = (cert.lmi_min_eig < 1e-6 * cert.scale) or (_phase_slack(n, s) < 1e-5)
-    interior = (cert.lmi_min_eig > cert.tol_abs) and (_phase_slack(n, s) > 1e-6)
+    slack = _phase_slack(n, s)
+    boundary = (cert.lmi_min_eig < 1e-6 * cert.scale) or (slack < 1e-5)
+    interior = (cert.lmi_min_eig > cert.tol_abs) and (slack > 1e-6)
     if grad_norm <= opts.grad_tol and interior:
         status = SolveStatus.SOLUTION_FOUND
         boundary = False
@@ -407,7 +443,7 @@ def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
             h += hf
             if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
                 break
-            dx = _ridge_solve(h, -g)
+            dx = _newton_step(h, -g)
             if dx is None:
                 return x, steps, True
             f0 = f + mu * phi
@@ -440,7 +476,7 @@ def _predict(problem, x: np.ndarray, f: float, phi: float, gphi: np.ndarray,
     finite and f + mu_next phi does not rise; when no step passes, x
     stays. Returns (x, phi).
     """
-    t = _ridge_solve(h, gphi)
+    t = _newton_step(h, gphi)
     step = None if t is None else _backtrack(
         problem, x, (mu - mu_next) * t, mu_next, f + mu_next * phi, 0.0, trace)
     return step or (x, phi)
@@ -474,7 +510,7 @@ def _newton(n: Network, s: PFState, barrier: _Barrier, target: float):
     best = float(np.linalg.norm(g, np.inf))
     steps = 0
     while best > target and steps < 40:
-        dx = _ridge_solve(en.hessian(n, s).entries, -g)
+        dx = _newton_step(en.hessian(n, s).entries, -g)
         if dx is None:
             break
         sn = unpack(n, x + dx)

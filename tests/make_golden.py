@@ -88,6 +88,10 @@ GOLDEN = {
     "error_scale_nan.csv": ["region", "threebus", "--scale", "nan"],
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
+    # Far past the 1 000 000-row cap: numpy alone cannot allocate them.
+    "error_d_samples_cap.json": ["check", "twobus", "--d-samples", "100000000000"],
+    "error_kappa_rows_cap.csv": ["sweep", "twobus", "--kappa-min", "1",
+                                 "--kappa-max", "1e12", "--kappa-step", "1e-3"],
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
     "error_theta_truncated.json": ["reactive", "threebus", "--theta", THETA_TRUNCATED],
     "error_unknown_flag.json": ["solve", "twobus", "--bogus"],

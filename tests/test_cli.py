@@ -306,6 +306,43 @@ class TestReactive:
         assert code == EXIT_OK
         assert json.loads(out)["v"][0] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("theta, solves", [(None, 1), ("golden/theta_threebus.json", 2)])
+    def test_one_monotone_newton_at_zero_phases(self, capsys, monkeypatch, theta,
+                                                solves):
+        # At zero phases the voltage caps reuse the solve's greatest solution;
+        # other phases need a second solve at zero phases for the caps.
+        from pathlib import Path
+
+        from gridenergy import reduced
+
+        greatest, calls = reduced._greatest_u, []
+
+        def counted(*args):
+            calls.append(args)
+            return greatest(*args)
+
+        monkeypatch.setattr(reduced, "_greatest_u", counted)
+        argv = ["reactive", "threebus"]
+        if theta is not None:
+            argv += ["--theta", str(Path(__file__).parent / theta)]
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK and json.loads(out)["status"] == "Solved"
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("theta", [[], ["--theta", "golden/theta_threebus.json"]])
+    def test_failed_caps_are_an_error(self, capsys, monkeypatch, theta):
+        # A solved program whose caps then miss the residual checks is an
+        # error (exit 1), not a certified no-solution verdict (3).
+        from pathlib import Path
+
+        from gridenergy import reduced
+
+        monkeypatch.setattr(reduced, "_REACTIVE_TOL", -1.0)
+        if theta:
+            theta = [theta[0], str(Path(__file__).parent / theta[1])]
+        assert_error(capsys, "error: reactive Newton iteration did not converge",
+                     "reactive", "threebus", *theta)
+
     def test_threebus_matches_newton(self, capsys):
         from gridenergy.reduced import solve_reactive_newton
         code, out = run(capsys, "reactive", "threebus")
@@ -391,6 +428,23 @@ class TestBadRanges:
     def test_non_finite_kappa_bound(self, capsys, flag, kappa):
         assert_error(capsys, f"{flag} must be finite", "sweep", "twobus",
                      flag, kappa)
+
+    @pytest.mark.parametrize("kappa_max, step", [("1e12", "1e-3"), ("3", "1e-300"),
+                                                 ("1e300", "1e-300")])
+    def test_kappa_rows_above_cap(self, capsys, kappa_max, step):
+        # Far past the cap, where np.arange fails or cannot allocate.
+        assert_error(capsys, f"--kappa-max {float(kappa_max)} and --kappa-step "
+                     f"{float(step)} give more than the cap of 1000000 rows",
+                     "sweep", "twobus", "--kappa-min", "1", "--kappa-max",
+                     kappa_max, "--kappa-step", step)
+
+    def test_non_finite_kappa_step(self, capsys):
+        assert_error(capsys, "--kappa-step must be finite", "sweep", "twobus",
+                     "--kappa-step", "inf")
+
+    def test_d_samples_above_cap(self, capsys):
+        assert_error(capsys, "samples 100000000000 is above the cap of 1000000",
+                     "check", "twobus", "--d-samples", "100000000000")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_delta(self, capsys, value):

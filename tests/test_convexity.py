@@ -175,6 +175,13 @@ class TestStackedDSamples:
                 assert stacked_min_eigs(n, s, alphas).tobytes() == np.array(mins).tobytes()
         assert {True, False, "InvalidMatrix"} <= verdicts
 
+    @pytest.mark.parametrize("samples", [10 ** 11, 2 ** 62])
+    def test_samples_above_cap_refused(self, threebus, samples):
+        # Refused before alphas is allocated: numpy alone cannot hold them.
+        with pytest.raises(ValueError, match=f"samples {samples} is above the "
+                                             f"cap of {convexity.MAX_ROWS}"):
+            in_domain_D_sampled(threebus, PFState.flat(threebus), samples)
+
     def test_fails_at_first_sample(self, threebus):
         s = PFState.flat(threebus)
         s.theta[1:] = (64 * 2.0, -64 * 2.0)

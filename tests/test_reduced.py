@@ -16,7 +16,7 @@ from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
 from gridenergy.linalg import fd_gradient, fd_hessian
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 scale_injections)
-from gridenergy.reduced import (_EIG_TOL, _MAX_CELLS, BetaCondition,
+from gridenergy.reduced import (_EIG_TOL, MAX_ROWS, BetaCondition,
                                 _greatest_u, _reactive_rows, _schur,
                                 beta_condition, convex_reactive_solve,
                                 reduced_energy, reduced_hessian,
@@ -628,7 +628,7 @@ class TestRegionGrid:
     @pytest.mark.parametrize("step", [1e-9, 1e-4, 0.1])
     def test_grid_above_cap_refused(self, threebus, step):
         count = round(math.radians(120.0) / math.radians(step)) + 1
-        assert count * count > _MAX_CELLS
+        assert count * count > MAX_ROWS
         with pytest.raises(ValueError, match=f"grid step {step} deg gives "
                                              f"{count * count} cells"):
             region_grid(threebus, step_deg=step)

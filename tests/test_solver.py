@@ -331,6 +331,91 @@ def test_newton_first_agrees_with_barrier_only(seed, inj_scale):
         assert_agrees_with_barrier_only(n, s0)
 
 
+class TestNewtonStep:
+    """_newton_step: one LU solve where h is positive definite, and
+    _ridge_solve's answer wherever that solve is not a descent direction."""
+
+    @pytest.mark.parametrize("order", [1, 9, 64, 181])
+    def test_spd_bit_equal_to_solve_spd(self, order):
+        from gridenergy.linalg import SymMatrix, solve_spd
+
+        rng = np.random.default_rng(order)
+        for _ in range(5):
+            # Slightly asymmetric, as products of rounded terms are.
+            a = rng.standard_normal((order, order))
+            h = a @ a.T + order * np.eye(order)
+            h += 1e-13 * rng.standard_normal((order, order))
+            rhs = rng.standard_normal(order)
+            dx = solver._newton_step(h, rhs)
+            assert dx.tobytes() == solve_spd(SymMatrix(h), rhs).tobytes()
+
+    def test_indefinite_ascent_takes_the_ridge(self):
+        # The LU direction (0.5, -1) of this indefinite h points uphill:
+        # rhs . dx = 0.25 - 1 < 0.
+        h, rhs = np.diag([1.0, -1.0]), np.array([0.5, 1.0])
+        assert float(rhs @ np.linalg.solve(h, rhs)) < 0.0
+        dx = solver._newton_step(h, rhs)
+        assert dx.tobytes() == solver._ridge_solve(h, rhs).tobytes()
+        assert float(rhs @ dx) > 0.0
+
+    def test_singular_takes_the_ridge(self, monkeypatch):
+        h, rhs = np.ones((3, 3)), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(h, rhs)
+        ridge, calls = solver._ridge_solve, []
+        monkeypatch.setattr(solver, "_ridge_solve",
+                            lambda h, rhs: calls.append(h) or ridge(h, rhs))
+        dx = solver._newton_step(h, rhs)
+        assert len(calls) == 1
+        assert dx.tobytes() == ridge(h, rhs).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_raises(self, bad):
+        from gridenergy.errors import InvalidMatrix
+
+        # With h[0, 0] = inf, LU alone returns the finite descent step (0, 1).
+        h, rhs = np.eye(2), np.array([0.0, 1.0])
+        h[0, 0] = bad
+        with pytest.raises(InvalidMatrix):
+            solver._newton_step(h, rhs)
+
+    def test_no_cholesky_of_newton_size_on_a_no_solution_row(self, ieee14_model,
+                                                            monkeypatch):
+        # The barrier still factors its PQ x PQ domain matrix; the packed
+        # Newton systems are solved by LU alone.
+        n = scale_injections(ieee14_model, 5.5, 1.0)
+        order = len(n.pq) + len(n.ns)
+        cholesky, shapes = np.linalg.cholesky, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        out = solve_convex(n)
+        assert out.status is SolveStatus.NO_SOLUTION_IN_C
+        assert shapes and (order, order) not in shapes
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "ieee14"])
+    def test_sweeps_never_fall_back(self, case, bundled_models, monkeypatch):
+        step, ridge, calls = solver._newton_step, solver._ridge_solve, [0, 0]
+
+        def counted_step(h, rhs):
+            calls[0] += 1
+            return step(h, rhs)
+
+        def counted_ridge(h, rhs):
+            calls[1] += 1
+            return ridge(h, rhs)
+
+        monkeypatch.setattr(solver, "_newton_step", counted_step)
+        monkeypatch.setattr(solver, "_ridge_solve", counted_ridge)
+        records = sweep_load(bundled_models[case], 1.0, np.arange(0.5, 6.01, 0.25))
+        assert {r.status for r in records} == {SolveStatus.SOLUTION_FOUND,
+                                               SolveStatus.NO_SOLUTION_IN_C}
+        assert calls[0] > 0 and calls[1] == 0
+
+
 class TestNewtonFirst:
     def test_bundled_cases_agree_with_barrier_only(self, bundled_models):
         for name, n in bundled_models.items():
@@ -540,6 +625,17 @@ class TestBarrierLines:
             g_ref, h_ref = all_lines_grad_hess(n, box, s)
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+
+
+class TestBarrierChainJacobians:
+    def test_built_at_the_first_grad_hess(self, ieee118_model):
+        barrier = solver._Barrier(ieee118_model)
+        s = PFState.flat(ieee118_model)
+        assert barrier.feasible(s) and "_chain" not in vars(barrier)
+        h = barrier.grad_hess(s)[1]
+        chain = vars(barrier)["_chain"]
+        assert barrier.grad_hess(s)[1].tobytes() == h.tobytes()
+        assert vars(barrier)["_chain"] is chain
 
 
 class TestBarrierFactorReuse:
