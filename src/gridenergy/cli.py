@@ -67,6 +67,8 @@ def _prepare(case: str, lossy_kappa: float | None) -> tuple[network.Network, str
     with the network, the digest of the case text for the header."""
     if lossy_kappa is not None and not np.isfinite(lossy_kappa):
         raise ValueError(f"--lossy-kappa must be finite, got {lossy_kappa}")
+    if lossy_kappa is not None and lossy_kappa < 0.0:
+        raise ValueError(f"--lossy-kappa must be non-negative, got {lossy_kappa}")
     text = case_text(case)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     n = load_case(case, text)
@@ -141,8 +143,11 @@ def _per_bus(n, values, name: str, out: np.ndarray) -> None:
 
 def _read_json(path: str, flag: str):
     """The JSON document in the file passed with flag."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{flag} {path}: cannot read file: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import energy as en
 from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
-                        in_domain_C, line_factors, lossy_in_domain)
+                        in_domain_C, lossy_in_domain)
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
 from .linalg import SymMatrix, solve_spd
@@ -192,12 +192,13 @@ class _Barrier:
     and barrier_path's problem of the energy over the domain.
 
     Barrier = -sum_lines log cos(theta_ij) - log det(domain matrix), plus
-    optional per-line operating-box terms. Everything is a function of the
-    per-line edge variables d = rho_to - rho_from and tau = theta_from -
-    theta_to; constant Jacobians jd (d by PQ rho) and jt (tau by non-slack
-    theta) chain the edge derivatives into packed coordinates block by
-    block. Only lines with a PQ end (var) enter the domain matrix or move
-    with rho; the others carry the separable phase terms alone.
+    optional per-line operating-box terms, in the per-line edge variables
+    d = rho_to - rho_from and tau = theta_from - theta_to. Constant
+    Jacobians jd (d by PQ rho) and jt (tau by non-slack theta) chain the
+    separable terms and every tau derivative into packed coordinates; the
+    -log det terms in rho are formed in PQ-bus coordinates (grad_hess).
+    Only lines with a PQ end (var) enter the domain matrix or move with
+    rho; the others carry the separable phase terms alone.
     """
 
     def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
@@ -208,8 +209,8 @@ class _Barrier:
         self.f, self.t = f, t
         self.var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
         self.diag_2b = np.diag(2.0 * n.b_total[n.pq])
-        # (rho, theta) bytes, U and Cholesky factor of the last point factored.
-        self.key, self.u, self.chol = None, None, None
+        # (rho, theta) bytes and Cholesky factor of the last point factored.
+        self.key, self.chol = None, None
 
     def trial(self, x: np.ndarray):
         """(E, barrier) at packed x; E is not evaluated outside the domain."""
@@ -251,26 +252,27 @@ class _Barrier:
             br = self.log_brho
             val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
         try:
-            _, chol = self._factor(s, d, self.n.b / np.cos(tau))
+            chol = self._factor(s, d, self.n.b / np.cos(tau))
         except np.linalg.LinAlgError:
             return math.inf
         return val - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     def _factor(self, s: PFState, d: np.ndarray, w: np.ndarray):
-        """U and the domain matrix's Cholesky factor at s, kept for the last s."""
+        """The domain matrix's Cholesky factor at s, kept for the last s."""
         key = s.rho.tobytes() + s.theta.tobytes()
         if key != self.key:
-            u = line_factors(self.n, d)
-            chol = np.linalg.cholesky(domain_matrix(self.n, d, w, u, self.diag_2b))
-            self.key, self.u, self.chol = key, u, chol
-        return self.u, self.chol
+            self.chol = np.linalg.cholesky(
+                domain_matrix(self.n, d, w, diag_2b=self.diag_2b))
+            self.key = key
+        return self.chol
 
     @functools.cached_property
     def _chain(self):
-        """(jd, jt, jt_fixed, sign): the edge Jacobians over the var lines
-        and the fixed ones, and dU/dd = U * sign (+1/2 at from-rows, -1/2 at
-        to-rows). Built on grad_hess's first call: a solve that Newton
-        steps settle never makes one."""
+        """(jd, jt, jt_fixed, ends, lines, side, mask): the edge Jacobians
+        over the var lines and the fixed ones; the var lines' (from, to)
+        PQ indices, -1 at a pinned end, with their arange, the per-end
+        sign (-1, +1) and a 0/1 mask of the PQ ends. Built on grad_hess's
+        first call: a solve that Newton steps settle never makes one."""
         n, f, t, var = self.n, self.f, self.t, self.var
         m = len(n.lines)
         th_col = np.full(n.n_bus, -1)
@@ -285,17 +287,28 @@ class _Barrier:
         jt = np.zeros((m, len(n.ns) + 1))
         jt[rows, th_col[f]] += 1.0
         jt[rows, th_col[t]] -= 1.0
-        jd = jd[var, :-1]
-        return jd, jt[var, :-1], jt[~var, :-1], -0.5 * jd.T
+        ends = np.stack((n.pq_index_of[f[var]], n.pq_index_of[t[var]]))
+        return (jd[var, :-1], jt[var, :-1], jt[~var, :-1], ends,
+                np.arange(ends.shape[1]), np.array([[-1.0], [1.0]]),
+                (ends >= 0).astype(float))
 
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
 
         Assumes value(s) is finite, so the domain matrix L = diag(2B) -
-        U diag(w) U^T has a Cholesky factor C, value's own if it saw s last. With
-        K = L^-1 = C^-T C^-1 and V = dU/dd, every -log det block is an
-        elementwise product of Guu = U^T K U, Gvu = V^T K U and Gvv = V^T K V
-        (Boyd & Vandenberghe, Convex Optimization, App. A.4).
+        U diag(w) U^T has a Cholesky factor, value's own if it saw s last;
+        K = L^-1 (Boyd & Vandenberghe, Convex Optimization, App. A.4, for
+        the -log det derivatives). Only diag(L) moves with rho: diag(L)_i =
+        2B_i - sum_{k from i} a_k - sum_{k to i} c_k with a = w e^d and
+        c = w e^-d at PQ ends only. So M = d diag(L) / d rho = N jd, N
+        holding -a_k at line k's from-bus and +c_k at its to-bus, and with
+        g = a K_ii - c K_jj (o the elementwise product):
+            g_rho = jd^T (g + box')
+            H_rho,rho = M^T (K o K) M + jd^T diag(a K_ii + c K_jj + box'') jd
+            H_rho,tau = jd^T diag(tan tau o g)
+                        - M^T ((K U) o (K U)) diag(w tan tau),
+        the last chained into theta by jt. The tau gradient and the
+        tau-tau block take the one Gram matrix Guu = U^T K U.
         """
         n, var = self.n, self.var
         d, tau = self.edge_vars(s)
@@ -314,39 +327,40 @@ class _Barrier:
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
         # -log det L over the var lines.
-        jd, jt, jf, sign = self._chain
-        u, chol = self._factor(s, d, w)
-        ci = np.linalg.inv(chol)
-        u = u[:, var]
-        cu, cv = ci @ u, ci @ (u * sign)
-        guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
-        duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
+        jd, jt, jf, ends, lines, side, mask = self._chain
+        ci = np.linalg.inv(self._factor(s, d, w))
+        k = ci.T @ ci
         w, tn = w[var], tn[var]
         wt = w * tn
-        g_d += 2.0 * w * dvu
+        # U's entries (e^{d/2}, e^{-d/2}) at the (from, to) ends, 0 at
+        # pinned ones; the scatters put those in the dropped last row.
+        ex = np.exp(side * (-0.5 * dv)) * mask
+        u = np.zeros((len(k) + 1, len(dv)))
+        u[ends, lines] = ex
+        ku = k @ u[:-1]
+        guu = u[:-1].T @ ku
+        ac = w * ex * ex  # (a, c)
+        akc = ac * k.diagonal()[ends]  # (a K_ii, c K_jj)
+        g_hat = akc[0] - akc[1]
+        h_d += akc[0] + akc[1]
+        u[ends, lines] = ac * side  # N, in U's place
+        m = u[:-1] @ jd
+        duu = guu.diagonal()
         g_tv = g_t[var] + wt * duu
-        # Outer products, then the other factors in place, left to right.
-        h_dd = (2.0 * w)[:, None] * w
-        h_dd *= gvu * gvu.T + guu * gvv
-        h_dt = (2.0 * w)[:, None] * wt
-        h_dt *= gvu
-        h_dt *= guu
         h_tt = wt[:, None] * wt
         h_tt *= guu
         h_tt *= guu
-        h_dd.flat[::len(w) + 1] += w * (2.0 * dvv + 0.5 * duu) + h_d
-        h_dt.flat[::len(w) + 1] += 2.0 * wt * dvu
         h_tt.flat[::len(w) + 1] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
 
         fixed = ~var
         npq = jd.shape[1]
-        hdt = jd.T @ h_dt @ jt
+        hdt = (jd.T * (tn * g_hat) - (m.T @ (ku * ku)) * wt) @ jt
         hess = np.empty((npq + jt.shape[1],) * 2)
-        hess[:npq, :npq] = jd.T @ h_dd @ jd
+        hess[:npq, :npq] = m.T @ (k * k) @ m + (jd.T * h_d) @ jd
         hess[:npq, npq:] = hdt
         hess[npq:, :npq] = hdt.T
         hess[npq:, npq:] = jt.T @ h_tt @ jt + (jf.T * h_t[fixed]) @ jf
-        grad = np.concatenate((jd.T @ g_d, jt.T @ g_tv + jf.T @ g_t[fixed]))
+        grad = np.concatenate((jd.T @ (g_hat + g_d), jt.T @ g_tv + jf.T @ g_t[fixed]))
         return grad, hess
 
 

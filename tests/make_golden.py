@@ -31,6 +31,8 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 THETA = "golden/theta_threebus.json"
 THETA_NAN = "golden/theta_nan.json"
 THETA_TRUNCATED = "golden/theta_truncated.json"
+# A --theta path that names no file.
+THETA_MISSING = "golden/theta_missing.json"
 # A native case file whose second bus has the unknown kind "load".
 CASE_BAD_KIND = "golden/case_bad_kind.json"
 # Malformed state files passed to check --state, each of which ends in an
@@ -84,6 +86,7 @@ GOLDEN = {
     "error_tol_nan.json": ["solve", "twobus", "--tol", "nan"],
     "error_kappa_min_inf.csv": ["sweep", "twobus", "--kappa-min", "inf"],
     "error_lossy_kappa_nan.json": ["solve", "twobus", "--lossy-kappa", "nan"],
+    "error_lossy_kappa_negative.json": ["solve", "threebus", "--lossy-kappa", "-1"],
     "error_delta_inf.csv": ["sweep", "twobus", "--delta", "inf"],
     "error_scale_nan.csv": ["region", "threebus", "--scale", "nan"],
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
@@ -94,6 +97,7 @@ GOLDEN = {
                                  "--kappa-max", "1e12", "--kappa-step", "1e-3"],
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
     "error_theta_truncated.json": ["reactive", "threebus", "--theta", THETA_TRUNCATED],
+    "error_theta_missing.json": ["reactive", "twobus", "--theta", THETA_MISSING],
     "error_unknown_flag.json": ["solve", "twobus", "--bogus"],
     "error_case_bad_kind.json": ["solve", CASE_BAD_KIND],
     **{f"error_state_{name}.json": ["check", "threebus", "--state",

@@ -417,6 +417,16 @@ class TestReactive:
         assert_error(capsys, f"{flag} {path}: invalid JSON: Expecting property name",
                      command, "threebus", flag, str(path))
 
+    @pytest.mark.parametrize("command, flag", [("check", "--state"),
+                                               ("reactive", "--theta")])
+    @pytest.mark.parametrize("name, reason", [
+        ("absent.json", "No such file or directory"), (".", "Is a directory")])
+    def test_unreadable_file_names_flag_and_path(self, capsys, tmp_path, command,
+                                                 flag, name, reason):
+        path = tmp_path / name
+        assert_error(capsys, f"error: {flag} {path}: cannot read file: {reason}",
+                     command, "twobus", flag, str(path))
+
 
 class TestBadRanges:
     def test_zero_kappa_step(self, capsys):
@@ -456,10 +466,16 @@ class TestBadRanges:
         assert_error(capsys, "--scale must be finite", "region", "threebus",
                      f"--scale={value}")
 
-    @pytest.mark.parametrize("kappa", ["inf", "nan"])
+    @pytest.mark.parametrize("kappa", ["inf", "-inf", "nan"])
     def test_non_finite_lossy_kappa(self, capsys, kappa):
         assert_error(capsys, "--lossy-kappa must be finite",
-                     "solve", "twobus", "--lossy-kappa", kappa)
+                     "solve", "twobus", f"--lossy-kappa={kappa}")
+
+    @pytest.mark.parametrize("kappa", ["-1", "-1e-300"])
+    def test_negative_lossy_kappa(self, capsys, kappa):
+        assert_error(capsys,
+                     f"error: --lossy-kappa must be non-negative, got {float(kappa)}",
+                     "solve", "threebus", f"--lossy-kappa={kappa}")
 
     @pytest.mark.parametrize("case", ["threebus", "ieee14"])
     def test_negative_seed(self, capsys, case):

@@ -627,6 +627,109 @@ class TestBarrierLines:
             assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
 
 
+def reference_grad_hess(n, box, s):
+    """The barrier's gradient and Hessian from edge-space blocks: every
+    -log det term is an elementwise product of Guu = U^T K U, Gvu = V^T K U
+    and Gvv = V^T K V over the lines with a PQ end, V = dU/dd, chained into
+    packed coordinates through the edge Jacobians."""
+    from gridenergy.convexity import domain_matrix, line_factors
+
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
+    m = len(n.lines)
+    th_col = np.full(n.n_bus, -1)
+    th_col[n.ns] = np.arange(len(n.ns))
+    rows = np.arange(m)
+    jd, jt = np.zeros((m, len(n.pq) + 1)), np.zeros((m, len(n.ns) + 1))
+    jd[rows, n.pq_index_of[t]] += 1.0
+    jd[rows, n.pq_index_of[f]] -= 1.0
+    jt[rows, th_col[f]] += 1.0
+    jt[rows, th_col[t]] -= 1.0
+    jd, jf, jt = jd[var, :-1], jt[~var, :-1], jt[var, :-1]
+    sign = -0.5 * jd.T
+
+    d, tau = s.rho[t] - s.rho[f], s.theta[f] - s.theta[t]
+    tn, w = np.tan(tau), n.b / np.cos(tau)
+    g_t, h_t = tn.copy(), 1.0 + tn * tn
+    dv = d[var]
+    g_d, h_d = np.zeros((2, len(dv)))
+    if box is not None:
+        bt, br = box.b_theta, math.log(box.b_rho)
+        g_t += 1.0 / (bt - tau) - 1.0 / (bt + tau)
+        h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
+        g_d += 1.0 / (br - dv) - 1.0 / (br + dv)
+        h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
+    u = line_factors(n, d)
+    ci = np.linalg.inv(np.linalg.cholesky(domain_matrix(n, d, w, u)))
+    u = u[:, var]
+    cu, cv = ci @ u, ci @ (u * sign)
+    guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
+    duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
+    w, tn = w[var], tn[var]
+    wt = w * tn
+    g_d += 2.0 * w * dvu
+    g_tv = g_t[var] + wt * duu
+    h_dd = 2.0 * np.outer(w, w) * (gvu * gvu.T + guu * gvv)
+    h_dt = 2.0 * np.outer(w, wt) * gvu * guu
+    h_tt = np.outer(wt, wt) * guu * guu
+    h_dd += np.diag(w * (2.0 * dvv + 0.5 * duu) + h_d)
+    h_dt += np.diag(2.0 * wt * dvu)
+    h_tt += np.diag(w * (1.0 + 2.0 * tn * tn) * duu + h_t[var])
+    h_rt = jd.T @ h_dt @ jt
+    hess = np.block([[jd.T @ h_dd @ jd, h_rt],
+                     [h_rt.T, jt.T @ h_tt @ jt + (jf.T * h_t[~var]) @ jf]])
+    grad = np.concatenate((jd.T @ g_d, jt.T @ g_tv + jf.T @ g_t[~var]))
+    return grad, hess
+
+
+def feasible_states(n, box, rng, count):
+    """count random states strictly inside the barrier's domain, each drawn
+    at rho/theta spreads 0.1/0.2 and halved until it is."""
+    barrier, states = solver._Barrier(n, box), []
+    while len(states) < count:
+        for scale in 0.5 ** np.arange(12):
+            s = random_state(rng, n, 0.1 * scale, 0.2 * scale)
+            if barrier.feasible(s):
+                states.append(s)
+                break
+        else:
+            raise AssertionError("no feasible state drawn")
+    return states
+
+
+def assert_matches_reference(n, box, states):
+    for s in states:
+        g, h = solver._Barrier(n, box).grad_hess(s)
+        g_ref, h_ref = reference_grad_hess(n, box, s)
+        assert g.shape == g_ref.shape and h.shape == h_ref.shape
+        for x, ref in ((g, g_ref), (h, h_ref)):
+            top = np.max(np.abs(ref), initial=0.0)
+            assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * (1.0 + top)
+
+
+class TestBusCoordinateBarrier:
+    # grad_hess forms the rho blocks from K o K and M = d diag(L) / d rho;
+    # the edge-space chain gives the same derivatives.
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "threebus-tree",
+                                      "ieee14", "ieee118"])
+    @pytest.mark.parametrize("box", [None, PhaseVoltageBox(b_rho=1.4, b_theta=0.6)])
+    def test_bundled_cases(self, case, box, bundled_models):
+        n = bundled_models[case]
+        assert_matches_reference(n, box, feasible_states(
+            n, box, np.random.default_rng(57), 3))
+
+    def test_lossy_threebus(self, threebus):
+        n = with_ratio(threebus, 0.2)
+        assert_matches_reference(n, None, feasible_states(
+            n, None, np.random.default_rng(58), 5))
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(59)
+        for _ in range(30):
+            n = random_network(rng)
+            assert_matches_reference(n, None, feasible_states(n, None, rng, 2))
+
+
 class TestBarrierChainJacobians:
     def test_built_at_the_first_grad_hess(self, ieee118_model):
         barrier = solver._Barrier(ieee118_model)
