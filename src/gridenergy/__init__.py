@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .convexity import (ConvexityCertificate, PhaseVoltageBox, convexity_matrix,
                         in_domain_C, in_domain_D_sampled, lossy_in_domain,
-                        matrix_convexity_gap, max_phase_bound)
+                        max_phase_bound)
 from .errors import (DomainError, GridEnergyError, InfeasibleStart,
                      InvalidMatrix, NoReactiveSolution, NotConstantRatio,
                      NotPositiveDefinite, NumericalFailure, ParseError,
@@ -19,7 +19,7 @@ from .errors import (DomainError, GridEnergyError, InfeasibleStart,
 from .energy import (EnergyEval, HessianBlocks, PFState, energy_gradient,
                      energy_value, hessian, hessian_blocks, lossy_targets,
                      pf_residuals)
-from .linalg import SymMatrix, cholesky_psd, solve_spd, sym_eigen
+from .linalg import cholesky_psd, solve_spd, sym_eigen, symmetrize
 from .network import (Bus, BusKind, Line, Network, absorb_setpoints,
                       incidence, is_tree, load_case, losslessify,
                       parse_matpower, parse_native, scale_injections,

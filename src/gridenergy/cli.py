@@ -333,9 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number after a long option joined onto it
+    as --option=value. argparse reads a value such as -1e-3 or -inf as an
+    option of its own, and only -1 or -.5 as a number. Every long option
+    but --help takes one value."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and prev.startswith("--") and "=" not in prev
+                and not "--help".startswith(prev) and arg.startswith("-")):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     with warnings.catch_warnings():
         # One line per warning, free of the package's source paths.
         warnings.showwarning = lambda message, *_: print(

@@ -8,20 +8,19 @@ networks and is exact on trees.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-# hessian, cholesky_psd and sym_eigen are unused here; the benchmark's span
-# tracer pins them as aliases.
-from .energy import (HALF_PI, PFState, _hessian_entries, check_state,
-                     hessian)  # noqa: F401
+from .energy import HALF_PI, PFState, check_one_state, check_state, hessian
 from .errors import (DomainError, InvalidMatrix, NotConstantRatio,
                      PhaseOutOfRange, UnsupportedTopology)
-from .linalg import (DEFAULT_PSD_TOL, SymMatrix, _check_finite, _symmetrize,
-                     cholesky_psd, sym_eigen)  # noqa: F401
+# cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
+from .linalg import (DEFAULT_PSD_TOL, cholesky_psd, sym_eigen,  # noqa: F401
+                     symmetrize)
 from .network import Network
 
 # Largest count of rows that one call or command builds: region grid cells,
@@ -32,6 +31,9 @@ MAX_ROWS = 1_000_000
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
+    """in_domain_C's verdict on a state. For a stack of states every field
+    is an array with one entry per state; for one state, a bool or float."""
+
     in_c: bool
     phase_ok: bool
     lmi_min_eig: float
@@ -62,10 +64,13 @@ def _check_b_rho(b_rho: float) -> None:
         raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
 
 
-def _active_mask(n: Network) -> np.ndarray:
-    """Lines with at least one PQ endpoint; only these enter the matrix."""
+@functools.lru_cache(maxsize=16)
+def _active_lines(n: Network) -> np.ndarray:
+    """Indices of the lines with at least one PQ endpoint; only these enter
+    the matrix. Cached for the most recent networks; callers must not
+    modify it."""
     f, t = n.edges[:, 0], n.edges[:, 1]
-    return (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
+    return np.flatnonzero((n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0))
 
 
 def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
@@ -95,60 +100,64 @@ def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray, u=None,
     return diag_2b - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
 
 
-def convexity_matrix(n: Network, s: PFState) -> SymMatrix:
-    """The domain matrix at a state. Requires every line phase strictly
-    inside (-pi/2, pi/2)."""
-    check_state(n, s)
+def convexity_matrix(n: Network, s: PFState) -> np.ndarray:
+    """The domain matrix at a state, symmetrized. Requires every line phase
+    strictly inside (-pi/2, pi/2)."""
+    check_one_state(n, s)
     f, t = n.edges[:, 0], n.edges[:, 1]
     te = s.theta[f] - s.theta[t]
     if np.any(np.abs(te) >= HALF_PI):
         raise PhaseOutOfRange("a line phase difference reached 90 degrees")
     if len(n.pq) == 0:
         raise UnsupportedTopology("network has no PQ buses; the matrix is empty")
-    return SymMatrix(domain_matrix(n, s.rho[t] - s.rho[f], n.b / np.cos(te)))
+    return symmetrize(domain_matrix(n, s.rho[t] - s.rho[f], n.b / np.cos(te)))
 
 
 def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
-    """Certificate of membership in the convexity domain.
+    """Certificate of membership in the convexity domain, for one state or
+    for each of a stack of states.
 
-    Out-of-range phases yield in_c=False rather than an error. The matrix
-    test uses the closed-set convention: smallest eigenvalue down to
-    -DEFAULT_PSD_TOL*(1 + max diagonal) still passes.
+    Out-of-range phases yield in_c=False rather than an error; a state with
+    an active line at or past 90 degrees forms no matrix and gets
+    lmi_min_eig=-inf, tol_abs=0. The matrix test uses the closed-set
+    convention: smallest eigenvalue down to -DEFAULT_PSD_TOL*(1 + max
+    diagonal) still passes. Without PQ buses the matrix is empty and
+    lmi_min_eig is +inf.
     """
     check_state(n, s)
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta[f] - s.theta[t]
-    phase_ok = bool(np.all(np.abs(te) <= HALF_PI))
-    if len(n.pq) and np.any(np.abs(te[_active_mask(n)]) >= HALF_PI):
-        return ConvexityCertificate(in_c=False, phase_ok=phase_ok,
-                                    lmi_min_eig=-math.inf, tol_abs=0.0)
-    lmi_min, tol_abs, scale = map(float, _domain_min_eig(n, s))
-    return ConvexityCertificate(in_c=phase_ok and lmi_min >= -tol_abs,
-                                phase_ok=phase_ok, lmi_min_eig=lmi_min,
-                                tol_abs=tol_abs, scale=scale)
-
-
-def _domain_min_eig(n: Network, s: PFState):
-    """Smallest eigenvalue of the domain matrix at s, the PSD tolerance
-    DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|,
-    over an optional leading stack axis of s. Every active line's phase
-    difference must lie inside 90 degrees. Without PQ buses the matrix is
-    empty: +inf, 0 and 1."""
     lead = s.theta.shape[:-1]
-    if len(n.pq) == 0:
-        return np.full(lead, math.inf), np.zeros(lead), np.ones(lead)
+    theta, rho = s.theta.reshape(-1, n.n_bus), s.rho.reshape(-1, n.n_bus)
     f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta.take(f, -1) - s.theta.take(t, -1)
-    active = _active_mask(n)
+    te = theta.take(f, 1) - theta.take(t, 1)
+    count, active = len(te), _active_lines(n)
+    inside = abs(te.take(active, 1)) < HALF_PI
+    if not len(n.pq):
+        lmi_min, tol_abs, scale = np.full(count, math.inf), np.zeros(count), np.ones(count)
+    elif inside.all():
+        # Every state of a solve or a region grid: no row to leave out.
+        lmi_min, tol_abs, scale = _min_eig(n, te, rho, active)
+    else:
+        live = inside.all(axis=1)
+        lmi_min, tol_abs, scale = np.full(count, -math.inf), np.zeros(count), np.ones(count)
+        lmi_min[live], tol_abs[live], scale[live] = _min_eig(n, te[live], rho[live], active)
+    phase_ok = (abs(te) <= HALF_PI).all(axis=1)
+    cert = (phase_ok & (lmi_min >= -tol_abs), phase_ok, lmi_min, tol_abs, scale)
+    if lead:
+        return ConvexityCertificate(*(x.reshape(lead) for x in cert))
+    return ConvexityCertificate(*(x.item() for x in cert))
+
+
+def _min_eig(n: Network, te: np.ndarray, rho: np.ndarray, active: np.ndarray):
+    """Smallest eigenvalue of the domain matrix of each row of line phase
+    differences te and bus log-voltages rho, the PSD tolerance
+    DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|.
+    Every active line of every row must lie inside 90 degrees."""
+    f, t = n.edges[:, 0], n.edges[:, 1]
     inv_cos = np.ones(te.shape)
-    inv_cos[..., active] = 1.0 / np.cos(te[..., active])
-    # Symmetrized and checked as sym_eigen takes a SymMatrix, so the
-    # eigenvalues are its own.
-    lm = _check_finite(_symmetrize(
-        domain_matrix(n, s.rho.take(t, -1) - s.rho.take(f, -1), n.b * inv_cos)))
-    w, _ = np.linalg.eigh(lm)
-    scale = 1.0 + abs(lm.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-    return w[..., 0], DEFAULT_PSD_TOL * scale, scale
+    inv_cos[:, active] = 1.0 / np.cos(te.take(active, 1))
+    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1), n.b * inv_cos)
+    scale = 1.0 + abs(lm.diagonal(axis1=1, axis2=2)).max(axis=1)
+    return sym_eigen(lm)[0][:, 0], DEFAULT_PSD_TOL * scale, scale
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
         raise ValueError("samples must be positive")
     if samples > MAX_ROWS:
         raise ValueError(f"samples {samples} is above the cap of {MAX_ROWS}")
-    check_state(n, s)
+    check_one_state(n, s)
     order = len(n.pq) + len(n.ns)
     if order == 0:
         raise InvalidMatrix("expected a square matrix, got shape (0, 0)")
@@ -187,10 +196,11 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
         # test never looked: each chunk runs silent, and the first
         # non-finite sample is redone alone below, warnings and all.
         with np.errstate(all="ignore"):
-            h = _symmetrize(_hessian_entries(n, PFState(a * s.rho, a * s.theta)))
+            h = hessian(n, PFState(a * s.rho, a * s.theta))
         finite = np.isfinite(h).all(axis=(-2, -1))
         good = len(h) if finite.all() else int(np.argmin(finite))
-        # eigh, not eigvalsh: eigh's eigenvalues are sym_eigen's bit for bit.
+        # sym_eigen's eigh on rows that hessian has symmetrized and that are
+        # finite; eigvalsh's last bits would differ.
         w, _ = np.linalg.eigh(h[:good])
         scale = 1.0 + np.abs(h[:good].diagonal(axis1=-2, axis2=-1)).max(axis=-1)
         failed = np.flatnonzero(w[:, 0] < -DEFAULT_PSD_TOL * scale)
@@ -198,9 +208,8 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
             return DomainDSample(in_d=False, samples=samples,
                                  alphas=alphas[:lo + failed[0] + 1])
         if good < len(h):
-            # Bit for bit its stacked row, so _check_finite raises.
-            _check_finite(_symmetrize(_hessian_entries(
-                n, PFState(a[good] * s.rho, a[good] * s.theta))))
+            # Bit for bit its stacked row, so sym_eigen raises.
+            sym_eigen(hessian(n, PFState(a[good] * s.rho, a[good] * s.theta)))
     return DomainDSample(in_d=True, samples=samples, alphas=alphas)
 
 
@@ -217,27 +226,6 @@ def lossy_in_domain(n: Network, s: PFState) -> ConvexityCertificate:
     if n.lossy_ratio is None:
         raise NotConstantRatio("line g/b ratios are not uniform")
     return in_domain_C(n, s)
-
-
-def matrix_convexity_gap(x1: float, y1: float, x2: float, y2: float,
-                         lam: float) -> SymMatrix:
-    """Loewner convexity gap of f(x, y) = (1/cos y) [[e^x, 1], [1, e^-x]].
-
-    Returns lam*f(x1,y1) + (1-lam)*f(x2,y2) - f at the combined point;
-    the matrix is positive semidefinite whenever |y1|, |y2| < pi/2.
-    """
-    for y in (y1, y2):
-        if abs(y) > HALF_PI - 1e-6:
-            raise PhaseOutOfRange("y arguments must stay below 90 degrees")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-
-    def f(x, y):
-        return np.array([[math.exp(x), 1.0], [1.0, math.exp(-x)]]) / math.cos(y)
-
-    xm = lam * x1 + (1.0 - lam) * x2
-    ym = lam * y1 + (1.0 - lam) * y2
-    return SymMatrix(lam * f(x1, y1) + (1.0 - lam) * f(x2, y2) - f(xm, ym))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +274,7 @@ def _box_chunks(n: Network, log_ratio: float,
     b_e e^{+-d_e} and the phase fraction phi_e.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
-    active = np.flatnonzero(_active_mask(n))
+    active = _active_lines(n)
     line, sign, _ = _pq_ends(n)
     step = max(1, _CHUNK_ENTRIES // len(n.lines))
     hot = np.repeat(active, 2)
@@ -381,7 +369,7 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     _check_b_rho(b_rho)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    active = np.flatnonzero(_active_mask(n))
+    active = _active_lines(n)
     log_ratio = math.log(b_rho)
     if len(active) <= 12:
         return PhaseBound(b_rho=b_rho, certified=True,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConstantRatio, SingularReduction, UnsupportedTopology
-from .linalg import SymMatrix
+from .linalg import symmetrize
 from .network import Network
 
 HALF_PI = 0.5 * np.pi
@@ -34,7 +34,12 @@ HALF_PI = 0.5 * np.pi
 
 @dataclass
 class PFState:
-    """Per-bus log-voltage and phase, with slack/PV entries pinned to zero."""
+    """Per-bus log-voltage and phase, with slack/PV entries pinned to zero.
+
+    check_state, pf_residuals, hessian and convexity.in_domain_C also take
+    a stack of states: rho and theta of one shape, with the bus axis last.
+    The functions that take one state refuse a stack (check_one_state).
+    """
 
     rho: np.ndarray
     theta: np.ndarray
@@ -51,13 +56,27 @@ class PFState:
 
 
 def check_state(n: Network, s: PFState) -> None:
-    if s.rho.shape != (n.n_bus,) or s.theta.shape != (n.n_bus,):
+    """Raise ValueError unless s, or every state of a stack, fits n: one
+    finite entry per bus, pinned entries exactly zero."""
+    if s.rho.shape[-1:] != (n.n_bus,) or s.theta.shape != s.rho.shape:
         raise ValueError("state arrays do not match network size")
-    if not (np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.theta))):
+    # count_nonzero rather than .all() and .any(), whose Python wrappers
+    # would double the cost of this check on a region grid's chunks.
+    if (np.count_nonzero(np.isfinite(s.rho)) < s.rho.size
+            or np.count_nonzero(np.isfinite(s.theta)) < s.theta.size):
         raise ValueError("state has non-finite entries")
     slack = n.slack_index
-    if np.any(s.rho[n.pv] != 0.0) or s.rho[slack] != 0.0 or s.theta[slack] != 0.0:
+    if (np.count_nonzero(s.rho.take(n.pv, -1)) or np.count_nonzero(s.rho[..., slack])
+            or np.count_nonzero(s.theta[..., slack])):
         raise ValueError("pinned state entries must be exactly zero")
+
+
+def check_one_state(n: Network, s: PFState) -> None:
+    """check_state for the functions that take a single state: a stack is
+    refused as a size mismatch."""
+    if s.rho.ndim != 1:
+        raise ValueError("state arrays do not match network size")
+    check_state(n, s)
 
 
 def pack(n: Network, s: PFState) -> np.ndarray:
@@ -133,7 +152,7 @@ def _value(n: Network, s: PFState, beff, tp, tq, f, t, exy, e2, cos_t) -> float:
 
 def energy_value(n: Network, s: PFState) -> float:
     """Evaluate the energy function; exactly 0 at the flat start."""
-    check_state(n, s)
+    check_one_state(n, s)
     beff, tp, tq = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     return _value(n, s, beff, tp, tq, f, t, exy, np.exp(2.0 * s.rho), np.cos(te))
@@ -142,7 +161,7 @@ def energy_value(n: Network, s: PFState) -> float:
 def energy_gradient(n: Network, s: PFState) -> EnergyEval:
     """Analytic gradient of the energy (equal to minus the PF residuals),
     with the value taken from the same edge terms."""
-    check_state(n, s)
+    check_one_state(n, s)
     beff, tp, tq = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     sin_t = np.sin(te)
@@ -168,15 +187,11 @@ def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     series admittance g - jb, from the bus injections as given, rather than
     by differentiating the energy, so the gradient identity can be checked
     between independent code paths. On a lossy network the mismatch is
-    returned in the energy's combination (1 + j kappa)(S - S_calc).
+    returned in the energy's combination (1 + j kappa)(S - S_calc). Over a
+    stack of states, both carry its leading axes.
     """
     check_state(n, s)
     _model(n)
-    return _phasor_residuals(n, s)
-
-
-def _phasor_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
-    """pf_residuals over an optional leading stack axis of s, unchecked."""
     v = np.exp(s.rho + 1j * s.theta)
     f, t = n.edges[:, 0], n.edges[:, 1]
     # Current from bus i into line k is y (V_i - V_j). With the bus axis
@@ -196,8 +211,11 @@ def _phasor_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     return rp, rq
 
 
+@functools.lru_cache(maxsize=16)
 def _pq_incidence(n: Network) -> np.ndarray:
-    """inc[p, k] = 1 when line k ends at the p-th PQ bus."""
+    """inc[p, k] = 1 when line k ends at the p-th PQ bus. Cached for the
+    most recent networks, since every region grid chunk asks for it;
+    callers must not modify it."""
     inc = np.zeros((len(n.pq), len(n.lines)))
     for ends in n.edges.T:
         p = n.pq_index_of[ends]
@@ -264,15 +282,10 @@ def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
     return rows * (k + 1) + cols, k
 
 
-def hessian(n: Network, s: PFState) -> SymMatrix:
-    """Analytic Hessian over the free variables (rho_pq, theta_ns)."""
+def hessian(n: Network, s: PFState) -> np.ndarray:
+    """Analytic Hessian over the free variables (rho_pq, theta_ns),
+    symmetrized; over a stack of states, one Hessian per state."""
     check_state(n, s)
-    return SymMatrix(_hessian_entries(n, s))
-
-
-def _hessian_entries(n: Network, s: PFState) -> np.ndarray:
-    """hessian's entries before symmetrization, over an optional leading
-    stack axis of s, unchecked."""
     beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     e2 = np.exp(2.0 * s.rho)
@@ -291,7 +304,7 @@ def _hessian_entries(n: Network, s: PFState) -> np.ndarray:
         flat = (flat + size * np.arange(count)[:, None]).ravel()
     # bincount gives integers for an empty stack; the dtype keeps it float.
     h = np.bincount(flat, vals.ravel(), size * count).astype(float, copy=False)
-    return h.reshape(lead + (k + 1, k + 1))[..., :k, :k]
+    return symmetrize(h.reshape(lead + (k + 1, k + 1))[..., :k, :k])
 
 
 @dataclass
@@ -302,17 +315,18 @@ class HessianBlocks:
     block, r the diagonal edge block, theta_edges the per-edge phase
     differences. o (the Schur complement m - n r^-1 n^T) and l (o rescaled
     by e^{-rho} on both sides) exist only when every |theta_edge| < pi/2.
-    All PQ-indexed blocks are None on networks without PQ buses.
+    m, o and l are symmetrized. All PQ-indexed blocks are None on networks
+    without PQ buses.
     """
 
-    m: SymMatrix | None
+    m: np.ndarray | None
     n_block: np.ndarray
     r: np.ndarray
     theta_edges: np.ndarray
-    o: SymMatrix | None
-    l: SymMatrix | None
+    o: np.ndarray | None
+    l: np.ndarray | None
 
-    def require_schur(self) -> tuple[SymMatrix, SymMatrix]:
+    def require_schur(self) -> tuple[np.ndarray, np.ndarray]:
         if self.o is None or self.l is None:
             raise SingularReduction(
                 "an edge phase reached 90 degrees; o/l blocks unavailable")
@@ -320,7 +334,7 @@ class HessianBlocks:
 
 
 def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
-    check_state(n, s)
+    check_one_state(n, s)
     beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
     e2 = np.exp(2.0 * s.rho)
@@ -333,7 +347,7 @@ def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
     m_mat = np.diag(diag[n.pq]) - (inc * w) @ inc.T
     n_block = inc * sv
 
-    blocks = HessianBlocks(m=SymMatrix(m_mat) if npq else None,
+    blocks = HessianBlocks(m=symmetrize(m_mat) if npq else None,
                            n_block=n_block, r=w.copy(), theta_edges=te.copy(),
                            o=None, l=None)
     if npq == 0:
@@ -341,6 +355,6 @@ def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
     if np.all(np.abs(te) < HALF_PI):
         o_mat = m_mat - (n_block / w) @ n_block.T
         d = np.exp(-s.rho[n.pq])
-        blocks.o = SymMatrix(o_mat)
-        blocks.l = SymMatrix(d[:, None] * o_mat * d[None, :])
+        blocks.o = symmetrize(o_mat)
+        blocks.l = symmetrize(d[:, None] * o_mat * d[None, :])
     return blocks

@@ -17,53 +17,36 @@ from .errors import InvalidMatrix, NotPositiveDefinite, NumericalFailure
 DEFAULT_PSD_TOL = 1e-9
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """0.5 (a + a^T) of a square matrix, or of each matrix in a leading
-    stack, in one new array, never in the caller's. SymMatrix stores this,
-    and stacked kernels that must match it bit for bit call it too."""
-    s = a + a.swapaxes(-1, -2)
-    s *= 0.5
-    return s
-
-
-class SymMatrix:
-    """Dense symmetric real matrix; storage keeps a[i, j] == a[j, i] exactly."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        # Symmetrize once so both triangles are bit-identical from here on.
-        self.a = _symmetrize(a)
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.a
-
-    def __repr__(self):
-        return f"SymMatrix(order={self.order})"
-
-
 @dataclass(frozen=True)
 class PsdVerdict:
     psd: bool
     min_pivot: float
 
 
-def _check_finite(a: np.ndarray) -> np.ndarray:
-    """a itself, after raising InvalidMatrix if any entry is not finite."""
-    if not np.all(np.isfinite(a)):
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^T) of a square matrix, or of each matrix in a leading
+    stack, in one new array, never in the caller's: the sum first, then an
+    in-place halving, so both triangles are bit-identical."""
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5
+    return s
+
+
+def _symmetric(a, stack: bool = False) -> np.ndarray:
+    """symmetrize(a) as floats, after raising InvalidMatrix unless a is a
+    nonempty square matrix (or, with stack, a stack of them); then raising
+    it when an entry of the result is not finite."""
+    a = np.asarray(a, dtype=float)
+    square = a.ndim >= 2 and a.shape[-1] == a.shape[-2] >= 1
+    if not square or a.ndim > 2 and not stack:
+        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+    a = symmetrize(a)
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return a
 
 
-def cholesky_psd(m: SymMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
+def cholesky_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     """Positive-semidefiniteness test by diagonally pivoted LDL factorization.
 
     Completes iff every pivot stays above -tol * (1 + max |diag|); a zero
@@ -72,8 +55,8 @@ def cholesky_psd(m: SymMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    a = _check_finite(m.entries).copy()
-    n = m.order
+    a = _symmetric(m)
+    n = len(a)
     scale = 1.0 + float(np.max(np.abs(np.diag(a)))) if n else 1.0
     floor = -tol * scale
     # Column entries below this are treated as exact zeros next to a zero pivot.
@@ -101,9 +84,10 @@ def cholesky_psd(m: SymMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     return PsdVerdict(True, min_pivot)
 
 
-def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition; eigenvalues ascending, eigenvectors in columns."""
-    a = _check_finite(m.entries)
+def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition; eigenvalues ascending, eigenvectors in
+    columns. m may carry a leading stack axis, and the results then do."""
+    a = _symmetric(m, stack=True)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -111,35 +95,17 @@ def sym_eigen(m: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def solve_spd(m: SymMatrix, rhs) -> np.ndarray:
+def solve_spd(m, rhs) -> np.ndarray:
     """Solve m x = rhs for symmetric positive definite m."""
-    a = _check_finite(m.entries)
+    a = _symmetric(m)
     b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != m.order:
-        raise InvalidMatrix(f"rhs length {b.shape[0]} != order {m.order}")
+    if b.shape[0] != len(a):
+        raise InvalidMatrix(f"rhs length {b.shape[0]} != order {len(a)}")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is singular or indefinite") from exc
     return np.linalg.solve(a, b)
-
-
-def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    Default step 1e-5 * (1 + |x_i|) balances truncation against rounding
-    for the double-precision cross checks this is used in.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = step if step is not None else 1e-5 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
 
 
 def fd_hessian(f, x, step: float | None = None) -> np.ndarray:

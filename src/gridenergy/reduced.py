@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as en
-# in_domain_C is unused here; the benchmark's span tracer pins it as an alias.
-from .convexity import MAX_ROWS, _domain_min_eig, in_domain_C  # noqa: F401
+from .convexity import MAX_ROWS, in_domain_C
 from .energy import HALF_PI, PFState
 from .errors import (NoReactiveSolution, NumericalFailure, PhaseOutOfRange,
                      SingularReduction, UnsupportedSign, UnsupportedTopology)
 # fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
-from .linalg import _symmetrize, fd_hessian  # noqa: F401
+from .linalg import fd_hessian  # noqa: F401
 from .network import Network
 
 _REACTIVE_TOL = 1e-10
@@ -213,10 +212,9 @@ def _checked_rho(n: Network, fp: en.FixedPhase, theta: np.ndarray,
     ok = np.array([reason is None for reason in why]).reshape(theta.shape[:-1])
     rho = np.log(np.where(ok[..., None], u, 1.0))
     ok &= np.abs(fp.residual(rho)).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
-    # The phasor check of pf_residuals.
     s = PFState(np.zeros(theta.shape), theta)
     s.rho[..., n.pq] = rho
-    _, rq = en._phasor_residuals(n, s)
+    _, rq = en.pf_residuals(n, s)
     ok &= np.abs(rq).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
     return rho, ok
 
@@ -450,7 +448,8 @@ def reduced_hessian(n: Network, s: PFState) -> np.ndarray:
     the Schur complement H_tt - H_tr H_rr^-1 H_rt of the full Hessian.
     Raises SingularReduction when H_rr is singular.
     """
-    hess, singular = _schur(en.hessian(n, s).entries, len(n.pq))
+    en.check_one_state(n, s)
+    hess, singular = _schur(en.hessian(n, s), len(n.pq))
     if singular:
         raise SingularReduction("rho-rho Hessian block is singular")
     return hess
@@ -518,15 +517,14 @@ def _region_rows(n: Network, theta: np.ndarray):
     rows = np.flatnonzero(solvable)
     s = PFState(np.zeros((len(rows), n.n_bus)), theta[rows])
     s.rho[:, n.pq] = rho[rows]
-    lmi_min, tol_abs, _ = _domain_min_eig(n, s)
-    # Symmetrized as hessian's SymMatrix stores them.
-    hess, singular = _schur(_symmetrize(en._hessian_entries(n, s)), len(n.pq))
+    cert = in_domain_C(n, s)
+    hess, singular = _schur(en.hessian(n, s), len(n.pq))
     # The smaller root of the 2 x 2 characteristic polynomial.
     tr, det = hess[:, 0, 0] + hess[:, 1, 1], np.linalg.det(hess)
     disc = 0.25 * tr * tr - det
     min_eig = 0.5 * tr - np.sqrt(np.where(disc < 0.0, 0.0, disc))
     in_c = np.full(len(theta), None, dtype=object)
-    in_c[rows] = (lmi_min >= -tol_abs).tolist()
+    in_c[rows] = cert.in_c.tolist()
     eig = np.full(len(theta), None, dtype=object)
     eig[rows[~singular]] = min_eig[~singular].tolist()
     return solvable.tolist(), in_c.tolist(), eig.tolist()

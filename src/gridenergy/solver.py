@@ -23,7 +23,7 @@ from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
                         in_domain_C, lossy_in_domain)
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
-from .linalg import SymMatrix, solve_spd
+from .linalg import solve_spd, symmetrize
 from .network import Network, scale_injections
 
 
@@ -90,7 +90,7 @@ def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     reg = 0.0
     for _ in range(8):
         try:
-            return solve_spd(SymMatrix(h + reg * np.eye(len(h)) if reg else h), rhs)
+            return solve_spd(h + reg * np.eye(len(h)) if reg else h, rhs)
         except NotPositiveDefinite:
             scale = 1.0 + float(np.max(np.abs(np.diag(h))))
             reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
@@ -109,7 +109,7 @@ def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     the very solve that solve_spd makes after its Cholesky test. Otherwise,
     and when LU meets an exactly singular h, the answer is _ridge_solve's.
     """
-    a = SymMatrix(h).entries
+    a = symmetrize(h)
     if np.isfinite(a).all():
         try:
             dx = np.linalg.solve(a, rhs)
@@ -166,10 +166,10 @@ def solve_newton(n: Network, s0: PFState | None = None,
     """
     _check_tol("tol", tol)
     s = s0 if s0 is not None else PFState.flat(n)
-    en.check_state(n, s)
+    en.check_one_state(n, s)
     x, r, iterations = damped_newton(
         lambda x: _residual_vec(n, unpack(n, x)),
-        lambda x, r: _ridge_solve(en.hessian(n, unpack(n, x)).entries, r),
+        lambda x, r: _ridge_solve(en.hessian(n, unpack(n, x)), r),
         pack(n, s), tol, lambda x: np.max(np.abs(x)) <= 30.0)
     s = unpack(n, x)
     grad_norm = float(np.linalg.norm(r, np.inf))
@@ -225,7 +225,7 @@ class _Barrier:
         ev = en.energy_gradient(self.n, s)
         # grad_hess's line-sized temporaries peak before E'' is allocated.
         bg, bh = self.grad_hess(s)
-        return ev.value, ev.as_vector(), en.hessian(self.n, s).entries, bg, bh
+        return ev.value, ev.as_vector(), en.hessian(self.n, s), bg, bh
 
     def edge_vars(self, s: PFState):
         d = s.rho[self.t] - s.rho[self.f]
@@ -404,7 +404,7 @@ def solve_convex(n: Network, s0: PFState | None = None,
     """
     opts = opts or SolveOptions()
     s = s0 if s0 is not None else PFState.flat(n)
-    en.check_state(n, s)
+    en.check_one_state(n, s)
     barrier = _Barrier(n, opts.box)
     if not barrier.feasible(s):
         raise InfeasibleStart("initial state is not strictly inside the domain")
@@ -524,7 +524,7 @@ def _newton(n: Network, s: PFState, barrier: _Barrier, target: float):
     best = float(np.linalg.norm(g, np.inf))
     steps = 0
     while best > target and steps < 40:
-        dx = _newton_step(en.hessian(n, s).entries, -g)
+        dx = _newton_step(en.hessian(n, s), -g)
         if dx is None:
             break
         sn = unpack(n, x + dx)

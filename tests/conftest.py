@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from gridenergy.energy import PFState
+from gridenergy.energy import HALF_PI, PFState
+from gridenergy.errors import PhaseOutOfRange
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 load_case, losslessify)
 
@@ -13,6 +16,45 @@ settings.load_profile("ci")
 def make_twobus(p=-0.1, q=-0.1, b=1.0, g=0.0, pq_kind=BusKind.PQ):
     buses = [Bus(1, BusKind.SLACK), Bus(2, pq_kind, p_inj=p, q_inj=q)]
     return Network(buses, [Line(1, 2, b=b, g=g)])
+
+
+def fd_gradient(f, x, step: float | None = None) -> np.ndarray:
+    """Central-difference gradient of a scalar function.
+
+    Default step 1e-5 * (1 + |x_i|) balances truncation against rounding
+    for the double-precision cross checks this is used in.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        h = step if step is not None else 1e-5 * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+def matrix_convexity_gap(x1: float, y1: float, x2: float, y2: float,
+                         lam: float) -> np.ndarray:
+    """Loewner convexity gap of f(x, y) = (1/cos y) [[e^x, 1], [1, e^-x]].
+
+    Returns lam*f(x1,y1) + (1-lam)*f(x2,y2) - f at the combined point;
+    the matrix is positive semidefinite whenever |y1|, |y2| < pi/2.
+    """
+    for y in (y1, y2):
+        if abs(y) > HALF_PI - 1e-6:
+            raise PhaseOutOfRange("y arguments must stay below 90 degrees")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+
+    def f(x, y):
+        return np.array([[math.exp(x), 1.0], [1.0, math.exp(-x)]]) / math.cos(y)
+
+    xm = lam * x1 + (1.0 - lam) * x2
+    ym = lam * y1 + (1.0 - lam) * y2
+    return lam * f(x1, y1) + (1.0 - lam) * f(x2, y2) - f(xm, ym)
 
 
 def random_network(rng, n_max=10, tree=False, pq_prob=0.75, b_hi=20.0,
@@ -44,6 +86,16 @@ def random_state(rng, n, rho_amp=0.3, theta_amp=0.5):
     s.rho[n.pq] = rng.uniform(-rho_amp, rho_amp, len(n.pq))
     s.theta[n.ns] = rng.uniform(-theta_amp, theta_amp, len(n.ns))
     return s
+
+
+def stacked(states):
+    """One PFState holding the given states along a leading axis."""
+    return PFState(np.stack([s.rho for s in states]),
+                   np.stack([s.theta for s in states]))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.fixture(scope="session")

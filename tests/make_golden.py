@@ -88,6 +88,10 @@ GOLDEN = {
     "error_lossy_kappa_nan.json": ["solve", "twobus", "--lossy-kappa", "nan"],
     "error_lossy_kappa_negative.json": ["solve", "threebus", "--lossy-kappa", "-1"],
     "error_delta_inf.csv": ["sweep", "twobus", "--delta", "inf"],
+    # Negative values that argparse alone would read as options.
+    "error_lossy_kappa_negative_exp.json": ["solve", "threebus", "--lossy-kappa",
+                                            "-1e-300"],
+    "error_delta_negative_inf.csv": ["sweep", "twobus", "--delta", "-inf"],
     "error_scale_nan.csv": ["region", "threebus", "--scale", "nan"],
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],

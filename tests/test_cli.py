@@ -498,6 +498,23 @@ class TestBadRanges:
         assert_error(capsys, "b_rho must be finite",
                      "bounds", "ieee14", "--b-rho", b_rho)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "threebus", "--lossy-kappa", "-1e-300"],
+         "--lossy-kappa must be non-negative, got -1e-300"),
+        (["sweep", "twobus", "--delta", "-inf"], "--delta must be finite, got -inf"),
+        (["bounds", "threebus", "--b-rho", "-1e-3"],
+         "b_rho must be finite and >= 1, got -0.001"),
+        (["--tol", "-1E-3", "solve", "twobus"], "must be finite and positive"),
+        (["solve", "twobus", "--lossy", "-nan"], "--lossy-kappa must be finite")])
+    def test_negative_value_after_a_space(self, capsys, argv, message):
+        # argparse by itself takes -1e-300 or -inf for an option and exits 2.
+        assert_error(capsys, message, *argv)
+
+    def test_help_takes_no_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "twobus", "--he", "-1"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
 
 class TestOutputPlumbing:
     def test_format_json_for_tables(self, capsys):

@@ -7,28 +7,30 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_twobus, random_network, random_state
+from conftest import (make_twobus, matrix_convexity_gap, random_network,
+                      random_state, same_bits, stacked)
+from test_energy import stack_networks
 from test_solver import strictly_interior
 from gridenergy import energy as en
 from gridenergy import convexity
-from gridenergy.convexity import (_BOUND_RESOLUTION, PhaseVoltageBox,
-                                  _active_mask, _box_chunks, _pq_ends,
+from gridenergy.convexity import (_BOUND_RESOLUTION, ConvexityCertificate,
+                                  PhaseVoltageBox,
+                                  _active_lines, _box_chunks, _pq_ends,
                                   _probes_pass,
                                   convexity_matrix, domain_matrix, in_domain_C,
                                   in_domain_D_sampled, lossy_in_domain,
-                                  matrix_convexity_gap, max_phase_bound)
-from gridenergy.energy import PFState
+                                  max_phase_bound)
+from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import (DomainError, GridEnergyError, PhaseOutOfRange,
                                UnsupportedTopology)
-from gridenergy.linalg import (DEFAULT_PSD_TOL, SymMatrix, _symmetrize, cholesky_psd,
-                               sym_eigen)
+from gridenergy.linalg import DEFAULT_PSD_TOL, cholesky_psd, sym_eigen
 from gridenergy.network import Bus, BusKind, Line, Network, load_case
 from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
 
 
 class TestConvexityMatrix:
     def test_flat_equals_weighted_laplacian(self, threebus):
-        cm = convexity_matrix(threebus, PFState.flat(threebus)).entries
+        cm = convexity_matrix(threebus, PFState.flat(threebus))
         expect = np.array([[43.55, -16.67], [-16.67, 43.55]])
         assert np.allclose(cm, expect, atol=1e-12)
         w, _ = sym_eigen(convexity_matrix(threebus, PFState.flat(threebus)))
@@ -39,7 +41,7 @@ class TestConvexityMatrix:
         n = make_twobus()
         s = PFState.flat(n)
         s.rho[1] = -math.log(2.0)
-        cm = convexity_matrix(n, s).entries
+        cm = convexity_matrix(n, s)
         assert cm.shape == (1, 1)
         assert cm[0, 0] == pytest.approx(0.0, abs=1e-14)
 
@@ -80,6 +82,81 @@ class TestInDomainC:
                                  and cert.lmi_min_eig >= -cert.tol_abs)
 
 
+CERT_FIELDS = ("in_c", "phase_ok", "lmi_min_eig", "tol_abs", "scale")
+
+
+def assert_rows_are_single_certificates(n, states, cert):
+    for k, s in enumerate(states):
+        one = in_domain_C(n, s)
+        assert type(one.in_c) is bool and type(one.lmi_min_eig) is float
+        for field in CERT_FIELDS:
+            assert same_bits(getattr(cert, field)[k], getattr(one, field)), field
+
+
+class TestStackedInDomainC:
+    """in_domain_C over a stack of states: one array entry per state, bit for
+    bit that state's own certificate."""
+
+    def test_rows_match_single_calls(self, bundled_models):
+        rng = np.random.default_rng(33)
+        blocked = 0
+        for n in stack_networks(rng, bundled_models):
+            # Phases up to 1.2 rad put some lines past 90 degrees.
+            states = [random_state(rng, n, rho_amp=0.5, theta_amp=1.2)
+                      for _ in range(8)]
+            cert = in_domain_C(n, stacked(states))
+            for field in CERT_FIELDS:
+                assert getattr(cert, field).shape == (8,)
+            assert_rows_are_single_certificates(n, states, cert)
+            blocked += int(np.isneginf(cert.lmi_min_eig).sum())
+        assert blocked > 0
+
+    def test_leading_axes(self, ieee14_model):
+        rng = np.random.default_rng(34)
+        states = [random_state(rng, ieee14_model) for _ in range(6)]
+        s = stacked(states)
+        cert = in_domain_C(ieee14_model, PFState(s.rho.reshape(2, 3, -1),
+                                                 s.theta.reshape(2, 3, -1)))
+        assert cert.lmi_min_eig.shape == (2, 3)
+        flat = ConvexityCertificate(*(getattr(cert, f).ravel() for f in CERT_FIELDS))
+        assert_rows_are_single_certificates(ieee14_model, states, flat)
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_row_at_90_degrees_blocked(self, threebus, row):
+        rng = np.random.default_rng(row)
+        states = [random_state(rng, threebus) for _ in range(5)]
+        # Every line at bus ns[0] at exactly 90 degrees.
+        states[row].theta[:] = 0.0
+        states[row].theta[threebus.ns[0]] = HALF_PI
+        cert = in_domain_C(threebus, stacked(states))
+        assert (cert.in_c[row], cert.phase_ok[row], cert.lmi_min_eig[row],
+                cert.tol_abs[row], cert.scale[row]) == (False, True, -math.inf, 0.0, 1.0)
+        assert_rows_are_single_certificates(threebus, states, cert)
+        rest = in_domain_C(threebus, stacked(states[:row] + states[row + 1:]))
+        for field in CERT_FIELDS:
+            assert same_bits(np.delete(getattr(cert, field), row), getattr(rest, field))
+
+    def test_malformed_row_raises_single_error(self):
+        # Slack bus 1, PV bus 2, PQ bus 3.
+        n = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PV), Bus(3, BusKind.PQ)],
+                    [Line(1, 2, b=1.0), Line(2, 3, b=1.0)])
+        states = [PFState.flat(n) for _ in range(3)]
+        states[1].rho[1] = 0.5
+        with pytest.raises(ValueError, match="pinned state entries"):
+            in_domain_C(n, stacked(states))
+        with pytest.raises(ValueError, match="do not match network size"):
+            in_domain_C(n, PFState(np.zeros((3, 4)), np.zeros((3, 4))))
+
+    def test_without_pq_buses(self):
+        n = make_twobus(pq_kind=BusKind.PV)
+        states = [PFState.flat(n) for _ in range(3)]
+        states[1].theta[1] = 2.0
+        cert = in_domain_C(n, stacked(states))
+        assert cert.in_c.tolist() == [True, False, True]
+        assert np.all(cert.lmi_min_eig == math.inf)
+        assert_rows_are_single_certificates(n, states, cert)
+
+
 class TestInDomainDSampled:
     def test_flat_start(self, threebus):
         rep = in_domain_D_sampled(threebus, PFState.flat(threebus), samples=8)
@@ -115,7 +192,7 @@ def reference_d_sampled(n, s, samples):
         alpha = k / samples
         h = en.hessian(n, PFState(alpha * s.rho, alpha * s.theta))
         w, _ = sym_eigen(h)
-        scale = 1.0 + float(np.max(np.abs(np.diag(h.entries))))
+        scale = 1.0 + float(np.max(np.abs(np.diag(h))))
         alphas.append(alpha)
         mins.append(w[0])
         if w[0] < -DEFAULT_PSD_TOL * scale:
@@ -140,7 +217,7 @@ def stacked_min_eigs(n, s, alphas):
     """Smallest eigenvalue of the Hessian at every alpha * s, from one stacked
     Hessian and one batched eigh."""
     a = alphas[:, None]
-    h = _symmetrize(en._hessian_entries(n, PFState(a * s.rho, a * s.theta)))
+    h = en.hessian(n, PFState(a * s.rho, a * s.theta))
     return np.linalg.eigh(h)[0][:, 0]
 
 
@@ -263,11 +340,11 @@ class TestLossyDomain:
 class TestMatrixConvexityGap:
     def test_endpoint_lambda(self):
         g = matrix_convexity_gap(0.5, 0.3, -0.7, -0.2, 0.0)
-        assert np.allclose(g.entries, 0.0, atol=1e-14)
+        assert np.allclose(g, 0.0, atol=1e-14)
 
     def test_equal_points(self):
         g = matrix_convexity_gap(0.4, 0.8, 0.4, 0.8, 0.61)
-        assert np.allclose(g.entries, 0.0, atol=1e-12)
+        assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_gap_always_psd(self):
         rng = np.random.default_rng(35)
@@ -292,7 +369,7 @@ class TestDomainProperties:
                 continue
             h = en.hessian(n, s)
             w, _ = sym_eigen(h)
-            scale = 1.0 + np.max(np.abs(np.diag(h.entries)))
+            scale = 1.0 + np.max(np.abs(np.diag(h)))
             assert w[0] >= -1e-8 * scale
             done += 1
 
@@ -309,7 +386,7 @@ class TestDomainProperties:
             cert = in_domain_C(n, s)
             h = en.hessian(n, s)
             w, _ = sym_eigen(h)
-            scale = 1.0 + np.max(np.abs(np.diag(h.entries)))
+            scale = 1.0 + np.max(np.abs(np.diag(h)))
             if abs(cert.lmi_min_eig) < 1e-7 * (1 + abs(cert.lmi_min_eig)) or \
                     abs(w[0]) < 1e-7 * scale:
                 continue
@@ -341,7 +418,7 @@ class TestDomainProperties:
             s2 = random_state(rng, n, rho_amp=0.3, theta_amp=0.5)
             mid = PFState(0.5 * (s1.rho + s2.rho), 0.5 * (s1.theta + s2.theta))
             u = rng.normal(size=len(n.pq))
-            vals = [u @ convexity_matrix(n, s).entries @ u
+            vals = [u @ convexity_matrix(n, s) @ u
                     for s in (s1, s2, mid)]
             assert vals[2] >= 0.5 * (vals[0] + vals[1]) - 1e-9 * (
                 1 + max(abs(v) for v in vals))
@@ -357,7 +434,7 @@ def bisected_vertex_bound(n, b_rho):
     """Reference for the certified budget: bisection on b_theta to
     _BOUND_RESOLUTION, each point tested by pivoted LDL on the domain matrix
     at every ratio sign pattern with all phases at that point."""
-    active = np.flatnonzero(_active_mask(n))
+    active = _active_lines(n)
     log_ratio = math.log(b_rho)
     bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
     patterns = np.zeros((len(bits), len(n.lines)))
@@ -365,7 +442,7 @@ def bisected_vertex_bound(n, b_rho):
 
     def box_ok(b_theta):
         w = n.b / math.cos(b_theta)
-        return all(cholesky_psd(SymMatrix(domain_matrix(n, d, w))).psd
+        return all(cholesky_psd(domain_matrix(n, d, w)).psd
                    for d in patterns)
 
     lo, hi = 0.0, math.pi / 2 - 1e-9
@@ -395,7 +472,7 @@ class TestMaxPhaseBound:
         nets = [bundled_models[c] for c in ("twobus", "threebus", "threebus-tree")]
         while len(nets) < 40:
             n = random_network(rng, n_max=8, tree=bool(rng.random() < 0.4))
-            if len(n.pq) and np.sum(_active_mask(n)) <= 8:
+            if len(n.pq) and len(_active_lines(n)) <= 8:
                 nets.append(n)
         for k, n in enumerate(nets):
             for b_rho in (1.0, 1.05, 1.2, 1.5, 2.0):
@@ -600,7 +677,7 @@ class TestMaxPhaseBound:
         checked = 0
         while checked < 20:
             n = random_network(rng, n_max=30)
-            if len(n.pq) == 0 or np.sum(_active_mask(n)) <= 12:
+            if len(n.pq) == 0 or len(_active_lines(n)) <= 12:
                 continue
             samples = int(rng.choice([1, 50, 700, 3000]))
             b_rho = float(rng.uniform(1.0, 2.0))

@@ -57,3 +57,37 @@ def test_no_unused_imports():
     dead = [f"{m.stem}.{name}" for m in modules for name in unused_imports(m)
             if (m.stem, name) not in allowed]
     assert not dead
+
+
+def private_reaches(path: Path, modules: set[str]):
+    """Every import of another package module's private name, and every
+    `mod._name` where mod is bound to another package module."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}  # local name -> package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gridenergy"):
+            source = (node.module or "").removeprefix("gridenergy").strip(".")
+            for alias in node.names:
+                if not source and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source and alias.name.startswith("_"):
+                    yield f"from {source} import {alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                root, _, name = alias.name.partition(".")
+                if root == "gridenergy" and name in modules and alias.asname:
+                    bound[alias.asname] = name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and bound.get(node.value.id, path.stem) != path.stem
+                and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_private_reaches():
+    paths = sorted(Path(gridenergy.__file__).parent.glob("*.py"))
+    modules = {p.stem for p in paths}
+    assert {"energy", "convexity", "linalg", "reduced", "solver"} <= modules
+    reaches = [f"{p.stem}: {r}" for p in paths for r in private_reaches(p, modules)]
+    assert not reaches

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_twobus, random_network, random_state
+from conftest import (fd_gradient, make_twobus, random_network, random_state,
+                      same_bits, stacked)
 from gridenergy import energy as en
+from gridenergy.convexity import convexity_matrix, in_domain_D_sampled
 from gridenergy.energy import PFState, pack, unpack
 from gridenergy.errors import (NotConstantRatio, SingularReduction,
                                UnsupportedTopology)
-from gridenergy.linalg import fd_gradient, fd_hessian, sym_eigen
+from gridenergy.linalg import fd_hessian, sym_eigen
 from gridenergy.network import Bus, BusKind, Line, Network
-from gridenergy.reduced import reduced_energy
-from gridenergy.solver import solve_newton
+from gridenergy.reduced import reduced_energy, reduced_hessian
+from gridenergy.solver import solve_convex, solve_newton
 
 
 class TestCheckState:
@@ -37,6 +39,69 @@ class TestCheckState:
         s.theta[2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             en.check_state(self.NET, s)
+
+
+def stack_networks(rng, bundled_models):
+    """The bundled models, a lossy threebus and random networks."""
+    threebus = bundled_models["threebus"]
+    lossy = Network(threebus.buses, [Line(ln.i, ln.j, ln.b, 0.2 * ln.b)
+                                     for ln in threebus.lines])
+    return [*bundled_models.values(), lossy, *(random_network(rng) for _ in range(20))]
+
+
+class TestStackedStates:
+    """check_state, hessian and pf_residuals over a stack of states: each
+    row bit for bit its own single-state call, and a malformed row the
+    single-state error."""
+
+    @pytest.mark.parametrize("lead", [(6,), (2, 3)])
+    def test_rows_match_single_calls(self, bundled_models, lead):
+        rng = np.random.default_rng(28)
+        for n in stack_networks(rng, bundled_models):
+            states = [random_state(rng, n) for _ in range(6)]
+            s = stacked(states)
+            s = PFState(s.rho.reshape(lead + (-1,)), s.theta.reshape(lead + (-1,)))
+            h = en.hessian(n, s).reshape((6,) + (len(n.pq) + len(n.ns),) * 2)
+            rp, rq = (r.reshape(6, -1) for r in en.pf_residuals(n, s))
+            for k, one in enumerate(states):
+                assert same_bits(h[k], en.hessian(n, one))
+                rp1, rq1 = en.pf_residuals(n, one)
+                assert same_bits(rp[k], rp1) and same_bits(rq[k], rq1)
+
+    @pytest.mark.parametrize("kernel", [en.check_state, en.hessian, en.pf_residuals])
+    @pytest.mark.parametrize("field, bus, value, message", [
+        ("theta", 2, np.nan, "non-finite"), ("rho", 2, np.inf, "non-finite"),
+        ("rho", 0, 1e-300, "pinned state entries"),
+        ("rho", 1, -1e-300, "pinned state entries"),
+        ("theta", 0, 0.1, "pinned state entries")])
+    def test_malformed_row_raises_single_error(self, kernel, field, bus, value,
+                                               message):
+        n = TestCheckState.NET
+        states = [PFState.flat(n) for _ in range(4)]
+        getattr(states[2], field)[bus] = value
+        with pytest.raises(ValueError, match=message):
+            kernel(n, states[2])
+        with pytest.raises(ValueError, match=message):
+            kernel(n, stacked(states))
+
+    @pytest.mark.parametrize("fn", [en.check_one_state, en.energy_value,
+                                    en.energy_gradient, en.hessian_blocks,
+                                    convexity_matrix, in_domain_D_sampled,
+                                    solve_newton, solve_convex, reduced_hessian])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_single_state_functions_refuse_a_stack(self, threebus, fn, rows):
+        s = PFState(np.zeros((rows, 3)), np.zeros((rows, 3)))
+        with pytest.raises(ValueError, match="do not match network size"):
+            fn(threebus, s)
+
+    @pytest.mark.parametrize("kernel", [en.check_state, en.hessian, en.pf_residuals])
+    @pytest.mark.parametrize("rho_shape, theta_shape", [
+        ((4, 2), (4, 2)), ((4, 4), (4, 4)), ((4, 3), (3, 3)), ((4, 3), (4, 1, 3)),
+        ((), ())])
+    def test_wrong_shape_rejected(self, kernel, rho_shape, theta_shape):
+        s = PFState(np.zeros(rho_shape), np.zeros(theta_shape))
+        with pytest.raises(ValueError, match="do not match network size"):
+            kernel(TestCheckState.NET, s)
 
 
 class TestEnergyValue:
@@ -119,7 +184,7 @@ class TestGradient:
 class TestHessian:
     def test_two_bus_flat(self):
         n = make_twobus()
-        h = en.hessian(n, PFState.flat(n)).entries
+        h = en.hessian(n, PFState.flat(n))
         assert np.allclose(h, np.eye(2), atol=1e-15)
 
     def test_against_finite_differences(self):
@@ -130,7 +195,7 @@ class TestHessian:
             x0 = pack(n, s)
             f = lambda x: en.energy_value(n, unpack(n, x))
             hfd = fd_hessian(f, x0)
-            ha = en.hessian(n, s).entries
+            ha = en.hessian(n, s)
             scale = 1.0 + np.max(np.abs(hfd))
             assert np.max(np.abs(ha - hfd)) / scale < 1e-5
 
@@ -162,7 +227,7 @@ class TestHessian:
         nets += [random_network(rng, pq_prob=0.5) for _ in range(20)]
         for n in nets:
             s = random_state(rng, n)
-            assert np.array_equal(en.hessian(n, s).entries, reference(n, s))
+            assert np.array_equal(en.hessian(n, s), reference(n, s))
 
     def test_flat_start_psd(self):
         rng = np.random.default_rng(24)
@@ -175,20 +240,19 @@ class TestHessian:
 class TestHessianBlocks:
     def test_flat_m_formulas(self, threebus):
         bl = en.hessian_blocks(threebus, PFState.flat(threebus))
-        m = bl.m.entries
+        m = bl.m
         # diagonal: sum of incident susceptances; off-diagonal: -B_ij
         assert m[0, 0] == pytest.approx(43.55)
         assert m[1, 1] == pytest.approx(43.55)
         assert m[0, 1] == pytest.approx(-16.67)
 
     def test_flat_o_equals_domain_matrix(self, threebus):
-        from gridenergy.convexity import convexity_matrix
         s = PFState.flat(threebus)
         bl = en.hessian_blocks(threebus, s)
         o, l = bl.require_schur()
         cm = convexity_matrix(threebus, s)
-        assert np.max(np.abs(o.entries - cm.entries)) < 1e-12
-        assert np.max(np.abs(l.entries - cm.entries)) < 1e-12
+        assert np.max(np.abs(o - cm)) < 1e-12
+        assert np.max(np.abs(l - cm)) < 1e-12
         # Away from the flat start the Schur-complement route stays an
         # independent oracle for the line-factor assembly.
         rng = np.random.default_rng(26)
@@ -199,9 +263,9 @@ class TestHessianBlocks:
             f, t = n.edges[:, 0], n.edges[:, 1]
             if len(n.pq) == 0 or np.max(np.abs(s.theta[f] - s.theta[t])) >= math.pi / 2:
                 continue
-            cm = convexity_matrix(n, s).entries
+            cm = convexity_matrix(n, s)
             _, l = en.hessian_blocks(n, s).require_schur()
-            assert np.max(np.abs(l.entries - cm)) < 1e-12 * (1 + np.max(np.abs(cm)))
+            assert np.max(np.abs(l - cm)) < 1e-12 * (1 + np.max(np.abs(cm)))
             checked += 1
         assert checked > 200
 
@@ -214,8 +278,8 @@ class TestHessianBlocks:
             if bl.m is None or bl.o is None:
                 continue
             d = np.exp(-s.rho[n.pq])
-            expect = d[:, None] * bl.o.entries * d[None, :]
-            assert np.max(np.abs(bl.l.entries - expect)) < 1e-12 * (
+            expect = d[:, None] * bl.o * d[None, :]
+            assert np.max(np.abs(bl.l - expect)) < 1e-12 * (
                 1 + np.max(np.abs(expect)))
 
     def test_schur_verdict_matches_full_on_trees(self):
@@ -283,7 +347,7 @@ class TestFixedPhase:
         assert _close(fp.residual(rho), -en.energy_gradient(n, s).grad_rho, 1e-12)
         if len(n.pq):
             assert _close(fixed_phase_hessian(fp, rho),
-                          en.hessian_blocks(n, s).m.entries, 1e-12)
+                          en.hessian_blocks(n, s).m, 1e-12)
             # A batch gives one residual per row.
             batch = fixed_phase_residuals(fp, np.stack((rho, 0.5 * rho)))
             assert _close(batch[0], fp.residual(rho), 1e-14)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_twobus, random_network, random_state
+from conftest import fd_gradient, make_twobus, random_network, random_state
 from test_energy import fixed_phase_hessian
 from gridenergy import energy as en
 from gridenergy.convexity import in_domain_C
 from gridenergy.energy import PFState
 from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
                                UnsupportedSign, UnsupportedTopology)
-from gridenergy.linalg import fd_gradient, fd_hessian
+from gridenergy.linalg import fd_hessian
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 scale_injections)
 from gridenergy.reduced import (_EIG_TOL, MAX_ROWS, BetaCondition,
@@ -748,7 +748,7 @@ def reference_region_grid(n, theta_min=-math.pi / 3.0, theta_max=math.pi / 3.0,
                 continue
             s = PFState(np.zeros(n.n_bus), th)
             s.rho[n.pq] = rho_pq
-            h, npq = en.hessian(n, s).entries, len(n.pq)
+            h, npq = en.hessian(n, s), len(n.pq)
             h_rt = h[:npq, npq:]
             try:
                 hess = h[npq:, npq:] - h_rt.T @ np.linalg.solve(h[:npq, :npq], h_rt)
