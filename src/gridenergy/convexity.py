@@ -8,7 +8,6 @@ networks and is exact on trees.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -64,13 +63,12 @@ def _check_b_rho(b_rho: float) -> None:
         raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
 
 
-@functools.lru_cache(maxsize=16)
-def _active_lines(n: Network) -> np.ndarray:
-    """Indices of the lines with at least one PQ endpoint; only these enter
-    the matrix. Cached for the most recent networks; callers must not
-    modify it."""
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    return np.flatnonzero((n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0))
+def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line, sign (+1 from-end, -1 to-end) and PQ position of every PQ line
+    end: the from-ends in line order, then the to-ends; for n.derived."""
+    pq = n.pq_ends.ravel(order="F")
+    end = np.flatnonzero(pq >= 0)
+    return end % len(n.lines), np.where(end < len(n.lines), 1.0, -1.0), pq[end]
 
 
 def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
@@ -81,23 +79,23 @@ def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
     (b/cos theta) [[e^d, 1], [1, e^-d]] is then w_k u_k u_k^T. A leading
     stack axis of d gives one U per row.
     """
-    pf, pt = n.pq_index_of[n.edges[:, 0]], n.pq_index_of[n.edges[:, 1]]
-    kf, kt = np.flatnonzero(pf >= 0), np.flatnonzero(pt >= 0)
+    line, sign, pq = n.derived(_pq_ends)
     u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.lines)))
-    u[..., pf[kf], kf] = np.exp(0.5 * d.take(kf, -1))
-    u[..., pt[kt], kt] = np.exp(-0.5 * d.take(kt, -1))
+    u[..., pq, line] = np.exp(0.5 * sign * d.take(line, -1))
     return u
 
 
-def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray, u=None,
-                  diag_2b=None) -> np.ndarray:
+def _diag_2b(n: Network) -> np.ndarray:
+    """diag(2B) over the PQ buses; for n.derived."""
+    return np.diag(2.0 * n.b_total[n.pq])
+
+
+def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from per-line
     ratio exponents d (rho_to - rho_from) and weights w (b/cos theta),
-    over an optional leading stack axis of d and w.
-    Callers holding U = line_factors(n, d) or diag(2B) pass them along."""
-    u = line_factors(n, d) if u is None else u
-    diag_2b = np.diag(2.0 * n.b_total[n.pq]) if diag_2b is None else diag_2b
-    return diag_2b - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
+    over an optional leading stack axis of d and w."""
+    u = line_factors(n, d)
+    return n.derived(_diag_2b) - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def convexity_matrix(n: Network, s: PFState) -> np.ndarray:
@@ -129,7 +127,7 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     theta, rho = s.theta.reshape(-1, n.n_bus), s.rho.reshape(-1, n.n_bus)
     f, t = n.edges[:, 0], n.edges[:, 1]
     te = theta.take(f, 1) - theta.take(t, 1)
-    count, active = len(te), _active_lines(n)
+    count, active = len(te), n.active
     inside = abs(te.take(active, 1)) < HALF_PI
     if not len(n.pq):
         lmi_min, tol_abs, scale = np.full(count, math.inf), np.zeros(count), np.ones(count)
@@ -251,14 +249,6 @@ _MAX_BUDGET = HALF_PI - 1e-9  # the largest budget: every phase below 90 degrees
 _BOUND_RESOLUTION = math.radians(0.1)  # the sampled bisection's width
 
 
-def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line, sign (+1 from-end, -1 to-end) and PQ position of every PQ line
-    end: the from-ends in line order, then the to-ends."""
-    pq = n.pq_index_of[n.edges.T].ravel()
-    end = np.flatnonzero(pq >= 0)
-    return end % len(n.lines), np.where(end < len(n.lines), 1.0, -1.0), pq[end]
-
-
 def _box_chunks(n: Network, log_ratio: float,
                 samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Probe points of the operating box for the sampled estimate, a chunk
@@ -274,8 +264,8 @@ def _box_chunks(n: Network, log_ratio: float,
     b_e e^{+-d_e} and the phase fraction phi_e.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
-    active = _active_lines(n)
-    line, sign, _ = _pq_ends(n)
+    active = n.active
+    line, sign, _ = n.derived(_pq_ends)
     step = max(1, _CHUNK_ENTRIES // len(n.lines))
     hot = np.repeat(active, 2)
     corner = np.tile([log_ratio, -log_ratio], len(active))
@@ -319,7 +309,7 @@ def _probes_pass(n: Network, terms: np.ndarray, phi: np.ndarray,
     # Positions in the chunk's flattened (rows, PQ bus) loads: per row the
     # from-ends, then the to-ends, in line order, the order np.add.at would
     # sum them in.
-    bins = _pq_ends(n)[2] + npq * np.arange(len(terms))[:, None]
+    bins = n.derived(_pq_ends)[2] + npq * np.arange(len(terms))[:, None]
     flow = terms * (1.0 / np.cos(phi * b_theta))
     load = np.bincount(bins.ravel(), flow.ravel(), len(terms) * npq)
     return bool(np.all(load.reshape(len(terms), npq) <= 2.0 * n.b_total[n.pq]))
@@ -369,7 +359,7 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     _check_b_rho(b_rho)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    active = _active_lines(n)
+    active = n.active
     log_ratio = math.log(b_rho)
     if len(active) <= 12:
         return PhaseBound(b_rho=b_rho, certified=True,

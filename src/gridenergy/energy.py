@@ -19,7 +19,6 @@ lossless network is its kappa = 0 case.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import NotConstantRatio, SingularReduction, UnsupportedTopology
 from .linalg import symmetrize
-from .network import Network
+from .network import Network, incidence
 
 HALF_PI = 0.5 * np.pi
 
@@ -211,16 +210,14 @@ def pf_residuals(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
     return rp, rq
 
 
-@functools.lru_cache(maxsize=16)
 def _pq_incidence(n: Network) -> np.ndarray:
-    """inc[p, k] = 1 when line k ends at the p-th PQ bus. Cached for the
-    most recent networks, since every region grid chunk asks for it;
-    callers must not modify it."""
-    inc = np.zeros((len(n.pq), len(n.lines)))
-    for ends in n.edges.T:
-        p = n.pq_index_of[ends]
-        inc[p[p >= 0], np.flatnonzero(p >= 0)] = 1.0
-    return inc
+    """inc[p, k] = 1 when line k ends at the p-th PQ bus; for n.derived."""
+    return abs(incidence(n)[n.pq])
+
+
+def _to_fixed(n: Network) -> np.ndarray:
+    """Whether each line has a fixed-voltage end; for n.derived."""
+    return n.pq_ends.min(axis=1) < 0
 
 
 class FixedPhase:
@@ -249,13 +246,12 @@ class FixedPhase:
             raise ValueError("theta must give one phase per bus")
         f, t = n.edges[:, 0], n.edges[:, 1]
         c = beff * np.cos(theta.take(f, -1) - theta.take(t, -1))
-        inc = _pq_incidence(n)
+        inc = n.derived(_pq_incidence)
         weighted = inc * c[..., None, :]
         self.g = weighted @ inc.T
         # Every (flattened) (npq + 1)-th entry of each matrix: its diagonal.
         self.g.reshape(*self.g.shape[:-2], -1)[..., ::len(n.pq) + 1] = -(inc @ beff)
-        to_fixed = (n.pq_index_of[f] < 0) | (n.pq_index_of[t] < 0)
-        self.d = weighted @ to_fixed
+        self.d = weighted @ n.derived(_to_fixed)
         self.tq = tq[n.pq]
 
     def residual(self, rho_pq: np.ndarray) -> np.ndarray:
@@ -264,12 +260,11 @@ class FixedPhase:
         return self.tq + u * (self.d + (u[..., None, :] @ self.g)[..., 0, :])
 
 
-@functools.lru_cache(maxsize=16)
 def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
     """Flat positions of hessian's 16 per-line entry groups, in its value
     order, in a (k+1) x (k+1) scratch matrix over the k free variables in
-    pack's order; pinned ends go to the dropped last row and column.
-    Cached for the most recent networks; callers must not modify it."""
+    pack's order; pinned ends go to the dropped last row and column. For
+    n.derived."""
     k = len(n.pq) + len(n.ns)
     pos = np.full((2, n.n_bus), k)  # rho and theta position of each bus
     pos[0, n.pq] = np.arange(len(n.pq))
@@ -291,7 +286,7 @@ def hessian(n: Network, s: PFState) -> np.ndarray:
     e2 = np.exp(2.0 * s.rho)
     w = beff * exy * np.cos(te)
     sv = beff * exy * np.sin(te)
-    flat, k = _hessian_index(n)
+    flat, k = n.derived(_hessian_index)
     vals = np.concatenate((2.0 * beff * e2.take(f, -1) - w,
                            2.0 * beff * e2.take(t, -1) - w,
                            -w, -w, sv, sv, sv, sv, -sv, -sv, -sv, -sv,
@@ -341,7 +336,7 @@ def hessian_blocks(n: Network, s: PFState) -> HessianBlocks:
     w = beff * exy * np.cos(te)
     sv = beff * exy * np.sin(te)
     npq = len(n.pq)
-    inc = _pq_incidence(n)
+    inc = n.derived(_pq_incidence)
     # B_i scales with the susceptances, by exactly 1 when lossless.
     diag = 2.0 * (1.0 + n.lossy_ratio ** 2) * n.b_total * e2
     m_mat = np.diag(diag[n.pq]) - (inc * w) @ inc.T

@@ -7,6 +7,7 @@ follow the generation-positive sign convention, so loads are negative.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import re
@@ -63,33 +64,17 @@ class Network:
       b_total        per-bus sum of incident b (B_i)
       lossy_ratio    g/b when uniform across lines (0.0 when lossless),
                      None when the ratio varies
+      pq_index_of    position of each bus among the PQ buses, -1 elsewhere
+      pq_ends        (m, 2) PQ position of each line end, -1 at a fixed end
+      active         lines with a PQ end, the ones in the domain matrix
+      derived(build) memo of build(network), shared by scale_injections
     """
 
     def __init__(self, buses, lines):
-        buses = tuple(buses)
         lines = tuple(lines)
-        if not buses:
-            raise ParseError("network has no buses")
-        ids = [b.id for b in buses]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate bus ids")
-        kinds = [b.kind for b in buses]
-        n_slack = kinds.count(BusKind.SLACK)
-        if n_slack != 1:
-            raise ParseError(f"expected exactly one slack bus, found {n_slack}")
-        inj = np.array([[b.p_inj for b in buses], [b.q_inj for b in buses]])
-        v = np.array([b.v_set for b in buses])
-        pq = np.array([k is BusKind.PQ for k in kinds])
-        # (x > 0) & (x < inf) is False for NaN: positive and finite.
-        _raise_first(buses, lambda b: f"bus {b.id}", (
-            (~np.isfinite(inj).all(axis=0), "non-finite injection"),
-            (abs(inj).max(axis=0) > MAX_MAGNITUDE,
-             f"injection beyond {MAX_MAGNITUDE:g} per unit"),
-            (~(pq | (v > 0) & (v < np.inf)),
-             "voltage set-point must be positive and finite")))
-
+        ids, kinds = self._set_buses(buses)
         index = {bid: k for k, bid in enumerate(ids)}
-        n, m = len(buses), len(lines)
+        n, m = len(ids), len(lines)
         ends = np.array([[index.get(ln.i, -1) for ln in lines],
                          [index.get(ln.j, -1) for ln in lines]], dtype=int)
         bg = np.array([[ln.b for ln in lines], [ln.g for ln in lines]])
@@ -112,17 +97,14 @@ class Network:
              f"b and g must be at most {MAX_MAGNITUDE:g} per unit"),
             (repeat, "duplicate pair (merge parallel lines first)")))
 
-        self.buses = buses
         self.lines = lines
         self.index = index
         self.n_bus = n
         self.slack_index = kinds.index(BusKind.SLACK)
         self.slack = ids[self.slack_index]
-        self.pq = np.flatnonzero(pq)
+        self.pq = np.flatnonzero([k is BusKind.PQ for k in kinds])
         self.pv = np.flatnonzero([k is BusKind.PV for k in kinds])
         self.ns = np.flatnonzero([k is not BusKind.SLACK for k in kinds])
-        self.p_inj, self.q_inj = inj
-        self.v_set = v
         # Column-major, so each end column edges[:, 0], edges[:, 1] is
         # contiguous: the per-line gathers by it run at full speed.
         self.edges = ends.T
@@ -136,6 +118,46 @@ class Network:
         # Position of each pq bus within the pq ordering, -1 elsewhere.
         self.pq_index_of = np.full(n, -1, dtype=int)
         self.pq_index_of[self.pq] = np.arange(len(self.pq))
+        self.pq_ends = self.pq_index_of[ends].T
+        self.active = np.flatnonzero(self.pq_ends.max(axis=1) >= 0)
+        self._derived = {}
+
+    def _set_buses(self, buses) -> tuple[list, list]:
+        """Check the buses, before any line, and set them with their
+        injection and set-point arrays; returns their ids and kinds."""
+        buses = tuple(buses)
+        if not buses:
+            raise ParseError("network has no buses")
+        ids = [b.id for b in buses]
+        if len(set(ids)) != len(ids):
+            raise ParseError("duplicate bus ids")
+        kinds = [b.kind for b in buses]
+        n_slack = kinds.count(BusKind.SLACK)
+        if n_slack != 1:
+            raise ParseError(f"expected exactly one slack bus, found {n_slack}")
+        inj = np.array([[b.p_inj for b in buses], [b.q_inj for b in buses]])
+        v = np.array([b.v_set for b in buses])
+        pq = np.array([k is BusKind.PQ for k in kinds])
+        # (x > 0) & (x < inf) is False for NaN: positive and finite.
+        _raise_first(buses, lambda b: f"bus {b.id}", (
+            (~np.isfinite(inj).all(axis=0), "non-finite injection"),
+            (abs(inj).max(axis=0) > MAX_MAGNITUDE,
+             f"injection beyond {MAX_MAGNITUDE:g} per unit"),
+            (~(pq | (v > 0) & (v < np.inf)),
+             "voltage set-point must be positive and finite")))
+        self.buses = buses
+        self.p_inj, self.q_inj = inj
+        self.v_set = v
+        return ids, kinds
+
+    def derived(self, build):
+        """build(self), made once for every network that scale_injections
+        makes from this one: build may read the lines and the bus kinds
+        only, and callers must not modify what it returns."""
+        memo = self._derived
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
 
     def _check_connected(self):
         """Spread from the slack bus along every line at once, until no
@@ -435,9 +457,7 @@ def absorb_setpoints(n: Network) -> Network:
 def incidence(n: Network) -> np.ndarray:
     """Bus-by-oriented-edge incidence: +1 at the from end, -1 at the to end."""
     a = np.zeros((n.n_bus, len(n.lines)))
-    for k, (f, t) in enumerate(n.edges):
-        a[f, k] = 1.0
-        a[t, k] = -1.0
+    a[n.edges, np.arange(len(n.lines))[:, None]] = (1.0, -1.0)
     return a
 
 
@@ -447,17 +467,18 @@ def is_tree(n: Network) -> bool:
 
 def scale_injections(n: Network, kappa: float, delta: float = 1.0) -> Network:
     """Scale active injections by kappa at every non-slack bus and reactive
-    injections by delta*kappa at PQ buses."""
+    injections by delta*kappa at PQ buses. The new buses are checked as
+    the constructor checks them; the lines, the index arrays and the
+    derived memo are n's own."""
     buses = []
     for b in n.buses:
-        if b.kind is BusKind.SLACK:
-            buses.append(b)
-        elif b.kind is BusKind.PV:
-            buses.append(Bus(b.id, b.kind, kappa * b.p_inj, b.q_inj, b.v_set))
-        else:
-            buses.append(Bus(b.id, b.kind, kappa * b.p_inj,
-                             delta * kappa * b.q_inj, b.v_set))
-    return Network(buses, n.lines)
+        if b.kind is not BusKind.SLACK:
+            q = delta * kappa * b.q_inj if b.kind is BusKind.PQ else b.q_inj
+            b = Bus(b.id, b.kind, kappa * b.p_inj, q, b.v_set)
+        buses.append(b)
+    scaled = copy.copy(n)
+    scaled._set_buses(buses)
+    return scaled
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ no solution exists in the domain.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
 from .linalg import solve_spd, symmetrize
-from .network import Network, scale_injections
+from .network import Network, incidence, scale_injections
 
 
 class SolveStatus(enum.Enum):
@@ -197,8 +196,9 @@ class _Barrier:
     Jacobians jd (d by PQ rho) and jt (tau by non-slack theta) chain the
     separable terms and every tau derivative into packed coordinates; the
     -log det terms in rho are formed in PQ-bus coordinates (grad_hess).
-    Only lines with a PQ end (var) enter the domain matrix or move with
-    rho; the others carry the separable phase terms alone.
+    Only the network's active lines, those with a PQ end, enter the domain
+    matrix or move with rho; the others carry the separable phase terms
+    alone.
     """
 
     def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
@@ -207,8 +207,6 @@ class _Barrier:
         self.log_brho = math.log(box.b_rho) if box is not None else None
         f, t = n.edges[:, 0], n.edges[:, 1]
         self.f, self.t = f, t
-        self.var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
-        self.diag_2b = np.diag(2.0 * n.b_total[n.pq])
         # (rho, theta) bytes and Cholesky factor of the last point factored.
         self.key, self.chol = None, None
 
@@ -244,7 +242,7 @@ class _Barrier:
         if self.box is not None:
             if np.any(np.abs(tau) >= self.box.b_theta):
                 return math.inf
-            dv = d[self.var]
+            dv = d[self.n.active]
             if np.any(np.abs(dv) >= self.log_brho):
                 return math.inf
             bt = self.box.b_theta
@@ -261,36 +259,9 @@ class _Barrier:
         """The domain matrix's Cholesky factor at s, kept for the last s."""
         key = s.rho.tobytes() + s.theta.tobytes()
         if key != self.key:
-            self.chol = np.linalg.cholesky(
-                domain_matrix(self.n, d, w, diag_2b=self.diag_2b))
+            self.chol = np.linalg.cholesky(domain_matrix(self.n, d, w))
             self.key = key
         return self.chol
-
-    @functools.cached_property
-    def _chain(self):
-        """(jd, jt, jt_fixed, ends, lines, side, mask): the edge Jacobians
-        over the var lines and the fixed ones; the var lines' (from, to)
-        PQ indices, -1 at a pinned end, with their arange, the per-end
-        sign (-1, +1) and a 0/1 mask of the PQ ends. Built on grad_hess's
-        first call: a solve that Newton steps settle never makes one."""
-        n, f, t, var = self.n, self.f, self.t, self.var
-        m = len(n.lines)
-        th_col = np.full(n.n_bus, -1)
-        th_col[n.ns] = np.arange(len(n.ns))
-        # Edge Jacobian, block-diagonal: d depends on the PQ rho only and
-        # tau on the non-slack theta only. Pinned ends land in the dropped
-        # last column.
-        rows = np.arange(m)
-        jd = np.zeros((m, len(n.pq) + 1))
-        jd[rows, n.pq_index_of[t]] += 1.0
-        jd[rows, n.pq_index_of[f]] -= 1.0
-        jt = np.zeros((m, len(n.ns) + 1))
-        jt[rows, th_col[f]] += 1.0
-        jt[rows, th_col[t]] -= 1.0
-        ends = np.stack((n.pq_index_of[f[var]], n.pq_index_of[t[var]]))
-        return (jd[var, :-1], jt[var, :-1], jt[~var, :-1], ends,
-                np.arange(ends.shape[1]), np.array([[-1.0], [1.0]]),
-                (ends >= 0).astype(float))
 
     def grad_hess(self, s: PFState):
         """Gradient and Hessian of the barrier in packed coordinates.
@@ -310,7 +281,8 @@ class _Barrier:
         the last chained into theta by jt. The tau gradient and the
         tau-tau block take the one Gram matrix Guu = U^T K U.
         """
-        n, var = self.n, self.var
+        n = self.n
+        var, fixed, jd, jt, jf, ends, lines, side, mask = n.derived(_chain)
         d, tau = self.edge_vars(s)
         tn = np.tan(tau)
         w = n.b / np.cos(tau)
@@ -326,8 +298,7 @@ class _Barrier:
             g_d += 1.0 / (br - dv) - 1.0 / (br + dv)
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
-        # -log det L over the var lines.
-        jd, jt, jf, ends, lines, side, mask = self._chain
+        # -log det L over the active lines.
         ci = np.linalg.inv(self._factor(s, d, w))
         k = ci.T @ ci
         w, tn = w[var], tn[var]
@@ -352,7 +323,6 @@ class _Barrier:
         h_tt *= guu
         h_tt.flat[::len(w) + 1] += w * (1.0 + 2.0 * tn * tn) * duu + h_t[var]
 
-        fixed = ~var
         npq = jd.shape[1]
         hdt = (jd.T * (tn * g_hat) - (m.T @ (ku * ku)) * wt) @ jt
         hess = np.empty((npq + jt.shape[1],) * 2)
@@ -362,6 +332,27 @@ class _Barrier:
         hess[npq:, npq:] = jt.T @ h_tt @ jt + (jf.T * h_t[fixed]) @ jf
         grad = np.concatenate((jd.T @ (g_hat + g_d), jt.T @ g_tv + jf.T @ g_t[fixed]))
         return grad, hess
+
+
+def _chain(n: Network):
+    """(var, fixed, jd, jt, jf, ends, lines, side, mask) for grad_hess, by
+    n.derived: the active lines and the others; the edge Jacobians jd (d
+    by PQ rho) and jt (tau by non-slack theta) over the active lines and
+    jf (tau) over the others; the active lines' (from, to) PQ positions,
+    -1 at a fixed end, with their arange, the per-end sign (-1, +1) and a
+    0/1 mask of the PQ ends. Built at a network's first grad_hess: a solve
+    that Newton steps settle never makes one."""
+    var = n.active
+    fixed = np.setdiff1d(np.arange(len(n.lines)), var)
+    # d = rho_to - rho_from and tau = theta_from - theta_to; 0.0 - keeps
+    # jd's zeros +0.0.
+    a = incidence(n)
+    jd = 0.0 - a[n.pq].T
+    jt = a[n.ns].T
+    ends = n.pq_ends[var].T
+    return (var, fixed, jd[var], jt[var], jt[fixed], ends,
+            np.arange(len(var)), np.array([[-1.0], [1.0]]),
+            (ends >= 0).astype(float))
 
 
 def _phase_slack(n: Network, s: PFState) -> float:

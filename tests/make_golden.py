@@ -93,6 +93,11 @@ GOLDEN = {
                                             "-1e-300"],
     "error_delta_negative_inf.csv": ["sweep", "twobus", "--delta", "-inf"],
     "error_scale_nan.csv": ["region", "threebus", "--scale", "nan"],
+    # Scaled injections past MAX_MAGNITUDE, refused by scale_injections.
+    "error_scale_magnitude.csv": ["region", "threebus", "--scale", "1e7",
+                                  "--grid-step", "30"],
+    "error_kappa_magnitude.csv": ["sweep", "threebus", "--kappa-min", "1",
+                                  "--kappa-max", "1e7", "--kappa-step", "5e6"],
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
     # Far past the 1 000 000-row cap: numpy alone cannot allocate them.

@@ -15,7 +15,7 @@ from gridenergy import energy as en
 from gridenergy import convexity
 from gridenergy.convexity import (_BOUND_RESOLUTION, ConvexityCertificate,
                                   PhaseVoltageBox,
-                                  _active_lines, _box_chunks, _pq_ends,
+                                  _box_chunks, _pq_ends,
                                   _probes_pass,
                                   convexity_matrix, domain_matrix, in_domain_C,
                                   in_domain_D_sampled, lossy_in_domain,
@@ -434,7 +434,7 @@ def bisected_vertex_bound(n, b_rho):
     """Reference for the certified budget: bisection on b_theta to
     _BOUND_RESOLUTION, each point tested by pivoted LDL on the domain matrix
     at every ratio sign pattern with all phases at that point."""
-    active = _active_lines(n)
+    active = n.active
     log_ratio = math.log(b_rho)
     bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
     patterns = np.zeros((len(bits), len(n.lines)))
@@ -472,7 +472,7 @@ class TestMaxPhaseBound:
         nets = [bundled_models[c] for c in ("twobus", "threebus", "threebus-tree")]
         while len(nets) < 40:
             n = random_network(rng, n_max=8, tree=bool(rng.random() < 0.4))
-            if len(n.pq) and len(_active_lines(n)) <= 8:
+            if len(n.pq) and len(n.active) <= 8:
                 nets.append(n)
         for k, n in enumerate(nets):
             for b_rho in (1.0, 1.05, 1.2, 1.5, 2.0):
@@ -677,7 +677,7 @@ class TestMaxPhaseBound:
         checked = 0
         while checked < 20:
             n = random_network(rng, n_max=30)
-            if len(n.pq) == 0 or len(_active_lines(n)) <= 12:
+            if len(n.pq) == 0 or len(n.active) <= 12:
                 continue
             samples = int(rng.choice([1, 50, 700, 3000]))
             b_rho = float(rng.uniform(1.0, 2.0))

@@ -91,3 +91,39 @@ def test_no_private_reaches():
     assert {"energy", "convexity", "linalg", "reduced", "solver"} <= modules
     reaches = [f"{p.stem}: {r}" for p in paths for r in private_reaches(p, modules)]
     assert not reaches
+
+
+# What a builder passed to Network.derived must not read: networks from
+# scale_injections share the memo and differ in exactly these.
+INJECTION_FIELDS = {"p_inj", "q_inj", "v_set", "buses"}
+
+
+def derived_builders(path: Path):
+    """(name, reads of INJECTION_FIELDS) of every function that path passes
+    to `.derived(...)`; a builder that is not a function of that module
+    reads "unresolved", so the guard cannot be stepped round."""
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "derived"):
+            arg = node.args[0] if len(node.args) == 1 and not node.keywords else None
+            if not (isinstance(arg, ast.Name) and arg.id in functions):
+                yield ast.unparse(node), {"unresolved"}
+                continue
+            reads = {sub.attr for sub in ast.walk(functions[arg.id])
+                     if isinstance(sub, ast.Attribute) and sub.attr in INJECTION_FIELDS}
+            reads |= {sub.id for sub in ast.walk(functions[arg.id])
+                      if isinstance(sub, ast.Name) and sub.id in INJECTION_FIELDS}
+            yield arg.id, reads
+
+
+def test_derived_builders_read_no_injections():
+    paths = sorted(Path(gridenergy.__file__).parent.glob("*.py"))
+    found = {f"{p.stem}.{name}": reads for p in paths
+             for name, reads in derived_builders(p)}
+    assert {"energy._pq_incidence", "energy._hessian_index", "convexity._diag_2b",
+            "convexity._pq_ends", "solver._chain"} <= set(found)
+    bad = sorted(f"{name}: {sorted(reads)}" for name, reads in found.items() if reads)
+    assert not bad

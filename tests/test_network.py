@@ -531,7 +531,7 @@ def reference_absorb(n):
 
 
 ARRAYS = ("p_inj", "q_inj", "v_set", "b", "g", "y", "b_total", "edges", "pq", "pv",
-          "ns", "pq_index_of")
+          "ns", "pq_index_of", "pq_ends", "active")
 
 
 class TestTransformsAsBefore:
@@ -565,3 +565,76 @@ class TestTransformsAsBefore:
             np.add.at(total, n.edges[:, 0], n.b)
             np.add.at(total, n.edges[:, 1], n.b)
             assert total.tobytes() == n.b_total.tobytes()
+
+
+def builders():
+    """Every function the package keeps in a network's derived memo."""
+    from gridenergy import convexity, solver
+    return (en._pq_incidence, en._to_fixed, en._hessian_index, convexity._diag_2b,
+            convexity._pq_ends, solver._chain)
+
+
+def same_entry(a, b) -> bool:
+    """Bit equality of a memo entry: an array, or a tuple of arrays and ints."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_entry, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+class TestSharedLineSet:
+    @pytest.mark.parametrize("case", sorted(BUNDLED_CASES))
+    def test_scaled_rows_share_the_memo(self, case):
+        n = quiet_case(case)
+        for build in builders():
+            n.derived(build)
+        row = scale_injections(n, 1.3, 0.7)
+        assert row._derived is n._derived
+        assert scale_injections(row, 2.0)._derived is n._derived
+        for name in ("lines", "edges", "pq", "pv", "ns", "pq_index_of", "pq_ends",
+                     "active", "b_total"):
+            assert getattr(row, name) is getattr(n, name), name
+        fresh = Network(row.buses, row.lines)
+        assert fresh._derived == {}
+        for build in builders():
+            assert same_entry(row.derived(build), build(fresh)), build.__name__
+            assert row.derived(build) is n.derived(build)
+
+    def test_entries_as_built_on_a_fresh_network(self, bundled_models):
+        rng = np.random.default_rng(26)
+        nets = list(bundled_models.values()) + [random_network(rng) for _ in range(20)]
+        for n in nets:
+            row = scale_injections(n, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0, 1)))
+            fresh = Network(row.buses, row.lines)
+            for build in builders():
+                assert same_entry(row.derived(build), fresh.derived(build)), build.__name__
+
+    def test_transforms_get_a_fresh_memo(self, ieee14):
+        for build in builders():
+            ieee14.derived(build)
+        for new in (losslessify(ieee14), absorb_setpoints(ieee14)):
+            assert new is not ieee14 and new._derived == {}
+            assert new._derived is not ieee14._derived
+
+    def test_cli_lossy_network_gets_a_fresh_memo(self):
+        from gridenergy.cli import _prepare
+
+        base, _ = _prepare("threebus", None)
+        for build in builders():
+            base.derived(build)
+        n, _ = _prepare("threebus", 0.2)
+        assert n._derived == {} and n.lossy_ratio == pytest.approx(0.2)
+        fresh = Network(n.buses, n.lines)
+        for build in builders():
+            assert same_entry(n.derived(build), fresh.derived(build)), build.__name__
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 1e308, 1e7, -2e7])
+    def test_bad_scale_as_before(self, threebus, kappa):
+        with pytest.raises(ParseError) as want:
+            reference_scale(threebus, kappa, 1.0)
+        with pytest.raises(ParseError) as got:
+            scale_injections(threebus, kappa)
+        assert str(got.value) == str(want.value)
+        # A refused row leaves its network as it was.
+        assert threebus.p_inj.tolist() == [b.p_inj for b in threebus.buses]
