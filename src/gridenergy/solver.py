@@ -11,6 +11,7 @@ no solution exists in the domain.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -60,10 +61,13 @@ class SolveOptions:
 # barrier_path's schedule: mu falls by MU_DECAY a stage (a long step; Boyd &
 # Vandenberghe, Convex Optimization, sec. 11.3.3), with at most MAX_INNER
 # Newton steps a stage, MAX_TOTAL a path, each winning ARMIJO times its
-# predicted decrease. solve_convex's path runs from MU0 to MU_MIN.
+# predicted decrease. solve_convex's path runs from MU0 to MU_MIN. Stages
+# before the last end at a Newton decrement lambda <= 1/4 (lambda^2 <=
+# DECREMENT; Nesterov & Nemirovski 1994; Boyd & Vandenberghe sec. 11.5).
 MU0 = 1.0
 MU_DECAY = 0.02
 MU_MIN = 1e-9
+DECREMENT = 1.0 / 16.0
 MAX_INNER = 80
 MAX_TOTAL = 4000
 ARMIJO = 1e-4
@@ -97,27 +101,32 @@ def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """The convex route's Newton step: solve h dx = rhs with one LU
-    factorization of the symmetrized h.
+    """The convex route's Newton step: solve h dx = rhs, rhs (n,) or (n, k),
+    with one LU factorization of the symmetrized h.
 
     Every Newton matrix of the convex route is positive definite: E'' on
     C's interior, where E is strictly convex, and E'' + mu phi'' on the
     barrier's domain (Boyd & Vandenberghe, Convex Optimization, secs. 9.5
-    and 11.3). So the LU answer is kept when h is finite and rhs . dx is
-    positive and finite, which every positive definite h gives; there it is
-    the very solve that solve_spd makes after its Cholesky test. Otherwise,
-    and when LU meets an exactly singular h, the answer is _ridge_solve's.
+    and 11.3). So a column of the LU answer is kept when h is finite and
+    its rhs . dx is positive and finite, which every positive definite h
+    gives; there it is the very solve that solve_spd makes after its
+    Cholesky test. Any other column, and every column when LU meets an
+    exactly singular h, is _ridge_solve's answer; None when that has none.
     """
     a = symmetrize(h)
+    dx = np.full(rhs.shape, math.nan)
     if np.isfinite(a).all():
-        try:
+        with contextlib.suppress(np.linalg.LinAlgError):
             dx = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            dx = None
+    for j in np.ndindex(rhs.shape[1:]):
+        col = (slice(None), *j)
         # A finite positive rhs . dx rules out every non-finite entry of dx.
-        if dx is not None and 0.0 < float(rhs @ dx) < math.inf:
-            return dx
-    return _ridge_solve(h, rhs)
+        if not 0.0 < float(rhs[col] @ dx[col]) < math.inf:
+            ridge = _ridge_solve(h, rhs[col])
+            if ridge is None:
+                return None
+            dx[col] = ridge
+    return dx
 
 
 def damped_newton(residual, direction, x: np.ndarray, tol: float, valid):
@@ -426,18 +435,21 @@ def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
     problem.trial(x) returns (f, phi), phi = +inf outside the strict
     interior; problem.derivs(x) returns f, grad f, f'', grad phi and phi''
     at an interior x. Each stage takes damped Newton steps on f + mu phi
-    until the gradient is below max(mu / 100, tol / 2) or the predicted
-    decrease is below the objective's resolution; then mu falls by
-    MU_DECAY and a tangent predictor moves x toward the next stage.
-    Appends (mu, f + mu phi) of every accepted step to trace. Returns
-    (x, Newton steps, ran_out), ran_out when a step failed or MAX_TOTAL
-    steps were spent. Raises InfeasibleStart when phi(x) is not finite.
+    until the gradient is below max(mu / 100, tol / 2), the predicted
+    decrease is below the objective's resolution or, before the last stage
+    (mu <= mu_min), the squared Newton decrement of (f + mu phi) / mu is at
+    most DECREMENT. Then mu falls by MU_DECAY and a tangent predictor,
+    solved by the stage's last LU, moves x toward the next stage. Appends
+    (mu, f + mu phi) of every accepted step to trace. Returns (x, Newton
+    steps, ran_out), ran_out when a step failed or MAX_TOTAL steps were
+    spent. Raises InfeasibleStart when phi(x) is not finite.
     """
     _, phi = problem.trial(x)
     if not math.isfinite(phi):
         raise InfeasibleStart("initial state is not strictly inside the domain")
     steps = 0
     while True:
+        last = mu <= mu_min
         stage_tol = max(mu * 1e-2, tol * 0.5)
         # The derivatives are taken once more after the last allowed step,
         # so the stage always ends with them fresh at x for the predictor.
@@ -446,16 +458,21 @@ def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
             g = gf + mu * gphi
             h = mu * hphi
             h += hf
+            t = None
             if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
                 break
-            dx = _newton_step(h, -g)
+            dx = _newton_step(h, -g if last else np.column_stack((-g, gphi)))
             if dx is None:
                 return x, steps, True
+            if not last:
+                dx, t = dx.T
             f0 = f + mu * phi
             slope = float(g @ dx)
-            if abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0)):
-                # Predicted decrease is below the resolution of the
-                # objective; the stage is converged to working precision.
+            # Predicted decrease below the objective's resolution: the stage
+            # is converged to working precision. Before the last stage,
+            # -slope / mu is the squared decrement of (f + mu phi) / mu.
+            if (abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0))
+                    or not last and -slope <= mu * DECREMENT):
                 break
             step = _backtrack(problem, x, dx, mu, f0, ARMIJO * slope, trace)
             if step is None:
@@ -464,24 +481,24 @@ def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
             steps += 1
             if steps >= MAX_TOTAL:
                 return x, steps, True
-        if mu <= mu_min:
+        if last:
             return x, steps, False
         mu_next = mu * MU_DECAY
-        x, phi = _predict(problem, x, f, phi, gphi, h, mu, mu_next, trace)
+        t = _newton_step(h, gphi) if t is None else t
+        x, phi = _predict(problem, x, f, phi, t, mu, mu_next, trace)
         mu = mu_next
 
 
-def _predict(problem, x: np.ndarray, f: float, phi: float, gphi: np.ndarray,
-             h: np.ndarray, mu: float, mu_next: float, trace):
+def _predict(problem, x: np.ndarray, f: float, phi: float, t: np.ndarray | None,
+             mu: float, mu_next: float, trace):
     """Step from x(mu) along the central-path tangent toward x(mu_next).
 
     On the path grad f + mu grad phi = 0, so dx/dmu = -H^-1 grad phi with
-    H = f'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); f, phi, gphi
-    and h are f, phi, grad phi and H at x. The step is halved until phi is
-    finite and f + mu_next phi does not rise; when no step passes, x
-    stays. Returns (x, phi).
+    H = f'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); f, phi and t
+    are f, phi and H^-1 grad phi at x, t None when that solve failed. The
+    step is halved until phi is finite and f + mu_next phi does not rise;
+    when no step passes, or t is None, x stays. Returns (x, phi).
     """
-    t = _newton_step(h, gphi)
     step = None if t is None else _backtrack(
         problem, x, (mu - mu_next) * t, mu_next, f + mu_next * phi, 0.0, trace)
     return step or (x, phi)

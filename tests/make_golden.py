@@ -3,7 +3,9 @@ against.
 
     PYTHONPATH=src python tests/make_golden.py [NAME ...]
 
-With names, only those files are rewritten. Each file holds a line naming
+With names, only those files are rewritten. A sweep file is not rewritten
+when any row's status or boundary_active would change; the rows are
+printed instead and the script exits non-zero. Each file holds a line naming
 the numpy and BLAS builds it was made with, a '# '-prefixed JSON line with
 the command's argv, exit code and stderr, and then its stdout byte for
 byte. Floats depend on the linear-algebra build, so a file is only
@@ -14,6 +16,7 @@ the build splits a product across threads.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -188,15 +191,43 @@ def render(argv: list[str]) -> str:
     return f"# {meta}\n{out}"
 
 
+def verdicts(text: str) -> list[tuple[str, str, str]]:
+    """(kappa, status, boundary_active) of each row of a sweep file's text."""
+    rows = csv.DictReader(line for line in text.splitlines()
+                          if line and not line.startswith("#"))
+    return [(r["kappa"], r["status"], r["boundary_active"]) for r in rows]
+
+
+def flipped(path: Path, text: str) -> list[str]:
+    """The rows whose verdict differs between the sweep file at path and
+    text, one line each; [] when the file does not exist."""
+    if not path.exists():
+        return []
+    old, new = verdicts(path.read_text()), verdicts(text)
+    lines = [f"  was {a}, now {b}" for a, b in zip(old, new) if a != b]
+    if len(old) != len(new):
+        lines.append(f"  {len(old)} rows, now {len(new)}")
+    return lines
+
+
 def main(names: list[str]) -> None:
     unknown = sorted(set(names) - set(GOLDEN))
     if unknown:
         raise SystemExit(f"unknown golden files {unknown}")
     GOLDEN_DIR.mkdir(exist_ok=True)
+    refused = []
     for name, argv in GOLDEN.items():
         if not names or name in names:
-            (GOLDEN_DIR / name).write_text(versions() + "\n" + render(argv))
+            path, text = GOLDEN_DIR / name, versions() + "\n" + render(argv)
+            rows = flipped(path, text) if argv[0] == "sweep" else []
+            if rows:
+                print(f"refused {name}: a verdict would change\n" + "\n".join(rows))
+                refused.append(name)
+                continue
+            path.write_text(text)
             print(f"wrote {name}")
+    if refused:
+        raise SystemExit(f"not rewritten: {refused}")
 
 
 if __name__ == "__main__":

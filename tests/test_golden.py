@@ -26,3 +26,24 @@ def test_region_matches_golden(name):
 def test_cli_matches_golden(name):
     assert render(GOLDEN[name]) == recorded(name)
 
+
+
+def test_sweep_verdict_change_is_refused(tmp_path, monkeypatch, capsys):
+    # make_golden rewrites a sweep file whose numbers moved, but not one
+    # whose status or boundary_active column would change.
+    import make_golden
+
+    name = "sweep_twobus_delta1.csv"
+    text = recorded(name)
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", tmp_path)
+    flipped = versions() + "\n" + text.replace("SolutionFound", "NoSolutionInC", 1)
+    (tmp_path / name).write_text(flipped)
+    with pytest.raises(SystemExit, match="not rewritten"):
+        make_golden.main([name])
+    assert (tmp_path / name).read_text() == flipped
+    assert ("was ('1.0', 'NoSolutionInC', 'False'), now ('1.0', 'SolutionFound', "
+            "'False')") in capsys.readouterr().out
+    moved = versions() + "\n" + text.replace(",False,4\n", ",False,5\n")
+    (tmp_path / name).write_text(moved)
+    make_golden.main([name])
+    assert (tmp_path / name).read_text() == versions() + "\n" + text

@@ -195,8 +195,8 @@ class TestConvex:
 
         inner, checked = solver._predict, []
 
-        def spy(problem, x, f, phi, gphi, h, mu, mu_next, trace):
-            out = inner(problem, x, f, phi, gphi, h, mu, mu_next, trace)
+        def spy(problem, x, f, phi, t, mu, mu_next, trace):
+            out = inner(problem, x, f, phi, t, mu, mu_next, trace)
             f_out, phi_out = problem.trial(out[0])
             checked.append(f_out + mu_next * phi_out <= f + mu_next * phi)
             return out
@@ -209,6 +209,46 @@ class TestConvex:
             solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
                                 1.0, solver.MU_MIN, 1e-8)
         assert len(checked) > 100 and all(checked)
+
+    def test_stage_ending_on_the_decrement_reuses_its_solve(self, threebus,
+                                                            monkeypatch):
+        # A stage that ends on lambda^2 = -g.dx / mu <= DECREMENT hands its
+        # predictor the tangent column of the LU that measured lambda, and
+        # no further np.linalg.solve runs before the predictor.
+        events = record_barrier(monkeypatch)
+        for kappa in np.arange(0.5, 6.01, 0.5):
+            nk = scale_injections(threebus, kappa, 1.0)
+            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
+                                1.0, solver.MU_MIN, 1e-8)
+        on_decrement = 0
+        for solves, t, mu in stage_ends(events):
+            rhs, dx = solves[-1]
+            if rhs.ndim == 2 and float(rhs[:, 0] @ dx[:, 0]) <= mu * solver.DECREMENT:
+                on_decrement += 1
+                assert len(solves) == 1
+                assert np.array_equal(t, dx[:, 1])
+        assert on_decrement > 20
+
+    @pytest.mark.parametrize("tol, max_inner", [(1e3, solver.MAX_INNER), (1e-8, 1)])
+    def test_stage_ending_on_its_checks_solves_its_tangent(self, threebus, tol,
+                                                           max_inner, monkeypatch):
+        # With tol = 1e3 every stage ends on its first gradient check, before
+        # any Newton system; with MAX_INNER = 1 a stage that takes its one
+        # step ends on the cap with fresh derivatives. Either way the stage
+        # solves H t = grad phi at its end point for the predictor.
+        monkeypatch.setattr(solver, "MAX_INNER", max_inner)
+        events = record_barrier(monkeypatch)
+        for kappa in np.arange(0.5, 6.01, 0.5):
+            nk = scale_injections(threebus, kappa, 1.0)
+            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
+                                1.0, solver.MU_MIN, tol)
+        own = 0
+        for solves, t, _ in stage_ends(events):
+            rhs, dx = solves[-1]
+            assert len(solves) == 1
+            assert np.array_equal(t, dx if rhs.ndim == 1 else dx[:, 1])
+            own += rhs.ndim == 1
+        assert own > 20
 
     def test_solution_strictly_interior(self):
         rng = np.random.default_rng(51)
@@ -252,6 +292,46 @@ class TestConvex:
             SolveOptions(grad_tol=tol)
         with pytest.raises(ValueError, match="^tol must be finite and positive"):
             solve_newton(make_twobus(), tol=tol)
+
+
+def record_barrier(monkeypatch):
+    """The events of later barrier_path runs, in order: ("derivs",) at each
+    barrier derivative, ("solve", rhs, answer) at each np.linalg.solve and
+    ("predict", t, mu) at each predictor."""
+    events = []
+    derivs, solve, predict = solver._Barrier.derivs, np.linalg.solve, solver._predict
+
+    def counted_derivs(self, x):
+        events.append(("derivs",))
+        return derivs(self, x)
+
+    def counted_solve(a, b):
+        out = solve(a, b)
+        events.append(("solve", b, out))
+        return out
+
+    def spy(problem, x, f, phi, t, mu, mu_next, trace):
+        events.append(("predict", t, mu))
+        return predict(problem, x, f, phi, t, mu, mu_next, trace)
+
+    monkeypatch.setattr(solver._Barrier, "derivs", counted_derivs)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(solver, "_predict", spy)
+    return events
+
+
+def stage_ends(events):
+    """(solves since the stage's last derivatives as (rhs, answer), the
+    predictor's t, mu) for each predictor call of record_barrier's events."""
+    ends, solves = [], []
+    for event in events:
+        if event[0] == "derivs":
+            solves = []
+        elif event[0] == "solve":
+            solves.append(event[1:])
+        else:
+            ends.append((solves, *event[1:]))
+    return ends
 
 
 class TestEdgeTopologies:
@@ -368,6 +448,40 @@ class TestNewtonStep:
         dx = solver._newton_step(h, rhs)
         assert len(calls) == 1
         assert dx.tobytes() == ridge(h, rhs).tobytes()
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "ieee14", "ieee118"])
+    def test_two_columns_match_two_calls(self, case, bundled_models):
+        # The barrier's stages solve for the Newton step and the predictor's
+        # tangent with one LU; each column is the one-column answer.
+        n = scale_injections(bundled_models[case], 1.5, 1.0)
+        barrier = solver._Barrier(n)
+        for s in (PFState.flat(n), solve_convex(n).state):
+            _, gf, hf, gphi, hphi = barrier.derivs(en.pack(n, s))
+            for mu in (1.0, 1e-4, 1e-9):
+                g, h = gf + mu * gphi, hf + mu * hphi
+                both = solver._newton_step(h, np.column_stack((-g, gphi)))
+                for col, rhs in zip(both.T, (-g, gphi)):
+                    one = solver._newton_step(h, rhs)
+                    assert np.linalg.norm(col - one) <= 1e-13 * np.linalg.norm(one)
+
+    def test_columns_take_the_ridge_alone(self, monkeypatch):
+        ridge, calls = solver._ridge_solve, []
+        monkeypatch.setattr(solver, "_ridge_solve",
+                            lambda h, rhs: calls.append(rhs) or ridge(h, rhs))
+        # Indefinite: the first column's LU direction (0.5, -1) points uphill,
+        # the second's (1, 0) does not.
+        h, rhs = np.diag([1.0, -1.0]), np.array([[0.5, 1.0], [1.0, 0.0]])
+        dx = solver._newton_step(h, rhs)
+        assert len(calls) == 1
+        assert dx[:, 0].tobytes() == ridge(h, rhs[:, 0]).tobytes()
+        assert dx[:, 1].tobytes() == np.linalg.solve(h, rhs[:, 1]).tobytes()
+        # Singular: LU fails, so every column takes the ridge.
+        calls.clear()
+        h, rhs = np.ones((3, 3)), np.array([[1.0, 0.5], [2.0, 0.0], [3.0, -1.0]])
+        dx = solver._newton_step(h, rhs)
+        assert len(calls) == 2
+        for j in range(2):
+            assert dx[:, j].tobytes() == ridge(h, rhs[:, j]).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_raises(self, bad):
@@ -838,7 +952,7 @@ class TestSweep:
 
     def test_ieee14_step_budget(self, ieee14_model):
         # Newton-first solves keep every verdict of the collapse sweep in at
-        # most 90 Newton steps (79 measured); the barrier-only long-step
+        # most 90 Newton steps (66 measured); the barrier-only long-step
         # schedule took 108, the 5x schedule 340.
         records = sweep_load(ieee14_model, 1.0, np.arange(1.0, 5.51, 0.5))
         assert [r.status for r in records] == (
@@ -847,12 +961,42 @@ class TestSweep:
 
     def test_ieee118_step_budget(self, ieee118_model):
         # Newton-first solves keep every verdict of the collapse path in at
-        # most 72 Newton steps (65 measured); the barrier with the tangent
+        # most 72 Newton steps (53 measured); the barrier with the tangent
         # predictor took 80, without it 139.
         records = sweep_load(ieee118_model, 1.0, np.arange(1.0, 4.51, 0.5))
         assert [r.status for r in records] == (
             [SolveStatus.SOLUTION_FOUND] * 6 + [SolveStatus.NO_SOLUTION_IN_C] * 2)
         assert sum(r.iterations for r in records) <= 72
+
+    def test_ieee14_no_solution_row_work(self, ieee14_model, monkeypatch):
+        # Stages before the last end on the Newton decrement, and their
+        # predictor shares the stage's last LU: 16 barrier derivatives and
+        # 21 Newton systems on this row, where ending every stage at a
+        # gradient of mu / 100 took 22 and 30.
+        calls = [0, 0]
+        grad_hess, step = solver._Barrier.grad_hess, solver._newton_step
+
+        def counted_grad_hess(self, s):
+            calls[0] += 1
+            return grad_hess(self, s)
+
+        def counted_step(h, rhs):
+            calls[1] += 1
+            return step(h, rhs)
+
+        monkeypatch.setattr(solver._Barrier, "grad_hess", counted_grad_hess)
+        monkeypatch.setattr(solver, "_newton_step", counted_step)
+        out = solve_convex(scale_injections(ieee14_model, 4.5, 1.0))
+        assert out.status is SolveStatus.NO_SOLUTION_IN_C and out.boundary_active
+        assert calls[0] <= 16 and calls[1] <= 21
+
+    def test_twobus_sweep_step_budget(self, twobus):
+        # The CLI's default sweep: 132 Newton steps, where ending every
+        # barrier stage at a gradient of mu / 100 took 193.
+        records = sweep_load(twobus, 1.0, np.arange(1.0, 3.05, 0.1))
+        assert [r.status for r in records] == (
+            [SolveStatus.SOLUTION_FOUND] * 11 + [SolveStatus.NO_SOLUTION_IN_C] * 10)
+        assert sum(r.iterations for r in records) <= 132
 
     def test_ieee118_phase_budget_work(self, ieee118_model, monkeypatch):
         # The sampled phase budget judges each chunk of probes once at the
