@@ -58,12 +58,13 @@ class SolveOptions:
         _check_tol("grad_tol", self.grad_tol)
 
 
-# barrier_path's schedule: mu falls by MU_DECAY a stage (a long step; Boyd &
-# Vandenberghe, Convex Optimization, sec. 11.3.3), with at most MAX_INNER
-# Newton steps a stage, MAX_TOTAL a path, each winning ARMIJO times its
-# predicted decrease. solve_convex's path runs from MU0 to MU_MIN. Stages
-# before the last end at a Newton decrement lambda <= 1/4 (lambda^2 <=
-# DECREMENT; Nesterov & Nemirovski 1994; Boyd & Vandenberghe sec. 11.5).
+# The central path's schedule (_Barrier.path, which reads these at call
+# time): mu falls by MU_DECAY a stage (a long step; Boyd & Vandenberghe,
+# Convex Optimization, sec. 11.3.3) from MU0 to MU_MIN, with at most
+# MAX_INNER Newton steps a stage, MAX_TOTAL a path, each winning ARMIJO
+# times its predicted decrease. Stages before the last end at a Newton
+# decrement lambda <= 1/4 (lambda^2 <= DECREMENT; Nesterov & Nemirovski
+# 1994; Boyd & Vandenberghe sec. 11.5).
 MU0 = 1.0
 MU_DECAY = 0.02
 MU_MIN = 1e-9
@@ -196,8 +197,11 @@ def _certificate(n: Network, s: PFState) -> ConvexityCertificate:
 # log-barrier machinery
 
 class _Barrier:
-    """Value/gradient/Hessian of the domain barrier in packed coordinates,
-    and barrier_path's problem of the energy over the domain.
+    """The convex route on one network: the domain barrier's value,
+    gradient and Hessian in packed coordinates, full Newton steps on the
+    energy E (newton), and the central path of E + mu phi with its line
+    search (path). trace, when a list, gets (mu, E + mu phi) of every
+    accepted path step.
 
     Barrier = -sum_lines log cos(theta_ij) - log det(domain matrix), plus
     optional per-line operating-box terms, in the per-line edge variables
@@ -207,32 +211,16 @@ class _Barrier:
     -log det terms in rho are formed in PQ-bus coordinates (grad_hess).
     Only the network's active lines, those with a PQ end, enter the domain
     matrix or move with rho; the others carry the separable phase terms
-    alone.
+    alone. value returns the domain matrix's Cholesky factor with the
+    value, and the path hands each accepted point's factor to grad_hess at
+    that point, so every barrier point is factored once.
     """
 
-    def __init__(self, n: Network, box: PhaseVoltageBox | None = None):
-        self.n = n
-        self.box = box
+    def __init__(self, n: Network, box: PhaseVoltageBox | None = None,
+                 trace: list | None = None):
+        self.n, self.box, self.trace = n, box, trace
         self.log_brho = math.log(box.b_rho) if box is not None else None
-        f, t = n.edges[:, 0], n.edges[:, 1]
-        self.f, self.t = f, t
-        # (rho, theta) bytes and Cholesky factor of the last point factored.
-        self.key, self.chol = None, None
-
-    def trial(self, x: np.ndarray):
-        """(E, barrier) at packed x; E is not evaluated outside the domain."""
-        s = unpack(self.n, x)
-        phi = self.value(s)
-        return (en.energy_value(self.n, s) if math.isfinite(phi) else math.inf), phi
-
-    def derivs(self, x: np.ndarray):
-        """E, its gradient and Hessian, and the barrier's gradient and
-        Hessian at packed x."""
-        s = unpack(self.n, x)
-        ev = en.energy_gradient(self.n, s)
-        # grad_hess's line-sized temporaries peak before E'' is allocated.
-        bg, bh = self.grad_hess(s)
-        return ev.value, ev.as_vector(), en.hessian(self.n, s), bg, bh
+        self.f, self.t = n.edges[:, 0], n.edges[:, 1]
 
     def edge_vars(self, s: PFState):
         d = s.rho[self.t] - s.rho[self.f]
@@ -240,49 +228,42 @@ class _Barrier:
         return d, tau
 
     def feasible(self, s: PFState) -> bool:
-        return math.isfinite(self.value(s))
+        return math.isfinite(self.value(s)[0])
 
-    def value(self, s: PFState) -> float:
-        """Barrier value; +inf outside the strict interior of the domain."""
+    def value(self, s: PFState):
+        """(barrier value, the domain matrix's Cholesky factor) at s;
+        (inf, None) outside the strict interior of the domain."""
+        outside = math.inf, None
         d, tau = self.edge_vars(s)
         if np.any(np.abs(tau) >= HALF_PI - 1e-12):
-            return math.inf
+            return outside
         val = -float(np.sum(np.log(np.cos(tau))))
         if self.box is not None:
             if np.any(np.abs(tau) >= self.box.b_theta):
-                return math.inf
+                return outside
             dv = d[self.n.active]
             if np.any(np.abs(dv) >= self.log_brho):
-                return math.inf
+                return outside
             bt = self.box.b_theta
             val -= float(np.sum(np.log(bt - tau) + np.log(bt + tau)))
             br = self.log_brho
             val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
         try:
-            chol = self._factor(s, d, self.n.b / np.cos(tau))
+            chol = np.linalg.cholesky(domain_matrix(self.n, d, self.n.b / np.cos(tau)))
         except np.linalg.LinAlgError:
-            return math.inf
-        return val - 2.0 * float(np.sum(np.log(np.diag(chol))))
+            return outside
+        return val - 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
 
-    def _factor(self, s: PFState, d: np.ndarray, w: np.ndarray):
-        """The domain matrix's Cholesky factor at s, kept for the last s."""
-        key = s.rho.tobytes() + s.theta.tobytes()
-        if key != self.key:
-            self.chol = np.linalg.cholesky(domain_matrix(self.n, d, w))
-            self.key = key
-        return self.chol
-
-    def grad_hess(self, s: PFState):
+    def grad_hess(self, s: PFState, chol: np.ndarray):
         """Gradient and Hessian of the barrier in packed coordinates.
 
-        Assumes value(s) is finite, so the domain matrix L = diag(2B) -
-        U diag(w) U^T has a Cholesky factor, value's own if it saw s last;
-        K = L^-1 (Boyd & Vandenberghe, Convex Optimization, App. A.4, for
-        the -log det derivatives). Only diag(L) moves with rho: diag(L)_i =
-        2B_i - sum_{k from i} a_k - sum_{k to i} c_k with a = w e^d and
-        c = w e^-d at PQ ends only. So M = d diag(L) / d rho = N jd, N
-        holding -a_k at line k's from-bus and +c_k at its to-bus, and with
-        g = a K_ii - c K_jj (o the elementwise product):
+        chol is value's Cholesky factor at s of the domain matrix L =
+        diag(2B) - U diag(w) U^T; K = L^-1 (Boyd & Vandenberghe, Convex
+        Optimization, App. A.4, for the -log det derivatives). Only diag(L)
+        moves with rho: diag(L)_i = 2B_i - sum_{k from i} a_k - sum_{k to i}
+        c_k with a = w e^d and c = w e^-d at PQ ends only. So M = d diag(L) /
+        d rho = N jd, N holding -a_k at line k's from-bus and +c_k at its
+        to-bus, and with g = a K_ii - c K_jj (o the elementwise product):
             g_rho = jd^T (g + box')
             H_rho,rho = M^T (K o K) M + jd^T diag(a K_ii + c K_jj + box'') jd
             H_rho,tau = jd^T diag(tan tau o g)
@@ -308,7 +289,7 @@ class _Barrier:
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
         # -log det L over the active lines.
-        ci = np.linalg.inv(self._factor(s, d, w))
+        ci = np.linalg.inv(chol)
         k = ci.T @ ci
         w, tn = w[var], tn[var]
         wt = w * tn
@@ -341,6 +322,115 @@ class _Barrier:
         hess[npq:, npq:] = jt.T @ h_tt @ jt + (jf.T * h_t[fixed]) @ jf
         grad = np.concatenate((jd.T @ (g_hat + g_d), jt.T @ g_tv + jf.T @ g_t[fixed]))
         return grad, hess
+
+    def newton(self, s: PFState, target: float):
+        """Full Newton steps on E from s until the gradient's infinity norm
+        is at most target. A step is kept only when it stays strictly inside
+        the domain and lowers that norm; the first that does not ends the
+        loop. Returns (state, gradient norm, steps kept)."""
+        n = self.n
+        x = pack(n, s)
+        g = en.energy_gradient(n, s).as_vector()
+        best = float(np.linalg.norm(g, np.inf))
+        steps = 0
+        while best > target and steps < 40:
+            dx = _newton_step(en.hessian(n, s), -g)
+            if dx is None:
+                break
+            sn = unpack(n, x + dx)
+            if not self.feasible(sn):
+                break
+            gn = en.energy_gradient(n, sn).as_vector()
+            norm = float(np.linalg.norm(gn, np.inf))
+            if norm >= best:
+                break
+            x, s, g, best = x + dx, sn, gn, norm
+            steps += 1
+        return s, best, steps
+
+    def path(self, x: np.ndarray, tol: float):
+        """Follow the central path of min E + mu phi from the packed
+        interior point x, mu from MU0 down to MU_MIN.
+
+        Each stage takes damped Newton steps on E + mu phi until the
+        gradient is below max(mu / 100, tol / 2), the predicted decrease is
+        below the objective's resolution or, before the last stage (mu <=
+        MU_MIN), the squared Newton decrement of (E + mu phi) / mu is at
+        most DECREMENT. Then mu falls by MU_DECAY to mu+ and x steps along
+        the central path's tangent: there grad E + mu grad phi = 0, so
+        dx/dmu = -H^-1 grad phi with H = E'' + mu phi'' (Fiacco & McCormick
+        1968, sec. 5.2), solved by the stage's last LU. That step is halved
+        until phi is finite and E + mu+ phi does not rise; when none passes
+        x stays, with its own factor. Returns (x, Newton steps, ran_out),
+        ran_out when a step failed or MAX_TOTAL steps were spent.
+        """
+        n, mu, steps = self.n, MU0, 0
+        phi, chol = self.value(unpack(n, x))
+        while True:
+            last = mu <= MU_MIN
+            stage_tol = max(mu * 1e-2, tol * 0.5)
+            # The derivatives are taken once more after the last allowed step,
+            # so the stage always ends with them fresh at x for the predictor.
+            for k in range(MAX_INNER + 1):
+                s = unpack(n, x)
+                ev = en.energy_gradient(n, s)
+                # grad_hess's line-sized temporaries peak before E'' is allocated.
+                gphi, hphi = self.grad_hess(s, chol)
+                f, gf, hf = ev.value, ev.as_vector(), en.hessian(n, s)
+                g = gf + mu * gphi
+                h = mu * hphi
+                h += hf
+                t = None
+                if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
+                    break
+                dx = _newton_step(h, -g if last else np.column_stack((-g, gphi)))
+                if dx is None:
+                    return x, steps, True
+                if not last:
+                    dx, t = dx.T
+                f0 = f + mu * phi
+                slope = float(g @ dx)
+                # Predicted decrease below the objective's resolution: the stage
+                # is converged to working precision. Before the last stage,
+                # -slope / mu is the squared decrement of (E + mu phi) / mu.
+                if (abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0))
+                        or not last and -slope <= mu * DECREMENT):
+                    break
+                step = self._backtrack(x, dx, mu, f0, ARMIJO * slope)
+                if step is None:
+                    return x, steps, True
+                x, phi, chol = step
+                steps += 1
+                if steps >= MAX_TOTAL:
+                    return x, steps, True
+            if last:
+                return x, steps, False
+            mu_next = mu * MU_DECAY
+            t = _newton_step(h, gphi) if t is None else t
+            if t is not None:
+                x, phi, chol = self._backtrack(
+                    x, (mu - mu_next) * t, mu_next, f + mu_next * phi, 0.0) or (x, phi, chol)
+            mu = mu_next
+
+    def _backtrack(self, x: np.ndarray, dx: np.ndarray, mu: float, f0: float,
+                   decrease: float):
+        """First x + alpha dx, alpha = 1, 1/2, ... down to 1e-14, with a
+        finite phi and E + mu phi <= f0 + alpha decrease, as (x, phi, the
+        domain matrix's Cholesky factor there); None when there is none. E
+        is not evaluated outside the domain. Records (mu, E + mu phi) of
+        the accepted point in trace."""
+        alpha = 1.0
+        while alpha >= 1e-14:
+            xn = x + alpha * dx
+            s = unpack(self.n, xn)
+            phi, chol = self.value(s)
+            fnew = en.energy_value(self.n, s) + mu * phi if math.isfinite(phi) else math.inf
+            if fnew <= f0 + alpha * decrease:
+                if self.trace is not None:
+                    self.trace.append((mu, fnew))
+                return xn, phi, chol
+            alpha *= 0.5
+        return None
 
 
 def _chain(n: Network):
@@ -405,146 +495,26 @@ def solve_convex(n: Network, s0: PFState | None = None,
     opts = opts or SolveOptions()
     s = s0 if s0 is not None else PFState.flat(n)
     en.check_one_state(n, s)
-    barrier = _Barrier(n, opts.box)
+    barrier = _Barrier(n, opts.box, [] if opts.collect_trace else None)
     if not barrier.feasible(s):
         raise InfeasibleStart("initial state is not strictly inside the domain")
-    trace: list | None = [] if opts.collect_trace else None
     target = min(opts.grad_tol * 1e-3, 1e-11)
-    sn, grad_norm, steps = _newton(n, s, barrier, target)
+    sn, grad_norm, steps = barrier.newton(s, target)
     if grad_norm <= target:
-        out = _classify(n, sn, grad_norm, opts, steps, False, trace)
+        out = _classify(n, sn, grad_norm, opts, steps, False, barrier.trace)
         if out.status is SolveStatus.SOLUTION_FOUND:
             return out
-    # The stages only track the central path; _newton meets grad_tol.
-    x, iterations, ran_out = barrier_path(barrier, pack(n, s), MU0, MU_MIN,
-                                          opts.grad_tol, trace)
-    s, grad_norm, extra = _newton(n, unpack(n, x), barrier, target)
-    return _classify(n, s, grad_norm, opts, iterations + extra, ran_out, trace)
+    # The stages only track the central path; the polish meets grad_tol.
+    x, iterations, ran_out = barrier.path(pack(n, s), opts.grad_tol)
+    s, grad_norm, extra = barrier.newton(unpack(n, x), target)
+    return _classify(n, s, grad_norm, opts, iterations + extra, ran_out,
+                     barrier.trace)
 
 
 def solve_convex_lossy(n: Network, s0: PFState | None = None,
                        opts: SolveOptions | None = None) -> SolveOutcome:
     """The same solve as solve_convex, under the lossy model's name."""
     return solve_convex(n, s0, opts)
-
-
-def barrier_path(problem, x: np.ndarray, mu: float, mu_min: float,
-                 tol: float, trace: list | None = None):
-    """Follow the central path of min f + mu phi from x down to mu_min.
-
-    problem.trial(x) returns (f, phi), phi = +inf outside the strict
-    interior; problem.derivs(x) returns f, grad f, f'', grad phi and phi''
-    at an interior x. Each stage takes damped Newton steps on f + mu phi
-    until the gradient is below max(mu / 100, tol / 2), the predicted
-    decrease is below the objective's resolution or, before the last stage
-    (mu <= mu_min), the squared Newton decrement of (f + mu phi) / mu is at
-    most DECREMENT. Then mu falls by MU_DECAY and a tangent predictor,
-    solved by the stage's last LU, moves x toward the next stage. Appends
-    (mu, f + mu phi) of every accepted step to trace. Returns (x, Newton
-    steps, ran_out), ran_out when a step failed or MAX_TOTAL steps were
-    spent. Raises InfeasibleStart when phi(x) is not finite.
-    """
-    _, phi = problem.trial(x)
-    if not math.isfinite(phi):
-        raise InfeasibleStart("initial state is not strictly inside the domain")
-    steps = 0
-    while True:
-        last = mu <= mu_min
-        stage_tol = max(mu * 1e-2, tol * 0.5)
-        # The derivatives are taken once more after the last allowed step,
-        # so the stage always ends with them fresh at x for the predictor.
-        for k in range(MAX_INNER + 1):
-            f, gf, hf, gphi, hphi = problem.derivs(x)
-            g = gf + mu * gphi
-            h = mu * hphi
-            h += hf
-            t = None
-            if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
-                break
-            dx = _newton_step(h, -g if last else np.column_stack((-g, gphi)))
-            if dx is None:
-                return x, steps, True
-            if not last:
-                dx, t = dx.T
-            f0 = f + mu * phi
-            slope = float(g @ dx)
-            # Predicted decrease below the objective's resolution: the stage
-            # is converged to working precision. Before the last stage,
-            # -slope / mu is the squared decrement of (f + mu phi) / mu.
-            if (abs(slope) <= 64.0 * np.finfo(float).eps * (1.0 + abs(f0))
-                    or not last and -slope <= mu * DECREMENT):
-                break
-            step = _backtrack(problem, x, dx, mu, f0, ARMIJO * slope, trace)
-            if step is None:
-                return x, steps, True
-            x, phi = step
-            steps += 1
-            if steps >= MAX_TOTAL:
-                return x, steps, True
-        if last:
-            return x, steps, False
-        mu_next = mu * MU_DECAY
-        t = _newton_step(h, gphi) if t is None else t
-        x, phi = _predict(problem, x, f, phi, t, mu, mu_next, trace)
-        mu = mu_next
-
-
-def _predict(problem, x: np.ndarray, f: float, phi: float, t: np.ndarray | None,
-             mu: float, mu_next: float, trace):
-    """Step from x(mu) along the central-path tangent toward x(mu_next).
-
-    On the path grad f + mu grad phi = 0, so dx/dmu = -H^-1 grad phi with
-    H = f'' + mu phi'' (Fiacco & McCormick 1968, sec. 5.2); f, phi and t
-    are f, phi and H^-1 grad phi at x, t None when that solve failed. The
-    step is halved until phi is finite and f + mu_next phi does not rise;
-    when no step passes, or t is None, x stays. Returns (x, phi).
-    """
-    step = None if t is None else _backtrack(
-        problem, x, (mu - mu_next) * t, mu_next, f + mu_next * phi, 0.0, trace)
-    return step or (x, phi)
-
-
-def _backtrack(problem, x: np.ndarray, dx: np.ndarray, mu: float, f0: float,
-               decrease: float, trace):
-    """First x + alpha dx, alpha = 1, 1/2, ... down to 1e-14, with a finite
-    phi and f + mu phi <= f0 + alpha decrease, as (x, phi); None when there
-    is none. Records (mu, f + mu phi) of the accepted point in trace."""
-    alpha = 1.0
-    while alpha >= 1e-14:
-        xn = x + alpha * dx
-        f, phi = problem.trial(xn)
-        fnew = f + mu * phi
-        if fnew <= f0 + alpha * decrease:
-            if trace is not None:
-                trace.append((mu, fnew))
-            return xn, phi
-        alpha *= 0.5
-    return None
-
-
-def _newton(n: Network, s: PFState, barrier: _Barrier, target: float):
-    """Full Newton steps on E from s until the gradient's infinity norm is
-    at most target. A step is kept only when it stays strictly inside the
-    barrier's domain and lowers that norm; the first that does not ends the
-    loop. Returns (state, gradient norm, steps kept)."""
-    x = pack(n, s)
-    g = en.energy_gradient(n, s).as_vector()
-    best = float(np.linalg.norm(g, np.inf))
-    steps = 0
-    while best > target and steps < 40:
-        dx = _newton_step(en.hessian(n, s), -g)
-        if dx is None:
-            break
-        sn = unpack(n, x + dx)
-        if not barrier.feasible(sn):
-            break
-        gn = en.energy_gradient(n, sn).as_vector()
-        norm = float(np.linalg.norm(gn, np.inf))
-        if norm >= best:
-            break
-        x, s, g, best = x + dx, sn, gn, norm
-        steps += 1
-    return s, best, steps
 
 
 # ---------------------------------------------------------------------------

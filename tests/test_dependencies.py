@@ -2,6 +2,7 @@
 library, numpy or its own package, and nothing else."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gridenergy
@@ -127,3 +128,33 @@ def test_derived_builders_read_no_injections():
             "convexity._pq_ends", "solver._chain"} <= set(found)
     bad = sorted(f"{name}: {sorted(reads)}" for name, reads in found.items() if reads)
     assert not bad
+
+
+def private_definitions(tree):
+    """Every function, class and method named _name (dunders aside)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            yield node
+
+
+def referenced_names(tree):
+    """Every name a tree reads or binds as a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_private_helpers():
+    # A private helper that nothing in the package names outside its own
+    # definition is dead code: it outlived its callers.
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for p in sorted(Path(gridenergy.__file__).parent.rglob("*.py"))}
+    assert len(trees) >= 8
+    uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    dead = [f"{path.stem}.{node.name}" for path, tree in trees.items()
+            for node in private_definitions(tree)
+            if uses[node.name] == Counter(referenced_names(node))[node.name]]
+    assert not dead

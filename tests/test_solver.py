@@ -41,6 +41,11 @@ def twobus_root(s):
     return v, math.asin(-s / v)
 
 
+def grad_hess_at(barrier, s):
+    """The barrier's gradient and Hessian at s, from value's factor there."""
+    return barrier.grad_hess(s, barrier.value(s)[1])
+
+
 class TestNewton:
     def test_two_bus_light_load(self):
         out = solve_newton(make_twobus())
@@ -164,8 +169,7 @@ class TestConvex:
         out = solve_convex(n, opts=SolveOptions(collect_trace=True))
         assert out.status is SolveStatus.SOLUTION_FOUND and out.trace == []
         trace = []
-        solver.barrier_path(solver._Barrier(n), en.pack(n, PFState.flat(n)),
-                            1.0, solver.MU_MIN, 1e-8, trace)
+        solver._Barrier(n, trace=trace).path(en.pack(n, PFState.flat(n)), 1e-8)
         assert trace
         by_mu = {}
         for mu, f in trace:
@@ -177,37 +181,35 @@ class TestConvex:
         # Each warm row's barrier starts at mu = 6.4e-11. At kappa = 4.5 an
         # accepted iterate sits numerically on the boundary of C, where a
         # general inverse of the domain matrix failed; the Cholesky factor
-        # that admitted the point gives a verdict instead.
+        # that admitted the point gives a verdict instead. The path reads
+        # MU0 when it starts, so the warm row's first step is at 6.4e-11.
         prev, statuses = None, []
+        opts = SolveOptions(collect_trace=True)
         for kappa in np.arange(1.0, 4.51, 0.5):
-            out = solve_convex(scale_injections(ieee14_model, kappa, 1.0), prev)
+            out = solve_convex(scale_injections(ieee14_model, kappa, 1.0), prev, opts)
             monkeypatch.setattr(solver, "MU0", 6.4e-11)
             prev = out.state
             statuses.append(out.status)
         assert statuses == ([SolveStatus.SOLUTION_FOUND] * 7
                             + [SolveStatus.NO_SOLUTION_IN_C])
+        assert out.trace[0][0] == 6.4e-11
 
     def test_predictor_lowers_next_objective(self, threebus, monkeypatch):
-        # Every tangent predictor step ends at or below f + mu_next phi at
-        # its start, as barrier_path itself computes both, for the energy
-        # over a threebus sweep.
-        from gridenergy import solver
+        # Every tangent predictor step ends at or below E + mu_next phi at
+        # its start, as the path itself computes both, for the energy over
+        # a threebus sweep.
+        checked = []
 
-        inner, checked = solver._predict, []
+        def check(barrier, dx, mu, f0, x):
+            s = en.unpack(barrier.n, x)
+            checked.append(en.energy_value(barrier.n, s) + mu * barrier.value(s)[0] <= f0)
 
-        def spy(problem, x, f, phi, t, mu, mu_next, trace):
-            out = inner(problem, x, f, phi, t, mu, mu_next, trace)
-            f_out, phi_out = problem.trial(out[0])
-            checked.append(f_out + mu_next * phi_out <= f + mu_next * phi)
-            return out
-
-        monkeypatch.setattr(solver, "_predict", spy)
+        spy_predictor(monkeypatch, check)
         # Newton steps settle the solvable rows of a sweep before any
         # barrier, so the energy's path runs from the flat start on each row.
         for kappa in np.arange(0.5, 6.01, 0.25):
             nk = scale_injections(threebus, kappa, 1.0)
-            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
-                                1.0, solver.MU_MIN, 1e-8)
+            solver._Barrier(nk).path(en.pack(nk, PFState.flat(nk)), 1e-8)
         assert len(checked) > 100 and all(checked)
 
     def test_stage_ending_on_the_decrement_reuses_its_solve(self, threebus,
@@ -218,15 +220,14 @@ class TestConvex:
         events = record_barrier(monkeypatch)
         for kappa in np.arange(0.5, 6.01, 0.5):
             nk = scale_injections(threebus, kappa, 1.0)
-            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
-                                1.0, solver.MU_MIN, 1e-8)
+            solver._Barrier(nk).path(en.pack(nk, PFState.flat(nk)), 1e-8)
         on_decrement = 0
-        for solves, t, mu in stage_ends(events):
+        for solves, step, mu, mu_next in stage_ends(events):
             rhs, dx = solves[-1]
             if rhs.ndim == 2 and float(rhs[:, 0] @ dx[:, 0]) <= mu * solver.DECREMENT:
                 on_decrement += 1
                 assert len(solves) == 1
-                assert np.array_equal(t, dx[:, 1])
+                assert np.array_equal(step, (mu - mu_next) * dx[:, 1])
         assert on_decrement > 20
 
     @pytest.mark.parametrize("tol, max_inner", [(1e3, solver.MAX_INNER), (1e-8, 1)])
@@ -240,13 +241,12 @@ class TestConvex:
         events = record_barrier(monkeypatch)
         for kappa in np.arange(0.5, 6.01, 0.5):
             nk = scale_injections(threebus, kappa, 1.0)
-            solver.barrier_path(solver._Barrier(nk), en.pack(nk, PFState.flat(nk)),
-                                1.0, solver.MU_MIN, tol)
+            solver._Barrier(nk).path(en.pack(nk, PFState.flat(nk)), tol)
         own = 0
-        for solves, t, _ in stage_ends(events):
+        for solves, step, mu, mu_next in stage_ends(events):
             rhs, dx = solves[-1]
             assert len(solves) == 1
-            assert np.array_equal(t, dx if rhs.ndim == 1 else dx[:, 1])
+            assert np.array_equal(step, (mu - mu_next) * (dx if rhs.ndim == 1 else dx[:, 1]))
             own += rhs.ndim == 1
         assert own > 20
 
@@ -294,35 +294,53 @@ class TestConvex:
             solve_newton(make_twobus(), tol=tol)
 
 
-def record_barrier(monkeypatch):
-    """The events of later barrier_path runs, in order: ("derivs",) at each
-    barrier derivative, ("solve", rhs, answer) at each np.linalg.solve and
-    ("predict", t, mu) at each predictor."""
-    events = []
-    derivs, solve, predict = solver._Barrier.derivs, np.linalg.solve, solver._predict
+def spy_predictor(monkeypatch, seen):
+    """Call seen(barrier, dx, mu+, f0, x_end) after each tangent predictor
+    step of later paths: the one line search that may not lower E + mu phi
+    (decrease 0; a Newton step's is ARMIJO times its negative slope). x_end
+    is where the search left x."""
+    backtrack = solver._Barrier._backtrack
 
-    def counted_derivs(self, x):
+    def spy(self, x, dx, mu, f0, decrease):
+        out = backtrack(self, x, dx, mu, f0, decrease)
+        if decrease == 0.0:
+            seen(self, dx, mu, f0, x if out is None else out[0])
+        return out
+
+    monkeypatch.setattr(solver._Barrier, "_backtrack", spy)
+
+
+def record_barrier(monkeypatch):
+    """The events of later paths, in order: ("derivs",) at each barrier
+    derivative, ("solve", rhs, answer) at each np.linalg.solve and
+    ("predict", dx, mu+) at each predictor step dx = (mu - mu+) t."""
+    events = []
+    grad_hess, solve = solver._Barrier.grad_hess, np.linalg.solve
+
+    def counted_grad_hess(self, s, chol):
         events.append(("derivs",))
-        return derivs(self, x)
+        return grad_hess(self, s, chol)
 
     def counted_solve(a, b):
         out = solve(a, b)
         events.append(("solve", b, out))
         return out
 
-    def spy(problem, x, f, phi, t, mu, mu_next, trace):
-        events.append(("predict", t, mu))
-        return predict(problem, x, f, phi, t, mu, mu_next, trace)
-
-    monkeypatch.setattr(solver._Barrier, "derivs", counted_derivs)
+    monkeypatch.setattr(solver._Barrier, "grad_hess", counted_grad_hess)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(solver, "_predict", spy)
+    spy_predictor(monkeypatch, lambda barrier, dx, mu, f0, x: events.append(
+        ("predict", dx, mu)))
     return events
 
 
 def stage_ends(events):
     """(solves since the stage's last derivatives as (rhs, answer), the
-    predictor's t, mu) for each predictor call of record_barrier's events."""
+    predictor's step dx, mu, mu+) for each predictor step of
+    record_barrier's events, mu found from mu+ on the path's schedule."""
+    mu, before = solver.MU0, {}
+    while mu > solver.MU_MIN:
+        before[mu * solver.MU_DECAY] = mu
+        mu *= solver.MU_DECAY
     ends, solves = [], []
     for event in events:
         if event[0] == "derivs":
@@ -330,7 +348,7 @@ def stage_ends(events):
         elif event[0] == "solve":
             solves.append(event[1:])
         else:
-            ends.append((solves, *event[1:]))
+            ends.append((solves, event[1], before[event[2]], event[2]))
     return ends
 
 
@@ -377,14 +395,14 @@ class TestEdgeTopologies:
 def barrier_only(n, s0=None, opts=None):
     """solve_convex with its first Newton try taking no step, so that the
     barrier path settles every row; the final polish still runs."""
-    real, calls = solver._newton, []
+    real, calls = solver._Barrier.newton, []
 
-    def first_try_idle(n, s, barrier, target):
+    def first_try_idle(self, s, target):
         calls.append(None)
-        return (s, math.inf, 0) if len(calls) == 1 else real(n, s, barrier, target)
+        return (s, math.inf, 0) if len(calls) == 1 else real(self, s, target)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_newton", first_try_idle)
+        mp.setattr(solver._Barrier, "newton", first_try_idle)
         return solve_convex(n, s0, opts)
 
 
@@ -456,7 +474,8 @@ class TestNewtonStep:
         n = scale_injections(bundled_models[case], 1.5, 1.0)
         barrier = solver._Barrier(n)
         for s in (PFState.flat(n), solve_convex(n).state):
-            _, gf, hf, gphi, hphi = barrier.derivs(en.pack(n, s))
+            gf, hf = en.energy_gradient(n, s).as_vector(), en.hessian(n, s)
+            gphi, hphi = grad_hess_at(barrier, s)
             for mu in (1.0, 1e-4, 1e-9):
                 g, h = gf + mu * gphi, hf + mu * hphi
                 both = solver._newton_step(h, np.column_stack((-g, gphi)))
@@ -546,9 +565,9 @@ class TestNewtonFirst:
         rows, calls = [], [0]
         grad_hess, solve = solver._Barrier.grad_hess, solver.solve_convex
 
-        def counted(self, s):
+        def counted(self, s, chol):
             calls[0] += 1
-            return grad_hess(self, s)
+            return grad_hess(self, s, chol)
 
         def per_row(*args):
             calls[0] = 0
@@ -577,7 +596,7 @@ class TestNewtonFirst:
             outside += 1
             with pytest.raises(InfeasibleStart):
                 solve_convex(n, s0)
-            s, grad_norm, _ = solver._newton(n, s0, barrier, 1e-11)
+            s, grad_norm, _ = barrier.newton(s0, 1e-11)
             into_c += grad_norm <= 1e-11 and strictly_interior(n, s)
         assert outside > 20 and into_c > 0
 
@@ -641,8 +660,8 @@ class TestBarrierDerivatives:
                 len(ieee14_model.ns))
             assert barrier.feasible(s)
             x0 = pack(ieee14_model, s)
-            f = lambda x: barrier.value(unpack(ieee14_model, x))
-            g, h = barrier.grad_hess(s)
+            f = lambda x: barrier.value(unpack(ieee14_model, x))[0]
+            g, h = grad_hess_at(barrier, s)
             gfd = fd_gradient(f, x0)
             assert np.max(np.abs(g - gfd)) / (1 + np.max(np.abs(gfd))) < 1e-7
             hfd = fd_hessian(f, x0)
@@ -664,14 +683,14 @@ class TestBarrierDerivatives:
             s.theta[n.ns] = 0.04 * rng.standard_normal(len(n.ns))
             assert barrier.feasible(s)
             x0 = pack(n, s)
-            _, h = barrier.grad_hess(s)
+            _, h = grad_hess_at(barrier, s)
             eps = 1e-6
             hfd = np.empty_like(h)
             for j in range(len(x0)):
                 e = np.zeros_like(x0)
                 e[j] = eps
-                gp, _ = barrier.grad_hess(unpack(n, x0 + e))
-                gm, _ = barrier.grad_hess(unpack(n, x0 - e))
+                gp, _ = grad_hess_at(barrier, unpack(n, x0 + e))
+                gm, _ = grad_hess_at(barrier, unpack(n, x0 - e))
                 hfd[:, j] = (gp - gm) / (2.0 * eps)
             assert np.max(np.abs(h - hfd)) / np.max(np.abs(hfd)) < 1e-6
 
@@ -736,7 +755,7 @@ class TestBarrierLines:
             s.rho[n.pq] = 0.02 * rng.standard_normal(len(n.pq))
             s.theta[n.ns] = 0.04 * rng.standard_normal(len(n.ns))
             assert barrier.feasible(s)
-            g, h = barrier.grad_hess(s)
+            g, h = grad_hess_at(barrier, s)
             g_ref, h_ref = all_lines_grad_hess(n, box, s)
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
@@ -814,7 +833,7 @@ def feasible_states(n, box, rng, count):
 
 def assert_matches_reference(n, box, states):
     for s in states:
-        g, h = solver._Barrier(n, box).grad_hess(s)
+        g, h = grad_hess_at(solver._Barrier(n, box), s)
         g_ref, h_ref = reference_grad_hess(n, box, s)
         assert g.shape == g_ref.shape and h.shape == h_ref.shape
         for x, ref in ((g, g_ref), (h, h_ref)):
@@ -852,37 +871,103 @@ class TestBarrierChainJacobians:
         barrier = solver._Barrier(n)
         s = PFState.flat(n)
         assert barrier.feasible(s) and solver._chain not in n._derived
-        h = barrier.grad_hess(s)[1]
+        h = grad_hess_at(barrier, s)[1]
         chain = n._derived[solver._chain]
-        assert barrier.grad_hess(s)[1].tobytes() == h.tobytes()
+        assert grad_hess_at(barrier, s)[1].tobytes() == h.tobytes()
         assert n._derived[solver._chain] is chain
         # Every barrier on the network's line set takes the same chain.
-        solver._Barrier(n).grad_hess(s)
+        grad_hess_at(solver._Barrier(n), s)
         assert n._derived[solver._chain] is chain
 
 
 class TestBarrierFactorReuse:
-    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
-    def test_grad_hess_follows_its_point(self, case, request):
-        # value keeps its point's Cholesky factor for grad_hess; grad_hess
-        # at another point must factor that point instead.
-        from gridenergy.solver import _Barrier
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "threebus-tree",
+                                      "ieee14", "ieee118"])
+    def test_grad_hess_follows_its_point(self, case, bundled_models):
+        # value hands out its point's Cholesky factor of the domain matrix,
+        # and the barrier keeps no state between points: grad_hess at s2
+        # with value's factor at s2 is bit-equal to a fresh barrier's, after
+        # value has factored other points.
+        from gridenergy.convexity import domain_matrix
 
-        n = request.getfixturevalue(case + "_model")
-        rng = np.random.default_rng(56)
+        n = bundled_models[case]
         for box in (None, PhaseVoltageBox(b_rho=1.4, b_theta=0.6)):
-            s1, s2 = PFState.flat(n), PFState.flat(n)
-            for s in (s1, s2):
-                s.rho[n.pq] = 0.02 * rng.standard_normal(len(n.pq))
-                s.theta[n.ns] = 0.04 * rng.standard_normal(len(n.ns))
-            g_ref, h_ref = _Barrier(n, box).grad_hess(s2)
-            barrier = _Barrier(n, box)
-            assert math.isfinite(barrier.value(s1))
-            g, h = barrier.grad_hess(s2)
+            s1, s2 = feasible_states(n, box, np.random.default_rng(56), 2)
+            g_ref, h_ref = grad_hess_at(solver._Barrier(n, box), s2)
+            barrier = solver._Barrier(n, box)
+            assert math.isfinite(barrier.value(s1)[0])
+            phi, chol = barrier.value(s2)
+            d, tau = barrier.edge_vars(s2)
+            assert np.array_equal(chol, np.linalg.cholesky(
+                domain_matrix(n, d, n.b / np.cos(tau))))
+            assert math.isfinite(barrier.value(s1)[0])
+            g, h = barrier.grad_hess(s2, chol)
             assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
-            assert math.isfinite(barrier.value(s2))
-            g, h = barrier.grad_hess(s2)
-            assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+
+    def test_outside_has_no_factor(self, threebus):
+        s = PFState.flat(threebus)
+        s.theta[threebus.ns] = HALF_PI
+        assert solver._Barrier(threebus).value(s) == (math.inf, None)
+
+    def test_no_cholesky_in_grad_hess(self, ieee14_model, monkeypatch):
+        # On the ieee14 kappa = 4.5 NoSolutionInC row every Cholesky
+        # factorization belongs to a value call (or a ridge solve, which
+        # the row does not need); grad_hess takes value's factor.
+        cholesky, within, owners, entered = np.linalg.cholesky, [], [], []
+
+        def counted(a, *args, **kwargs):
+            owners.append(within[-1] if within else None)
+            return cholesky(a, *args, **kwargs)
+
+        def inside(name, fn):
+            def wrapped(*args):
+                entered.append(name)
+                within.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    within.pop()
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        for name in ("value", "grad_hess"):
+            monkeypatch.setattr(solver._Barrier, name,
+                                inside(name, getattr(solver._Barrier, name)))
+        monkeypatch.setattr(solver, "_ridge_solve",
+                            inside("_ridge_solve", solver._ridge_solve))
+        out = solve_convex(scale_injections(ieee14_model, 4.5, 1.0))
+        assert out.status is SolveStatus.NO_SOLUTION_IN_C
+        assert entered.count("grad_hess") > 10 and owners.count("value") > 10
+        assert set(owners) <= {"value", "_ridge_solve"}
+
+    def test_failed_predictor_keeps_the_factor_of_x(self, threebus, monkeypatch):
+        # Every predictor's line search is forced to fail after its trials
+        # have factored other points; x stays, and the next derivatives at
+        # x take x's own factor, bit-equal to a fresh one.
+        backtrack, failed, checked = solver._Barrier._backtrack, [], []
+        grad_hess = solver._Barrier.grad_hess
+
+        def failing(self, x, dx, mu, f0, decrease):
+            out = backtrack(self, x, dx, mu, f0, decrease)
+            if decrease != 0.0:
+                return out
+            failed.append(x)
+            return None
+
+        def checked_grad_hess(self, s, chol):
+            out = grad_hess(self, s, chol)
+            if failed and np.array_equal(en.pack(self.n, s), failed[-1]):
+                fresh = solver._Barrier(self.n)
+                ref = grad_hess(fresh, s, fresh.value(s)[1])
+                checked.append(all(np.array_equal(a, b) for a, b in zip(out, ref)))
+            return out
+
+        monkeypatch.setattr(solver._Barrier, "_backtrack", failing)
+        monkeypatch.setattr(solver._Barrier, "grad_hess", checked_grad_hess)
+        for kappa in (1.0, 3.0, 5.0):
+            nk = scale_injections(threebus, kappa, 1.0)
+            solver._Barrier(nk).path(en.pack(nk, PFState.flat(nk)), 1e-8)
+        assert len(checked) > 10 and all(checked)
 
 
 class TestLossySolve:
@@ -976,9 +1061,9 @@ class TestSweep:
         calls = [0, 0]
         grad_hess, step = solver._Barrier.grad_hess, solver._newton_step
 
-        def counted_grad_hess(self, s):
+        def counted_grad_hess(self, s, chol):
             calls[0] += 1
-            return grad_hess(self, s)
+            return grad_hess(self, s, chol)
 
         def counted_step(h, rhs):
             calls[1] += 1
