@@ -192,6 +192,9 @@ def cmd_sweep(args) -> int:
     # np.arange's own row count, taken before it allocates the rows.
     stop = args.kappa_max + 0.5 * args.kappa_step
     rows = (stop - args.kappa_min) / args.kappa_step
+    if not rows > 0.0:
+        raise ValueError(f"--kappa-min {args.kappa_min} is above --kappa-max "
+                         f"{args.kappa_max}: the sweep has no rows")
     if not rows <= convexity.MAX_ROWS:
         raise ValueError(f"--kappa-min {args.kappa_min}, --kappa-max "
                          f"{args.kappa_max} and --kappa-step {args.kappa_step} "
@@ -265,47 +268,64 @@ def cmd_reactive(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gridenergy",
-                                 description="Energy-function power flow toolkit")
+def _add_globals(parser, defaults: bool) -> None:
+    # Defaults live on the root parser; the per-command copies use
+    # SUPPRESS so flags are accepted on either side of the subcommand.
+    miss = argparse.SUPPRESS
+    parser.add_argument("--tol", type=float, default=1e-8 if defaults else miss,
+                        help="solver gradient tolerance (default 1e-8)")
+    parser.add_argument("--seed", type=int, default=0 if defaults else miss,
+                        help="RNG seed for sampling")
+    parser.add_argument("--out", default=None if defaults else miss,
+                        help="output file (default stdout)")
+    parser.add_argument("--format", choices=("json", "csv"),
+                        default=None if defaults else miss,
+                        help="override the output format where supported")
 
-    def add_globals(parser, defaults: bool):
-        # Defaults live on the root parser; the per-command copies use
-        # SUPPRESS so flags are accepted on either side of the subcommand.
-        miss = argparse.SUPPRESS
-        parser.add_argument("--tol", type=float,
-                            default=1e-8 if defaults else miss,
-                            help="solver gradient tolerance (default 1e-8)")
-        parser.add_argument("--seed", type=int, default=0 if defaults else miss,
-                            help="RNG seed for sampling")
-        parser.add_argument("--out", default=None if defaults else miss,
-                            help="output file (default stdout)")
-        parser.add_argument("--format", choices=("json", "csv"),
-                            default=None if defaults else miss,
-                            help="override the output format where supported")
 
-    add_globals(ap, defaults=True)
-    common = argparse.ArgumentParser(add_help=False)
-    add_globals(common, defaults=False)
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser that is built on first use, so that a call builds
+    just the command it runs. Until then it holds only its constructor's
+    arguments; the first attribute it lacks (any of ArgumentParser's) runs
+    ArgumentParser's own set-up with add_help=False and then adds -h, the
+    global flags and the command's arguments, the order that add_help=True
+    and a parent parser would give."""
 
-    p = sub.add_parser("solve", help="solve the power flow")
+    def __init__(self, setup, **kwargs):
+        self._pending = setup, kwargs
+
+    def __getattr__(self, name):
+        pending = self.__dict__.pop("_pending", None)
+        if pending is None:
+            raise AttributeError(name)
+        setup, kwargs = pending
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                          help="show this help message and exit")
+        _add_globals(self, defaults=False)
+        setup(self)
+        return getattr(self, name)
+
+
+# The set_defaults calls below read cmd_* when the command is parsed, so a
+# wrapped cmd_* (the benchmark's span tracer) is the one that runs.
+def _solve_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--method", choices=("convex", "newton"), default="convex")
     p.add_argument("--lossy-kappa", type=float, default=None,
                    help="impose a uniform g/b ratio and use the lossy model")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check", help="convexity-domain certificate for a state")
+
+def _check_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--state", default=None, help="JSON state file (rho/theta)")
     p.add_argument("--d-samples", type=int, default=0,
                    help="also sample the segment Hessian condition")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("sweep", help="kappa-delta load scaling sweep")
+
+def _sweep_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--kappa-min", type=float, default=1.0)
@@ -313,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-step", type=float, default=0.1)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("region", help="two-phase region-of-convexity grid")
+
+def _region_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--grid-step", type=float, default=2.0,
                    help="grid step in degrees")
@@ -321,15 +342,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="injection scaling factor")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("bounds", help="operating-box phase budget")
+
+def _bounds_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--b-rho", type=float, default=1.5)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("reactive", help="convex reactive solve at fixed phases")
+
+def _reactive_args(p) -> None:
     p.add_argument("case")
     p.add_argument("--theta", default=None, help="JSON phase file (per bus)")
     p.set_defaults(func=cmd_reactive)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser. Each command's parser gets its arguments when it
+    parses or prints its help, not here."""
+    ap = argparse.ArgumentParser(prog="gridenergy",
+                                 description="Energy-function power flow toolkit")
+    _add_globals(ap, defaults=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
+    for name, text, setup in (
+            ("solve", "solve the power flow", _solve_args),
+            ("check", "convexity-domain certificate for a state", _check_args),
+            ("sweep", "kappa-delta load scaling sweep", _sweep_args),
+            ("region", "two-phase region-of-convexity grid", _region_args),
+            ("bounds", "operating-box phase budget", _bounds_args),
+            ("reactive", "convex reactive solve at fixed phases", _reactive_args)):
+        sub.add_parser(name, help=text, setup=setup)
     return ap
 
 

@@ -14,6 +14,7 @@ solution for the given phases.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -276,7 +277,9 @@ class _ZetaProgram:
     with line weights c_ij = b_eff cos(theta_ij), fixed buses at zeta = 1
     and q = -tq the consumption of the energy's constant-ratio model. The
     program maximizes self.c^T zeta over the set, for finite positive
-    per-bus weights (all ones by default).
+    per-bus weights (all ones by default). theta may carry a leading stack
+    axis, for one FixedPhase over all the rows; constraints and jacobian
+    need fp to hold a single row.
     """
 
     def __init__(self, n: Network, theta, c=None):
@@ -322,23 +325,25 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     is monotone, so a refusal for a discriminant <= 0 proves that no
     solution exists. Every refusal raises NoReactiveSolution.
     """
-    return _convex_reactive(n, theta, c)[0]
-
-
-def _convex_reactive(n: Network, theta, c):
-    """convex_reactive_solve's state, with the FixedPhase and the greatest
-    solution u of the balances that it came from."""
     theta = _check_theta(n, theta)
     prog = _ZetaProgram(n, theta, c)
     u, why = _greatest_u(n, prog.fp, prog.q)
-    if why[0] is not None:
-        raise NoReactiveSolution(why[0])
+    return _certified(prog, theta, u, why[0])
+
+
+def _certified(prog: _ZetaProgram, theta: np.ndarray, u: np.ndarray,
+               why: str | None) -> ReducedState:
+    """The state at the greatest solution u of the balances at phases
+    theta, whose monotone Newton gave the reason why (None when it
+    solved), once _kkt_witness certifies it as prog's optimum."""
+    if why is not None:
+        raise NoReactiveSolution(why)
     z = u * u
     g = prog.constraints(z)
     if not _kkt_witness(prog, z, g):
         raise NoReactiveSolution("could not certify a root of the tight "
                                  "constraints as the optimum")
-    return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g), prog.fp, u
+    return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g)
 
 
 def _kkt_witness(prog: _ZetaProgram, z: np.ndarray, g: np.ndarray) -> bool:
@@ -383,24 +388,28 @@ def voltage_upper_bound(n: Network) -> VoltageBound:
 
 
 def reactive_with_bound(n: Network, theta) -> tuple[ReducedState, VoltageBound]:
-    """convex_reactive_solve(n, theta) and voltage_upper_bound(n).
+    """convex_reactive_solve(n, theta) and voltage_upper_bound(n), from one
+    monotone Newton on the phase stack (theta, 0).
 
-    At zero phases the relaxed set is the reactive set itself, so the caps
-    come from the solve's greatest solution, with solve_reactive_newton's
-    residual checks and without a second monotone Newton. The solve refuses
-    as convex_reactive_solve does. Its solution lies in the relaxed set, so
-    a bound that then fails raises NumericalFailure, not NoReactiveSolution.
+    Row 0 is the solve, kept with its KKT witness; it refuses as
+    convex_reactive_solve does. Row 1 is the relaxed set, which is the
+    reactive set at zero phases; its caps pass solve_reactive_newton's
+    residual checks. The solution of row 0 lies in the relaxed set, so caps
+    that then fail raise NumericalFailure, not NoReactiveSolution.
     """
-    state, fp, u = _convex_reactive(n, theta, None)
-    if np.any(state.theta):
-        try:
-            return state, voltage_upper_bound(n)
-        except NoReactiveSolution as exc:
-            raise NumericalFailure(str(exc)) from None
-    rho, ok = _checked_rho(n, fp, state.theta, u, [None])
-    if not ok:
-        raise NumericalFailure(_NOT_CONVERGED)
-    return state, VoltageBound(v_bar=np.exp(rho))
+    theta = _check_theta(n, theta)
+    rows = np.stack((theta, np.zeros(n.n_bus)))
+    prog = _ZetaProgram(n, rows)
+    fp = prog.fp
+    u, why = _greatest_u(n, fp, prog.q)
+    # Row 0's program: its FixedPhase views row 0 (tq has no stack axis).
+    prog.fp = copy.copy(fp)
+    prog.fp.g, prog.fp.d = fp.g[0], fp.d[0]
+    state = _certified(prog, theta, u[0], why[0])
+    rho, ok = _checked_rho(n, fp, rows, u, why)
+    if not ok[1]:
+        raise NumericalFailure(why[1] or _NOT_CONVERGED)
+    return state, VoltageBound(v_bar=np.exp(rho[1]))
 
 
 def beta_condition(n: Network) -> BetaCondition:

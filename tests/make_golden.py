@@ -3,9 +3,10 @@ against.
 
     PYTHONPATH=src python tests/make_golden.py [NAME ...]
 
-With names, only those files are rewritten. A sweep file is not rewritten
-when any row's status or boundary_active would change; the rows are
-printed instead and the script exits non-zero. Each file holds a line naming
+With names, only those files are rewritten. A file is not rewritten when
+its exit code would change, nor a sweep file when any row's status or
+boundary_active would; what would change is printed instead and the
+script exits non-zero. Each file holds a line naming
 the numpy and BLAS builds it was made with, a '# '-prefixed JSON line with
 the command's argv, exit code and stderr, and then its stdout byte for
 byte. Floats depend on the linear-algebra build, so a file is only
@@ -105,6 +106,8 @@ GOLDEN = {
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
     # Far past the 1 000 000-row cap: numpy alone cannot allocate them.
     "error_d_samples_cap.json": ["check", "twobus", "--d-samples", "100000000000"],
+    "error_kappa_range_empty.csv": ["sweep", "twobus", "--kappa-min", "3",
+                                    "--kappa-max", "1"],
     "error_kappa_rows_cap.csv": ["sweep", "twobus", "--kappa-min", "1",
                                  "--kappa-max", "1e12", "--kappa-step", "1e-3"],
     "error_theta_nan.json": ["reactive", "threebus", "--theta", THETA_NAN],
@@ -121,6 +124,12 @@ GOLDEN = {
     "reactive_threebus-tree.json": ["reactive", "threebus-tree"],
     "reactive_threebus-tree_theta.json": ["reactive", "threebus-tree", "--theta", THETA],
     "reactive_ieee14.json": ["reactive", "ieee14"],
+    # argparse's own output: help texts, and usage errors (exit 2).
+    "help.txt": ["--help"],
+    **{f"help_{command}.txt": [command, "--help"]
+       for command in ("solve", "check", "sweep", "region", "bounds", "reactive")},
+    "error_command_invalid.txt": ["bogus"],
+    "error_solve_no_case.txt": ["solve"],
 }
 
 
@@ -198,15 +207,32 @@ def verdicts(text: str) -> list[tuple[str, str, str]]:
     return [(r["kappa"], r["status"], r["boundary_active"]) for r in rows]
 
 
-def flipped(path: Path, text: str) -> list[str]:
-    """The rows whose verdict differs between the sweep file at path and
-    text, one line each; [] when the file does not exist."""
-    if not path.exists():
-        return []
-    old, new = verdicts(path.read_text()), verdicts(text)
+def flipped(old: str, text: str) -> list[str]:
+    """The rows whose verdict differs between the sweep texts old and text,
+    one line each."""
+    old, new = verdicts(old), verdicts(text)
     lines = [f"  was {a}, now {b}" for a, b in zip(old, new) if a != b]
     if len(old) != len(new):
         lines.append(f"  {len(old)} rows, now {len(new)}")
+    return lines
+
+
+def exit_code(text: str) -> int:
+    """The exit code in a golden file's text (after its build line)."""
+    return json.loads(text.split("\n", 2)[1][2:])["exit"]
+
+
+def refusals(path: Path, text: str, sweep: bool) -> list[str]:
+    """What rewriting the file at path with text would change that a
+    regeneration must not: the exit code and, for a sweep, a row's verdict;
+    one line each, [] when the file does not exist."""
+    if not path.exists():
+        return []
+    old = path.read_text()
+    lines = flipped(old, text) if sweep else []
+    was, now = exit_code(old), exit_code(text)
+    if was != now:
+        lines.insert(0, f"  exit {was} → {now}")
     return lines
 
 
@@ -219,9 +245,10 @@ def main(names: list[str]) -> None:
     for name, argv in GOLDEN.items():
         if not names or name in names:
             path, text = GOLDEN_DIR / name, versions() + "\n" + render(argv)
-            rows = flipped(path, text) if argv[0] == "sweep" else []
+            rows = refusals(path, text, argv[0] == "sweep")
             if rows:
-                print(f"refused {name}: a verdict would change\n" + "\n".join(rows))
+                print(f"refused {name}: its exit code or a verdict would change\n"
+                      + "\n".join(rows))
                 refused.append(name)
                 continue
             path.write_text(text)

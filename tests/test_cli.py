@@ -306,11 +306,10 @@ class TestReactive:
         assert code == EXIT_OK
         assert json.loads(out)["v"][0] == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("theta, solves", [(None, 1), ("golden/theta_threebus.json", 2)])
-    def test_one_monotone_newton_at_zero_phases(self, capsys, monkeypatch, theta,
-                                                solves):
-        # At zero phases the voltage caps reuse the solve's greatest solution;
-        # other phases need a second solve at zero phases for the caps.
+    @pytest.mark.parametrize("theta", [None, "golden/theta_threebus.json"])
+    def test_one_monotone_newton(self, capsys, monkeypatch, theta):
+        # The solve and the voltage caps share one monotone Newton, on the
+        # phase stack (theta, 0), at zero phases and at others alike.
         from pathlib import Path
 
         from gridenergy import reduced
@@ -327,7 +326,7 @@ class TestReactive:
             argv += ["--theta", str(Path(__file__).parent / theta)]
         code, out = run(capsys, *argv)
         assert code == EXIT_OK and json.loads(out)["status"] == "Solved"
-        assert len(calls) == solves
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("theta", [[], ["--theta", "golden/theta_threebus.json"]])
     def test_failed_caps_are_an_error(self, capsys, monkeypatch, theta):
@@ -447,6 +446,17 @@ class TestBadRanges:
                      f"{float(step)} give more than the cap of 1000000 rows",
                      "sweep", "twobus", "--kappa-min", "1", "--kappa-max",
                      kappa_max, "--kappa-step", step)
+
+    @pytest.mark.parametrize("kappa_min", ["3", "1.05"])
+    def test_empty_kappa_range(self, capsys, kappa_min):
+        # 1.05 is half a step above --kappa-max 1: np.arange would give no
+        # row, where 1.04 still gives one.
+        assert_error(capsys, f"--kappa-min {float(kappa_min)} is above --kappa-max "
+                     "1.0: the sweep has no rows", "sweep", "twobus",
+                     "--kappa-min", kappa_min, "--kappa-max", "1")
+        code, out = run(capsys, "sweep", "twobus", "--kappa-min", "1.04",
+                        "--kappa-max", "1")
+        assert code == EXIT_OK and len(out.splitlines()) == 3
 
     def test_non_finite_kappa_step(self, capsys):
         assert_error(capsys, "--kappa-step must be finite", "sweep", "twobus",
@@ -573,3 +583,104 @@ class TestOutputPlumbing:
         assert code == EXIT_OK and len(reads) == 1
         digest = hashlib.sha256(reads[0].encode()).hexdigest()[:16]
         assert f'"case_sha256": "{digest}"' in out
+
+
+# Namespaces that the parser built in full for every command (before each
+# command's arguments were added on first use) gave these argv.
+PARITY = [
+    (["solve", "twobus"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": None, "command": "solve",
+      "case": "twobus", "method": "convex", "lossy_kappa": None}),
+    (["--tol", "1e-6", "solve", "twobus", "--seed", "3"],
+     {"tol": 1e-06, "seed": 3, "out": None, "format": None, "command": "solve",
+      "case": "twobus", "method": "convex", "lossy_kappa": None}),
+    (["solve", "twobus", "--tol=1e-7", "--format=csv", "--method=newton"],
+     {"tol": 1e-07, "seed": 0, "out": None, "format": "csv", "command": "solve",
+      "case": "twobus", "method": "newton", "lossy_kappa": None}),
+    (["solve", "twobus", "--lossy", "0.2"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": None, "command": "solve",
+      "case": "twobus", "method": "convex", "lossy_kappa": 0.2}),
+    (["solve", "twobus", "--lossy-kappa", "-1e-300"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": None, "command": "solve",
+      "case": "twobus", "method": "convex", "lossy_kappa": -1e-300}),
+    (["sweep", "twobus", "--delta", "-inf", "--kappa-min", "-1", "--kappa-max=2"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": None, "command": "sweep",
+      "case": "twobus", "delta": -math.inf, "kappa_min": -1.0, "kappa_max": 2.0,
+      "kappa_step": 0.1}),
+    (["check", "ieee14", "--state", "s.json", "--d-samples", "64", "--out", "o.json"],
+     {"tol": 1e-08, "seed": 0, "out": "o.json", "format": None, "command": "check",
+      "case": "ieee14", "state": "s.json", "d_samples": 64}),
+    (["region", "threebus", "--grid-step", "6", "--scale", "3", "--format", "json"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": "json", "command": "region",
+      "case": "threebus", "grid_step": 6.0, "scale": 3.0}),
+    (["bounds", "ieee118", "--b-rho", "1.5", "--seed", "1"],
+     {"tol": 1e-08, "seed": 1, "out": None, "format": None, "command": "bounds",
+      "case": "ieee118", "b_rho": 1.5}),
+    (["--seed", "2", "--out", "x", "reactive", "threebus", "--theta", "t.json",
+      "--tol", "1e-9"],
+     {"tol": 1e-09, "seed": 2, "out": "x", "format": None, "command": "reactive",
+      "case": "threebus", "theta": "t.json"}),
+    (["--format", "csv", "sweep", "twobus", "--format", "json"],
+     {"tol": 1e-08, "seed": 0, "out": None, "format": "json", "command": "sweep",
+      "case": "twobus", "delta": 1.0, "kappa_min": 1.0, "kappa_max": 3.0,
+      "kappa_step": 0.1}),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected", PARITY)
+    def test_namespace_parity(self, argv, expected):
+        from gridenergy import cli
+
+        args = vars(cli.build_parser().parse_args(cli._join_negative_values(argv)))
+        assert args.pop("func") is getattr(cli, f"cmd_{expected['command']}")
+        assert args == expected
+
+    def test_only_the_running_command_is_built(self, capsys, monkeypatch):
+        # Parsing a reactive argv adds no other command's arguments.
+        from gridenergy import cli
+
+        setups = {name: getattr(cli, f"_{name}_args") for name in
+                  ("solve", "check", "sweep", "region", "bounds", "reactive")}
+        built = []
+
+        def spy(name):
+            def setup(parser):
+                built.append(name)
+                setups[name](parser)
+            return setup
+
+        for name in setups:
+            monkeypatch.setattr(cli, f"_{name}_args", spy(name))
+        code, out = run(capsys, "reactive", "threebus")
+        assert code == EXIT_OK and json.loads(out)["status"] == "Solved"
+        assert built == ["reactive"]
+
+    def test_command_function_looked_up_per_call(self, capsys, monkeypatch):
+        # A wrapped cmd_* (as a span tracer installs) is the one that runs.
+        from gridenergy import cli
+
+        calls = []
+        inner = cli.cmd_bounds
+
+        def wrapped(args):
+            calls.append(args.case)
+            return inner(args)
+
+        assert run(capsys, "bounds", "threebus")[0] == EXIT_OK
+        monkeypatch.setattr(cli, "cmd_bounds", wrapped)
+        assert run(capsys, "bounds", "threebus")[0] == EXIT_OK
+        assert calls == ["threebus"]
+
+    def test_helpers_stay_private(self):
+        # Every public cli function gets its own span in the benchmark's
+        # tracer; parser helpers would only add spans to every call.
+        import inspect
+
+        from gridenergy import cli
+
+        public = {name for name, obj in vars(cli).items()
+                  if inspect.isfunction(obj) and obj.__module__ == cli.__name__
+                  and not name.startswith("_")}
+        assert public == {"build_parser", "main", "cmd_solve", "cmd_check",
+                          "cmd_sweep", "cmd_region", "cmd_bounds", "cmd_reactive"}

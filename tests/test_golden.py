@@ -2,6 +2,8 @@
 became one stacked solve, and a slice of solve, check, sweep, bounds,
 reactive and error commands, each with its exit code and stderr.
 tests/make_golden.py regenerates them."""
+import json
+
 import pytest
 
 from make_golden import GOLDEN, GOLDEN_DIR, render, versions
@@ -47,3 +49,22 @@ def test_sweep_verdict_change_is_refused(tmp_path, monkeypatch, capsys):
     (tmp_path / name).write_text(moved)
     make_golden.main([name])
     assert (tmp_path / name).read_text() == versions() + "\n" + text
+
+
+@pytest.mark.parametrize("name, old_exit", [("error_kappa_range_empty.csv", 0),
+                                            ("reactive_twobus.json", 3)])
+def test_exit_code_change_is_refused(tmp_path, monkeypatch, capsys, name, old_exit):
+    # make_golden does not rewrite a file whose exit code would change: an
+    # empty kappa range once printed a header-only table with exit 0.
+    import make_golden
+
+    build, meta, body = (versions() + "\n" + recorded(name)).split("\n", 2)
+    doc = json.loads(meta[2:])
+    new_exit, doc["exit"] = doc["exit"], old_exit
+    old = "\n".join((build, "# " + json.dumps(doc, sort_keys=True), body))
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", tmp_path)
+    (tmp_path / name).write_text(old)
+    with pytest.raises(SystemExit, match="not rewritten"):
+        make_golden.main([name])
+    assert (tmp_path / name).read_text() == old
+    assert f"  exit {old_exit} → {new_exit}\n" in capsys.readouterr().out

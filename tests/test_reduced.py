@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, make_twobus, random_network, random_state
+from conftest import (fd_gradient, make_twobus, random_network, random_state,
+                      same_bits)
 from test_energy import fixed_phase_hessian
 from gridenergy import energy as en
 from gridenergy.convexity import in_domain_C
 from gridenergy.energy import PFState
-from gridenergy.errors import (NoReactiveSolution, PhaseOutOfRange,
+from gridenergy.errors import (GridEnergyError, NoReactiveSolution,
+                               NumericalFailure, PhaseOutOfRange,
                                UnsupportedSign, UnsupportedTopology)
 from gridenergy.linalg import fd_hessian
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
@@ -19,7 +21,8 @@ from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
 from gridenergy.reduced import (_EIG_TOL, MAX_ROWS, BetaCondition,
                                 _greatest_u, _reactive_rows, _schur,
                                 beta_condition, convex_reactive_solve,
-                                reduced_energy, reduced_hessian,
+                                reactive_with_bound, reduced_energy,
+                                reduced_hessian,
                                 region_agreement, region_grid,
                                 solve_reactive_newton, voltage_upper_bound)
 from gridenergy.solver import solve_newton
@@ -526,6 +529,91 @@ class TestVoltageUpperBound:
                 f2, f3 = scan(o - w, o + w, c - w, c + w, 900)
                 best = f3.max()
             assert vb[idx] == pytest.approx(best, abs=1e-4)
+
+
+def reactive_with_bound_reference(n, theta):
+    """reactive_with_bound as two separate solves: the program at theta,
+    then the caps at zero phases."""
+    state = convex_reactive_solve(n, theta)
+    try:
+        return state, voltage_upper_bound(n)
+    except NoReactiveSolution as exc:
+        raise NumericalFailure(str(exc)) from None
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the GridEnergyError it raises."""
+    try:
+        return f(*args)
+    except GridEnergyError as exc:
+        return type(exc), str(exc)
+
+
+class TestReactiveWithBound:
+    def same(self, n, theta):
+        """Whether the stacked call and the two separate solves agree bit for
+        bit, or refuse alike; and whether they solved."""
+        got = outcome(reactive_with_bound, n, theta)
+        ref = outcome(reactive_with_bound_reference, n, theta)
+        if isinstance(ref[1], str):
+            assert got == ref
+            return False
+        (state, bound), (ref_state, ref_bound) = got, ref
+        for key in ("zeta", "theta", "constraint_slack"):
+            assert same_bits(getattr(state, key), getattr(ref_state, key)), key
+        assert same_bits(bound.v_bar, ref_bound.v_bar)
+        return True
+
+    def test_bundled_cases_bit_equal(self, bundled_models):
+        rng = np.random.default_rng(30)
+        solved = []
+        for name, n in bundled_models.items():
+            theta = np.zeros(n.n_bus)
+            solved.append(self.same(n, theta))
+            theta[n.ns] = rng.uniform(-0.05, 0.05, len(n.ns))
+            solved.append(self.same(n, theta))
+        # All but ieee14, whose bus 4 injects reactive power.
+        assert sum(solved) >= 8
+
+    def test_random_networks_bit_equal(self):
+        rng = np.random.default_rng(31)
+        draws = solved = 0
+        while draws < 20:
+            n = random_network(rng, n_max=8)
+            n = Network([replace(b, q_inj=-abs(b.q_inj)) for b in n.buses],
+                        n.lines)
+            if not len(n.pq):
+                continue
+            theta = np.zeros(n.n_bus)
+            theta[n.ns] = rng.uniform(-0.35, 0.35, len(n.ns))
+            solved += self.same(n, theta)
+            draws += 1
+        assert solved >= 10
+
+    @pytest.mark.parametrize("amp", [0.0, 0.1])
+    def test_failed_caps_keep_the_message(self, threebus, monkeypatch, amp):
+        # Row 1 (the caps) fails while row 0 solves: NumericalFailure with
+        # the reason the caps' own solve_reactive_newton would give.
+        from gridenergy import reduced
+
+        theta = np.array([0.0, amp, -amp])
+        greatest = reduced._greatest_u
+
+        def caps_fail(*args):
+            u, why = greatest(*args)
+            return u, why[:-1] + ["forced"]
+
+        monkeypatch.setattr(reduced, "_greatest_u", caps_fail)
+        with pytest.raises(NumericalFailure, match="^forced$"):
+            reactive_with_bound(threebus, theta)
+        monkeypatch.setattr(reduced, "_greatest_u", greatest)
+        monkeypatch.setattr(reduced, "_REACTIVE_TOL", -1.0)
+        with pytest.raises(NumericalFailure,
+                           match="^reactive Newton iteration did not converge$"):
+            reactive_with_bound(threebus, theta)
+        with pytest.raises(NoReactiveSolution,
+                           match="^reactive Newton iteration did not converge$"):
+            voltage_upper_bound(threebus)
 
 
 class TestBetaCondition:
