@@ -74,15 +74,13 @@ def _prepare(case: str, lossy_kappa: float | None) -> tuple[network.Network, str
     n = load_case(case, text)
     n = network.absorb_setpoints(network.losslessify(n))
     if lossy_kappa is not None and lossy_kappa != 0.0:
-        lines = [network.Line(ln.i, ln.j, ln.b, lossy_kappa * ln.b)
-                 for ln in n.lines]
-        n = network.Network(n.buses, lines)
+        n = network.impose_ratio(n, lossy_kappa)
     return n, digest
 
 
 def _state_payload(n, s: PFState) -> dict:
     return {
-        "bus": [b.id for b in n.buses],
+        "bus": list(n.ids),
         "v": [float(v) for v in np.exp(s.rho)],
         "theta_rad": [float(t) for t in s.theta],
     }
@@ -121,7 +119,7 @@ def cmd_solve(args) -> int:
 
 def _per_bus(n, values, name: str, out: np.ndarray) -> None:
     """Fill out from a JSON object keyed by bus id or a list in bus order."""
-    index = {str(b.id): k for k, b in enumerate(n.buses)}
+    index = {str(bid): k for k, bid in enumerate(n.ids)}
     if isinstance(values, list) and len(values) == n.n_bus:
         values = dict(zip(index, values))
     elif isinstance(values, list):
@@ -259,7 +257,7 @@ def cmd_reactive(args) -> int:
         return EXIT_NO_SOLUTION
     payload = {"header": _header(args, digest),
                "status": "Solved",
-               "pq_bus": [n.buses[p].id for p in n.pq],
+               "pq_bus": [n.ids[p] for p in n.pq],
                "zeta": [float(z) for z in state.zeta],
                "v": [float(v) for v in state.voltages()],
                "constraint_slack": [float(v) for v in state.constraint_slack],

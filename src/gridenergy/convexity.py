@@ -68,7 +68,7 @@ def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     end: the from-ends in line order, then the to-ends; for n.derived."""
     pq = n.pq_ends.ravel(order="F")
     end = np.flatnonzero(pq >= 0)
-    return end % len(n.lines), np.where(end < len(n.lines), 1.0, -1.0), pq[end]
+    return end % len(n.b), np.where(end < len(n.b), 1.0, -1.0), pq[end]
 
 
 def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
     stack axis of d gives one U per row.
     """
     line, sign, pq = n.derived(_pq_ends)
-    u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.lines)))
+    u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.b)))
     u[..., pq, line] = np.exp(0.5 * sign * d.take(line, -1))
     return u
 
@@ -266,7 +266,7 @@ def _box_chunks(n: Network, log_ratio: float,
     f, t = n.edges[:, 0], n.edges[:, 1]
     active = n.active
     line, sign, _ = n.derived(_pq_ends)
-    step = max(1, _CHUNK_ENTRIES // len(n.lines))
+    step = max(1, _CHUNK_ENTRIES // len(n.b))
     hot = np.repeat(active, 2)
     corner = np.tile([log_ratio, -log_ratio], len(active))
     for lo in range(0, len(hot), step):
@@ -322,7 +322,7 @@ def _vertex_budget(n: Network, active: np.ndarray, log_ratio: float) -> float:
     of p puts line active[k] at +log_ratio, else -log_ratio. Scaled first,
     entries stay below b_rho / 2; without PQ buses the stack is empty."""
     scale = np.sqrt(n.b[active] / (2.0 * n.b_total[n.pq])[:, None])
-    v_lo, v_hi = (scale * line_factors(n, np.full(len(n.lines), d))[:, active]
+    v_lo, v_hi = (scale * line_factors(n, np.full(len(n.b), d))[:, active]
                   for d in (-log_ratio, log_ratio))
     bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
     step, top = _CHUNK_ENTRIES // (len(n.pq) ** 2 or 1), 0.0

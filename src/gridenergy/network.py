@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import enum
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -48,18 +49,22 @@ class Line:
 # overflow or make the domain matrix singular downstream.
 MAX_MAGNITUDE = 1e6
 
+# A network's kinds array holds positions in this tuple: 0 slack, 1 PV, 2 PQ.
+_KIND_CODES = tuple(BusKind)
+
 
 class Network:
-    """Immutable bus/line model with derived index arrays.
+    """Immutable network held as arrays, buses in input order: the state is
+    ids (a tuple of Python ints), kinds (0 slack, 1 PV, 2 PQ), p_inj, q_inj,
+    v_set, edges ((m, 2) end positions per line), b and g. The buses and
+    lines views build Bus and Line records on each access. Every injection
+    and line parameter must be finite and at most MAX_MAGNITUDE in absolute
+    value; _set_injections and _set_lines raise ParseError otherwise.
 
-    Every line parameter and injection must be finite and at most
-    MAX_MAGNITUDE in absolute value; anything else raises ParseError.
-
-    Derived attributes (all positional, buses kept in input order):
+    Derived attributes:
+      index          position of each bus id
       pq, pv, ns     index arrays of PQ, PV and non-slack buses
-      slack_index    position of the slack bus
-      edges          (m, 2) endpoint positions per line
-      b, g           per-line parameters
+      slack_index    position of the slack bus, slack its id
       y              per-line series admittance g - jb
       b_total        per-bus sum of incident b (B_i)
       lossy_ratio    g/b when uniform across lines (0.0 when lossless),
@@ -71,14 +76,26 @@ class Network:
     """
 
     def __init__(self, buses, lines):
-        lines = tuple(lines)
-        ids, kinds = self._set_buses(buses)
-        index = {bid: k for k, bid in enumerate(ids)}
-        n, m = len(ids), len(lines)
+        buses, lines = tuple(buses), tuple(lines)
+        if not buses:
+            raise ParseError("network has no buses")
+        ids = self.ids = tuple(b.id for b in buses)
+        index = self.index = {bid: k for k, bid in enumerate(ids)}
+        if len(index) != len(ids):
+            raise ParseError("duplicate bus ids")
+        kinds = self.kinds = np.array([_KIND_CODES.index(b.kind) for b in buses])
+        slack = np.flatnonzero(kinds == 0)
+        if len(slack) != 1:
+            raise ParseError(f"expected exactly one slack bus, found {len(slack)}")
+        n = self.n_bus = len(ids)
+        self.slack_index = int(slack[0])
+        self.slack = ids[self.slack_index]
+        self.pq, self.pv, self.ns = (np.flatnonzero(kinds == 2), np.flatnonzero(kinds == 1),
+                                     np.flatnonzero(kinds))
+        self._set_injections(*np.array([[b.p_inj for b in buses], [b.q_inj for b in buses],
+                                        [b.v_set for b in buses]], dtype=float))
         ends = np.array([[index.get(ln.i, -1) for ln in lines],
                          [index.get(ln.j, -1) for ln in lines]], dtype=int)
-        bg = np.array([[ln.b for ln in lines], [ln.g for ln in lines]])
-        b, g = bg
         # Line k repeats a pair when the pair first appears before k: code
         # each sorted end pair as one integer (negative for an unknown end)
         # and compare neighbours in a stable sort, which keeps first
@@ -86,74 +103,72 @@ class Network:
         lo, hi = np.sort(ends, axis=0)
         code = lo * n + hi
         order = np.argsort(code, kind="stable")
-        repeat = np.zeros(m, dtype=bool)
+        repeat = np.zeros(len(lines), dtype=bool)
         repeat[order[1:]] = code[order[1:]] == code[order[:-1]]
-        _raise_first(lines, lambda ln: f"line {ln.i}-{ln.j}", (
-            ((ends < 0).any(axis=0), "unknown bus id"),
-            (ends[0] == ends[1], "self loop"),
-            (~((b > 0) & (b < np.inf)), "b must be positive, got {item.b}"),
-            (~((g >= 0) & (g < np.inf)), "g must be nonnegative"),
-            (bg.max(axis=0) > MAX_MAGNITUDE,
-             f"b and g must be at most {MAX_MAGNITUDE:g} per unit"),
-            (repeat, "duplicate pair (merge parallel lines first)")))
-
-        self.lines = lines
-        self.index = index
-        self.n_bus = n
-        self.slack_index = kinds.index(BusKind.SLACK)
-        self.slack = ids[self.slack_index]
-        self.pq = np.flatnonzero([k is BusKind.PQ for k in kinds])
-        self.pv = np.flatnonzero([k is BusKind.PV for k in kinds])
-        self.ns = np.flatnonzero([k is not BusKind.SLACK for k in kinds])
         # Column-major, so each end column edges[:, 0], edges[:, 1] is
         # contiguous: the per-line gathers by it run at full speed.
         self.edges = ends.T
-        self.b, self.g = b, g
-        self.y = g - 1j * b
-        # Every bus sums its from-ends, then its to-ends, in line order.
-        self.b_total = np.bincount(ends.ravel(), np.concatenate((b, b)), n)
-
+        self._set_lines(*np.array([[ln.b for ln in lines], [ln.g for ln in lines]]),
+                        lambda k: f"line {lines[k].i}-{lines[k].j}",
+                        ((ends < 0).any(axis=0), "unknown bus id"),
+                        (ends[0] == ends[1], "self loop"),
+                        duplicate=repeat)
         self._check_connected()
-        self.lossy_ratio = self._uniform_ratio()
-        # Position of each pq bus within the pq ordering, -1 elsewhere.
         self.pq_index_of = np.full(n, -1, dtype=int)
         self.pq_index_of[self.pq] = np.arange(len(self.pq))
         self.pq_ends = self.pq_index_of[ends].T
         self.active = np.flatnonzero(self.pq_ends.max(axis=1) >= 0)
+
+    def _set_injections(self, p, q, v) -> None:
+        """Check the injections and set-points, naming the first bad bus by
+        its id, and set them."""
+        # (x > 0) & (x < inf) is False for NaN: positive and finite.
+        _raise_first(lambda k: f"bus {self.ids[k]}", (
+            (~(np.isfinite(p) & np.isfinite(q)), "non-finite injection"),
+            (np.maximum(abs(p), abs(q)) > MAX_MAGNITUDE,
+             f"injection beyond {MAX_MAGNITUDE:g} per unit"),
+            (~((self.kinds == 2) | (v > 0) & (v < np.inf)),
+             "voltage set-point must be positive and finite")))
+        self.p_inj, self.q_inj, self.v_set = p, q, v
+
+    def _set_lines(self, b, g, name=None, *ends, duplicate=False) -> None:
+        """Check and set the line parameters, y, b_total and lossy_ratio, and
+        start a fresh derived memo. A fault names line k by name(k), or by
+        its end ids; the ends checks come first, the duplicate check last."""
+        _raise_first(name or (lambda k: "line {}-{}".format(*map(self.ids.__getitem__,
+                                                                  self.edges[k]))), (
+            *ends,
+            (~((b > 0) & (b < np.inf)), "b must be positive, got {}"),
+            (~((g >= 0) & (g < np.inf)), "g must be nonnegative"),
+            (np.maximum(b, g) > MAX_MAGNITUDE,
+             f"b and g must be at most {MAX_MAGNITUDE:g} per unit"),
+            (duplicate, "duplicate pair (merge parallel lines first)")), b)
+        self.b, self.g, self.y = b, g, g - 1j * b
+        # Every bus sums its from-ends, then its to-ends, in line order.
+        self.b_total = np.bincount(self.edges.ravel(order="F"), np.concatenate((b, b)),
+                                   self.n_bus)
+        ratios = g / b
+        self.lossy_ratio = float(ratios[0]) if g.any() else 0.0
+        if np.max(np.abs(ratios - self.lossy_ratio), initial=0.0) > 1e-9:
+            self.lossy_ratio = None
         self._derived = {}
 
-    def _set_buses(self, buses) -> tuple[list, list]:
-        """Check the buses, before any line, and set them with their
-        injection and set-point arrays; returns their ids and kinds."""
-        buses = tuple(buses)
-        if not buses:
-            raise ParseError("network has no buses")
-        ids = [b.id for b in buses]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate bus ids")
-        kinds = [b.kind for b in buses]
-        n_slack = kinds.count(BusKind.SLACK)
-        if n_slack != 1:
-            raise ParseError(f"expected exactly one slack bus, found {n_slack}")
-        inj = np.array([[b.p_inj for b in buses], [b.q_inj for b in buses]])
-        v = np.array([b.v_set for b in buses])
-        pq = np.array([k is BusKind.PQ for k in kinds])
-        # (x > 0) & (x < inf) is False for NaN: positive and finite.
-        _raise_first(buses, lambda b: f"bus {b.id}", (
-            (~np.isfinite(inj).all(axis=0), "non-finite injection"),
-            (abs(inj).max(axis=0) > MAX_MAGNITUDE,
-             f"injection beyond {MAX_MAGNITUDE:g} per unit"),
-            (~(pq | (v > 0) & (v < np.inf)),
-             "voltage set-point must be positive and finite")))
-        self.buses = buses
-        self.p_inj, self.q_inj = inj
-        self.v_set = v
-        return ids, kinds
+    @property
+    def buses(self) -> tuple[Bus, ...]:
+        """The buses as records, built on each access."""
+        return tuple(map(Bus, self.ids, map(_KIND_CODES.__getitem__, self.kinds.tolist()),
+                         self.p_inj.tolist(), self.q_inj.tolist(), self.v_set.tolist()))
+
+    @property
+    def lines(self) -> tuple[Line, ...]:
+        """The lines as records, built on each access."""
+        return tuple(Line(self.ids[f], self.ids[t], b, g) for (f, t), b, g
+                     in zip(self.edges.tolist(), self.b.tolist(), self.g.tolist()))
 
     def derived(self, build):
         """build(self), made once for every network that scale_injections
-        makes from this one: build may read the lines and the bus kinds
-        only, and callers must not modify what it returns."""
+        makes from this one: build may read the line arrays and the bus
+        kinds only, and callers must not modify what it returns."""
         memo = self._derived
         if build not in memo:
             memo[build] = build(self)
@@ -162,64 +177,44 @@ class Network:
     def _check_connected(self):
         """Spread from the slack bus along every line at once, until no
         line leads anywhere new."""
-        ends = self.edges.ravel(order="F")
-        across = self.edges[:, ::-1].ravel(order="F")
-        seen = np.zeros(self.n_bus, dtype=bool)
-        seen[self.slack_index] = True
-        while True:
-            reached = across[seen[ends]]
-            new = reached[~seen[reached]]
-            if not len(new):
-                break
+        ends, across = self.edges.ravel(order="F"), self.edges[:, ::-1].ravel(order="F")
+        seen = np.arange(self.n_bus) == self.slack_index
+        while len(new := across[seen[ends] & ~seen[across]]):
             seen[new] = True
         if not seen.all():
-            missing = [self.buses[k].id for k in np.flatnonzero(~seen)]
+            missing = [self.ids[k] for k in np.flatnonzero(~seen)]
             raise ParseError(f"network is disconnected; unreachable buses {missing}")
-
-    def _uniform_ratio(self):
-        if len(self.lines) == 0 or np.all(self.g == 0.0):
-            return 0.0
-        ratios = self.g / self.b
-        kappa = float(ratios[0])
-        if np.max(np.abs(ratios - kappa)) <= 1e-9:
-            return kappa
-        return None
 
     @property
     def is_lossless(self) -> bool:
         return self.lossy_ratio == 0.0
 
     def __repr__(self):
-        return (f"Network(n_bus={self.n_bus}, n_line={len(self.lines)}, "
+        return (f"Network(n_bus={self.n_bus}, n_line={len(self.b)}, "
                 f"slack={self.slack})")
 
 
-def _raise_first(items, name, checks) -> None:
-    """Raise ParseError for the first item, in input order, that fails any
-    check, naming its first failing check. checks holds (failing mask over
-    the items, message) pairs in the order an item is tested; the message is
-    prefixed by name(item) and may format the item as {item}."""
+def _raise_first(name, checks, values=()) -> None:
+    """Raise ParseError for the first position k, in input order, that fails
+    any check, naming its first failing check. checks holds (failing mask,
+    message) pairs in the order a position is tested; the message is
+    prefixed by name(k) and may format values[k] as {}."""
     bad = checks[0][0]
     for mask, _ in checks[1:]:
         bad = bad | mask
     if bad.any():
         k = int(np.argmax(bad))
         message = next(message for mask, message in checks if mask[k])
-        raise ParseError(f"{name(items[k])}: {message.format(item=items[k])}")
+        raise ParseError(f"{name(k)}: {message.format(*values[k:k + 1])}")
 
 
 def _merge_parallel(lines) -> list[Line]:
-    merged: dict[frozenset, Line] = {}
-    order: list[frozenset] = []
+    merged: dict[frozenset, Line] = {}  # in order of first appearance
     for ln in lines:
         key = frozenset((ln.i, ln.j))
-        if key in merged:
-            old = merged[key]
-            merged[key] = replace(old, b=old.b + ln.b, g=old.g + ln.g)
-        else:
-            merged[key] = ln
-            order.append(key)
-    return [merged[k] for k in order]
+        old = merged.get(key)
+        merged[key] = ln if old is None else replace(old, b=old.b + ln.b, g=old.g + ln.g)
+    return list(merged.values())
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +294,9 @@ def parse_native(text: str) -> Network:
 
 
 def serialize_native(n: Network) -> str:
-    doc = {
-        "buses": [
-            {"id": b.id, "kind": b.kind.value, "p": b.p_inj, "q": b.q_inj,
-             "v": b.v_set}
-            for b in n.buses
-        ],
-        "lines": [
-            {"from": ln.i, "to": ln.j, "b": ln.b, "g": ln.g} for ln in n.lines
-        ],
-    }
+    doc = {"buses": [{"id": b.id, "kind": b.kind.value, "p": b.p_inj, "q": b.q_inj,
+                      "v": b.v_set} for b in n.buses],
+           "lines": [{"from": ln.i, "to": ln.j, "b": ln.b, "g": ln.g} for ln in n.lines]}
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
@@ -351,9 +339,12 @@ def parse_matpower(text: str) -> Network:
     m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE().+-]+)\s*;", text)
     if m is None:
         raise ParseError("mpc.baseMVA not found")
-    base = float(m.group(1))
-    if base <= 0:
-        raise ParseError(f"baseMVA must be positive, got {base}")
+    try:
+        base = float(m.group(1))
+    except ValueError:
+        base = math.nan
+    if not 0 < base < math.inf:  # an inf base would turn every injection into 0
+        raise ParseError(f"mpc.baseMVA must be positive and finite, got {m.group(1)!r}")
 
     bus_rows = _read_matrix(text, "bus")
     gen_rows = _read_matrix(text, "gen")
@@ -431,7 +422,16 @@ def losslessify(n: Network) -> Network:
     network whose conductances are all +0.0 already is returned as it is."""
     if not (n.g.any() or np.signbit(n.g).any()):
         return n
-    return Network(n.buses, [Line(ln.i, ln.j, ln.b) for ln in n.lines])
+    return impose_ratio(n, 0.0)
+
+
+def impose_ratio(n: Network, kappa: float) -> Network:
+    """n with every conductance set to kappa * b, checked as the
+    constructor checks lines, with a fresh derived memo."""
+    out = copy.copy(n)
+    with np.errstate(over="ignore"):  # an inf g is refused below
+        out._set_lines(n.b, kappa * n.b)
+    return out
 
 
 def absorb_setpoints(n: Network) -> Network:
@@ -446,38 +446,39 @@ def absorb_setpoints(n: Network) -> Network:
     """
     if n.v_set[n.slack_index] == 1.0 and np.all(n.v_set[n.pv] == 1.0):
         return n
-    v_eff = {b.id: (b.v_set if b.kind is not BusKind.PQ else 1.0) for b in n.buses}
-    buses = [b if b.kind is BusKind.PQ else Bus(b.id, b.kind, b.p_inj, b.q_inj, 1.0)
-             for b in n.buses]
-    lines = [Line(ln.i, ln.j, ln.b * v_eff[ln.i] * v_eff[ln.j], ln.g)
-             for ln in n.lines]
-    return Network(buses, lines)
+    out = copy.copy(n)
+    pq = n.kinds == 2
+    v_eff = np.where(pq, 1.0, n.v_set)
+    out.v_set = np.where(pq, n.v_set, 1.0)
+    with np.errstate(over="ignore"):  # an inf b is refused below
+        out._set_lines(n.b * v_eff[n.edges[:, 0]] * v_eff[n.edges[:, 1]], n.g)
+    return out
 
 
 def incidence(n: Network) -> np.ndarray:
     """Bus-by-oriented-edge incidence: +1 at the from end, -1 at the to end."""
-    a = np.zeros((n.n_bus, len(n.lines)))
-    a[n.edges, np.arange(len(n.lines))[:, None]] = (1.0, -1.0)
+    a = np.zeros((n.n_bus, len(n.b)))
+    a[n.edges, np.arange(len(n.b))[:, None]] = (1.0, -1.0)
     return a
 
 
 def is_tree(n: Network) -> bool:
-    return len(n.lines) == n.n_bus - 1
+    return len(n.b) == n.n_bus - 1
 
 
 def scale_injections(n: Network, kappa: float, delta: float = 1.0) -> Network:
     """Scale active injections by kappa at every non-slack bus and reactive
-    injections by delta*kappa at PQ buses. The new buses are checked as
-    the constructor checks them; the lines, the index arrays and the
+    injections by delta*kappa at PQ buses. The new injections are checked
+    as the constructor checks them; the lines, the index arrays and the
     derived memo are n's own."""
-    buses = []
-    for b in n.buses:
-        if b.kind is not BusKind.SLACK:
-            q = delta * kappa * b.q_inj if b.kind is BusKind.PQ else b.q_inj
-            b = Bus(b.id, b.kind, kappa * b.p_inj, q, b.v_set)
-        buses.append(b)
+    p, q = n.p_inj.copy(), n.q_inj.copy()
+    # An overflow to inf, or a NaN from inf * 0, is for the check to refuse,
+    # not for numpy to warn about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p[n.ns] *= kappa
+        q[n.pq] *= delta * kappa
     scaled = copy.copy(n)
-    scaled._set_buses(buses)
+    scaled._set_injections(p, q, n.v_set)
     return scaled
 
 

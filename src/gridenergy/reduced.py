@@ -159,7 +159,7 @@ def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray):
         if not (disc > 0.0).all():
             real = (disc > 0.0).all(axis=1)
             for row, k in zip(live[~real], np.argmin(disc[~real], axis=1)):
-                why[row] = (f"reactive balance at bus {n.buses[n.pq[k]].id} "
+                why[row] = (f"reactive balance at bus {n.ids[n.pq[k]]} "
                             "has no real root")
             live, r, disc, ul, cl, dl, fbq, hib = (
                 x[real] for x in (live, r, disc, ul, cl, dl, fbq, hib))
@@ -291,7 +291,7 @@ class _ZetaProgram:
         self.fp = en.FixedPhase(n, theta)
         self.q = -self.fp.tq
         if np.any(self.q < 0):
-            bad = [n.buses[p].id for p in n.pq[self.q < 0]]
+            bad = [n.ids[p] for p in n.pq[self.q < 0]]
             raise UnsupportedSign(f"PQ buses must consume reactive power; got "
                                   f"injection at buses {bad}")
         self.c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)

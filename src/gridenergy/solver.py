@@ -442,7 +442,7 @@ def _chain(n: Network):
     0/1 mask of the PQ ends. Built at a network's first grad_hess: a solve
     that Newton steps settle never makes one."""
     var = n.active
-    fixed = np.setdiff1d(np.arange(len(n.lines)), var)
+    fixed = np.setdiff1d(np.arange(len(n.b)), var)
     # d = rho_to - rho_from and tau = theta_from - theta_to; 0.0 - keeps
     # jd's zeros +0.0.
     a = incidence(n)

@@ -39,6 +39,14 @@ THETA_TRUNCATED = "golden/theta_truncated.json"
 THETA_MISSING = "golden/theta_missing.json"
 # A native case file whose second bus has the unknown kind "load".
 CASE_BAD_KIND = "golden/case_bad_kind.json"
+# twobus with a slack set-point of 1e200, which absorb_setpoints carries
+# into the line's b; and twobus with b = -1.
+CASE_SETPOINT_HUGE = "golden/case_setpoint_huge.json"
+CASE_B_NEGATIVE = "golden/case_b_negative.json"
+# MATPOWER cases whose mpc.baseMVA is (100), which float() cannot read, and
+# 1e400, which it reads as inf.
+CASE_BASEMVA_PAREN = "golden/case_basemva_paren.m"
+CASE_BASEMVA_INF = "golden/case_basemva_inf.m"
 # Malformed state files passed to check --state, each of which ends in an
 # error line.
 STATES = ("list", "unknown_bus", "short_list", "non_numeric", "truncated",
@@ -102,6 +110,16 @@ GOLDEN = {
                                   "--grid-step", "30"],
     "error_kappa_magnitude.csv": ["sweep", "threebus", "--kappa-min", "1",
                                   "--kappa-max", "1e7", "--kappa-step", "5e6"],
+    # Scaled injections that overflow to inf, refused without a warning.
+    "error_scale_overflow.csv": ["region", "threebus", "--scale", "1e308",
+                                 "--grid-step", "30"],
+    # Imposed conductances past MAX_MAGNITUDE, and past the float range.
+    "error_lossy_kappa_magnitude.json": ["solve", "threebus", "--lossy-kappa", "1e5"],
+    "error_lossy_kappa_overflow.json": ["solve", "threebus", "--lossy-kappa", "1e308"],
+    "error_case_setpoint_huge.json": ["solve", CASE_SETPOINT_HUGE],
+    "error_case_b_negative.json": ["solve", CASE_B_NEGATIVE],
+    "error_basemva_paren.json": ["solve", CASE_BASEMVA_PAREN],
+    "error_basemva_inf.json": ["solve", CASE_BASEMVA_INF],
     "error_seed_negative.json": ["bounds", "threebus", "--seed", "-1"],
     "error_d_samples_negative.json": ["check", "threebus", "--d-samples", "-1"],
     # Far past the 1 000 000-row cap: numpy alone cannot allocate them.

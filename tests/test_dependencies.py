@@ -158,3 +158,25 @@ def test_no_dead_private_helpers():
             for node in private_definitions(tree)
             if uses[node.name] == Counter(referenced_names(node))[node.name]]
     assert not dead
+
+
+def record_reads(path: Path):
+    """(top-level function or class, attribute) of every read of an
+    attribute named buses or lines in path."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("buses", "lines")
+                    and isinstance(node.ctx, ast.Load)):
+                yield getattr(top, "name", "<module>"), node.attr
+
+
+def test_records_read_only_at_the_boundary():
+    # A Network holds arrays; n.buses and n.lines build Bus and Line
+    # records on each access (about 0.14 ms on ieee118). Only network.py,
+    # which parses and prints them, reads them; cli._prepare may read lines.
+    paths = sorted(Path(gridenergy.__file__).parent.glob("*.py"))
+    reads = {(p.stem, top, attr) for p in paths for top, attr in record_reads(p)}
+    assert ("network", "serialize_native", "buses") in reads
+    bad = sorted(f"{stem}.{top}: .{attr}" for stem, top, attr in reads
+                 if stem != "network" and (attr, stem, top) != ("lines", "cli", "_prepare"))
+    assert not bad

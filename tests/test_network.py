@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -6,18 +7,23 @@ import numpy as np
 import pytest
 
 from conftest import make_twobus, random_network, random_state
+from gridenergy import cli
 from gridenergy import energy as en
 from gridenergy.errors import ParseError
 from gridenergy.network import (BUNDLED_CASES, MAX_MAGNITUDE, Bus, BusKind, Line,
-                                Network, absorb_setpoints, incidence, is_tree, load_case,
-                                losslessify, parse_matpower, parse_native, scale_injections,
-                                serialize_native)
+                                Network, absorb_setpoints, impose_ratio, incidence, is_tree,
+                                load_case, losslessify, parse_matpower, parse_native,
+                                scale_injections, serialize_native)
 
 TWOBUS_DOC = json.dumps({
     "buses": [{"id": 1, "kind": "slack", "p": 0, "q": 0, "v": 1},
               {"id": 2, "kind": "pq", "p": -0.1, "q": -0.1}],
     "lines": [{"from": 1, "to": 2, "b": 1.0}],
 })
+
+# Bus 2 as 1e30, a whole number that JSON reads as a float and that no
+# int64 holds.
+BIG_ID_DOC = TWOBUS_DOC.replace('"id": 2', '"id": 1e30').replace('"to": 2', '"to": 1e30')
 
 MINI_MATPOWER = """
 function mpc = mini
@@ -172,10 +178,19 @@ class TestParseNative:
         assert len(n.lines) == 1
         assert n.b[0] == pytest.approx(3.5)
 
-    def test_roundtrip_identity(self, threebus):
-        again = parse_native(serialize_native(threebus))
-        assert [b for b in again.buses] == [b for b in threebus.buses]
-        assert [ln for ln in again.lines] == [ln for ln in threebus.lines]
+    def test_roundtrip_identity(self, threebus, tmp_path, capsys):
+        big = parse_native(BIG_ID_DOC)
+        for n in (threebus, big):
+            again = parse_native(serialize_native(n))
+            assert [b for b in again.buses] == [b for b in n.buses]
+            assert [ln for ln in again.lines] == [ln for ln in n.lines]
+            assert again.ids == n.ids and all(type(i) is int for i in again.ids)
+        # The ids stay Python ints through to the CLI's payload.
+        assert big.ids == (1, int(1e30)) and big.lines[0].j == int(1e30)
+        path = tmp_path / "big_id.json"
+        path.write_text(BIG_ID_DOC)
+        assert cli.main(["solve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["state"]["bus"] == [1, int(1e30)]
 
 
 class TestParseMatpower:
@@ -219,6 +234,15 @@ class TestParseMatpower:
         with pytest.raises(ParseError):
             parse_matpower(MINI_MATPOWER.replace("\t1\t2\t0\t1\t0",
                                                  "\t1\t2\t0\t0\t0"))
+
+    @pytest.mark.parametrize("value", ["(100)", "1e400", "-100", "0", "1-2"])
+    def test_bad_base_rejected(self, value):
+        # float("(100)") raised a raw ValueError, and 1e400 read as inf,
+        # which turned every injection into 0.
+        text = MINI_MATPOWER.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {value};")
+        message = f"mpc.baseMVA must be positive and finite, got '{value}'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_matpower(text)
 
     def test_ieee14_shape(self, ieee14):
         assert ieee14.n_bus == 14
@@ -524,6 +548,10 @@ def reference_losslessify(n):
     return Network(n.buses, [replace(ln, g=0.0) for ln in n.lines])
 
 
+def reference_impose(n, kappa):
+    return Network(n.buses, [replace(ln, g=kappa * ln.b) for ln in n.lines])
+
+
 def reference_absorb(n):
     v_eff = {b.id: (b.v_set if b.kind is not BusKind.PQ else 1.0) for b in n.buses}
     buses = [replace(b, v_set=1.0) if b.kind is not BusKind.PQ else b for b in n.buses]
@@ -540,6 +568,7 @@ class TestTransformsAsBefore:
         n = quiet_case(case)
         for new, old in ((losslessify(n), reference_losslessify(n)),
                          (absorb_setpoints(n), reference_absorb(n)),
+                         (impose_ratio(n, 0.2), reference_impose(n, 0.2)),
                          (scale_injections(n, 1.7, 0.3), reference_scale(n, 1.7, 0.3)),
                          (scale_injections(n, 3.9), reference_scale(n, 3.9, 1.0))):
             assert new.buses == old.buses and new.lines == old.lines
@@ -592,7 +621,9 @@ class TestSharedLineSet:
         row = scale_injections(n, 1.3, 0.7)
         assert row._derived is n._derived
         assert scale_injections(row, 2.0)._derived is n._derived
-        for name in ("lines", "edges", "pq", "pv", "ns", "pq_index_of", "pq_ends",
+        # The records are views built on access: equal, not shared.
+        assert row.lines == n.lines and row.buses != n.buses
+        for name in ("b", "g", "edges", "pq", "pv", "ns", "pq_index_of", "pq_ends",
                      "active", "b_total"):
             assert getattr(row, name) is getattr(n, name), name
         fresh = Network(row.buses, row.lines)
@@ -631,10 +662,15 @@ class TestSharedLineSet:
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf, 1e308, 1e7, -2e7])
     def test_bad_scale_as_before(self, threebus, kappa):
-        with pytest.raises(ParseError) as want:
-            reference_scale(threebus, kappa, 1.0)
-        with pytest.raises(ParseError) as got:
-            scale_injections(threebus, kappa)
+        # The records scale in Python floats, which overflow without a
+        # warning; the arrays must not warn either.
+        before = threebus.p_inj.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as want:
+                reference_scale(threebus, kappa, 1.0)
+            with pytest.raises(ParseError) as got:
+                scale_injections(threebus, kappa)
         assert str(got.value) == str(want.value)
         # A refused row leaves its network as it was.
-        assert threebus.p_inj.tolist() == [b.p_inj for b in threebus.buses]
+        assert threebus.p_inj.tobytes() == before.tobytes()
