@@ -63,25 +63,32 @@ def _check_b_rho(b_rho: float) -> None:
         raise DomainError(f"b_rho must be finite and >= 1, got {b_rho}")
 
 
-def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line, sign (+1 from-end, -1 to-end) and PQ position of every PQ line
-    end: the from-ends in line order, then the to-ends; for n.derived."""
+def _pq_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pq_line_ends' arrays; for n.derived."""
     pq = n.pq_ends.ravel(order="F")
     end = np.flatnonzero(pq >= 0)
-    return end % len(n.b), np.where(end < len(n.b), 1.0, -1.0), pq[end]
+    line = end % len(n.b)
+    return line, np.searchsorted(n.active, line), np.where(end < len(n.b), 1.0, -1.0), pq[end]
+
+
+def pq_line_ends(n: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line, active column, sign (+1 from, -1 to) and PQ position of each PQ
+    line end, where line_factors' U is nonzero: from-ends, then to-ends."""
+    return n.derived(_pq_ends)
 
 
 def line_factors(n: Network, d: np.ndarray) -> np.ndarray:
-    """PQ-bus-by-line factor U of the domain matrix.
+    """PQ-bus-by-active-line factor U of the domain matrix, from ratio
+    exponents d_k = rho_to - rho_from given per active line (n.active).
 
-    Column k holds e^{d_k/2} at line k's from-bus and e^{-d_k/2} at its
-    to-bus (PQ ends only), where d_k = rho_to - rho_from. Each line's block
-    (b/cos theta) [[e^d, 1], [1, e^-d]] is then w_k u_k u_k^T. A leading
-    stack axis of d gives one U per row.
+    Column k holds e^{d_k/2} at its line's from-bus and e^{-d_k/2} at its
+    to-bus (PQ ends only). Each line's block (b/cos theta) [[e^d, 1], [1,
+    e^-d]] is then w_k u_k u_k^T. A leading stack axis of d gives one U per
+    row.
     """
-    line, sign, pq = n.derived(_pq_ends)
-    u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.b)))
-    u[..., pq, line] = np.exp(0.5 * sign * d.take(line, -1))
+    _, col, sign, pq = pq_line_ends(n)
+    u = np.zeros(d.shape[:-1] + (len(n.pq), len(n.active)))
+    u[..., pq, col] = np.exp(0.5 * sign * d.take(col, -1))
     return u
 
 
@@ -91,9 +98,9 @@ def _diag_2b(n: Network) -> np.ndarray:
 
 
 def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from per-line
-    ratio exponents d (rho_to - rho_from) and weights w (b/cos theta),
-    over an optional leading stack axis of d and w."""
+    """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from ratio
+    exponents d (rho_to - rho_from) and weights w (b/cos theta) given per
+    active line, over an optional leading stack axis of d and w."""
     u = line_factors(n, d)
     return n.derived(_diag_2b) - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
 
@@ -108,7 +115,8 @@ def convexity_matrix(n: Network, s: PFState) -> np.ndarray:
         raise PhaseOutOfRange("a line phase difference reached 90 degrees")
     if len(n.pq) == 0:
         raise UnsupportedTopology("network has no PQ buses; the matrix is empty")
-    return symmetrize(domain_matrix(n, s.rho[t] - s.rho[f], n.b / np.cos(te)))
+    a = n.active
+    return symmetrize(domain_matrix(n, s.rho[t[a]] - s.rho[f[a]], n.b[a] / np.cos(te[a])))
 
 
 def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
@@ -127,17 +135,17 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     theta, rho = s.theta.reshape(-1, n.n_bus), s.rho.reshape(-1, n.n_bus)
     f, t = n.edges[:, 0], n.edges[:, 1]
     te = theta.take(f, 1) - theta.take(t, 1)
-    count, active = len(te), n.active
-    inside = abs(te.take(active, 1)) < HALF_PI
+    count, ta = len(te), te.take(n.active, 1)
+    inside = abs(ta) < HALF_PI
     if not len(n.pq):
         lmi_min, tol_abs, scale = np.full(count, math.inf), np.zeros(count), np.ones(count)
     elif inside.all():
         # Every state of a solve or a region grid: no row to leave out.
-        lmi_min, tol_abs, scale = _min_eig(n, te, rho, active)
+        lmi_min, tol_abs, scale = _min_eig(n, ta, rho)
     else:
         live = inside.all(axis=1)
         lmi_min, tol_abs, scale = np.full(count, -math.inf), np.zeros(count), np.ones(count)
-        lmi_min[live], tol_abs[live], scale[live] = _min_eig(n, te[live], rho[live], active)
+        lmi_min[live], tol_abs[live], scale[live] = _min_eig(n, ta[live], rho[live])
     phase_ok = (abs(te) <= HALF_PI).all(axis=1)
     cert = (phase_ok & (lmi_min >= -tol_abs), phase_ok, lmi_min, tol_abs, scale)
     if lead:
@@ -145,15 +153,14 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     return ConvexityCertificate(*(x.item() for x in cert))
 
 
-def _min_eig(n: Network, te: np.ndarray, rho: np.ndarray, active: np.ndarray):
-    """Smallest eigenvalue of the domain matrix of each row of line phase
-    differences te and bus log-voltages rho, the PSD tolerance
+def _min_eig(n: Network, ta: np.ndarray, rho: np.ndarray):
+    """Smallest eigenvalue of the domain matrix of each row of active-line
+    phase differences ta and bus log-voltages rho, the PSD tolerance
     DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|.
-    Every active line of every row must lie inside 90 degrees."""
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    inv_cos = np.ones(te.shape)
-    inv_cos[:, active] = 1.0 / np.cos(te.take(active, 1))
-    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1), n.b * inv_cos)
+    Every phase difference must lie inside 90 degrees."""
+    f, t = n.edges[n.active, 0], n.edges[n.active, 1]
+    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1),
+                       n.b[n.active] * (1.0 / np.cos(ta)))
     scale = 1.0 + abs(lm.diagonal(axis1=1, axis2=2)).max(axis=1)
     return sym_eigen(lm)[0][:, 0], DEFAULT_PSD_TOL * scale, scale
 
@@ -260,12 +267,12 @@ def _box_chunks(n: Network, log_ratio: float,
     ratio directions, that line's phase at the budget, the rest nominal);
     the random points draw bus profiles and rescale them onto the box
     boundary, max(samples, battery) probes in all. Row k of a chunk's two
-    arrays is one probe at the PQ ends of _pq_ends: the load term
+    arrays is one probe at the PQ ends of pq_line_ends: the load term
     b_e e^{+-d_e} and the phase fraction phi_e.
     """
     f, t = n.edges[:, 0], n.edges[:, 1]
     active = n.active
-    line, sign, _ = n.derived(_pq_ends)
+    line, _, sign, _ = pq_line_ends(n)
     step = max(1, _CHUNK_ENTRIES // len(n.b))
     hot = np.repeat(active, 2)
     corner = np.tile([log_ratio, -log_ratio], len(active))
@@ -309,20 +316,21 @@ def _probes_pass(n: Network, terms: np.ndarray, phi: np.ndarray,
     # Positions in the chunk's flattened (rows, PQ bus) loads: per row the
     # from-ends, then the to-ends, in line order, the order np.add.at would
     # sum them in.
-    bins = n.derived(_pq_ends)[2] + npq * np.arange(len(terms))[:, None]
+    bins = pq_line_ends(n)[3] + npq * np.arange(len(terms))[:, None]
     flow = terms * (1.0 / np.cos(phi * b_theta))
     load = np.bincount(bins.ravel(), flow.ravel(), len(terms) * npq)
     return bool(np.all(load.reshape(len(terms), npq) <= 2.0 * n.b_total[n.pq]))
 
 
-def _vertex_budget(n: Network, active: np.ndarray, log_ratio: float) -> float:
+def _vertex_budget(n: Network, log_ratio: float) -> float:
     """Closed-form certified budget. With all phases at theta, pattern p's
     vertex matrix D - sec(theta) M_p, D = diag(2B), M_p = U_p diag(b) U_p^T,
     is PSD exactly when cos(theta) >= lambda_max(D^-1/2 M_p D^-1/2). Bit k
     of p puts line active[k] at +log_ratio, else -log_ratio. Scaled first,
     entries stay below b_rho / 2; without PQ buses the stack is empty."""
+    active = n.active
     scale = np.sqrt(n.b[active] / (2.0 * n.b_total[n.pq])[:, None])
-    v_lo, v_hi = (scale * line_factors(n, np.full(len(n.b), d))[:, active]
+    v_lo, v_hi = (scale * line_factors(n, np.full(len(active), d))
                   for d in (-log_ratio, log_ratio))
     bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
     step, top = _CHUNK_ENTRIES // (len(n.pq) ** 2 or 1), 0.0
@@ -359,11 +367,9 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     _check_b_rho(b_rho)
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    active = n.active
     log_ratio = math.log(b_rho)
-    if len(active) <= 12:
-        return PhaseBound(b_rho=b_rho, certified=True,
-                          b_theta=_vertex_budget(n, active, log_ratio))
+    if len(n.active) <= 12:
+        return PhaseBound(b_rho=b_rho, certified=True, b_theta=_vertex_budget(n, log_ratio))
 
     best = _MAX_BUDGET
     for terms, phi in _box_chunks(n, log_ratio, samples, seed):

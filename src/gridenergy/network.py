@@ -83,7 +83,10 @@ class Network:
         index = self.index = {bid: k for k, bid in enumerate(ids)}
         if len(index) != len(ids):
             raise ParseError("duplicate bus ids")
-        kinds = self.kinds = np.array([_KIND_CODES.index(b.kind) for b in buses])
+        kinds = self.kinds = np.array([_KIND_CODES.index(b.kind) if isinstance(b.kind, BusKind)
+                                       else -1 for b in buses])
+        _raise_first(lambda k: f"bus {ids[k]}", ((kinds < 0, "kind must be a BusKind, got {!r}"),),
+                     [b.kind for b in buses])
         slack = np.flatnonzero(kinds == 0)
         if len(slack) != 1:
             raise ParseError(f"expected exactly one slack bus, found {len(slack)}")
@@ -138,8 +141,9 @@ class Network:
         _raise_first(name or (lambda k: "line {}-{}".format(*map(self.ids.__getitem__,
                                                                   self.edges[k]))), (
             *ends,
-            (~((b > 0) & (b < np.inf)), "b must be positive, got {}"),
-            (~((g >= 0) & (g < np.inf)), "g must be nonnegative"),
+            (~(b > 0), "b must be positive, got {}"),
+            (b == np.inf, "b must be positive and finite, got {}"),
+            (~((g >= 0) & (g < np.inf)), "g must be finite and nonnegative"),
             (np.maximum(b, g) > MAX_MAGNITUDE,
              f"b and g must be at most {MAX_MAGNITUDE:g} per unit"),
             (duplicate, "duplicate pair (merge parallel lines first)")), b)

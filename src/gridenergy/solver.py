@@ -20,7 +20,7 @@ import numpy as np
 
 from . import energy as en
 from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
-                        in_domain_C, lossy_in_domain)
+                        in_domain_C, line_factors, lossy_in_domain, pq_line_ends)
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
 from .linalg import solve_spd, symmetrize
@@ -223,9 +223,7 @@ class _Barrier:
         self.f, self.t = n.edges[:, 0], n.edges[:, 1]
 
     def edge_vars(self, s: PFState):
-        d = s.rho[self.t] - s.rho[self.f]
-        tau = s.theta[self.f] - s.theta[self.t]
-        return d, tau
+        return s.rho[self.t] - s.rho[self.f], s.theta[self.f] - s.theta[self.t]
 
     def feasible(self, s: PFState) -> bool:
         return math.isfinite(self.value(s)[0])
@@ -234,22 +232,19 @@ class _Barrier:
         """(barrier value, the domain matrix's Cholesky factor) at s;
         (inf, None) outside the strict interior of the domain."""
         outside = math.inf, None
-        d, tau = self.edge_vars(s)
+        n, (d, tau) = self.n, self.edge_vars(s)
         if np.any(np.abs(tau) >= HALF_PI - 1e-12):
             return outside
         val = -float(np.sum(np.log(np.cos(tau))))
+        dv = d[n.active]
         if self.box is not None:
-            if np.any(np.abs(tau) >= self.box.b_theta):
+            bt, br = self.box.b_theta, self.log_brho
+            if np.any(np.abs(tau) >= bt) or np.any(np.abs(dv) >= br):
                 return outside
-            dv = d[self.n.active]
-            if np.any(np.abs(dv) >= self.log_brho):
-                return outside
-            bt = self.box.b_theta
             val -= float(np.sum(np.log(bt - tau) + np.log(bt + tau)))
-            br = self.log_brho
             val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
         try:
-            chol = np.linalg.cholesky(domain_matrix(self.n, d, self.n.b / np.cos(tau)))
+            chol = np.linalg.cholesky(domain_matrix(n, dv, n.b[n.active] / np.cos(tau[n.active])))
         except np.linalg.LinAlgError:
             return outside
         return val - 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
@@ -258,12 +253,14 @@ class _Barrier:
         """Gradient and Hessian of the barrier in packed coordinates.
 
         chol is value's Cholesky factor at s of the domain matrix L =
-        diag(2B) - U diag(w) U^T; K = L^-1 (Boyd & Vandenberghe, Convex
-        Optimization, App. A.4, for the -log det derivatives). Only diag(L)
-        moves with rho: diag(L)_i = 2B_i - sum_{k from i} a_k - sum_{k to i}
-        c_k with a = w e^d and c = w e^-d at PQ ends only. So M = d diag(L) /
-        d rho = N jd, N holding -a_k at line k's from-bus and +c_k at its
-        to-bus, and with g = a K_ii - c K_jj (o the elementwise product):
+        diag(2B) - U diag(w) U^T, U = line_factors over the active lines;
+        K = L^-1 (Boyd & Vandenberghe, Convex Optimization, App. A.4, for
+        the -log det derivatives). Only diag(L) moves with rho: diag(L)_i =
+        2B_i - sum_{k from i} a_k - sum_{k to i} c_k with a = w e^d and c =
+        w e^-d, read off U's entries at the PQ ends (pq_line_ends). So M =
+        d diag(L) / d rho = N jd, N holding -a_k at line k's from-bus and
+        +c_k at its to-bus, and with g = a K_ii - c K_jj (o the elementwise
+        product):
             g_rho = jd^T (g + box')
             H_rho,rho = M^T (K o K) M + jd^T diag(a K_ii + c K_jj + box'') jd
             H_rho,tau = jd^T diag(tan tau o g)
@@ -272,7 +269,8 @@ class _Barrier:
         tau-tau block take the one Gram matrix Guu = U^T K U.
         """
         n = self.n
-        var, fixed, jd, jt, jf, ends, lines, side, mask = n.derived(_chain)
+        var, fixed, jd, jt, jf = n.derived(_chain)
+        _, col, sign, pq = pq_line_ends(n)
         d, tau = self.edge_vars(s)
         tn = np.tan(tau)
         w = n.b / np.cos(tau)
@@ -288,24 +286,21 @@ class _Barrier:
             g_d += 1.0 / (br - dv) - 1.0 / (br + dv)
             h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
 
-        # -log det L over the active lines.
+        # -log det L over the active lines, per PQ end where U is nonzero.
         ci = np.linalg.inv(chol)
         k = ci.T @ ci
         w, tn = w[var], tn[var]
         wt = w * tn
-        # U's entries (e^{d/2}, e^{-d/2}) at the (from, to) ends, 0 at
-        # pinned ones; the scatters put those in the dropped last row.
-        ex = np.exp(side * (-0.5 * dv)) * mask
-        u = np.zeros((len(k) + 1, len(dv)))
-        u[ends, lines] = ex
-        ku = k @ u[:-1]
-        guu = u[:-1].T @ ku
-        ac = w * ex * ex  # (a, c)
-        akc = ac * k.diagonal()[ends]  # (a K_ii, c K_jj)
-        g_hat = akc[0] - akc[1]
-        h_d += akc[0] + akc[1]
-        u[ends, lines] = ac * side  # N, in U's place
-        m = u[:-1] @ jd
+        u = line_factors(n, dv)
+        ku = k @ u
+        guu = u.T @ ku
+        ex = u[pq, col]
+        ac = w[col] * ex * ex  # a at the from-ends, c at the to-ends
+        akc = ac * k.diagonal()[pq]
+        g_hat = np.bincount(col, sign * akc, len(w))
+        h_d += np.bincount(col, akc, len(w))
+        u[pq, col] = -sign * ac  # N, in U's place
+        m = u @ jd
         duu = guu.diagonal()
         g_tv = g_t[var] + wt * duu
         h_tt = wt[:, None] * wt
@@ -434,24 +429,18 @@ class _Barrier:
 
 
 def _chain(n: Network):
-    """(var, fixed, jd, jt, jf, ends, lines, side, mask) for grad_hess, by
-    n.derived: the active lines and the others; the edge Jacobians jd (d
-    by PQ rho) and jt (tau by non-slack theta) over the active lines and
-    jf (tau) over the others; the active lines' (from, to) PQ positions,
-    -1 at a fixed end, with their arange, the per-end sign (-1, +1) and a
-    0/1 mask of the PQ ends. Built at a network's first grad_hess: a solve
-    that Newton steps settle never makes one."""
+    """(var, fixed, jd, jt, jf) for grad_hess, by n.derived: the active
+    lines and the others; the edge Jacobians jd (d by PQ rho) and jt (tau by
+    non-slack theta) over the active lines and jf (tau) over the others.
+    Built at a network's first grad_hess: a solve that Newton steps settle
+    never makes one."""
     var = n.active
     fixed = np.setdiff1d(np.arange(len(n.b)), var)
     # d = rho_to - rho_from and tau = theta_from - theta_to; 0.0 - keeps
     # jd's zeros +0.0.
     a = incidence(n)
-    jd = 0.0 - a[n.pq].T
-    jt = a[n.ns].T
-    ends = n.pq_ends[var].T
-    return (var, fixed, jd[var], jt[var], jt[fixed], ends,
-            np.arange(len(var)), np.array([[-1.0], [1.0]]),
-            (ends >= 0).astype(float))
+    jd, jt = 0.0 - a[n.pq].T, a[n.ns].T
+    return var, fixed, jd[var], jt[var], jt[fixed]
 
 
 def _phase_slack(n: Network, s: PFState) -> float:

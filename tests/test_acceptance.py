@@ -12,7 +12,7 @@ from gridenergy import energy as en
 from gridenergy.convexity import in_domain_C, max_phase_bound
 from gridenergy.energy import PFState
 from gridenergy.linalg import fd_hessian, sym_eigen
-from gridenergy.network import (Bus, BusKind, Network, load_case,
+from gridenergy.network import (Bus, BusKind, Network, impose_ratio, load_case,
                                 scale_injections)
 from gridenergy.reduced import (convex_reactive_solve, region_agreement,
                                 region_grid, solve_reactive_newton,
@@ -244,14 +244,22 @@ def _all_pq_equivalent(n):
 
 def test_criterion_11_lossy_consistency(bundled_models):
     with _Stopwatch("11 lossy pipeline consistency", 300.0):
+        # The convex solve runs on the energy's lossy targets, Newton on the
+        # phasor residuals: on each all-PQ twin at a uniform ratio, a solution
+        # the convex route finds must be the one Newton finds.
+        found = set()
         for name, n in bundled_models.items():
-            m = n if len(n.pv) == 0 else _all_pq_equivalent(n)
+            m = impose_ratio(n if len(n.pv) == 0 else _all_pq_equivalent(n), 0.1)
             a = solve_convex(m)
-            b = solve_convex_lossy(m)
-            assert a.status == b.status, name
+            if a.status is not SolveStatus.SOLUTION_FOUND:
+                continue
+            b = solve_newton(m)
+            assert b.status is SolveStatus.SOLUTION_FOUND, name
             diff = max(np.max(np.abs(a.state.rho - b.state.rho)),
                        np.max(np.abs(a.state.theta - b.state.theta)))
-            assert diff <= 1e-10, name
+            assert diff <= 1e-8, name
+            found.add(name)
+        assert {"twobus", "threebus", "threebus-tree", "ieee14"} <= found
         nk = make_twobus(g=0.2)
         out = solve_convex_lossy(nk)
         assert out.status is SolveStatus.SOLUTION_FOUND

@@ -10,22 +10,37 @@ import pytest
 from conftest import (make_twobus, matrix_convexity_gap, random_network,
                       random_state, same_bits, stacked)
 from test_energy import stack_networks
-from test_solver import strictly_interior
+from test_solver import all_lines_domain, strictly_interior
 from gridenergy import energy as en
 from gridenergy import convexity
 from gridenergy.convexity import (_BOUND_RESOLUTION, ConvexityCertificate,
                                   PhaseVoltageBox,
-                                  _box_chunks, _pq_ends,
+                                  _box_chunks,
                                   _probes_pass,
                                   convexity_matrix, domain_matrix, in_domain_C,
                                   in_domain_D_sampled, lossy_in_domain,
-                                  max_phase_bound)
+                                  line_factors, max_phase_bound, pq_line_ends)
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import (DomainError, GridEnergyError, PhaseOutOfRange,
                                UnsupportedTopology)
 from gridenergy.linalg import DEFAULT_PSD_TOL, cholesky_psd, sym_eigen
 from gridenergy.network import Bus, BusKind, Line, Network, load_case
 from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
+
+
+class TestLineFactors:
+    def test_active_columns_of_the_incidence_factor(self, bundled_models):
+        # U has a column per active line: the every-line factor read off the
+        # incidence, whose other columns are all zero.
+        rng = np.random.default_rng(33)
+        for n in list(bundled_models.values()) + [random_network(rng) for _ in range(10)]:
+            d, active = rng.uniform(-0.3, 0.3, len(n.b)), n.active
+            full = all_lines_domain(n, d, n.b)[0]
+            assert not np.delete(full, active, axis=1).any()
+            assert np.array_equal(line_factors(n, d[active]), full[:, active])
+            line, col, sign, pq = pq_line_ends(n)
+            assert np.array_equal(active[col], line)
+            assert np.array_equal(full[pq, line], np.exp(0.5 * sign * d[line]))
 
 
 class TestConvexityMatrix:
@@ -437,11 +452,10 @@ def bisected_vertex_bound(n, b_rho):
     active = n.active
     log_ratio = math.log(b_rho)
     bits = (np.arange(1 << len(active))[:, None] >> np.arange(len(active))) & 1
-    patterns = np.zeros((len(bits), len(n.lines)))
-    patterns[:, active] = np.where(bits, log_ratio, -log_ratio)
+    patterns = np.where(bits, log_ratio, -log_ratio)
 
     def box_ok(b_theta):
-        w = n.b / math.cos(b_theta)
+        w = n.b[active] / math.cos(b_theta)
         return all(cholesky_psd(domain_matrix(n, d, w)).psd
                    for d in patterns)
 
@@ -568,7 +582,7 @@ class TestMaxPhaseBound:
         # failing probe must fail the whole chunk in whichever row.
         n = ieee118_model
         terms, phi = _box_samples(n, math.log(1.5), 300, seed=5)
-        line, sign, _ = _pq_ends(n)
+        line, _, sign, _ = pq_line_ends(n)
         bus = np.where(sign > 0, n.edges[line, 0], n.edges[line, 1])
 
         def one(k, b_theta):
@@ -638,7 +652,7 @@ class TestMaxPhaseBound:
     def _unpruned_bound(n, b_rho, samples=10000, seed=0):
         # Plain bisection that scatters every probe's loads at every step.
         terms, phi = _box_samples(n, math.log(b_rho), samples, seed)
-        line, sign, _ = _pq_ends(n)
+        line, _, sign, _ = pq_line_ends(n)
         bus = np.where(sign > 0, n.edges[line, 0], n.edges[line, 1])
         at = (bus + n.n_bus * np.arange(len(terms))[:, None]).ravel()
 

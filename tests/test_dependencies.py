@@ -130,6 +130,19 @@ def test_derived_builders_read_no_injections():
     assert not bad
 
 
+def attribute_readers(attr: str) -> set[str]:
+    """Every package module that reads an attribute named attr."""
+    return {p.stem for p in Path(gridenergy.__file__).parent.glob("*.py")
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(ast.parse(p.read_text(), str(p))))}
+
+
+def test_pq_ends_read_by_the_domain_only():
+    # Each line end's PQ position is mapped once, by convexity.pq_line_ends
+    # (and the energy's own fixed-end test); the barrier reads that map.
+    assert attribute_readers("pq_ends") == {"network", "energy", "convexity"}
+
+
 def private_definitions(tree):
     """Every function, class and method named _name (dunders aside)."""
     for node in ast.walk(tree):

@@ -390,6 +390,9 @@ def reference_fault(buses, lines):
     ids = [b.id for b in buses]
     if len(set(ids)) != len(ids):
         return "duplicate bus ids"
+    for b in buses:
+        if not isinstance(b.kind, BusKind):
+            return f"bus {b.id}: kind must be a BusKind, got {b.kind!r}"
     slack = [b for b in buses if b.kind is BusKind.SLACK]
     if len(slack) != 1:
         return f"expected exactly one slack bus, found {len(slack)}"
@@ -407,10 +410,12 @@ def reference_fault(buses, lines):
             return f"line {ln.i}-{ln.j}: unknown bus id"
         if ln.i == ln.j:
             return f"line {ln.i}-{ln.j}: self loop"
-        if not (np.isfinite(ln.b) and ln.b > 0):
+        if not ln.b > 0:
             return f"line {ln.i}-{ln.j}: b must be positive, got {ln.b}"
+        if not np.isfinite(ln.b):
+            return f"line {ln.i}-{ln.j}: b must be positive and finite, got {ln.b}"
         if not (np.isfinite(ln.g) and ln.g >= 0):
-            return f"line {ln.i}-{ln.j}: g must be nonnegative"
+            return f"line {ln.i}-{ln.j}: g must be finite and nonnegative"
         if max(ln.b, ln.g) > MAX_MAGNITUDE:
             return f"line {ln.i}-{ln.j}: b and g must be at most {MAX_MAGNITUDE:g} per unit"
         pair = frozenset((ln.i, ln.j))
@@ -471,6 +476,11 @@ MALFORMED = {
     "first of two bad lines": (OK_BUSES, with_line(2, b=0.0) + [Line(1, 3, INF)]),
     "two islands": (OK_BUSES + [Bus(5, PQ), Bus(6, PQ)], OK_LINES + [Line(5, 6, 1.0)]),
     "unknown ends on both sides": (OK_BUSES, OK_LINES + [Line(8, 9, NAN)]),
+    "kind not a BusKind": (with_bus(1, kind="pq"), OK_LINES),
+    "duplicate ids before a bad kind": (with_bus(2, kind=None) + [Bus(1, S)], OK_LINES),
+    "bad kind before two slacks": (with_bus(3, kind=2) + [Bus(5, S)], OK_LINES),
+    "infinite b": (OK_BUSES, with_line(1, b=INF, g=INF)),
+    "infinite g": (OK_BUSES, with_line(0, g=INF)),
 }
 
 
@@ -490,6 +500,18 @@ class TestArrayValidation:
         with pytest.raises(ParseError) as info:
             Network(buses, lines)
         assert str(info.value) == expected
+
+    def test_messages(self):
+        # A kind outside BusKind and an infinite line parameter name the
+        # fault; a negative b keeps its message.
+        for buses, lines, message in (
+                (with_bus(1, kind="pq"), OK_LINES, "bus 2: kind must be a BusKind, got 'pq'"),
+                (OK_BUSES, with_line(1, b=INF), "line 2-3: b must be positive and finite, got inf"),
+                (OK_BUSES, with_line(1, g=INF), "line 2-3: g must be finite and nonnegative"),
+                (OK_BUSES, with_line(1, b=-1.0), "line 2-3: b must be positive, got -1.0")):
+            with pytest.raises(ParseError) as info:
+                Network(buses, lines)
+            assert str(info.value) == message
 
     def test_random_faults_as_before(self):
         rng = np.random.default_rng(20)

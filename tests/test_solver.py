@@ -11,7 +11,7 @@ from gridenergy import solver
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import InfeasibleStart
-from gridenergy.network import Line, Network, scale_injections
+from gridenergy.network import Line, Network, incidence, scale_injections
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
 
@@ -695,11 +695,18 @@ class TestBarrierDerivatives:
             assert np.max(np.abs(h - hfd)) / np.max(np.abs(hfd)) < 1e-6
 
 
+def all_lines_domain(n, d, w):
+    """U over every line, read off the incidence (e^{+-d/2} at PQ ends, a
+    zero column on a line without one), and L = diag(2B) - U diag(w) U^T,
+    from per-line d and w: the barrier's factor, built independently."""
+    a = incidence(n)[n.pq]
+    u = np.where(a != 0.0, np.exp(0.5 * a * d), 0.0)
+    return u, np.diag(2.0 * n.b_total[n.pq]) - (u * w) @ u.T
+
+
 def all_lines_grad_hess(n, box, s):
     """Reference barrier gradient and Hessian: the -log det products over
     every line, with K = L^-1 from a general inverse and dense Jacobians."""
-    from gridenergy.convexity import domain_matrix, line_factors
-
     f, t = n.edges[:, 0], n.edges[:, 1]
     d, tau = s.rho[t] - s.rho[f], s.theta[f] - s.theta[t]
     tn, w = np.tan(tau), n.b / np.cos(tau)
@@ -721,9 +728,9 @@ def all_lines_grad_hess(n, box, s):
         h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
         g_d += 1.0 / (br - d) - 1.0 / (br + d)
         h_d += 1.0 / (br - d) ** 2 + 1.0 / (br + d) ** 2
-    u = line_factors(n, d)
+    u, lm = all_lines_domain(n, d, w)
     v = u * (-0.5 * jd.T)
-    k_inv = np.linalg.inv(domain_matrix(n, d, w))
+    k_inv = np.linalg.inv(lm)
     guu, gvu, gvv = u.T @ k_inv @ u, v.T @ k_inv @ u, v.T @ k_inv @ v
     duu, dvu, dvv = np.diag(guu), np.diag(gvu), np.diag(gvv)
     g_d += 2.0 * w * dvu
@@ -766,8 +773,6 @@ def reference_grad_hess(n, box, s):
     -log det term is an elementwise product of Guu = U^T K U, Gvu = V^T K U
     and Gvv = V^T K V over the lines with a PQ end, V = dU/dd, chained into
     packed coordinates through the edge Jacobians."""
-    from gridenergy.convexity import domain_matrix, line_factors
-
     f, t = n.edges[:, 0], n.edges[:, 1]
     var = (n.pq_index_of[f] >= 0) | (n.pq_index_of[t] >= 0)
     m = len(n.lines)
@@ -793,8 +798,8 @@ def reference_grad_hess(n, box, s):
         h_t += 1.0 / (bt - tau) ** 2 + 1.0 / (bt + tau) ** 2
         g_d += 1.0 / (br - dv) - 1.0 / (br + dv)
         h_d += 1.0 / (br - dv) ** 2 + 1.0 / (br + dv) ** 2
-    u = line_factors(n, d)
-    ci = np.linalg.inv(np.linalg.cholesky(domain_matrix(n, d, w)))
+    u, lm = all_lines_domain(n, d, w)
+    ci = np.linalg.inv(np.linalg.cholesky(lm))
     u = u[:, var]
     cu, cv = ci @ u, ci @ (u * sign)
     guu, gvu, gvv = cu.T @ cu, cv.T @ cu, cv.T @ cv
@@ -898,8 +903,9 @@ class TestBarrierFactorReuse:
             assert math.isfinite(barrier.value(s1)[0])
             phi, chol = barrier.value(s2)
             d, tau = barrier.edge_vars(s2)
+            a = n.active
             assert np.array_equal(chol, np.linalg.cholesky(
-                domain_matrix(n, d, n.b / np.cos(tau))))
+                domain_matrix(n, d[a], n.b[a] / np.cos(tau[a]))))
             assert math.isfinite(barrier.value(s1)[0])
             g, h = barrier.grad_hess(s2, chol)
             assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
