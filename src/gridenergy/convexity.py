@@ -97,11 +97,12 @@ def _diag_2b(n: Network) -> np.ndarray:
     return np.diag(2.0 * n.b_total[n.pq])
 
 
-def domain_matrix(n: Network, d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T from ratio
-    exponents d (rho_to - rho_from) and weights w (b/cos theta) given per
-    active line, over an optional leading stack axis of d and w."""
-    u = line_factors(n, d)
+def domain_matrix(n: Network, d: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The PQ-by-PQ domain matrix diag(2B) - U diag(w) U^T, w = b/cos tau,
+    from ratio exponents d (rho_to - rho_from) and phase differences tau
+    (theta_from - theta_to) given per active line, over an optional leading
+    stack axis of d and tau. Every caller gets w rounded the one way."""
+    u, w = line_factors(n, d), n.b[n.active] / np.cos(tau)
     return n.derived(_diag_2b) - (u * w[..., None, :]) @ u.swapaxes(-1, -2)
 
 
@@ -116,7 +117,7 @@ def convexity_matrix(n: Network, s: PFState) -> np.ndarray:
     if len(n.pq) == 0:
         raise UnsupportedTopology("network has no PQ buses; the matrix is empty")
     a = n.active
-    return symmetrize(domain_matrix(n, s.rho[t[a]] - s.rho[f[a]], n.b[a] / np.cos(te[a])))
+    return symmetrize(domain_matrix(n, s.rho[t[a]] - s.rho[f[a]], te[a]))
 
 
 def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
@@ -159,8 +160,7 @@ def _min_eig(n: Network, ta: np.ndarray, rho: np.ndarray):
     DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|.
     Every phase difference must lie inside 90 degrees."""
     f, t = n.edges[n.active, 0], n.edges[n.active, 1]
-    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1),
-                       n.b[n.active] * (1.0 / np.cos(ta)))
+    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1), ta)
     scale = 1.0 + abs(lm.diagonal(axis1=1, axis2=2)).max(axis=1)
     return sym_eigen(lm)[0][:, 0], DEFAULT_PSD_TOL * scale, scale
 

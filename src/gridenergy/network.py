@@ -189,10 +189,6 @@ class Network:
             missing = [self.ids[k] for k in np.flatnonzero(~seen)]
             raise ParseError(f"network is disconnected; unreachable buses {missing}")
 
-    @property
-    def is_lossless(self) -> bool:
-        return self.lossy_ratio == 0.0
-
     def __repr__(self):
         return (f"Network(n_bus={self.n_bus}, n_line={len(self.b)}, "
                 f"slack={self.slack})")
@@ -454,8 +450,19 @@ def absorb_setpoints(n: Network) -> Network:
     pq = n.kinds == 2
     v_eff = np.where(pq, 1.0, n.v_set)
     out.v_set = np.where(pq, n.v_set, 1.0)
-    with np.errstate(over="ignore"):  # an inf b is refused below
-        out._set_lines(n.b * v_eff[n.edges[:, 0]] * v_eff[n.edges[:, 1]], n.g)
+    ends = v_eff[n.edges]
+    with np.errstate(over="ignore", under="ignore"):
+        b = n.b * ends[:, 0] * ends[:, 1]
+    # A scaled b out of range is the set-point's fault: name the line's end
+    # whose set-point lies farther from 1.
+    bad = ~((b > 0) & (b <= MAX_MAGNITUDE))
+    if bad.any():
+        k = int(np.argmax(bad))
+        end = n.edges[k, int(np.argmax(abs(np.log(ends[k]))))]
+        raise ParseError(f"bus {n.ids[end]}: voltage set-point {n.v_set[end]:g} scales "
+                         f"line {n.ids[n.edges[k, 0]]}-{n.ids[n.edges[k, 1]]} "
+                         + ("to zero" if b[k] == 0 else f"beyond {MAX_MAGNITUDE:g} per unit"))
+    out._set_lines(b, n.g)
     return out
 
 

@@ -110,16 +110,16 @@ def _solve_rows(a: np.ndarray, b: np.ndarray):
         return x, singular
 
 
-def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray):
+def _greatest_u(n: Network, fp: en.FixedPhase):
     """Greatest u > 0 with B_i u_i^2 - r_i u_i + q_i = 0 at every PQ bus,
     r = d + C u, by monotone Newton from a cap.
 
     B = -diag(g) is each PQ bus's susceptance sum, C >= 0 the PQ-PQ line
-    weights, d the weights to fixed buses and q the consumption. Row i's
-    largest root is T_i(u) = (r_i + sqrt(r_i^2 - 4 B_i q_i)) / (2 B_i), and
-    Newton runs on u - T(u) from u0 = (-g)^-1 (d + sqrt(B q-)), q- =
-    max(-q, 0). As T_i(u) <= (r_i + sqrt(B_i q-_i)) / B_i and -g is a
-    nonsingular M-matrix with a nonnegative inverse, u0 lies above every
+    weights, d the weights to fixed buses and q = -tq the consumption, all
+    from fp. Row i's largest root is T_i(u) = (r_i + sqrt(r_i^2 - 4 B_i
+    q_i)) / (2 B_i), and Newton runs on u - T(u) from u0 = (-g)^-1 (d +
+    sqrt(B q-)), q- = max(-q, 0). As T_i(u) <= (r_i + sqrt(B_i q-_i)) /
+    B_i and -g is a nonsingular M-matrix with a nonnegative inverse, u0 lies above every
     solution. When every q >= 0, T is concave and isotone, so the iterates
     decrease to the greatest solution (Ortega & Rheinboldt 1970, ch. 13);
     there a discriminant <= 0 proves that none exists, and a step that
@@ -132,7 +132,7 @@ def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray):
     per row (one entry when fp is unstacked), None or why the row has no
     solution.
     """
-    m, lead = len(q), fp.d.shape[:-1]
+    m, lead, q = len(fp.tq), fp.d.shape[:-1], -fp.tq
     # An explicit row count: reshape cannot infer one when m is 0.
     count = math.prod(lead)
     g, d = fp.g.reshape(count, m, m), fp.d.reshape(count, m)
@@ -191,25 +191,14 @@ def _greatest_u(n: Network, fp: en.FixedPhase, q: np.ndarray):
     return u.reshape(lead + (m,)), why
 
 
-def _reactive_solve(n: Network, theta: np.ndarray):
-    """The dominant reactive solution at phases theta and its two residual
-    checks, over an optional leading stack axis of theta. Every row must
-    keep its lines below 90 degrees.
-
-    Returns rho at the PQ buses, meaningful where the row solves, whether
-    each row solves, and _greatest_u's list of reasons.
-    """
-    fp = en.FixedPhase(n, theta)
-    u, why = _greatest_u(n, fp, -fp.tq)
-    rho, ok = _checked_rho(n, fp, theta, u, why)
-    return rho, ok, why
-
-
-def _checked_rho(n: Network, fp: en.FixedPhase, theta: np.ndarray,
-                 u: np.ndarray, why: list):
-    """rho = log u at the PQ buses from _greatest_u's (u, why) at fp's
-    phases theta, and whether each row solves: it has no reason in why and
-    both its residual checks are within _REACTIVE_TOL."""
+def _reactive(n: Network, fp: en.FixedPhase, theta: np.ndarray):
+    """The dominant reactive solution at fp's phases theta, over an
+    optional leading stack axis of both; every row must keep its lines
+    below 90 degrees. Returns _greatest_u's (u, why) as (u, rho, ok, why),
+    rho = log u at the PQ buses and ok whether each row solves: it has no
+    reason in why and both its residual checks are within _REACTIVE_TOL
+    (rho is meaningful only there)."""
+    u, why = _greatest_u(n, fp)
     ok = np.array([reason is None for reason in why]).reshape(theta.shape[:-1])
     rho = np.log(np.where(ok[..., None], u, 1.0))
     ok &= np.abs(fp.residual(rho)).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
@@ -217,28 +206,15 @@ def _checked_rho(n: Network, fp: en.FixedPhase, theta: np.ndarray,
     s.rho[..., n.pq] = rho
     _, rq = en.pf_residuals(n, s)
     ok &= np.abs(rq).max(axis=-1, initial=0.0) <= _REACTIVE_TOL
-    return rho, ok
+    return u, rho, ok, why
 
 
-def _reactive_rows(n: Network, theta: np.ndarray):
-    """solve_reactive_newton over a stack of phase rows, each finite with
-    the slack phase at zero.
-
-    Returns rho at the PQ buses, meaningful in the rows that solve, and a
-    list with, per row, None or the exception that the row's own call
-    raises.
-    """
-    errors = [None] * len(theta)
-    rho = np.zeros((len(theta), len(n.pq)))
-    in_range = _phases_in_range(n, theta)
-    for row in np.flatnonzero(~in_range):
-        errors[row] = PhaseOutOfRange(_RANGE_MESSAGE)
-    live = np.flatnonzero(in_range)
-    if live.size:
-        rho[live], ok, why = _reactive_solve(n, theta[live])
-        for row in np.flatnonzero(~ok):
-            errors[live[row]] = NoReactiveSolution(why[row] or _NOT_CONVERGED)
-    return rho, errors
+def _solved_rho(n: Network, fp: en.FixedPhase, theta: np.ndarray) -> np.ndarray:
+    """_reactive's rho at one phase vector theta, or its NoReactiveSolution."""
+    _, rho, ok, why = _reactive(n, fp, theta)
+    if not ok:
+        raise NoReactiveSolution(why[0] or _NOT_CONVERGED)
+    return rho
 
 
 def solve_reactive_newton(n: Network, theta) -> np.ndarray:
@@ -249,10 +225,7 @@ def solve_reactive_newton(n: Network, theta) -> np.ndarray:
     both in FixedPhase and in the phasor residuals of pf_residuals.
     """
     theta = _check_theta(n, theta)
-    rho, ok, why = _reactive_solve(n, theta)
-    if not ok:
-        raise NoReactiveSolution(why[0] or _NOT_CONVERGED)
-    return rho
+    return _solved_rho(n, en.FixedPhase(n, theta), theta)
 
 
 def reduced_energy(n: Network, theta) -> float:
@@ -266,54 +239,37 @@ def reduced_energy(n: Network, theta) -> float:
 # ---------------------------------------------------------------------------
 # zeta-space convex programs
 
-class _ZetaProgram:
-    """The fixed-phase reactive set over the PQ buses' squared voltages.
+def _zeta_weights(n: Network, fp: en.FixedPhase, c=None) -> np.ndarray:
+    """The zeta program's objective weights c, all ones by default, once it
+    admits the network at fp's phases and the weights.
 
-    With u = sqrt(zeta), constraint i is minus FixedPhase's reactive
-    residual, g(zeta) = -(tq + u (d + G u)) <= 0, that is
+    The program maximizes c^T zeta over the fixed-phase reactive set of
+    the PQ buses' squared voltages. With u = sqrt(zeta), constraint i is
+    minus fp's reactive residual, g(zeta) = -(tq + u (d + G u)) <= 0, that is
 
         B_i zeta_i - sum_j c_ij sqrt(zeta_i zeta_j) + q_i <= 0
 
     with line weights c_ij = b_eff cos(theta_ij), fixed buses at zeta = 1
-    and q = -tq the consumption of the energy's constant-ratio model. The
-    program maximizes self.c^T zeta over the set, for finite positive
-    per-bus weights (all ones by default). theta may carry a leading stack
-    axis, for one FixedPhase over all the rows; constraints and jacobian
-    need fp to hold a single row.
+    and q = -tq the consumption of the energy's constant-ratio model.
     """
-
-    def __init__(self, n: Network, theta, c=None):
-        if len(n.pq) == 0:
-            raise UnsupportedTopology("the reactive program needs a PQ bus")
-        if np.any(np.delete(n.v_set, n.pq) != 1.0):
-            raise UnsupportedTopology("the reactive program needs slack/PV "
-                                      "set-points of 1 (see absorb_setpoints)")
-        self.fp = en.FixedPhase(n, theta)
-        self.q = -self.fp.tq
-        if np.any(self.q < 0):
-            bad = [n.ids[p] for p in n.pq[self.q < 0]]
-            raise UnsupportedSign(f"PQ buses must consume reactive power; got "
-                                  f"injection at buses {bad}")
-        self.c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
-        if self.c.shape != (len(n.pq),) or not np.all(np.isfinite(self.c)
-                                                      & (self.c > 0)):
-            raise ValueError("weights must be finite and positive, one per PQ bus")
-
-    def constraints(self, z) -> np.ndarray:
-        return -self.fp.residual(0.5 * np.log(z))
-
-    def jacobian(self, z) -> np.ndarray:
-        """-(diag(d + G u) + diag(u) G) diag(1 / (2u)), the first factor
-        being the u-Jacobian of the residual."""
-        u = np.sqrt(z)
-        a = u[:, None] * self.fp.g
-        a.flat[::len(u) + 1] += self.fp.d + self.fp.g @ u
-        return a / (-2.0 * u)
+    if len(n.pq) == 0:
+        raise UnsupportedTopology("the reactive program needs a PQ bus")
+    if np.any(np.delete(n.v_set, n.pq) != 1.0):
+        raise UnsupportedTopology("the reactive program needs slack/PV "
+                                  "set-points of 1 (see absorb_setpoints)")
+    if np.any(fp.tq > 0):
+        bad = [n.ids[p] for p in n.pq[fp.tq > 0]]
+        raise UnsupportedSign(f"PQ buses must consume reactive power; got "
+                              f"injection at buses {bad}")
+    c = np.ones(len(n.pq)) if c is None else np.asarray(c, dtype=float)
+    if c.shape != (len(n.pq),) or not np.all(np.isfinite(c) & (c > 0)):
+        raise ValueError("weights must be finite and positive, one per PQ bus")
+    return c
 
 
 def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     """Reactive solution by maximizing a positive combination of squared
-    voltages over the convex constraint set.
+    voltages over the convex constraint set (_zeta_weights).
 
     Every constraint is tight at the optimum, at the larger root, so the
     optimum is the set's greatest element: the greatest solution of the
@@ -326,39 +282,45 @@ def convex_reactive_solve(n: Network, theta, c=None) -> ReducedState:
     solution exists. Every refusal raises NoReactiveSolution.
     """
     theta = _check_theta(n, theta)
-    prog = _ZetaProgram(n, theta, c)
-    u, why = _greatest_u(n, prog.fp, prog.q)
-    return _certified(prog, theta, u, why[0])
+    fp = en.FixedPhase(n, theta)
+    c = _zeta_weights(n, fp, c)
+    u, why = _greatest_u(n, fp)
+    return _certified(fp, c, theta, u, why[0])
 
 
-def _certified(prog: _ZetaProgram, theta: np.ndarray, u: np.ndarray,
-               why: str | None) -> ReducedState:
-    """The state at the greatest solution u of the balances at phases
+def _certified(fp: en.FixedPhase, c: np.ndarray, theta: np.ndarray,
+               u: np.ndarray, why: str | None) -> ReducedState:
+    """The state at the greatest solution u of the balances at fp's phases
     theta, whose monotone Newton gave the reason why (None when it
-    solved), once _kkt_witness certifies it as prog's optimum."""
+    solved), once _kkt_witness certifies it as the optimum for weights c."""
     if why is not None:
         raise NoReactiveSolution(why)
     z = u * u
-    g = prog.constraints(z)
-    if not _kkt_witness(prog, z, g):
+    g = -fp.residual(0.5 * np.log(z))
+    if not _kkt_witness(fp, c, z, g):
         raise NoReactiveSolution("could not certify a root of the tight "
                                  "constraints as the optimum")
     return ReducedState(zeta=z, theta=theta.copy(), constraint_slack=g)
 
 
-def _kkt_witness(prog: _ZetaProgram, z: np.ndarray, g: np.ndarray) -> bool:
-    """Whether z, with constraint values g, is the zeta program's optimum by
-    KKT: every constraint tight to _TIGHT_TOL, and the multipliers that
-    make the objective's gradient c equal J(z)^T lambda all finite and
-    positive.
+def _kkt_witness(fp: en.FixedPhase, c: np.ndarray, z: np.ndarray,
+                 g: np.ndarray) -> bool:
+    """Whether z, with constraint values g, is the zeta program's optimum
+    for weights c at fp's phases by KKT: every constraint tight to
+    _TIGHT_TOL, and the multipliers that make the objective's gradient c
+    equal J(z)^T lambda all finite and positive.
 
-    The multipliers are solved for c / max(c), which has the same signs
-    and cannot overflow.
+    J = -(diag(d + G u) + diag(u) G) diag(1 / (2u)), the first factor
+    being the u-Jacobian of the residual. The multipliers are solved for
+    c / max(c), which has the same signs and cannot overflow.
     """
     if not np.linalg.norm(g, np.inf) <= _TIGHT_TOL:
         return False
+    u = np.sqrt(z)
+    jac = u[:, None] * fp.g
+    jac.flat[::len(u) + 1] += fp.d + fp.g @ u
     try:
-        lam = np.linalg.solve(prog.jacobian(z).T, prog.c / np.max(prog.c))
+        lam = np.linalg.solve((jac / (-2.0 * u)).T, c / np.max(c))
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(np.isfinite(lam) & (lam > 0.0)))
@@ -380,11 +342,14 @@ def voltage_upper_bound(n: Network) -> VoltageBound:
     is the greatest solution of the reactive balances, which the monotone
     Newton of solve_reactive_newton computes.
     """
-    # The relaxed set is the reactive set at zero phases; the zeta
-    # program's checks reject networks it does not model.
-    theta = np.zeros(n.n_bus)
-    _ZetaProgram(n, theta)
-    return VoltageBound(v_bar=np.exp(solve_reactive_newton(n, theta)))
+    return VoltageBound(v_bar=_caps(n, en.FixedPhase(n, np.zeros(n.n_bus))))
+
+
+def _caps(n: Network, fp: en.FixedPhase) -> np.ndarray:
+    """voltage_upper_bound's caps from fp, its FixedPhase at zero phases,
+    where the zeta program's refusals reject the networks it does not model."""
+    _zeta_weights(n, fp)
+    return np.exp(_solved_rho(n, fp, np.zeros(n.n_bus)))
 
 
 def reactive_with_bound(n: Network, theta) -> tuple[ReducedState, VoltageBound]:
@@ -399,14 +364,13 @@ def reactive_with_bound(n: Network, theta) -> tuple[ReducedState, VoltageBound]:
     """
     theta = _check_theta(n, theta)
     rows = np.stack((theta, np.zeros(n.n_bus)))
-    prog = _ZetaProgram(n, rows)
-    fp = prog.fp
-    u, why = _greatest_u(n, fp, prog.q)
-    # Row 0's program: its FixedPhase views row 0 (tq has no stack axis).
-    prog.fp = copy.copy(fp)
-    prog.fp.g, prog.fp.d = fp.g[0], fp.d[0]
-    state = _certified(prog, theta, u[0], why[0])
-    rho, ok = _checked_rho(n, fp, rows, u, why)
+    fp = en.FixedPhase(n, rows)
+    c = _zeta_weights(n, fp)
+    u, rho, ok, why = _reactive(n, fp, rows)
+    # Row 0's FixedPhase: a view of fp's row 0 (tq has no stack axis).
+    row = copy.copy(fp)
+    row.g, row.d = fp.g[0], fp.d[0]
+    state = _certified(row, c, theta, u[0], why[0])
     if not ok[1]:
         raise NumericalFailure(why[1] or _NOT_CONVERGED)
     return state, VoltageBound(v_bar=np.exp(rho[1]))
@@ -425,8 +389,7 @@ def beta_condition(n: Network) -> BetaCondition:
     q_tilde = fp.tq / np.diag(fp.g)  # diag(g) = -B at the PQ buses
     if np.any(q_tilde <= 0):
         raise UnsupportedSign("normalized consumption must be positive")
-    v_bar = voltage_upper_bound(n).v_bar
-    r = np.square(v_bar) / q_tilde
+    r = np.square(_caps(n, fp)) / q_tilde
     beta_needed = (r - 1.0) / (r + 1.0)
     beta_min = max(0.0, float(np.max(beta_needed)))
     if beta_min >= 1.0:
@@ -521,8 +484,13 @@ def _region_rows(n: Network, theta: np.ndarray):
     """Per phase row of a region grid: solvable, in_c and the reduced
     Hessian's smallest eigenvalue, as lists with None where a value does
     not exist."""
-    rho, errors = _reactive_rows(n, theta)
-    solvable = np.array([error is None for error in errors], dtype=bool)
+    solvable = _phases_in_range(n, theta)
+    live = np.flatnonzero(solvable)
+    rho = np.zeros((len(theta), len(n.pq)))
+    # A chunk with no row below 90 degrees has no stack to solve.
+    if live.size:
+        th = theta[live]
+        _, rho[live], solvable[live], _ = _reactive(n, en.FixedPhase(n, th), th)
     rows = np.flatnonzero(solvable)
     s = PFState(np.zeros((len(rows), n.n_bus)), theta[rows])
     s.rho[:, n.pq] = rho[rows]
@@ -556,18 +524,14 @@ def region_agreement(cells: list[RegionCell]) -> tuple[int, int]:
         st = status(c)
         if st is None:
             continue
+        # On the band: a neighbour with another status, or with none.
         on_band = False
         for da in (-1, 0, 1):
             for db in (-1, 0, 1):
                 nb = by_idx.get((c.ia + da, c.ib + db))
-                if nb is None:
-                    continue
-                st_nb = status(nb)
-                if st_nb is None or st_nb[0] != st[0] or st_nb[1] != st[1]:
+                if nb is not None and status(nb) != st:
                     on_band = True
-        if on_band:
-            continue
-        comparable += 1
-        if st[0] == st[1]:
-            agree += 1
+        if not on_band:
+            comparable += 1
+            agree += st[0] == st[1]
     return agree, comparable

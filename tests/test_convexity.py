@@ -455,8 +455,8 @@ def bisected_vertex_bound(n, b_rho):
     patterns = np.where(bits, log_ratio, -log_ratio)
 
     def box_ok(b_theta):
-        w = n.b[active] / math.cos(b_theta)
-        return all(cholesky_psd(domain_matrix(n, d, w)).psd
+        tau = np.full(len(active), b_theta)
+        return all(cholesky_psd(domain_matrix(n, d, tau)).psd
                    for d in patterns)
 
     lo, hi = 0.0, math.pi / 2 - 1e-9

@@ -51,6 +51,37 @@ def test_sweep_verdict_change_is_refused(tmp_path, monkeypatch, capsys):
     assert (tmp_path / name).read_text() == versions() + "\n" + text
 
 
+@pytest.mark.parametrize("name, old, new, message, number", [
+    ("check_threebus_d8.json", '"in_c": true', '"in_c": false',
+     "was ('certificate.in_c', False), now ('certificate.in_c', True)",
+     "26.879999999999995"),
+    ("region_threebus_step6_scale1.csv", "-1.0471975511965976,True,False,",
+     "-1.0471975511965976,False,,",
+     "was ('-1.0471975511965976', '-1.0471975511965976', 'False', ''), now "
+     "('-1.0471975511965976', '-1.0471975511965976', 'True', 'False')",
+     "-22.751358223094474")])
+def test_verdict_change_is_refused(tmp_path, monkeypatch, capsys, name, old, new,
+                                   message, number):
+    # Not only sweeps: make_golden refuses a check file whose certificate
+    # verdict would change, and a region file whose cell verdicts would,
+    # but rewrites either when only a number moved.
+    import make_golden
+
+    text = recorded(name)
+    assert old in text and number in text
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", tmp_path)
+    flipped = versions() + "\n" + text.replace(old, new, 1)
+    (tmp_path / name).write_text(flipped)
+    with pytest.raises(SystemExit, match="not rewritten"):
+        make_golden.main([name])
+    assert (tmp_path / name).read_text() == flipped
+    assert message in capsys.readouterr().out
+    moved = versions() + "\n" + text.replace(number, "1.5", 1)
+    (tmp_path / name).write_text(moved)
+    make_golden.main([name])
+    assert (tmp_path / name).read_text() == versions() + "\n" + text
+
+
 @pytest.mark.parametrize("name, old_exit", [("error_kappa_range_empty.csv", 0),
                                             ("reactive_twobus.json", 3)])
 def test_exit_code_change_is_refused(tmp_path, monkeypatch, capsys, name, old_exit):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -434,6 +435,14 @@ def reference_fault(buses, lines):
                 stack.append(nb)
     if len(seen) != len(ids):
         return f"network is disconnected; unreachable buses {[i for i in ids if i not in seen]}"
+    # absorb_setpoints: the line's end whose set-point lies farther from 1.
+    v = {b.id: 1.0 if b.kind is BusKind.PQ else b.v_set for b in buses}
+    for ln in lines:
+        b = ln.b * v[ln.i] * v[ln.j]
+        if not 0.0 < b <= MAX_MAGNITUDE:
+            far = max((ln.i, ln.j), key=lambda i: abs(math.log(v[i])))
+            how = "to zero" if b == 0.0 else f"beyond {MAX_MAGNITUDE:g} per unit"
+            return f"bus {far}: voltage set-point {v[far]:g} scales line {ln.i}-{ln.j} {how}"
     return None
 
 
@@ -481,6 +490,12 @@ MALFORMED = {
     "bad kind before two slacks": (with_bus(3, kind=2) + [Bus(5, S)], OK_LINES),
     "infinite b": (OK_BUSES, with_line(1, b=INF, g=INF)),
     "infinite g": (OK_BUSES, with_line(0, g=INF)),
+    # Faults that only absorb_setpoints meets, in the scaled line b.
+    "two set-points past the cap": (
+        [Bus(1, S, v_set=1e200), Bus(2, PQ), Bus(3, PV, v_set=1e7), Bus(4, PQ)], OK_LINES),
+    "set-points that scale a line to zero": (
+        [Bus(1, S, v_set=1e-200), Bus(2, PQ), Bus(3, PV, v_set=1e-300), Bus(4, PQ)],
+        OK_LINES + [Line(1, 3, 1.0)]),
 }
 
 
@@ -498,7 +513,7 @@ class TestArrayValidation:
         expected = reference_fault(buses, lines)
         assert expected is not None
         with pytest.raises(ParseError) as info:
-            Network(buses, lines)
+            absorb_setpoints(Network(buses, lines))
         assert str(info.value) == expected
 
     def test_messages(self):

@@ -19,8 +19,8 @@ from gridenergy.linalg import fd_hessian
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 scale_injections)
 from gridenergy.reduced import (_EIG_TOL, MAX_ROWS, BetaCondition,
-                                _greatest_u, _reactive_rows, _schur,
-                                beta_condition, convex_reactive_solve,
+                                _greatest_u, _phases_in_range, _reactive,
+                                _schur, beta_condition, convex_reactive_solve,
                                 reactive_with_bound, reduced_energy,
                                 reduced_hessian,
                                 region_agreement, region_grid,
@@ -302,22 +302,22 @@ class TestConvexReactive:
 
     def test_work_budget(self, threebus, monkeypatch):
         # The cli_oneshot benchmark's 24 Latin-hypercube phase pairs over
-        # +-0.35 rad: one monotone Newton solve and one jacobian, for the
-        # witness, per phase pair.
+        # +-0.35 rad: one monotone Newton solve and one witness, which
+        # forms one jacobian, per phase pair.
         from gridenergy import reduced
 
-        inner, calls = reduced._ZetaProgram.jacobian, []
+        inner, calls = reduced._kkt_witness, []
         greatest, solves = reduced._greatest_u, []
 
-        def spy(prog, z):
-            calls.append(z)
-            return inner(prog, z)
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
 
         def solve_spy(*args):
             solves.append(args)
             return greatest(*args)
 
-        monkeypatch.setattr(reduced._ZetaProgram, "jacobian", spy)
+        monkeypatch.setattr(reduced, "_kkt_witness", spy)
         monkeypatch.setattr(reduced, "_greatest_u", solve_spy)
         rng = np.random.default_rng(0)
         strata = [rng.permutation(24) for _ in range(2)]
@@ -392,13 +392,15 @@ class TestConvexReactive:
         # At the low one g' < 0, so the multiplier c / g' is negative.
         from gridenergy import reduced
 
-        prog = reduced._ZetaProgram(make_twobus(), np.zeros(2))
+        n = make_twobus()
+        fp = en.FixedPhase(n, np.zeros(2))
+        c = reduced._zeta_weights(n, fp)
         for u, optimal in ((0.5 * (1.0 + math.sqrt(0.6)), True),
                            (0.5 * (1.0 - math.sqrt(0.6)), False)):
             z = np.array([u * u])
-            g = prog.constraints(z)
+            g = -fp.residual(0.5 * np.log(z))
             assert np.max(np.abs(g)) <= 1e-15
-            assert reduced._kkt_witness(prog, z, g) is optimal
+            assert reduced._kkt_witness(fp, c, z, g) is optimal
 
     def test_lossy_uses_constant_ratio_model(self, threebus):
         # g = 0.2 b: the program's targets are the combined Q + 0.2 P, the
@@ -437,6 +439,17 @@ class TestConvexReactive:
         with pytest.raises(UnsupportedTopology):
             voltage_upper_bound(n)
 
+    def test_model_refusal_comes_first(self):
+        # Every reactive call builds its FixedPhase before the program's
+        # checks, so a lossy network with a PV bus and no PQ bus gets the
+        # energy model's refusal from each of them.
+        n = make_twobus(pq_kind=BusKind.PV, g=0.2)
+        for call in (lambda: convex_reactive_solve(n, np.zeros(2)),
+                     lambda: voltage_upper_bound(n), lambda: beta_condition(n),
+                     lambda: reactive_with_bound(n, np.zeros(2))):
+            with pytest.raises(UnsupportedTopology, match="^constant-ratio lossy model"):
+                call()
+
     def test_setpoints_must_be_absorbed(self, threebus):
         buses = [replace(b, v_set=1.05) if b.kind is BusKind.SLACK else b
                  for b in threebus.buses]
@@ -446,6 +459,27 @@ class TestConvexReactive:
             with pytest.raises(UnsupportedTopology, match="absorb_setpoints"):
                 call()
         assert np.all(voltage_upper_bound(absorb_setpoints(n)).v_bar > 0)
+
+    def test_one_fixed_phase_per_call(self, threebus, monkeypatch):
+        # Each reactive call builds one FixedPhase and hands it on: to the
+        # program's checks, the Newton, the residual checks and the witness.
+        built = []
+
+        class Counted(en.FixedPhase):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(en, "FixedPhase", Counted)
+        theta = np.array([0.0, 0.1, -0.05])
+        for call in (lambda: voltage_upper_bound(threebus),
+                     lambda: beta_condition(threebus),
+                     lambda: reactive_with_bound(threebus, theta),
+                     lambda: convex_reactive_solve(threebus, theta),
+                     lambda: solve_reactive_newton(threebus, theta)):
+            built.clear()
+            call()
+            assert len(built) == 1
 
 
 class TestVoltageUpperBound:
@@ -688,6 +722,14 @@ class TestRegionGrid:
         # Over the whole 6-degree grid no cell is even solvable.
         assert not any(c.solvable for c in region_grid(n6, step_deg=6.0))
 
+    def test_no_row_below_90_degrees(self, threebus):
+        # Every line from the slack is past 90 degrees: no chunk has a row
+        # to solve, and no cell gets a verdict.
+        cells = region_grid(threebus, 1.6, 1.7, 2.0)
+        assert len(cells) == 16
+        assert all(not c.solvable and c.in_c is None and c.reduced_min_eig is None
+                   for c in cells)
+
     @pytest.mark.parametrize("step", [0.0, -2.0, math.inf])
     def test_non_positive_step_rejected(self, threebus, step):
         with pytest.raises(ValueError):
@@ -863,6 +905,19 @@ def _outcome(solve, n, theta):
         return None, exc
 
 
+def stacked_outcomes(n, theta):
+    """(rho, error) per row of theta, from one stacked _reactive over the
+    rows below 90 degrees, with the error solve_reactive_newton raises."""
+    out = [(None, PhaseOutOfRange("phases must keep every line below 90 degrees"))] * len(theta)
+    live = np.flatnonzero(_phases_in_range(n, theta))
+    if live.size:
+        _, rho, ok, why = _reactive(n, en.FixedPhase(n, theta[live]), theta[live])
+        for k, row in enumerate(live):
+            out[row] = (rho[k], None) if ok[k] else (None, NoReactiveSolution(
+                why[k] or "reactive Newton iteration did not converge"))
+    return out
+
+
 class TestStackedRows:
     """The stacked reactive solve and region grid against the one-state
     references above."""
@@ -880,10 +935,10 @@ class TestStackedRows:
             theta = np.zeros((25, n.n_bus))
             # Up to 70 degrees per bus: some lines pass 90 degrees.
             theta[:, n.ns] = rng.uniform(-1.2, 1.2, (25, len(n.ns)))
-            rho, errors = _reactive_rows(n, theta)
+            stacked = stacked_outcomes(n, theta)
             for row in range(len(theta)):
                 want, exc = _outcome(reference_reactive, n, theta[row])
-                for got_rho, got in ((rho[row], errors[row]),
+                for got_rho, got in (stacked[row],
                                      _outcome(solve_reactive_newton, n, theta[row])):
                     if exc is None:
                         assert got is None
@@ -921,10 +976,10 @@ class TestStackedRows:
         theta = np.zeros((30, 3))
         theta[:, 1:] = np.random.default_rng(7).uniform(-0.6, 0.6, (30, 2))
         fp = en.FixedPhase(threebus, theta)
-        u0, why0 = _greatest_u(threebus, fp, -fp.tq)
+        u0, why0 = _greatest_u(threebus, fp)
         # -g = [[1, 1], [1, 1]] is singular: the starting solve fails there.
         fp.g[7] = -1.0
-        u1, why1 = _greatest_u(threebus, fp, -fp.tq)
+        u1, why1 = _greatest_u(threebus, fp)
         assert why1[7] == "reactive Jacobian is singular"
         others = np.arange(30) != 7
         assert u1[others].tobytes() == u0[others].tobytes()

@@ -10,8 +10,9 @@ from gridenergy import energy as en
 from gridenergy import solver
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C
 from gridenergy.energy import HALF_PI, PFState
-from gridenergy.errors import InfeasibleStart
-from gridenergy.network import Line, Network, incidence, scale_injections
+from gridenergy.errors import InfeasibleStart, NotConstantRatio, UnsupportedTopology
+from gridenergy.network import (Bus, BusKind, Line, Network, incidence,
+                                scale_injections)
 from gridenergy.solver import (SolveOptions, SolveStatus, solve_convex,
                                solve_convex_lossy, solve_newton, sweep_load)
 
@@ -905,10 +906,34 @@ class TestBarrierFactorReuse:
             d, tau = barrier.edge_vars(s2)
             a = n.active
             assert np.array_equal(chol, np.linalg.cholesky(
-                domain_matrix(n, d[a], n.b[a] / np.cos(tau[a]))))
+                domain_matrix(n, d[a], tau[a])))
             assert math.isfinite(barrier.value(s1)[0])
             g, h = barrier.grad_hess(s2, chol)
             assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+
+    def test_certificate_judges_the_factored_matrix(self, bundled_models, monkeypatch):
+        # in_domain_C and the barrier form one domain matrix, w = b/cos tau
+        # rounded alike: the matrix a certificate judges is, bit for bit,
+        # the one whose Cholesky factor the barrier takes.
+        from gridenergy import convexity
+
+        formed, made = convexity.domain_matrix, []
+
+        def recorded(*args):
+            made.append(formed(*args))
+            return made[-1]
+
+        monkeypatch.setattr(convexity, "domain_matrix", recorded)
+        monkeypatch.setattr(solver, "domain_matrix", recorded)
+        rng = np.random.default_rng(57)
+        for n in bundled_models.values():
+            for s in feasible_states(n, None, rng, 4):
+                made.clear()
+                in_domain_C(n, s)
+                solver._Barrier(n).value(s)
+                judged, factored = made
+                assert judged.shape == (1,) + factored.shape
+                assert judged[0].tobytes() == factored.tobytes()
 
     def test_outside_has_no_factor(self, threebus):
         s = PFState.flat(threebus)
@@ -1022,6 +1047,21 @@ class TestLossySolve:
                 flow[t] += v[t] * np.conj((g - 1j * b) * (v[t] - v[f]))
             assert np.max(np.abs(flow.real - n.p_inj)[n.ns]) <= 1e-8
             assert np.max(np.abs(flow.imag - n.q_inj)[n.ns]) <= 1e-8
+
+
+    @pytest.mark.parametrize("solve", [solve_convex, solve_newton])
+    def test_unmodelled_lossy_networks_raise(self, threebus, solve):
+        # The energy model refuses a lossy network with a PV bus, and one
+        # whose g/b ratio varies by line, before either solve certifies.
+        pv = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PV, p_inj=0.2),
+                      *threebus.buses[2:]], with_ratio(threebus, 0.2).lines)
+        mixed = Network(threebus.buses, [Line(ln.i, ln.j, ln.b, k * ln.b) for k, ln
+                                         in zip((0.1, 0.2, 0.3), threebus.lines)])
+        with pytest.raises(UnsupportedTopology, match="^constant-ratio lossy model "
+                           "requires all non-slack buses to be PQ$"):
+            solve(pv)
+        with pytest.raises(NotConstantRatio, match="^line g/b ratios are not uniform$"):
+            solve(mixed)
 
 
 class TestSweep:
