@@ -435,12 +435,13 @@ def impose_ratio(n: Network, kappa: float) -> Network:
 
 
 def absorb_setpoints(n: Network) -> Network:
-    """Rescale line susceptances by the fixed-voltage set-points they touch.
+    """Rescale line admittances by the fixed-voltage set-points they touch.
 
-    Every PV/slack set-point becomes 1 and each line b is replaced by
-    b * v_i * v_j, with v = 1 at PQ ends. The active power balances of the
-    rescaled network match the original exactly; the reactive self terms at
-    PQ buses next to non-unit set-points are rescaled along with the line,
+    Every PV/slack set-point becomes 1 and each line's y = g - jb is
+    replaced by y * v_i * v_j, with v = 1 at PQ ends, so a uniform g/b ratio
+    stays uniform. The cross terms of every balance match the original
+    exactly; the self terms of a line whose ends' set-points differ (only
+    the reactive ones, on a lossless network) are rescaled along with it,
     which is the standard flat-set-point normalization of this model. A
     network whose set-points are all 1 already is returned as it is.
     """
@@ -452,7 +453,7 @@ def absorb_setpoints(n: Network) -> Network:
     out.v_set = np.where(pq, n.v_set, 1.0)
     ends = v_eff[n.edges]
     with np.errstate(over="ignore", under="ignore"):
-        b = n.b * ends[:, 0] * ends[:, 1]
+        b, g = (x * ends[:, 0] * ends[:, 1] for x in (n.b, n.g))
     # A scaled b out of range is the set-point's fault: name the line's end
     # whose set-point lies farther from 1.
     bad = ~((b > 0) & (b <= MAX_MAGNITUDE))
@@ -462,7 +463,7 @@ def absorb_setpoints(n: Network) -> Network:
         raise ParseError(f"bus {n.ids[end]}: voltage set-point {n.v_set[end]:g} scales "
                          f"line {n.ids[n.edges[k, 0]]}-{n.ids[n.edges[k, 1]]} "
                          + ("to zero" if b[k] == 0 else f"beyond {MAX_MAGNITUDE:g} per unit"))
-    out._set_lines(b, n.g)
+    out._set_lines(b, g)
     return out
 
 

@@ -74,7 +74,7 @@ DECREMENT = 1.0 / 16.0
 MAX_INNER = 80
 MAX_TOTAL = 4000
 ARMIJO = 1e-4
-# damped_newton's step cap; each of its steps cuts r.r by ARMIJO alpha.
+# solve_newton's step cap; each of its steps cuts r.r by ARMIJO alpha.
 MAX_NEWTON = 50
 
 
@@ -83,28 +83,8 @@ def _check_tol(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
-def _residual_vec(n: Network, s: PFState) -> np.ndarray:
-    rp, rq = en.pf_residuals(n, s)
-    return np.concatenate((rq, rp))
-
-
-def _ridge_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve h dx = rhs by solve_spd, adding a ridge reg I when h is not
-    positive definite: reg starts at 1e-10 (1 + max |diag h|) and grows
-    100-fold a try. None after eight failed tries; InvalidMatrix when h is
-    not finite. For a positive definite h it is solve_spd's own answer."""
-    reg = 0.0
-    for _ in range(8):
-        try:
-            return solve_spd(h + reg * np.eye(len(h)) if reg else h, rhs)
-        except NotPositiveDefinite:
-            scale = 1.0 + float(np.max(np.abs(np.diag(h))))
-            reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
-    return None
-
-
 def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """The convex route's Newton step: solve h dx = rhs, rhs (n,) or (n, k),
+    """The Newton step of both routes: solve h dx = rhs, rhs (n,) or (n, k),
     with one LU factorization of the symmetrized h.
 
     Every Newton matrix of the convex route is positive definite: E'' on
@@ -114,7 +94,9 @@ def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     its rhs . dx is positive and finite, which every positive definite h
     gives; there it is the very solve that solve_spd makes after its
     Cholesky test. Any other column, and every column when LU meets an
-    exactly singular h, is _ridge_solve's answer; None when that has none.
+    exactly singular h, takes the ridge: solve_spd on h + reg I, reg = 0
+    first, then 1e-10 (1 + max |diag h|), growing 100-fold a try. None
+    after eight failed tries; InvalidMatrix when h is not finite.
     """
     a = symmetrize(h)
     dx = np.full(rhs.shape, math.nan)
@@ -124,65 +106,60 @@ def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     for j in np.ndindex(rhs.shape[1:]):
         col = (slice(None), *j)
         # A finite positive rhs . dx rules out every non-finite entry of dx.
-        if not 0.0 < float(rhs[col] @ dx[col]) < math.inf:
-            ridge = _ridge_solve(h, rhs[col])
-            if ridge is None:
-                return None
-            dx[col] = ridge
+        if 0.0 < float(rhs[col] @ dx[col]) < math.inf:
+            continue
+        reg = 0.0
+        for _ in range(8):
+            try:
+                dx[col] = solve_spd(h + reg * np.eye(len(h)) if reg else h, rhs[col])
+                break
+            except NotPositiveDefinite:
+                scale = 1.0 + float(np.max(np.abs(np.diag(h))))
+                reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
+        else:
+            return None
     return dx
 
 
-def damped_newton(residual, direction, x: np.ndarray, tol: float, valid):
-    """Damped Newton on residual(x) = 0 from x until ||r||_inf <= tol.
+def solve_newton(n: Network, s0: PFState | None = None,
+                 tol: float = 1e-10) -> SolveOutcome:
+    """Damped Newton-Raphson on the balance residuals r = -grad E.
 
-    direction(x, r) returns the Newton step at x, or None when there is
-    none. Each step starts at alpha = 1 and is halved down to 1e-12 until
-    the trial passes valid and r.r falls by a factor of at least 1 - ARMIJO
-    alpha; residual is never called at a trial that fails valid. Stops
-    after MAX_NEWTON steps, or at the first step where no alpha passes or
-    direction returns None. Returns (x, r, steps).
+    Works for lossless networks and for constant-ratio lossy ones (where
+    r holds the ratio-combined balances). Each step solves E'' dx = r by
+    _newton_step, a descent direction for r.r wherever E'' is nonsingular,
+    definite or not (Nocedal & Wright, Numerical Optimization, sec. 11.2).
+    alpha = 1 is halved down to 1e-12 until the trial has no packed entry
+    beyond 30 (a runaway, where r is never evaluated) and r.r falls by a
+    factor of at least 1 - ARMIJO alpha. Stops at ||r||_inf <= tol, after
+    MAX_NEWTON steps, or at a step with no direction or no passing alpha.
+    SolutionFound means ||r||_inf reached tol; it does not imply
+    membership in the convexity domain.
     """
-    r = residual(x)
-    steps = 0
-    while steps < MAX_NEWTON and np.linalg.norm(r, np.inf) > tol:
-        dx = direction(x, r)
+    _check_tol("tol", tol)
+    s = s0 if s0 is not None else PFState.flat(n)
+    en.check_one_state(n, s)
+    x = pack(n, s)
+    s = unpack(n, x)
+    r = np.concatenate(en.pf_residuals(n, s)[::-1])
+    iterations = 0
+    while iterations < MAX_NEWTON and np.linalg.norm(r, np.inf) > tol:
+        dx = _newton_step(en.hessian(n, s), r)
         if dx is None:
             break
-        merit = float(r @ r)
-        alpha = 1.0
+        merit, alpha = float(r @ r), 1.0
         while alpha >= 1e-12:
             xn = x + alpha * dx
-            if valid(xn):
-                rn = residual(xn)
+            if np.max(np.abs(xn)) <= 30.0:
+                sn = unpack(n, xn)
+                rn = np.concatenate(en.pf_residuals(n, sn)[::-1])
                 if float(rn @ rn) <= (1.0 - ARMIJO * alpha) * merit:
                     break
             alpha *= 0.5
         else:
             break
-        x, r = xn, rn
-        steps += 1
-    return x, r, steps
-
-
-def solve_newton(n: Network, s0: PFState | None = None,
-                 tol: float = 1e-10) -> SolveOutcome:
-    """Damped Newton-Raphson on the balance residuals.
-
-    Works for lossless networks and for constant-ratio lossy ones (where
-    the residuals are the ratio-combined balances). The residuals are
-    -grad E, so the step solves E'' dx = r; a trial with a packed entry
-    beyond 30 is a runaway and rejected. SolutionFound means the residual
-    infinity norm reached tol; it does not imply membership in the
-    convexity domain.
-    """
-    _check_tol("tol", tol)
-    s = s0 if s0 is not None else PFState.flat(n)
-    en.check_one_state(n, s)
-    x, r, iterations = damped_newton(
-        lambda x: _residual_vec(n, unpack(n, x)),
-        lambda x, r: _ridge_solve(en.hessian(n, unpack(n, x)), r),
-        pack(n, s), tol, lambda x: np.max(np.abs(x)) <= 30.0)
-    s = unpack(n, x)
+        x, s, r = xn, sn, rn
+        iterations += 1
     grad_norm = float(np.linalg.norm(r, np.inf))
     status = (SolveStatus.SOLUTION_FOUND if grad_norm <= tol
               else SolveStatus.MAX_ITERATIONS)

@@ -1,6 +1,9 @@
 """The package stays numpy-only: every module imports the standard
 library, numpy or its own package, and nothing else."""
 import ast
+import importlib
+import inspect
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -193,3 +196,35 @@ def test_records_read_only_at_the_boundary():
     bad = sorted(f"{stem}.{top}: .{attr}" for stem, top, attr in reads
                  if stem != "network" and (attr, stem, top) != ("lines", "cli", "_prepare"))
     assert not bad
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def module_table_calls():
+    """(module, name, parameter names) of every `name(args)` in a row of
+    the README's | module | highlights | table."""
+    in_table = False
+    for line in README.read_text().splitlines():
+        if re.fullmatch(r"\|\s*module\s*\|\s*highlights\s*\|", line):
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            return
+        elif in_table and (row := re.fullmatch(r"\| `(\w+)`\s*\|(.*)\|", line)):
+            for name, args in re.findall(r"`([A-Za-z_][\w.]*)\(([^()`]*)\)`", row[2]):
+                yield row[1], name, [a.strip() for a in args.split(",") if a.strip()]
+
+
+def test_readme_module_table_matches_the_code():
+    # A signature the table quotes must be the function's own, so a
+    # renamed parameter cannot leave the README behind.
+    calls = list(module_table_calls())
+    assert len(calls) >= 3
+    wrong = []
+    for module, name, params in calls:
+        obj = importlib.import_module(f"gridenergy.{module}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if not (inspect.isfunction(obj) and list(inspect.signature(obj).parameters) == params):
+            wrong.append(f"{module}.{name}({', '.join(params)})")
+    assert not wrong

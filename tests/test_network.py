@@ -329,6 +329,22 @@ class TestAbsorbSetpoints:
         assert out.b[0] == pytest.approx(1.05)
         assert out.v_set[0] == 1.0
 
+    def test_keeps_a_uniform_ratio(self, ieee14, threebus):
+        # The whole admittance y = g - jb scales, so absorbing set-points
+        # and imposing a ratio commute.
+        n = losslessify(ieee14)
+        assert absorb_setpoints(impose_ratio(n, 0.2)).lossy_ratio == pytest.approx(0.2, rel=1e-15)
+        # The lossy model needs every non-slack bus PQ: threebus, with a
+        # slack set-point of 1.05.
+        from gridenergy.solver import SolveStatus, solve_convex
+
+        n = Network([replace(b, v_set=1.05) if b.kind is BusKind.SLACK else b
+                     for b in threebus.buses], threebus.lines)
+        a = solve_convex(absorb_setpoints(impose_ratio(n, 0.2)))
+        b = solve_convex(impose_ratio(absorb_setpoints(n), 0.2))
+        assert a.status is b.status is SolveStatus.SOLUTION_FOUND
+        assert np.max(np.abs(en.pack(n, a.state) - en.pack(n, b.state))) <= 1e-10
+
     def test_active_residuals_preserved(self, ieee14):
         # The rescaling is exact for the active balances: the physical
         # network with set-points and the absorbed network agree on every
@@ -592,7 +608,8 @@ def reference_impose(n, kappa):
 def reference_absorb(n):
     v_eff = {b.id: (b.v_set if b.kind is not BusKind.PQ else 1.0) for b in n.buses}
     buses = [replace(b, v_set=1.0) if b.kind is not BusKind.PQ else b for b in n.buses]
-    return Network(buses, [replace(ln, b=ln.b * v_eff[ln.i] * v_eff[ln.j]) for ln in n.lines])
+    return Network(buses, [replace(ln, b=ln.b * v_eff[ln.i] * v_eff[ln.j],
+                                   g=ln.g * v_eff[ln.i] * v_eff[ln.j]) for ln in n.lines])
 
 
 ARRAYS = ("p_inj", "q_inj", "v_set", "b", "g", "y", "b_total", "edges", "pq", "pv",

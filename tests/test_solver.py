@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_twobus, random_network, random_state
+from conftest import make_twobus, random_network, random_state, same_bits
 from gridenergy import energy as en
 from gridenergy import solver
 from gridenergy.convexity import PhaseVoltageBox, in_domain_C
@@ -73,63 +73,88 @@ class TestNewton:
             rp, rq = en.pf_residuals(n, out.state)
             assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) <= 1e-10
 
+    @pytest.mark.parametrize("case, delta, solved, unsolved", [
+        ("ieee14", 1.0, 4.418, 4.42), ("ieee14", 0.1, 4.855, 4.86),
+        ("ieee118", 1.0, 3.6367, 3.637), ("threebus", 1.0, 4.0172, 4.0173)])
+    def test_loadability_brackets(self, case, delta, solved, unsolved, bundled_models):
+        # From flat, the last load solve_newton solves and the first it
+        # does not, on each of the loading paths the bracket table lists.
+        n = bundled_models[case]
+        for kappa, status in ((solved, SolveStatus.SOLUTION_FOUND),
+                              (unsolved, SolveStatus.MAX_ITERATIONS)):
+            assert solve_newton(scale_injections(n, kappa, delta)).status is status, kappa
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
+    def test_no_cholesky_of_newton_size(self, case, bundled_models, monkeypatch):
+        # Each step is one LU, with no Cholesky test before it.
+        n = bundled_models[case]
+        order = len(n.pq) + len(n.ns)
+        cholesky, shapes = np.linalg.cholesky, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        out = solve_newton(n)
+        assert out.status is SolveStatus.SOLUTION_FOUND and out.iterations > 0
+        assert (order, order) not in shapes
+
 
 class TestDampedNewton:
-    @staticmethod
-    def square_minus_two(x):
-        return x * x - 2.0
-
-    @staticmethod
-    def newton_step(x, r):
-        return -r / (2.0 * x)
+    """solve_newton's damped loop; all but the step count replace its
+    step solver or step cap."""
 
     def test_converges_and_counts_steps(self):
-        x, r, steps = solver.damped_newton(self.square_minus_two, self.newton_step,
-                                           np.array([1.0]), 1e-12, lambda x: True)
-        assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert np.array_equal(r, self.square_minus_two(x))
-        # Full steps from 1: 1.5, 1.4167, 1.4142157, then a residual of 4.5e-12
-        # and one at machine precision.
-        assert steps == 5
+        for load, steps in ((0.1, 4), (0.2, 7)):
+            out = solve_newton(make_twobus(p=-load, q=-load))
+            assert out.status is SolveStatus.SOLUTION_FOUND
+            assert out.iterations == steps
 
-    def test_residual_only_at_valid_trials(self):
-        seen, rejected = [], []
+    def test_residual_only_at_valid_trials(self, twobus, monkeypatch):
+        # Steps 400 times Newton's: each alpha = 1 trial has a packed entry
+        # beyond 30, so the residuals must wait for a halved alpha.
+        step, pf_residuals = solver._newton_step, en.pf_residuals
+        seen, runaway = [], []
 
-        def residual(x):
-            seen.append(x[0])
-            return self.square_minus_two(x)
+        def scaled(h, rhs):
+            dx = 400.0 * step(h, rhs)
+            runaway.append(np.max(np.abs(dx)) > 30.0)
+            return dx
 
-        def valid(x):
-            if x[0] < 1.5:
-                rejected.append(x[0])
-            return x[0] >= 1.5
+        def spied(n, s):
+            seen.append(np.max(np.abs(en.pack(n, s))))
+            return pf_residuals(n, s)
 
-        x, _, steps = solver.damped_newton(residual, self.newton_step,
-                                           np.array([3.0]), 1e-12, valid)
-        assert rejected and steps > 0 and x[0] >= 1.5
-        assert min(seen) >= 1.5
+        monkeypatch.setattr(solver, "_newton_step", scaled)
+        monkeypatch.setattr(en, "pf_residuals", spied)
+        start = float(np.max(np.abs(np.concatenate(pf_residuals(twobus, PFState.flat(twobus))))))
+        out = solve_newton(twobus)
+        # From flat, x + dx is dx itself.
+        assert runaway[0] and out.iterations > 0 and out.grad_norm < start
+        assert max(seen) <= 30.0
 
-    def test_no_direction_leaves_x(self):
-        x0 = np.array([1.0])
-        x, r, steps = solver.damped_newton(self.square_minus_two,
-                                           lambda x, r: None, x0, 1e-12,
-                                           lambda x: True)
-        assert steps == 0 and np.array_equal(x, x0)
-        assert np.array_equal(r, [-1.0])
+    def test_no_direction_leaves_x(self, twobus, monkeypatch):
+        monkeypatch.setattr(solver, "_newton_step", lambda h, rhs: None)
+        out = solve_newton(twobus)
+        assert out.iterations == 0 and out.status is SolveStatus.MAX_ITERATIONS
+        assert same_bits(en.pack(twobus, out.state), en.pack(twobus, PFState.flat(twobus)))
+        rp, rq = en.pf_residuals(twobus, PFState.flat(twobus))
+        assert out.grad_norm == max(np.max(np.abs(rp)), np.max(np.abs(rq)))
 
-    def test_uphill_direction_accepts_no_step(self):
-        x0 = np.array([1.0])
-        x, r, steps = solver.damped_newton(
-            self.square_minus_two, lambda x, r: -self.newton_step(x, r), x0,
-            1e-12, lambda x: True)
-        assert steps == 0 and np.array_equal(x, x0)
+    def test_uphill_direction_accepts_no_step(self, twobus, monkeypatch):
+        step = solver._newton_step
+        monkeypatch.setattr(solver, "_newton_step", lambda h, rhs: -step(h, rhs))
+        out = solve_newton(twobus)
+        assert out.iterations == 0 and out.status is SolveStatus.MAX_ITERATIONS
+        assert same_bits(en.pack(twobus, out.state), en.pack(twobus, PFState.flat(twobus)))
 
-    def test_step_cap(self):
-        # Newton on x^2 = 0 halves x a step and never meets tol = 0.
-        x, _, steps = solver.damped_newton(lambda x: x * x, self.newton_step,
-                                           np.array([1.0]), 0.0, lambda x: True)
-        assert steps == solver.MAX_NEWTON
-        assert x[0] == 0.5 ** solver.MAX_NEWTON
+    def test_step_cap(self, monkeypatch):
+        # Seven steps solve this load; the cap is read at call time.
+        monkeypatch.setattr(solver, "MAX_NEWTON", 2)
+        out = solve_newton(make_twobus(p=-0.2, q=-0.2))
+        assert out.iterations == 2 and out.status is SolveStatus.MAX_ITERATIONS
+        assert out.grad_norm > 1e-10
 
 
 class TestConvex:
@@ -430,9 +455,35 @@ def test_newton_first_agrees_with_barrier_only(seed, inj_scale):
         assert_agrees_with_barrier_only(n, s0)
 
 
+def reference_ridge(h, rhs):
+    """The ridge solve as a helper of its own: solve_spd on h + reg I, reg
+    = 0 first, then 1e-10 (1 + max |diag h|) growing 100-fold a try; None
+    after eight failed tries."""
+    from gridenergy.errors import NotPositiveDefinite
+    from gridenergy.linalg import solve_spd
+
+    reg = 0.0
+    for _ in range(8):
+        try:
+            return solve_spd(h + reg * np.eye(len(h)) if reg else h, rhs)
+        except NotPositiveDefinite:
+            scale = 1.0 + float(np.max(np.abs(np.diag(h))))
+            reg = 1e-10 * scale if reg == 0.0 else reg * 100.0
+    return None
+
+
+def spy_solve_spd(monkeypatch):
+    """(m, rhs) of every solver.solve_spd call. A column took the ridge
+    exactly when a call receives h itself: the ridge's reg = 0 try."""
+    solve_spd, calls = solver.solve_spd, []
+    monkeypatch.setattr(solver, "solve_spd",
+                        lambda m, rhs: calls.append((m, rhs)) or solve_spd(m, rhs))
+    return calls
+
+
 class TestNewtonStep:
-    """_newton_step: one LU solve where h is positive definite, and
-    _ridge_solve's answer wherever that solve is not a descent direction."""
+    """_newton_step: one LU solve where h is positive definite, and the
+    ridge's answer wherever that solve is not a descent direction."""
 
     @pytest.mark.parametrize("order", [1, 9, 64, 181])
     def test_spd_bit_equal_to_solve_spd(self, order):
@@ -454,19 +505,17 @@ class TestNewtonStep:
         h, rhs = np.diag([1.0, -1.0]), np.array([0.5, 1.0])
         assert float(rhs @ np.linalg.solve(h, rhs)) < 0.0
         dx = solver._newton_step(h, rhs)
-        assert dx.tobytes() == solver._ridge_solve(h, rhs).tobytes()
+        assert dx.tobytes() == reference_ridge(h, rhs).tobytes()
         assert float(rhs @ dx) > 0.0
 
     def test_singular_takes_the_ridge(self, monkeypatch):
         h, rhs = np.ones((3, 3)), np.array([1.0, 2.0, 3.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(h, rhs)
-        ridge, calls = solver._ridge_solve, []
-        monkeypatch.setattr(solver, "_ridge_solve",
-                            lambda h, rhs: calls.append(h) or ridge(h, rhs))
+        calls = spy_solve_spd(monkeypatch)
         dx = solver._newton_step(h, rhs)
-        assert len(calls) == 1
-        assert dx.tobytes() == ridge(h, rhs).tobytes()
+        assert [m is h for m, _ in calls].count(True) == 1
+        assert dx.tobytes() == reference_ridge(h, rhs).tobytes()
 
     @pytest.mark.parametrize("case", ["twobus", "threebus", "ieee14", "ieee118"])
     def test_two_columns_match_two_calls(self, case, bundled_models):
@@ -485,23 +534,22 @@ class TestNewtonStep:
                     assert np.linalg.norm(col - one) <= 1e-13 * np.linalg.norm(one)
 
     def test_columns_take_the_ridge_alone(self, monkeypatch):
-        ridge, calls = solver._ridge_solve, []
-        monkeypatch.setattr(solver, "_ridge_solve",
-                            lambda h, rhs: calls.append(rhs) or ridge(h, rhs))
+        calls = spy_solve_spd(monkeypatch)
         # Indefinite: the first column's LU direction (0.5, -1) points uphill,
         # the second's (1, 0) does not.
         h, rhs = np.diag([1.0, -1.0]), np.array([[0.5, 1.0], [1.0, 0.0]])
         dx = solver._newton_step(h, rhs)
-        assert len(calls) == 1
-        assert dx[:, 0].tobytes() == ridge(h, rhs[:, 0]).tobytes()
+        ridged = [b for m, b in calls if m is h]
+        assert len(ridged) == 1 and ridged[0].tobytes() == rhs[:, 0].tobytes()
+        assert dx[:, 0].tobytes() == reference_ridge(h, rhs[:, 0]).tobytes()
         assert dx[:, 1].tobytes() == np.linalg.solve(h, rhs[:, 1]).tobytes()
         # Singular: LU fails, so every column takes the ridge.
         calls.clear()
         h, rhs = np.ones((3, 3)), np.array([[1.0, 0.5], [2.0, 0.0], [3.0, -1.0]])
         dx = solver._newton_step(h, rhs)
-        assert len(calls) == 2
+        assert [m is h for m, _ in calls].count(True) == 2
         for j in range(2):
-            assert dx[:, j].tobytes() == ridge(h, rhs[:, j]).tobytes()
+            assert dx[:, j].tobytes() == reference_ridge(h, rhs[:, j]).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_raises(self, bad):
@@ -532,22 +580,19 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("case", ["twobus", "threebus", "ieee14"])
     def test_sweeps_never_fall_back(self, case, bundled_models, monkeypatch):
-        step, ridge, calls = solver._newton_step, solver._ridge_solve, [0, 0]
+        step, steps = solver._newton_step, [0]
 
         def counted_step(h, rhs):
-            calls[0] += 1
+            steps[0] += 1
             return step(h, rhs)
 
-        def counted_ridge(h, rhs):
-            calls[1] += 1
-            return ridge(h, rhs)
-
         monkeypatch.setattr(solver, "_newton_step", counted_step)
-        monkeypatch.setattr(solver, "_ridge_solve", counted_ridge)
+        ridges = spy_solve_spd(monkeypatch)
         records = sweep_load(bundled_models[case], 1.0, np.arange(0.5, 6.01, 0.25))
         assert {r.status for r in records} == {SolveStatus.SOLUTION_FOUND,
                                                SolveStatus.NO_SOLUTION_IN_C}
-        assert calls[0] > 0 and calls[1] == 0
+        # The ridge's first try is a solve_spd call; none means no ridge.
+        assert steps[0] > 0 and not ridges
 
 
 class TestNewtonFirst:
@@ -964,12 +1009,11 @@ class TestBarrierFactorReuse:
         for name in ("value", "grad_hess"):
             monkeypatch.setattr(solver._Barrier, name,
                                 inside(name, getattr(solver._Barrier, name)))
-        monkeypatch.setattr(solver, "_ridge_solve",
-                            inside("_ridge_solve", solver._ridge_solve))
+        monkeypatch.setattr(solver, "solve_spd", inside("solve_spd", solver.solve_spd))
         out = solve_convex(scale_injections(ieee14_model, 4.5, 1.0))
         assert out.status is SolveStatus.NO_SOLUTION_IN_C
         assert entered.count("grad_hess") > 10 and owners.count("value") > 10
-        assert set(owners) <= {"value", "_ridge_solve"}
+        assert set(owners) <= {"value", "solve_spd"}
 
     def test_failed_predictor_keeps_the_factor_of_x(self, threebus, monkeypatch):
         # Every predictor's line search is forced to fail after its trials
