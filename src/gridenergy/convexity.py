@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import HALF_PI, PFState, check_one_state, check_state, hessian
+from .energy import HALF_PI, PFState, check_one_state, check_state, edge_vars, hessian
 from .errors import (DomainError, InvalidMatrix, NotConstantRatio,
                      PhaseOutOfRange, UnsupportedTopology)
 # cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
@@ -110,14 +110,12 @@ def convexity_matrix(n: Network, s: PFState) -> np.ndarray:
     """The domain matrix at a state, symmetrized. Requires every line phase
     strictly inside (-pi/2, pi/2)."""
     check_one_state(n, s)
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta[f] - s.theta[t]
-    if np.any(np.abs(te) >= HALF_PI):
+    d, tau = edge_vars(n, s)
+    if np.any(np.abs(tau) >= HALF_PI):
         raise PhaseOutOfRange("a line phase difference reached 90 degrees")
     if len(n.pq) == 0:
         raise UnsupportedTopology("network has no PQ buses; the matrix is empty")
-    a = n.active
-    return symmetrize(domain_matrix(n, s.rho[t[a]] - s.rho[f[a]], te[a]))
+    return symmetrize(domain_matrix(n, d[n.active], tau[n.active]))
 
 
 def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
@@ -133,20 +131,18 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     """
     check_state(n, s)
     lead = s.theta.shape[:-1]
-    theta, rho = s.theta.reshape(-1, n.n_bus), s.rho.reshape(-1, n.n_bus)
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    te = theta.take(f, 1) - theta.take(t, 1)
-    count, ta = len(te), te.take(n.active, 1)
+    d, te = edge_vars(n, PFState(s.rho.reshape(-1, n.n_bus), s.theta.reshape(-1, n.n_bus)))
+    count, da, ta = len(te), d.take(n.active, 1), te.take(n.active, 1)
     inside = abs(ta) < HALF_PI
     if not len(n.pq):
         lmi_min, tol_abs, scale = np.full(count, math.inf), np.zeros(count), np.ones(count)
     elif inside.all():
         # Every state of a solve or a region grid: no row to leave out.
-        lmi_min, tol_abs, scale = _min_eig(n, ta, rho)
+        lmi_min, tol_abs, scale = _min_eig(n, da, ta)
     else:
         live = inside.all(axis=1)
         lmi_min, tol_abs, scale = np.full(count, -math.inf), np.zeros(count), np.ones(count)
-        lmi_min[live], tol_abs[live], scale[live] = _min_eig(n, ta[live], rho[live])
+        lmi_min[live], tol_abs[live], scale[live] = _min_eig(n, da[live], ta[live])
     phase_ok = (abs(te) <= HALF_PI).all(axis=1)
     cert = (phase_ok & (lmi_min >= -tol_abs), phase_ok, lmi_min, tol_abs, scale)
     if lead:
@@ -154,13 +150,12 @@ def in_domain_C(n: Network, s: PFState) -> ConvexityCertificate:
     return ConvexityCertificate(*(x.item() for x in cert))
 
 
-def _min_eig(n: Network, ta: np.ndarray, rho: np.ndarray):
+def _min_eig(n: Network, da: np.ndarray, ta: np.ndarray):
     """Smallest eigenvalue of the domain matrix of each row of active-line
-    phase differences ta and bus log-voltages rho, the PSD tolerance
+    ratio exponents da and phase differences ta, the PSD tolerance
     DEFAULT_PSD_TOL * scale it is judged against, and scale = 1 + max |diag|.
     Every phase difference must lie inside 90 degrees."""
-    f, t = n.edges[n.active, 0], n.edges[n.active, 1]
-    lm = domain_matrix(n, rho.take(t, 1) - rho.take(f, 1), ta)
+    lm = domain_matrix(n, da, ta)
     scale = 1.0 + abs(lm.diagonal(axis1=1, axis2=2)).max(axis=1)
     return sym_eigen(lm)[0][:, 0], DEFAULT_PSD_TOL * scale, scale
 

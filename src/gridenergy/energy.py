@@ -141,6 +141,13 @@ def _edge_terms(n: Network, s: PFState):
     return f, t, te, exy
 
 
+def edge_vars(n: Network, s: PFState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line edge coordinates d = rho_to - rho_from and tau = theta_from -
+    theta_to, over s's leading stack axes."""
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    return s.rho.take(t, -1) - s.rho.take(f, -1), s.theta.take(f, -1) - s.theta.take(t, -1)
+
+
 def _value(n: Network, s: PFState, beff, tp, tq, f, t, exy, e2, cos_t) -> float:
     """Energy from edge terms, with susceptances beff and targets (tp, tq)."""
     quad = 0.5 * (e2[f] + e2[t]) - exy * cos_t
@@ -166,15 +173,12 @@ def energy_gradient(n: Network, s: PFState) -> EnergyEval:
     sin_t = np.sin(te)
     cos_t = np.cos(te)
     e2 = np.exp(2.0 * s.rho)
-    g_theta = np.zeros(n.n_bus)
-    g_rho = np.zeros(n.n_bus)
     flow = beff * exy * sin_t
-    np.add.at(g_theta, f, flow)
-    np.add.at(g_theta, t, -flow)
-    np.add.at(g_rho, f, beff * (e2[f] - exy * cos_t))
-    np.add.at(g_rho, t, beff * (e2[t] - exy * cos_t))
-    g_theta -= tp
-    g_rho -= tq
+    # Every bus sums its from-ends, then its to-ends, in line order.
+    ends = n.edges.ravel(order="F")
+    g_theta = np.bincount(ends, np.concatenate((flow, -flow)), n.n_bus) - tp
+    g_rho = np.bincount(ends, np.concatenate((beff * (e2[f] - exy * cos_t),
+                                              beff * (e2[t] - exy * cos_t))), n.n_bus) - tq
     value = _value(n, s, beff, tp, tq, f, t, exy, e2, cos_t)
     return EnergyEval(value, g_theta[n.ns], g_rho[n.pq])
 

@@ -108,6 +108,25 @@ def solve_spd(m, rhs) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def solve_rows(a: np.ndarray, b: np.ndarray):
+    """np.linalg.solve over the leading stack axes of a (..., m, m) and
+    b (..., m, k), and a mask over those axes of the singular systems, whose
+    solutions are NaN. When the stacked call fails on a singular matrix it is
+    redone one system at a time, so that the others still get theirs."""
+    lead = a.shape[:-2]
+    try:
+        return np.linalg.solve(a, b), np.zeros(lead, dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        singular = np.zeros(lead, dtype=bool)
+        for i in np.ndindex(lead):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
+
+
 def fd_hessian(f, x, step: float | None = None) -> np.ndarray:
     """Central-difference Hessian of a scalar function."""
     x = np.asarray(x, dtype=float)

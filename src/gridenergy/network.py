@@ -454,9 +454,9 @@ def absorb_setpoints(n: Network) -> Network:
     ends = v_eff[n.edges]
     with np.errstate(over="ignore", under="ignore"):
         b, g = (x * ends[:, 0] * ends[:, 1] for x in (n.b, n.g))
-    # A scaled b out of range is the set-point's fault: name the line's end
-    # whose set-point lies farther from 1.
-    bad = ~((b > 0) & (b <= MAX_MAGNITUDE))
+    # A scaled b or g out of range is the set-point's fault: name the line's
+    # end whose set-point lies farther from 1.
+    bad = ~((b > 0) & (np.maximum(b, g) <= MAX_MAGNITUDE))
     if bad.any():
         k = int(np.argmax(bad))
         end = n.edges[k, int(np.argmax(abs(np.log(ends[k]))))]

@@ -26,7 +26,7 @@ from .energy import HALF_PI, PFState
 from .errors import (NoReactiveSolution, NumericalFailure, PhaseOutOfRange,
                      SingularReduction, UnsupportedSign, UnsupportedTopology)
 # fd_hessian is unused here; the benchmark's span tracer pins it as an alias.
-from .linalg import fd_hessian  # noqa: F401
+from .linalg import fd_hessian, solve_rows  # noqa: F401
 from .network import Network
 
 _REACTIVE_TOL = 1e-10
@@ -91,25 +91,6 @@ def _phases_in_range(n: Network, theta: np.ndarray) -> np.ndarray:
     return (abs(te) < HALF_PI).all(axis=-1)
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray):
-    """np.linalg.solve over the leading stack axes of a (..., m, m) and
-    b (..., m, k), and a mask over those axes of the singular systems, whose
-    solutions are NaN. When the stacked call fails on a singular matrix it is
-    redone one system at a time, so that the others still get theirs."""
-    lead = a.shape[:-2]
-    try:
-        return np.linalg.solve(a, b), np.zeros(lead, dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        singular = np.zeros(lead, dtype=bool)
-        for i in np.ndindex(lead):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return x, singular
-
-
 def _greatest_u(n: Network, fp: en.FixedPhase):
     """Greatest u > 0 with B_i u_i^2 - r_i u_i + q_i = 0 at every PQ bus,
     r = d + C u, by monotone Newton from a cap.
@@ -142,7 +123,7 @@ def _greatest_u(n: Network, fp: en.FixedPhase):
     half_inv_b, four_bq = 0.5 / b, 4.0 * b * q
     monotone = bool((q >= 0.0).all())
     why = [None] * count
-    u, singular = _solve_rows(-g, (d + np.sqrt(b * np.maximum(-q, 0.0)))[:, :, None])
+    u, singular = solve_rows(-g, (d + np.sqrt(b * np.maximum(-q, 0.0)))[:, :, None])
     u = u[:, :, 0]
     # The rows still iterating and their slices of the per-row arrays; a
     # row's u goes back into u when it leaves.
@@ -165,7 +146,7 @@ def _greatest_u(n: Network, fp: en.FixedPhase):
                 x[real] for x in (live, r, disc, ul, cl, dl, fbq, hib))
         root = np.sqrt(disc)
         jac = eye - ((1.0 + r / root) * hib)[:, :, None] * cl
-        step, singular = _solve_rows(jac, (ul - (r + root) * hib)[:, :, None])
+        step, singular = solve_rows(jac, (ul - (r + root) * hib)[:, :, None])
         step = step[:, :, 0]
         # Whole-stack tests first, since most steps stop no row. A singular
         # row's step is NaN, so it neither raises a voltage nor converges.
@@ -308,7 +289,7 @@ def _kkt_witness(fp: en.FixedPhase, c: np.ndarray, z: np.ndarray,
     """Whether z, with constraint values g, is the zeta program's optimum
     for weights c at fp's phases by KKT: every constraint tight to
     _TIGHT_TOL, and the multipliers that make the objective's gradient c
-    equal J(z)^T lambda all finite and positive.
+    equal J(z)^T lambda all finite and positive (NaN when J is singular).
 
     J = -(diag(d + G u) + diag(u) G) diag(1 / (2u)), the first factor
     being the u-Jacobian of the residual. The multipliers are solved for
@@ -319,10 +300,7 @@ def _kkt_witness(fp: en.FixedPhase, c: np.ndarray, z: np.ndarray,
     u = np.sqrt(z)
     jac = u[:, None] * fp.g
     jac.flat[::len(u) + 1] += fp.d + fp.g @ u
-    try:
-        lam = np.linalg.solve((jac / (-2.0 * u)).T, c / np.max(c))
-    except np.linalg.LinAlgError:
-        return False
+    lam, _ = solve_rows((jac / (-2.0 * u)).T, c / np.max(c))
     return bool(np.all(np.isfinite(lam) & (lam > 0.0)))
 
 
@@ -432,7 +410,7 @@ def _schur(h: np.ndarray, npq: int):
     stack axis, with the rho block first, and a mask of the rows whose H_rr
     is singular (their complement is NaN)."""
     h_rt = h[..., :npq, npq:]
-    x, singular = _solve_rows(h[..., :npq, :npq], h_rt)
+    x, singular = solve_rows(h[..., :npq, :npq], h_rt)
     return h[..., npq:, npq:] - h_rt.swapaxes(-1, -2) @ x, singular
 
 

@@ -11,7 +11,6 @@ no solution exists in the domain.
 """
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .convexity import (ConvexityCertificate, PhaseVoltageBox, domain_matrix,
 from .convexity import lossy_in_domain  # noqa: F401
 from .energy import HALF_PI, PFState, pack, unpack
 from .errors import InfeasibleStart, NotPositiveDefinite
-from .linalg import solve_spd, symmetrize
+from .linalg import solve_rows, solve_spd, symmetrize
 from .network import Network, incidence, scale_injections
 
 
@@ -99,10 +98,8 @@ def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     after eight failed tries; InvalidMatrix when h is not finite.
     """
     a = symmetrize(h)
-    dx = np.full(rhs.shape, math.nan)
-    if np.isfinite(a).all():
-        with contextlib.suppress(np.linalg.LinAlgError):
-            dx = np.linalg.solve(a, rhs)
+    dx = (solve_rows(a, rhs)[0] if np.isfinite(a).all()
+          else np.full(rhs.shape, math.nan))
     for j in np.ndindex(rhs.shape[1:]):
         col = (slice(None), *j)
         # A finite positive rhs . dx rules out every non-finite entry of dx.
@@ -195,10 +192,6 @@ class _Barrier:
                  trace: list | None = None):
         self.n, self.box, self.trace = n, box, trace
         self.log_brho = math.log(box.b_rho) if box is not None else None
-        self.f, self.t = n.edges[:, 0], n.edges[:, 1]
-
-    def edge_vars(self, s: PFState):
-        return s.rho[self.t] - s.rho[self.f], s.theta[self.f] - s.theta[self.t]
 
     def feasible(self, s: PFState) -> bool:
         return math.isfinite(self.value(s)[0])
@@ -207,7 +200,7 @@ class _Barrier:
         """(barrier value, the domain matrix's Cholesky factor) at s;
         (inf, None) outside the strict interior of the domain."""
         outside = math.inf, None
-        n, (d, tau) = self.n, self.edge_vars(s)
+        n, (d, tau) = self.n, en.edge_vars(self.n, s)
         if np.any(np.abs(tau) >= HALF_PI - 1e-12):
             return outside
         val = -float(np.sum(np.log(np.cos(tau))))
@@ -246,7 +239,7 @@ class _Barrier:
         n = self.n
         var, fixed, jd, jt, jf = n.derived(_chain)
         _, col, sign, pq = pq_line_ends(n)
-        d, tau = self.edge_vars(s)
+        d, tau = en.edge_vars(n, s)
         tn = np.tan(tau)
         w = n.b / np.cos(tau)
 
@@ -419,9 +412,8 @@ def _chain(n: Network):
 
 
 def _phase_slack(n: Network, s: PFState) -> float:
-    f, t = n.edges[:, 0], n.edges[:, 1]
-    te = s.theta[f] - s.theta[t]
-    return float(HALF_PI - np.max(np.abs(te))) if len(te) else math.inf
+    _, tau = en.edge_vars(n, s)
+    return float(HALF_PI - np.max(np.abs(tau))) if len(tau) else math.inf
 
 
 def _classify(n: Network, s: PFState, grad_norm: float, opts: SolveOptions,

@@ -146,6 +146,21 @@ def test_pq_ends_read_by_the_domain_only():
     assert attribute_readers("pq_ends") == {"network", "energy", "convexity"}
 
 
+def linalg_solve_callers() -> set[str]:
+    """Every package module that names numpy's linalg.solve."""
+    return {p.stem for p in Path(gridenergy.__file__).parent.glob("*.py")
+            if any(isinstance(node, ast.Attribute) and node.attr == "solve"
+                   and ast.unparse(node.value).endswith("linalg")
+                   for node in ast.walk(ast.parse(p.read_text(), str(p))))}
+
+
+def test_linear_solves_go_through_linalg():
+    # One kernel decides what a singular system gives (linalg.solve_rows:
+    # NaN and a mask) and one the SPD test (linalg.solve_spd); nothing
+    # else calls np.linalg.solve.
+    assert linalg_solve_callers() == {"linalg"}
+
+
 def private_definitions(tree):
     """Every function, class and method named _name (dunders aside)."""
     for node in ast.walk(tree):

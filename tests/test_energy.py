@@ -11,7 +11,7 @@ from gridenergy.energy import PFState, pack, unpack
 from gridenergy.errors import (NotConstantRatio, SingularReduction,
                                UnsupportedTopology)
 from gridenergy.linalg import fd_hessian, sym_eigen
-from gridenergy.network import Bus, BusKind, Line, Network
+from gridenergy.network import Bus, BusKind, Line, Network, impose_ratio
 from gridenergy.reduced import reduced_energy, reduced_hessian
 from gridenergy.solver import solve_convex, solve_newton
 
@@ -146,7 +146,51 @@ class TestResiduals:
         assert max(np.max(np.abs(rp)), np.max(np.abs(rq))) < 1e-10
 
 
+class TestEdgeVars:
+    def test_twobus_hand_values(self, twobus):
+        # Line 1-2: d = rho_2 - rho_1, tau = theta_1 - theta_2.
+        d, tau = en.edge_vars(twobus, PFState(np.array([0.0, 0.1]), np.array([0.0, -0.2])))
+        assert d.tolist() == [0.1] and tau.tolist() == [0.2]
+
+    def test_stack_matches_single_calls(self, ieee14_model):
+        n, rng = ieee14_model, np.random.default_rng(36)
+        states = [random_state(rng, n) for _ in range(6)]
+        s = stacked(states)
+        d, tau = en.edge_vars(n, PFState(s.rho.reshape(2, 3, -1), s.theta.reshape(2, 3, -1)))
+        assert d.shape == tau.shape == (2, 3, len(n.b))
+        for k, one in enumerate(states):
+            d1, tau1 = en.edge_vars(n, one)
+            assert same_bits(d[k // 3, k % 3], d1) and same_bits(tau[k // 3, k % 3], tau1)
+
+
+def reference_gradient(n, s):
+    """energy_gradient's per-bus sums by np.add.at: from-ends, then to-ends,
+    in line order."""
+    beff, tp, tq = en._model(n)
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    te, exy = s.theta[f] - s.theta[t], np.exp(s.rho[f] + s.rho[t])
+    e2 = np.exp(2.0 * s.rho)
+    g_theta, g_rho = np.zeros(n.n_bus), np.zeros(n.n_bus)
+    flow = beff * exy * np.sin(te)
+    np.add.at(g_theta, f, flow)
+    np.add.at(g_theta, t, -flow)
+    np.add.at(g_rho, f, beff * (e2[f] - exy * np.cos(te)))
+    np.add.at(g_rho, t, beff * (e2[t] - exy * np.cos(te)))
+    return (g_theta - tp)[n.ns], (g_rho - tq)[n.pq]
+
+
 class TestGradient:
+    def test_matches_scatter_reference(self, bundled_models):
+        # Bit for bit the np.add.at sums, on every bundled model and the
+        # lossy twin of each one without PV buses.
+        nets = list(bundled_models.values())
+        nets += [impose_ratio(n, 0.2) for n in nets if len(n.pv) == 0]
+        rng = np.random.default_rng(37)
+        for n in nets:
+            for s in [PFState.flat(n)] + [random_state(rng, n) for _ in range(10)]:
+                ev, (g_theta, g_rho) = en.energy_gradient(n, s), reference_gradient(n, s)
+                assert same_bits(ev.grad_theta, g_theta) and same_bits(ev.grad_rho, g_rho)
+
     def test_flat_start(self, bundled_models):
         for n in bundled_models.values():
             ev = en.energy_gradient(n, PFState.flat(n))

@@ -454,8 +454,8 @@ def reference_fault(buses, lines):
     # absorb_setpoints: the line's end whose set-point lies farther from 1.
     v = {b.id: 1.0 if b.kind is BusKind.PQ else b.v_set for b in buses}
     for ln in lines:
-        b = ln.b * v[ln.i] * v[ln.j]
-        if not 0.0 < b <= MAX_MAGNITUDE:
+        b, g = (x * v[ln.i] * v[ln.j] for x in (ln.b, ln.g))
+        if not (0.0 < b and max(b, g) <= MAX_MAGNITUDE):
             far = max((ln.i, ln.j), key=lambda i: abs(math.log(v[i])))
             how = "to zero" if b == 0.0 else f"beyond {MAX_MAGNITUDE:g} per unit"
             return f"bus {far}: voltage set-point {v[far]:g} scales line {ln.i}-{ln.j} {how}"
@@ -506,12 +506,14 @@ MALFORMED = {
     "bad kind before two slacks": (with_bus(3, kind=2) + [Bus(5, S)], OK_LINES),
     "infinite b": (OK_BUSES, with_line(1, b=INF, g=INF)),
     "infinite g": (OK_BUSES, with_line(0, g=INF)),
-    # Faults that only absorb_setpoints meets, in the scaled line b.
+    # Faults that only absorb_setpoints meets, in the scaled line b or g.
     "two set-points past the cap": (
         [Bus(1, S, v_set=1e200), Bus(2, PQ), Bus(3, PV, v_set=1e7), Bus(4, PQ)], OK_LINES),
     "set-points that scale a line to zero": (
         [Bus(1, S, v_set=1e-200), Bus(2, PQ), Bus(3, PV, v_set=1e-300), Bus(4, PQ)],
         OK_LINES + [Line(1, 3, 1.0)]),
+    "a set-point that scales g past the cap": (
+        [Bus(1, S, v_set=7e5), Bus(2, PQ)], [Line(1, 2, b=1.0, g=2.0)]),
 }
 
 
@@ -534,14 +536,17 @@ class TestArrayValidation:
 
     def test_messages(self):
         # A kind outside BusKind and an infinite line parameter name the
-        # fault; a negative b keeps its message.
+        # fault; a negative b keeps its message; a set-point that scales a
+        # line's g past the cap is blamed, not the line.
         for buses, lines, message in (
                 (with_bus(1, kind="pq"), OK_LINES, "bus 2: kind must be a BusKind, got 'pq'"),
                 (OK_BUSES, with_line(1, b=INF), "line 2-3: b must be positive and finite, got inf"),
                 (OK_BUSES, with_line(1, g=INF), "line 2-3: g must be finite and nonnegative"),
-                (OK_BUSES, with_line(1, b=-1.0), "line 2-3: b must be positive, got -1.0")):
+                (OK_BUSES, with_line(1, b=-1.0), "line 2-3: b must be positive, got -1.0"),
+                (*MALFORMED["a set-point that scales g past the cap"],
+                 "bus 1: voltage set-point 700000 scales line 1-2 beyond 1e+06 per unit")):
             with pytest.raises(ParseError) as info:
-                Network(buses, lines)
+                absorb_setpoints(Network(buses, lines))
             assert str(info.value) == message
 
     def test_random_faults_as_before(self):

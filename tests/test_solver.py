@@ -948,7 +948,7 @@ class TestBarrierFactorReuse:
             barrier = solver._Barrier(n, box)
             assert math.isfinite(barrier.value(s1)[0])
             phi, chol = barrier.value(s2)
-            d, tau = barrier.edge_vars(s2)
+            d, tau = en.edge_vars(n, s2)
             a = n.active
             assert np.array_equal(chol, np.linalg.cholesky(
                 domain_matrix(n, d[a], tau[a])))
