@@ -199,8 +199,8 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
             h = hessian(n, PFState(a * s.rho, a * s.theta))
         finite = np.isfinite(h).all(axis=(-2, -1))
         good = len(h) if finite.all() else int(np.argmin(finite))
-        # sym_eigen's eigh on rows that hessian has symmetrized and that are
-        # finite; eigvalsh's last bits would differ.
+        # sym_eigen's eigh on rows that are finite and, as hessian forms
+        # them, exactly symmetric; eigvalsh's last bits would differ.
         w, _ = np.linalg.eigh(h[:good])
         scale = 1.0 + np.abs(h[:good].diagonal(axis1=-2, axis2=-1)).max(axis=-1)
         failed = np.flatnonzero(w[:, 0] < -DEFAULT_PSD_TOL * scale)

@@ -266,11 +266,11 @@ class FixedPhase:
 
 def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
     """Flat positions of hessian's 16 per-line entry groups, in its value
-    order, in a (k+1) x (k+1) scratch matrix over the k free variables in
-    pack's order; pinned ends go to the dropped last row and column. For
+    order, in a k x k matrix over the k free variables in pack's order,
+    followed by one dump bin (k * k) for every entry with a pinned end. For
     n.derived."""
     k = len(n.pq) + len(n.ns)
-    pos = np.full((2, n.n_bus), k)  # rho and theta position of each bus
+    pos = np.full((2, n.n_bus), -1)  # rho and theta position of each bus
     pos[0, n.pq] = np.arange(len(n.pq))
     pos[1, n.ns] = len(n.pq) + np.arange(len(n.ns))
     (rf, rt), (hf, ht) = pos[:, n.edges.T]
@@ -278,12 +278,20 @@ def _hessian_index(n: Network) -> tuple[np.ndarray, int]:
                            rf, ht, rt, ht, hf, ht, hf, ht))
     cols = np.concatenate((rf, rt, rt, rf, hf, rf, hf, rt,
                            ht, rf, ht, rt, hf, ht, ht, hf))
-    return rows * (k + 1) + cols, k
+    return np.where((rows < 0) | (cols < 0), k * k, rows * k + cols), k
 
 
 def hessian(n: Network, s: PFState) -> np.ndarray:
-    """Analytic Hessian over the free variables (rho_pq, theta_ns),
-    symmetrized; over a stack of states, one Hessian per state."""
+    """Analytic Hessian over the free variables (rho_pq, theta_ns); over a
+    stack of states, one Hessian per state, each C-contiguous.
+
+    The scatter is exactly symmetric as it stands: Network refuses a
+    repeated bus pair, so an off-diagonal bin takes at most one line, and
+    each entry group's mirror holds the same values in the same order, so
+    the (rho_i, theta_i) bins sum as their mirrors do. symmetrize would
+    change an entry only by overflowing its doubling, so it runs, with its
+    warning, only when the scattered values could reach that far.
+    """
     check_state(n, s)
     beff, _, _ = _model(n)
     f, t, te, exy = _edge_terms(n, s)
@@ -297,13 +305,20 @@ def hessian(n: Network, s: PFState) -> np.ndarray:
                            w, w, -w, -w), axis=-1)
     # One bincount over the whole stack: matrix i takes bins i*size up to
     # (i+1)*size, filled in hessian's value order.
-    lead, size = vals.shape[:-1], (k + 1) ** 2
+    lead, size = vals.shape[:-1], k * k + 1
     count = math.prod(lead)
     if lead:
         flat = (flat + size * np.arange(count)[:, None]).ravel()
     # bincount gives integers for an empty stack; the dtype keeps it float.
     h = np.bincount(flat, vals.ravel(), size * count).astype(float, copy=False)
-    return symmetrize(h.reshape(lead + (k + 1, k + 1))[..., :k, :k])
+    h = h.reshape(lead + (size,))[..., :k * k].reshape(lead + (k, k))
+    # An entry sums at most vals.shape[-1] values, so it stays within 4e307,
+    # and doubles without overflow, when no value is beyond cap; a NaN
+    # fails both tests.
+    cap = 4e307 / max(vals.shape[-1], 1)
+    if np.max(vals, initial=0.0) <= cap and -np.min(vals, initial=0.0) <= cap:
+        return h
+    return symmetrize(h)
 
 
 @dataclass

@@ -23,11 +23,12 @@ class PsdVerdict:
     min_pivot: float
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
+def symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0.5 (a + a^T) of a square matrix, or of each matrix in a leading
-    stack, in one new array, never in the caller's: the sum first, then an
-    in-place halving, so both triangles are bit-identical."""
-    s = a + a.swapaxes(-1, -2)
+    stack: the sum first, then an in-place halving, so both triangles are
+    bit-identical. The result goes to out, an array of a's shape other than
+    a itself, or else to a new array; never into a."""
+    s = np.add(a, a.swapaxes(-1, -2), out=out)
     s *= 0.5
     return s
 
@@ -118,6 +119,8 @@ def solve_rows(a: np.ndarray, b: np.ndarray):
         return np.linalg.solve(a, b), np.zeros(lead, dtype=bool)
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan)
+        if not lead:  # one system, and it is the one that failed
+            return x, np.ones((), dtype=bool)
         singular = np.zeros(lead, dtype=bool)
         for i in np.ndindex(lead):
             try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import json
 import math
 import re
@@ -505,11 +506,16 @@ BUNDLED_CASES = {"twobus": "twobus.json",
                  "ieee118": "case118.m"}
 
 
+@functools.cache
+def _cases_dir():
+    """The gridenergy.cases package directory, resolved at the first call."""
+    return resources.files("gridenergy.cases")
+
+
 def case_text(name_or_path: str) -> str:
     """Text of a bundled case by name, or of any case file by path."""
     if name_or_path in BUNDLED_CASES:
-        return resources.files("gridenergy.cases").joinpath(
-            BUNDLED_CASES[name_or_path]).read_text()
+        return _cases_dir().joinpath(BUNDLED_CASES[name_or_path]).read_text()
     try:
         with open(name_or_path) as fh:
             return fh.read()

@@ -84,7 +84,9 @@ def _check_tol(name: str, tol: float) -> None:
 
 def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """The Newton step of both routes: solve h dx = rhs, rhs (n,) or (n, k),
-    with one LU factorization of the symmetrized h.
+    with one LU factorization of h, which is symmetric as given: E'' as
+    energy.hessian forms it, or E'' + mu phi'' as _Barrier.path has
+    symmetrized it. Nothing here copies it again.
 
     Every Newton matrix of the convex route is positive definite: E'' on
     C's interior, where E is strictly convex, and E'' + mu phi'' on the
@@ -97,8 +99,7 @@ def _newton_step(h: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     first, then 1e-10 (1 + max |diag h|), growing 100-fold a try. None
     after eight failed tries; InvalidMatrix when h is not finite.
     """
-    a = symmetrize(h)
-    dx = (solve_rows(a, rhs)[0] if np.isfinite(a).all()
+    dx = (solve_rows(h, rhs)[0] if np.isfinite(h).all()
           else np.full(rhs.shape, math.nan))
     for j in np.ndindex(rhs.shape[1:]):
         col = (slice(None), *j)
@@ -343,6 +344,9 @@ class _Barrier:
                 g = gf + mu * gphi
                 h = mu * hphi
                 h += hf
+                # phi'' is symmetric only to rounding: the sum is symmetrized
+                # once, into the buffer of E'', for this step and the predictor.
+                h = symmetrize(h, out=hf)
                 t = None
                 if k == MAX_INNER or np.linalg.norm(g, np.inf) <= stage_tol:
                     break

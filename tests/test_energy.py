@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from gridenergy.convexity import convexity_matrix, in_domain_D_sampled
 from gridenergy.energy import PFState, pack, unpack
 from gridenergy.errors import (NotConstantRatio, SingularReduction,
                                UnsupportedTopology)
-from gridenergy.linalg import fd_hessian, sym_eigen
+from gridenergy.linalg import fd_hessian, sym_eigen, symmetrize
 from gridenergy.network import Bus, BusKind, Line, Network, impose_ratio
 from gridenergy.reduced import reduced_energy, reduced_hessian
 from gridenergy.solver import solve_convex, solve_newton
@@ -225,6 +226,40 @@ class TestGradient:
         assert np.max(np.abs(ev.as_vector())) < 1e-8
 
 
+def symmetrized_scatter(n, s):
+    """hessian's bincount scatter with symmetrize always applied: into a
+    (k+1) x (k+1) matrix whose last row and column take the pinned ends,
+    with hessian's expressions in hessian's order, so its warnings too."""
+    k = len(n.pq) + len(n.ns)
+    pos = np.full((2, n.n_bus), k)
+    pos[0, n.pq] = np.arange(len(n.pq))
+    pos[1, n.ns] = len(n.pq) + np.arange(len(n.ns))
+    (rf, rt), (hf, ht) = pos[:, n.edges.T]
+    rows = np.concatenate((rf, rt, rf, rt, rf, hf, rt, hf,
+                           rf, ht, rt, ht, hf, ht, hf, ht))
+    cols = np.concatenate((rf, rt, rt, rf, hf, rf, hf, rt,
+                           ht, rf, ht, rt, hf, ht, ht, hf))
+    f, t = n.edges[:, 0], n.edges[:, 1]
+    te = s.theta[f] - s.theta[t]
+    exy = np.exp(s.rho[f] + s.rho[t])
+    e2 = np.exp(2.0 * s.rho)
+    w = n.b * exy * np.cos(te)
+    sv = n.b * exy * np.sin(te)
+    vals = np.concatenate((2.0 * n.b * e2[f] - w, 2.0 * n.b * e2[t] - w,
+                           -w, -w, sv, sv, sv, sv, -sv, -sv, -sv, -sv,
+                           w, w, -w, -w))
+    h = np.bincount(rows * (k + 1) + cols, vals, (k + 1) ** 2)
+    return symmetrize(h.reshape(k + 1, k + 1)[:k, :k])
+
+
+def with_warnings(fn, *args):
+    """fn(*args) and the (category, message) of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category.__name__, str(w.message)) for w in caught]
+
+
 class TestHessian:
     def test_two_bus_flat(self):
         n = make_twobus()
@@ -272,6 +307,36 @@ class TestHessian:
         for n in nets:
             s = random_state(rng, n)
             assert np.array_equal(en.hessian(n, s), reference(n, s))
+
+    def test_exactly_symmetric(self, bundled_models):
+        # The scatter is symmetric as formed, bit for bit, one state at a
+        # time and over a stack, so no caller needs to symmetrize it.
+        rng = np.random.default_rng(37)
+        for n in stack_networks(rng, bundled_models):
+            states = [random_state(rng, n, rho_amp=amp, theta_amp=amp)
+                      for amp in (0.3, 1.0, 3.0)]
+            for h in (*(en.hessian(n, s) for s in states), en.hessian(n, stacked(states))):
+                assert same_bits(h, h.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("case", ["twobus", "threebus", "ieee14"])
+    def test_overflow_regime_as_symmetrized(self, case, bundled_models):
+        # PQ voltages near e^355 put entries near and past half the float
+        # range, where symmetrize overflows them to inf, with a warning:
+        # there hessian still symmetrizes, with the same bytes and warnings.
+        n = bundled_models[case]
+        rng = np.random.default_rng(len(case))
+        states, seen = [], set()
+        for c in np.linspace(353.0, 355.5, 11):
+            s = random_state(rng, n, theta_amp=1.0)
+            s.rho[n.pq] += c
+            got, want = (with_warnings(fn, n, s) for fn in (en.hessian, symmetrized_scatter))
+            assert same_bits(got[0], want[0]) and got[1] == want[1]
+            seen.update(want[1])
+            states.append(s)
+        assert ("RuntimeWarning", "overflow encountered in add") in seen
+        with np.errstate(all="ignore"):
+            assert same_bits(en.hessian(n, stacked(states)),
+                             [symmetrized_scatter(n, s) for s in states])
 
     def test_flat_start_psd(self):
         rng = np.random.default_rng(24)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import fd_gradient
 from gridenergy.errors import InvalidMatrix, NotPositiveDefinite
 from gridenergy.linalg import (DEFAULT_PSD_TOL, cholesky_psd, fd_hessian,
-                               solve_spd, sym_eigen, symmetrize)
+                               solve_rows, solve_spd, sym_eigen, symmetrize)
 
 
 def eig2x2(a, b, c):
@@ -158,6 +158,38 @@ class TestSolveSpd:
             solve_spd([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
 
 
+def spy_np_solve(monkeypatch):
+    """The matrix of every np.linalg.solve call."""
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
+    return calls
+
+
+class TestSolveRows:
+    @pytest.mark.parametrize("rhs_shape", [(3,), (3, 2)])
+    def test_singular_system_factored_once(self, monkeypatch, rhs_shape):
+        a, b = np.ones((3, 3)), np.ones(rhs_shape)
+        calls = spy_np_solve(monkeypatch)
+        x, singular = solve_rows(a, b)
+        assert len(calls) == 1
+        assert x.tobytes() == np.full(rhs_shape, np.nan).tobytes()
+        assert singular.shape == () and singular.dtype == bool and singular
+
+    def test_stack_redoes_each_system(self, monkeypatch):
+        # One singular system of three: the stacked call fails, then each
+        # system is solved alone, and the others keep their solutions.
+        rng = np.random.default_rng(5)
+        a = np.stack([asymmetric_spd(rng, 3), np.ones((3, 3)), asymmetric_spd(rng, 3)])
+        b = rng.normal(size=(3, 3, 1))
+        calls = spy_np_solve(monkeypatch)
+        x, singular = solve_rows(a, b)
+        assert len(calls) == 4
+        assert singular.tolist() == [False, True, False]
+        assert np.isnan(x[1]).all()
+        for k in (0, 2):
+            assert x[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+
+
 @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_gram_matrices_are_psd(vals):
@@ -221,6 +253,13 @@ class TestSymMatrixStorage:
         for k in range(4):
             wk, vk = sym_eigen(a[k])
             assert w[k].tobytes() == wk.tobytes() and v[k].tobytes() == vk.tobytes()
+
+    def test_out(self):
+        a = np.stack([asymmetric_spd(np.random.default_rng(k), 5) for k in range(3)])
+        for m in (a[0], a):
+            out = np.empty_like(m)
+            assert symmetrize(m, out=out) is out
+            assert out.tobytes() == symmetrize(m).tobytes()
 
     @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (), (2, 2, 3), (2, 0, 0)])
     @pytest.mark.parametrize("kernel", [cholesky_psd, sym_eigen,

@@ -3,12 +3,13 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_twobus, random_network, random_state
-from gridenergy import cli
+from gridenergy import cli, network
 from gridenergy import energy as en
 from gridenergy.errors import ParseError
 from gridenergy.network import (BUNDLED_CASES, MAX_MAGNITUDE, Bus, BusKind, Line,
@@ -733,3 +734,22 @@ class TestSharedLineSet:
         assert str(got.value) == str(want.value)
         # A refused row leaves its network as it was.
         assert threebus.p_inj.tobytes() == before.tobytes()
+
+
+class TestCaseText:
+    @pytest.mark.parametrize("case", sorted(BUNDLED_CASES))
+    def test_bundled_text_is_the_package_file(self, case):
+        path = Path(network.__file__).parent / "cases" / BUNDLED_CASES[case]
+        assert network.case_text(case) == path.read_text()
+
+    def test_cases_directory_resolved_once(self, monkeypatch):
+        files, calls = network.resources.files, []
+        monkeypatch.setattr(network.resources, "files",
+                            lambda package: calls.append(package) or files(package))
+        network._cases_dir.cache_clear()
+        try:
+            texts = [network.case_text(case) for case in sorted(BUNDLED_CASES) * 2]
+        finally:
+            network._cases_dir.cache_clear()
+        assert calls == ["gridenergy.cases"]
+        assert texts[:len(BUNDLED_CASES)] == texts[len(BUNDLED_CASES):]

@@ -487,16 +487,18 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("order", [1, 9, 64, 181])
     def test_spd_bit_equal_to_solve_spd(self, order):
-        from gridenergy.linalg import solve_spd
+        from gridenergy.linalg import solve_spd, symmetrize
 
         rng = np.random.default_rng(order)
         for _ in range(5):
-            # Slightly asymmetric, as products of rounded terms are.
+            # Slightly asymmetric, as products of rounded terms are; the
+            # caller symmetrizes, as _Barrier.path does, and _newton_step
+            # factors what it is given.
             a = rng.standard_normal((order, order))
             h = a @ a.T + order * np.eye(order)
             h += 1e-13 * rng.standard_normal((order, order))
             rhs = rng.standard_normal(order)
-            dx = solver._newton_step(h, rhs)
+            dx = solver._newton_step(symmetrize(h), rhs)
             assert dx.tobytes() == solve_spd(h, rhs).tobytes()
 
     def test_indefinite_ascent_takes_the_ridge(self):
@@ -593,6 +595,50 @@ class TestNewtonStep:
                                                SolveStatus.NO_SOLUTION_IN_C}
         # The ridge's first try is a solve_spd call; none means no ridge.
         assert steps[0] > 0 and not ridges
+
+
+class TestSymmetricNewtonMatrices:
+    """Every matrix _newton_step factors is exactly symmetric where it is
+    formed: E'' as energy.hessian scatters it, with no symmetrize, and
+    E'' + mu phi'' as _Barrier.path symmetrizes it once."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Whether each matrix _newton_step receives equals its transpose
+        bit for bit, and the shape of each symmetrize call in energy and
+        solver."""
+        symmetric, symmetrized = [], []
+        step, symmetrize = solver._newton_step, solver.symmetrize
+
+        def spy_step(h, rhs):
+            symmetric.append(same_bits(h, h.T))
+            return step(h, rhs)
+
+        def spy_symmetrize(a, out=None):
+            symmetrized.append(a.shape)
+            return symmetrize(a, out=out)
+
+        monkeypatch.setattr(solver, "_newton_step", spy_step)
+        for module in (en, solver):
+            monkeypatch.setattr(module, "symmetrize", spy_symmetrize)
+        return symmetric, symmetrized
+
+    def test_solve_newton_symmetrizes_nothing(self, ieee118_model, monkeypatch):
+        symmetric, symmetrized = self.spy(monkeypatch)
+        out = solve_newton(ieee118_model)
+        assert out.status is SolveStatus.SOLUTION_FOUND and out.iterations > 0
+        assert len(symmetric) >= out.iterations and all(symmetric)
+        assert symmetrized == []
+
+    def test_sweep_through_no_solution(self, ieee14_model, monkeypatch):
+        symmetric, symmetrized = self.spy(monkeypatch)
+        records = sweep_load(ieee14_model, 1.0, np.arange(1.0, 5.76, 0.5))
+        assert {r.status for r in records} == {SolveStatus.SOLUTION_FOUND,
+                                               SolveStatus.NO_SOLUTION_IN_C}
+        # The barrier ran, and only it symmetrized: once a Newton matrix.
+        order = len(ieee14_model.pq) + len(ieee14_model.ns)
+        assert symmetrized and set(symmetrized) == {(order, order)}
+        assert len(symmetric) > len(symmetrized) and all(symmetric)
 
 
 class TestNewtonFirst:
