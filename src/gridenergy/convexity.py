@@ -18,8 +18,8 @@ from .energy import HALF_PI, PFState, check_one_state, check_state, edge_vars, h
 from .errors import (DomainError, InvalidMatrix, NotConstantRatio,
                      PhaseOutOfRange, UnsupportedTopology)
 # cholesky_psd is unused here; the benchmark's span tracer pins it as an alias.
-from .linalg import (DEFAULT_PSD_TOL, cholesky_psd, sym_eigen,  # noqa: F401
-                     symmetrize)
+from .linalg import (DEFAULT_PSD_TOL, cholesky_clears, cholesky_psd,  # noqa: F401
+                     sym_eigen, symmetrize)
 from .network import Network
 
 # Largest count of rows that one call or command builds: region grid cells,
@@ -178,7 +178,10 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
 
     The samples are evaluated in stacks, with the result of testing them one
     at a time: InvalidMatrix only for a non-finite Hessian before the first
-    failure, and only the warnings that sample prints.
+    failure, and only the warnings that sample prints. A chunk whose finite
+    rows linalg.cholesky_clears proves above the floor has no failure; only
+    a chunk it cannot clear goes through eigh, so a passing run makes no
+    eigendecomposition.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -199,14 +202,17 @@ def in_domain_D_sampled(n: Network, s: PFState, samples: int = 64
             h = hessian(n, PFState(a * s.rho, a * s.theta))
         finite = np.isfinite(h).all(axis=(-2, -1))
         good = len(h) if finite.all() else int(np.argmin(finite))
-        # sym_eigen's eigh on rows that are finite and, as hessian forms
-        # them, exactly symmetric; eigvalsh's last bits would differ.
-        w, _ = np.linalg.eigh(h[:good])
         scale = 1.0 + np.abs(h[:good].diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-        failed = np.flatnonzero(w[:, 0] < -DEFAULT_PSD_TOL * scale)
-        if len(failed):
-            return DomainDSample(in_d=False, samples=samples,
-                                 alphas=alphas[:lo + failed[0] + 1])
+        floor = DEFAULT_PSD_TOL * scale
+        # A cleared chunk has no failure. Otherwise sym_eigen's eigh on rows
+        # that are finite and, as hessian forms them, exactly symmetric;
+        # eigvalsh's last bits would differ.
+        if good and not cholesky_clears(h[:good], floor):
+            w, _ = np.linalg.eigh(h[:good])
+            failed = np.flatnonzero(w[:, 0] < -floor)
+            if len(failed):
+                return DomainDSample(in_d=False, samples=samples,
+                                     alphas=alphas[:lo + failed[0] + 1])
         if good < len(h):
             # Bit for bit its stacked row, so sym_eigen raises.
             sym_eigen(hessian(n, PFState(a[good] * s.rho, a[good] * s.theta)))
@@ -245,7 +251,8 @@ class PhaseBound(PhaseVoltageBox):
 
 # Entries the sampled probes (lines per probe), the D-sampling and the vertex
 # stack (matrix entries) take per numpy call: enough to amortize its cost,
-# temporaries near 128 kB.
+# temporaries near 128 kB. A D-sampling chunk also makes a shifted copy and
+# its Cholesky factor.
 _CHUNK_ENTRIES = 1 << 14
 _MAX_BUDGET = HALF_PI - 1e-9  # the largest budget: every phase below 90 degrees
 _BOUND_RESOLUTION = math.radians(0.1)  # the sampled bisection's width

@@ -85,6 +85,42 @@ def cholesky_psd(m, tol: float = DEFAULT_PSD_TOL) -> PsdVerdict:
     return PsdVerdict(True, min_pivot)
 
 
+# eigh's eigenvalue error is taken as p(n) u ||A||_2 with p(n) = _EIG_ERROR * n.
+_EIG_ERROR = 16.0
+
+
+def cholesky_clears(h: np.ndarray, t: np.ndarray) -> bool:
+    """Proof that eigh finds no eigenvalue below -t[i] in any row h[i] of a
+    stack of finite, exactly symmetric matrices (k, n, n), with t > 0 per
+    row. True only when np.linalg.cholesky of h + (t/2) I succeeds on the
+    whole stack and, in every row, twice
+        gamma_{n+1} ||R||_F^2 + u (max |h_ii| + t/2) + _EIG_ERROR n u ||h||_F
+    stays below t/2. The terms: the factor R's backward error (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), the
+    rounding of the shifted diagonal, and eigh's own error p(n) u ||h||_2
+    (LAPACK Users' Guide, sec. 4.7, with u = 2^-53 its machine epsilon),
+    where p(n) = 16 n is an assumption; the factor 2 covers the rounding of
+    the bound. Then lambda_min(h) > -t/2 - (the first two terms), and
+    eigh's computed lambda_min > -t. Assumes no underflow in the
+    factorization (Rump, BIT 46, 2006, covers it). Otherwise False, with no
+    judgement made; it never raises."""
+    n, diag = h.shape[-1], np.arange(h.shape[-1])
+    u = 0.5 * np.finfo(float).eps
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    with np.errstate(all="ignore"):  # an overflow here only fails the proof
+        half = 0.5 * t
+        s = h.copy()
+        s[:, diag, diag] += half[:, None]
+        try:
+            r = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return False
+        top = np.abs(h[:, diag, diag]).max(axis=1)
+        bound = (gamma * np.einsum("kij,kij->k", r, r) + u * (top + half)
+                 + _EIG_ERROR * n * u * np.sqrt(np.einsum("kij,kij->k", h, h)))
+        return bool(np.all(2.0 * bound < half))
+
+
 def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition; eigenvalues ascending, eigenvectors in
     columns. m may carry a leading stack axis, and the results then do."""

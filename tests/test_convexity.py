@@ -228,6 +228,11 @@ def d_outcome(fn, n, s, samples):
     return result, [str(w.message) for w in caught]
 
 
+def d_failing_state(n):
+    """A seeded state whose sampled D test fails partway along the segment."""
+    return random_state(np.random.default_rng(118), n, rho_amp=0.5, theta_amp=0.5)
+
+
 def stacked_min_eigs(n, s, alphas):
     """Smallest eigenvalue of the Hessian at every alpha * s, from one stacked
     Hessian and one batched eigh."""
@@ -316,6 +321,32 @@ class TestStackedDSamples:
         assert d_outcome(in_domain_D_sampled, n, PFState.flat(n), 4)[0] == (
             "InvalidMatrix", "expected a square matrix, got shape (0, 0)")
         self.assert_as_before(n, PFState.flat(n), 4)
+
+    def test_ieee118_one_sample_a_chunk(self, ieee118_model):
+        # Order 181: each chunk is one sample.
+        n = ieee118_model
+        assert convexity._CHUNK_ENTRIES // (len(n.pq) + len(n.ns)) ** 2 == 0
+        assert self.assert_as_before(n, solve_convex(n).state, 64) == (
+            True, (np.arange(65) / 64).tobytes())
+        verdict, alphas = self.assert_as_before(n, d_failing_state(n), 64)
+        assert verdict is False and 2 < len(np.frombuffer(alphas)) < 65
+
+    @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
+    def test_eigh_only_for_a_chunk_that_may_fail(self, case, bundled_models, monkeypatch):
+        # A shifted Cholesky clears every chunk of a passing run; a failing
+        # run decomposes only the chunk that holds its first failure.
+        n = bundled_models[case]
+        solution, eigh, calls = solve_convex(n).state, np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert in_domain_D_sampled(n, solution, 64).in_d
+        assert calls == []
+        assert not in_domain_D_sampled(n, d_failing_state(n), 64).in_d
+        assert len(calls) == 1
 
 
 class TestLossyDomain:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient
 from gridenergy.errors import InvalidMatrix, NotPositiveDefinite
-from gridenergy.linalg import (DEFAULT_PSD_TOL, cholesky_psd, fd_hessian,
-                               solve_rows, solve_spd, sym_eigen, symmetrize)
+from gridenergy.linalg import (DEFAULT_PSD_TOL, cholesky_clears, cholesky_psd,
+                               fd_hessian, solve_rows, solve_spd, sym_eigen,
+                               symmetrize)
 
 
 def eig2x2(a, b, c):
@@ -156,6 +158,72 @@ class TestSolveSpd:
     def test_singular_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             solve_spd([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
+
+
+def with_spectrum(rng, order, lam_min):
+    """Q diag(lam_min, uniform[1, 10]...) Q^T, exactly symmetric, for a
+    seeded orthogonal Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+    lam = np.concatenate(([lam_min], rng.uniform(1.0, 10.0, order - 1)))
+    return symmetrize((q * lam) @ q.T)
+
+
+def singular_laplacian(rng):
+    """An exactly singular weighted Laplacian of a connected graph: integer
+    weights, so every row sums to exactly zero."""
+    n = int(rng.integers(2, 31))
+    w = np.triu(rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+    w[rng.integers(0, np.arange(1, n)), np.arange(1, n)] = rng.integers(1, 10, n - 1)
+    w = (w + w.T).astype(float)
+    return np.diag(w.sum(axis=1)) - w
+
+
+class TestCholeskyClears:
+    """cholesky_clears proves that eigh finds no eigenvalue below -t."""
+
+    # D's floor for eigenvalues up to 10.
+    T = DEFAULT_PSD_TOL * 11.0
+
+    @pytest.mark.parametrize("order", [1, 9, 22, 64, 181])
+    def test_never_clears_what_eigh_fails(self, order):
+        rng = np.random.default_rng(order)
+        t = np.array([self.T])
+        for _ in range(4):
+            for k in (0.5, 0.0, -0.25, -0.49, -0.51, -1.0, -2.0):
+                a = with_spectrum(rng, order, k * self.T)
+                cleared = cholesky_clears(a[None], t)
+                assert not (cleared and np.linalg.eigh(a)[0][0] < -self.T), k
+                assert cleared or k < 0, k
+
+    def test_a_stack_clears_only_as_a_whole(self):
+        rng = np.random.default_rng(5)
+        h = np.stack([with_spectrum(rng, 22, k * self.T) for k in (0.5, 0.0, 0.0)])
+        t = np.full(3, self.T)
+        assert cholesky_clears(h, t)
+        h[1] = with_spectrum(rng, 22, -2.0 * self.T)
+        assert not cholesky_clears(h, t)
+
+    def test_singular_laplacians_never_clear(self):
+        # A plain Cholesky succeeds on many of these singular matrices; with
+        # no room left for rounding (t = 1e-300) no proof may hold.
+        rng = np.random.default_rng(18)
+        plain = 0
+        for _ in range(2000):
+            a = singular_laplacian(rng)
+            assert not cholesky_clears(a[None], np.array([1e-300]))
+            try:
+                np.linalg.cholesky(a)
+                plain += 1
+            except np.linalg.LinAlgError:
+                pass
+        assert plain > 600
+
+    def test_quiet(self):
+        # ||h||_F overflows, or the factorization fails: no warning, no error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert type(cholesky_clears(np.diag([1e200, 1.0])[None], np.array([1e191]))) is bool
+            assert not cholesky_clears(np.diag([1.0, -1.0])[None], np.array([1e-9]))
 
 
 def spy_np_solve(monkeypatch):
