@@ -365,6 +365,18 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     the least of the chunks' budgets: a chunk that passes at the running
     least cannot lower it, and one that fails there is bisected with every
     point at or above it failed untested.
+
+    Bus i's load is a sum of b_e e^{+-d_e} / cos(phi_e b_theta) with b_e > 0
+    (Network enforces it), |d_e| <= log b_rho and |phi_e| <= 1, so it is at
+    most b_rho B_i / cos b_theta: every probe passes wherever cos b_theta >=
+    b_rho / 2, below the floor acos(b_rho / 2). Such points pass untested,
+    the stream stops once the running least reaches the floor (no later
+    chunk can fail there), and it stops at a least of 0 (a later chunk
+    passes at 0 or fails there, and the budget is 0 either way). The test
+    asks for cos b_theta >= (b_rho / 2)(1 + 1e-9): the margin covers the
+    rounding of exp, cos, the load sums and B_i (both summed in the same
+    order) for up to about 10^6 lines a bus, assuming numpy's exp and cos
+    and math.cos are within 4 ulp.
     """
     _check_b_rho(b_rho)
     if seed < 0:
@@ -373,18 +385,25 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     if len(n.active) <= 12:
         return PhaseBound(b_rho=b_rho, certified=True, b_theta=_vertex_budget(n, log_ratio))
 
+    cos_floor = 0.5 * b_rho * (1 + 1e-9)
+
+    def passes(terms: np.ndarray, phi: np.ndarray, b_theta: float) -> bool:
+        return math.cos(b_theta) >= cos_floor or _probes_pass(n, terms, phi, b_theta)
+
     best = _MAX_BUDGET
     for terms, phi in _box_chunks(n, log_ratio, samples, seed):
-        if _probes_pass(n, terms, phi, best):
+        if passes(terms, phi, best):
             continue
-        if not _probes_pass(n, terms, phi, 0.0):
+        if not passes(terms, phi, 0.0):
             return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=False)
         lo, hi = 0.0, _MAX_BUDGET
         while hi - lo > _BOUND_RESOLUTION:
             mid = 0.5 * (lo + hi)
-            if mid < best and _probes_pass(n, terms, phi, mid):
+            if mid < best and passes(terms, phi, mid):
                 lo = mid
             else:
                 hi = mid
         best = lo
+        if best == 0.0 or math.cos(best) >= cos_floor:
+            break
     return PhaseBound(b_rho=b_rho, b_theta=best, certified=False)

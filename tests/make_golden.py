@@ -102,6 +102,10 @@ GOLDEN = {
     **{f"bounds_{case}_rho{rho}.json": ["bounds", case, "--b-rho", rho]
        for case in ("threebus", "threebus-tree", "ieee14", "ieee118")
        for rho in ("1.0", "1.05", "1.2", "1.5")},
+    # ieee118's sampled budget stops at its floor acos(b_rho / 2) at 1.8 and
+    # at zero at 2.0.
+    **{f"bounds_{case}_rho{rho}.json": ["bounds", case, "--b-rho", rho]
+       for case in ("ieee14", "ieee118") for rho in ("1.8", "2.0")},
     **{f"bounds_{case}_rho1.5_seed1.json": ["bounds", case, "--b-rho", "1.5",
                                             "--seed", "1"]
        for case in ("ieee14", "ieee118")},

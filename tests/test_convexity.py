@@ -703,6 +703,25 @@ class TestMaxPhaseBound:
             lo, hi = (mid, hi) if box_ok(mid) else (lo, mid)
         return lo
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Rows of each probe chunk that max_phase_bound draws, and the chunk
+        (numbered from 1) that each _probes_pass call tests."""
+        drawn, tested = [], []
+
+        def chunks(*args):
+            for chunk in _box_chunks(*args):
+                drawn.append(len(chunk[0]))
+                yield chunk
+
+        def probes_pass(*args):
+            tested.append(len(drawn))
+            return _probes_pass(*args)
+
+        monkeypatch.setattr(convexity, "_box_chunks", chunks)
+        monkeypatch.setattr(convexity, "_probes_pass", probes_pass)
+        return drawn, tested
+
     @pytest.mark.parametrize("case", ["ieee14", "ieee118"])
     def test_pruned_bisection_matches_unpruned(self, bundled_models, case):
         # The bisection judges one chunk of probes at a time against the
@@ -717,19 +736,51 @@ class TestMaxPhaseBound:
                 assert got.b_theta == self._unpruned_bound(n, b_rho, seed=seed), (
                     b_rho, seed)
 
-    def test_pruned_bisection_matches_unpruned_on_random_meshes(self):
+    def test_pruned_bisection_matches_unpruned_on_random_meshes(self, monkeypatch):
+        # Of these 25 meshes, 14 stop the probe stream at the floor exit, none
+        # at the zero exit and 11 test every chunk.
+        drawn, _ = self._spy(monkeypatch)
         rng = np.random.default_rng(44)
-        checked = 0
-        while checked < 20:
+        checked, stopped = 0, 0
+        while checked < 25:
             n = random_network(rng, n_max=30)
             if len(n.pq) == 0 or len(n.active) <= 12:
                 continue
             samples = int(rng.choice([1, 50, 700, 3000]))
             b_rho = float(rng.uniform(1.0, 2.0))
+            drawn.clear()
             got = max_phase_bound(n, b_rho, samples=samples, seed=checked)
             want = self._unpruned_bound(n, b_rho, samples, seed=checked)
             assert got.b_theta == want, (checked, samples, b_rho)
+            if sum(drawn) < max(samples, 2 * len(n.active)):
+                stopped += 1
+                assert math.cos(got.b_theta) >= 0.5 * b_rho, (checked, b_rho)
             checked += 1
+        assert 5 <= stopped <= checked - 5, stopped
+
+    @pytest.mark.parametrize("case, b_rho", [
+        ("ieee118", 1.05), ("ieee118", 1.8), ("ieee118", 1.99), ("ieee118", 2.0),
+        ("ieee14", 1.0), ("ieee14", 1.05), ("ieee14", 1.8)])
+    def test_floor_and_zero_exits_match_unpruned(self, bundled_models, case, b_rho):
+        # ieee118's leaf PQ bus puts a battery probe's budget at the floor
+        # acos(b_rho / 2) below 2 and at zero at 2; ieee14's budget meets
+        # its floor only at 1. Passing the points below the floor untested
+        # and stopping at the floor or at zero leave every budget as it was.
+        n = bundled_models[case]
+        assert max_phase_bound(n, b_rho).b_theta == self._unpruned_bound(n, b_rho)
+
+    def test_stream_stops_at_the_floor(self, bundled_models, monkeypatch):
+        drawn, tested = self._spy(monkeypatch)
+        for samples in (10000, 40000):
+            tested.clear()
+            max_phase_bound(bundled_models["ieee118"], 1.5, samples=samples)
+            assert len(tested) <= 25, samples
+        # ieee14's budget sits above its floor: every chunk is drawn and tested.
+        drawn.clear()
+        tested.clear()
+        max_phase_bound(bundled_models["ieee14"], 1.5)
+        assert sum(drawn) == 10000
+        assert set(tested) == set(range(1, len(drawn) + 1))
 
     @pytest.mark.parametrize("entries", [1, 60, 1000])
     def test_streamed_bisection_matches_unpruned_at_any_chunk(
@@ -743,17 +794,25 @@ class TestMaxPhaseBound:
                 want = self._unpruned_bound(ieee14_model, b_rho, 700, seed)
                 assert got.b_theta == want, (b_rho, seed)
 
-    def test_sampled_memory_does_not_grow_with_samples(self, ieee118_model):
+    def test_sampled_memory_does_not_grow_with_samples(self, bundled_models,
+                                                       monkeypatch):
         # The probes stream through in chunks; holding every probe at once
-        # traced 28 MB at 10 000 probes and 107 MB at 40 000.
-        for samples in (10000, 40000):
-            tracemalloc.start()
-            try:
-                max_phase_bound(ieee118_model, 1.5, samples=samples)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4e6, (samples, peak)
+        # traced 28 MB at 10 000 probes and 107 MB at 40 000 on ieee118.
+        # ieee118 stops at its floor inside the battery, so ieee14, whose
+        # budget sits above its floor, is the case that draws the random ones.
+        drawn, _ = self._spy(monkeypatch)
+        for case in ("ieee14", "ieee118"):
+            for samples in (10000, 40000):
+                drawn.clear()
+                tracemalloc.start()
+                try:
+                    max_phase_bound(bundled_models[case], 1.5, samples=samples)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4e6, (case, samples, peak)
+                if case == "ieee14":
+                    assert sum(drawn) == samples
 
     @pytest.mark.parametrize("case, b_rho, seed, b_theta", [
         ("ieee14", 1.2, 0, "0x1.e49735eb95862p-1"),
