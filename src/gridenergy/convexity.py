@@ -394,8 +394,6 @@ def max_phase_bound(n: Network, b_rho: float, samples: int = 10000,
     for terms, phi in _box_chunks(n, log_ratio, samples, seed):
         if passes(terms, phi, best):
             continue
-        if not passes(terms, phi, 0.0):
-            return PhaseBound(b_rho=b_rho, b_theta=0.0, certified=False)
         lo, hi = 0.0, _MAX_BUDGET
         while hi - lo > _BOUND_RESOLUTION:
             mid = 0.5 * (lo + hi)

@@ -47,12 +47,6 @@ class PFState:
     def flat(n: Network) -> "PFState":
         return PFState(np.zeros(n.n_bus), np.zeros(n.n_bus))
 
-    def copy(self) -> "PFState":
-        return PFState(self.rho.copy(), self.theta.copy())
-
-    def voltages(self) -> np.ndarray:
-        return np.exp(self.rho)
-
 
 def check_state(n: Network, s: PFState) -> None:
     """Raise ValueError unless s, or every state of a stack, fits n: one
@@ -103,7 +97,8 @@ class EnergyEval:
 
 
 def _model(n: Network):
-    """Susceptances (1 + kappa^2) b and the lossy_targets of network n.
+    """Susceptances (1 + kappa^2) b and the lossy_targets of network n, once
+    it passes the energy model's gate: a uniform g/b ratio, set-points at 1.
 
     At kappa = 0 these are n's own arrays, so the lossless path allocates
     nothing per call.
@@ -111,6 +106,9 @@ def _model(n: Network):
     kappa = n.lossy_ratio
     if kappa is None:
         raise NotConstantRatio("line g/b ratios are not uniform")
+    if not n.unit_setpoints:
+        raise UnsupportedTopology("the energy model needs slack/PV set-points "
+                                  "of 1 (see absorb_setpoints)")
     if kappa == 0.0:
         return n.b, n.p_inj, n.q_inj
     # The combined active target mixes in Q, which a PV bus does not fix.

@@ -133,16 +133,16 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_spd(m, rhs) -> np.ndarray:
-    """Solve m x = rhs for symmetric positive definite m."""
+    """Solve m x = rhs for symmetric positive definite m, else NotPositiveDefinite."""
     a = _symmetric(m)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != len(a):
         raise InvalidMatrix(f"rhs length {b.shape[0]} != order {len(a)}")
     try:
         np.linalg.cholesky(a)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is singular or indefinite") from exc
-    return np.linalg.solve(a, b)
 
 
 def solve_rows(a: np.ndarray, b: np.ndarray):

@@ -70,6 +70,7 @@ class Network:
       b_total        per-bus sum of incident b (B_i)
       lossy_ratio    g/b when uniform across lines (0.0 when lossless),
                      None when the ratio varies
+      unit_setpoints whether every slack/PV set-point is 1 (the energy's gate)
       pq_index_of    position of each bus among the PQ buses, -1 elsewhere
       pq_ends        (m, 2) PQ position of each line end, -1 at a fixed end
       active         lines with a PQ end, the ones in the domain matrix
@@ -134,6 +135,7 @@ class Network:
             (~((self.kinds == 2) | (v > 0) & (v < np.inf)),
              "voltage set-point must be positive and finite")))
         self.p_inj, self.q_inj, self.v_set = p, q, v
+        self.unit_setpoints = bool((v[self.kinds != 2] == 1.0).all())
 
     def _set_lines(self, b, g, name=None, *ends, duplicate=False) -> None:
         """Check and set the line parameters, y, b_total and lossy_ratio, and
@@ -319,7 +321,7 @@ def _read_matrix(text: str, name: str) -> list[list[float]]:
         raise ParseError(f"mpc.{name} matrix not found")
     rows = []
     for rn, raw in enumerate(m.group(1).split(";")):
-        raw = raw.split("%")[0].strip()
+        raw = raw.strip()
         if not raw:
             continue
         try:
@@ -361,7 +363,6 @@ def parse_matpower(text: str) -> Network:
 
     buses = []
     kinds_seen = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
-    n_slack = 0
     for rn, row in enumerate(bus_rows):
         if len(row) <= _QD:
             raise ParseError(f"bus row {rn + 1}: too few columns")
@@ -370,8 +371,6 @@ def parse_matpower(text: str) -> Network:
         if btype not in kinds_seen:
             raise ParseError(f"bus {bid}: unsupported type {btype}")
         kind = kinds_seen[btype]
-        if kind is BusKind.SLACK:
-            n_slack += 1
         if len(row) > _BS and (row[_GS] != 0 or row[_BS] != 0):
             warnings.warn(f"bus {bid}: shunt element ignored", stacklevel=2)
         pg = sum(g[_PG] for g in gens.get(bid, []))
@@ -387,8 +386,6 @@ def parse_matpower(text: str) -> Network:
                          p_inj=(pg - row[_PD]) / base,
                          q_inj=(qg - row[_QD]) / base,
                          v_set=v_set))
-    if n_slack != 1:
-        raise ParseError(f"expected exactly one slack bus, found {n_slack}")
 
     lines = []
     tap_warned = charge_warned = False
@@ -446,12 +443,12 @@ def absorb_setpoints(n: Network) -> Network:
     which is the standard flat-set-point normalization of this model. A
     network whose set-points are all 1 already is returned as it is.
     """
-    if n.v_set[n.slack_index] == 1.0 and np.all(n.v_set[n.pv] == 1.0):
+    if n.unit_setpoints:
         return n
     out = copy.copy(n)
     pq = n.kinds == 2
     v_eff = np.where(pq, 1.0, n.v_set)
-    out.v_set = np.where(pq, n.v_set, 1.0)
+    out._set_injections(n.p_inj, n.q_inj, np.where(pq, n.v_set, 1.0))
     ends = v_eff[n.edges]
     with np.errstate(over="ignore", under="ignore"):
         b, g = (x * ends[:, 0] * ends[:, 1] for x in (n.b, n.g))

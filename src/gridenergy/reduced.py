@@ -213,7 +213,7 @@ def reduced_energy(n: Network, theta) -> float:
     """Energy evaluated at the dominant reactive solution for the phases."""
     theta = _check_theta(n, theta)
     s = PFState(np.zeros(n.n_bus), theta.copy())
-    s.rho[n.pq] = solve_reactive_newton(n, theta)
+    s.rho[n.pq] = _solved_rho(n, en.FixedPhase(n, theta), theta)
     return en.energy_value(n, s)
 
 
@@ -235,9 +235,6 @@ def _zeta_weights(n: Network, fp: en.FixedPhase, c=None) -> np.ndarray:
     """
     if len(n.pq) == 0:
         raise UnsupportedTopology("the reactive program needs a PQ bus")
-    if np.any(np.delete(n.v_set, n.pq) != 1.0):
-        raise UnsupportedTopology("the reactive program needs slack/PV "
-                                  "set-points of 1 (see absorb_setpoints)")
     if np.any(fp.tq > 0):
         bad = [n.ids[p] for p in n.pq[fp.tq > 0]]
         raise UnsupportedSign(f"PQ buses must consume reactive power; got "

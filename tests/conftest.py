@@ -7,7 +7,7 @@ from hypothesis import settings
 from gridenergy.energy import HALF_PI, PFState
 from gridenergy.errors import PhaseOutOfRange
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
-                                load_case, losslessify)
+                                incidence, load_case, losslessify)
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
@@ -55,6 +55,25 @@ def matrix_convexity_gap(x1: float, y1: float, x2: float, y2: float,
     xm = lam * x1 + (1.0 - lam) * x2
     ym = lam * y1 + (1.0 - lam) * y2
     return lam * f(x1, y1) + (1.0 - lam) * f(x2, y2) - f(xm, ym)
+
+
+def phasor_hessian(n, s):
+    """The energy's Hessian as the phasor power-flow Jacobian, independent of
+    energy.hessian: with Y = A diag(y) A^T and I = Y V,
+        dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)),
+        dS/drho = diag(V) conj(Y diag(V)) + conj(diag(I)) diag(V),
+    Q rows at the PQ buses, then P rows at the non-slack buses, columns
+    (rho_pq, theta_ns); a lossy network's rows are (Q + kappa P, P - kappa Q)."""
+    a = incidence(n)
+    y = (a * n.y) @ a.T
+    v = np.exp(s.rho + 1j * s.theta)
+    cur, yv = y @ v, y * v
+    ds_dtheta = 1j * v[:, None] * np.conj(np.diag(cur) - yv)
+    ds_drho = v[:, None] * np.conj(yv) + np.diag(np.conj(cur) * v)
+    jac = np.hstack((ds_drho[:, n.pq], ds_dtheta[:, n.ns]))
+    kappa = n.lossy_ratio
+    return np.vstack(((jac.imag + kappa * jac.real)[n.pq],
+                      (jac.real - kappa * jac.imag)[n.ns]))
 
 
 def random_network(rng, n_max=10, tree=False, pq_prob=0.75, b_hi=20.0,

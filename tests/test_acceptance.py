@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (fd_gradient, make_twobus, matrix_convexity_gap,
-                      random_network, random_state)
+                      phasor_hessian, random_network, random_state)
 from gridenergy import energy as en
 from gridenergy.convexity import in_domain_C, max_phase_bound
 from gridenergy.energy import PFState
@@ -52,8 +52,14 @@ def test_criterion_01_flat_start_identities(bundled_models):
             assert in_domain_C(n, s).in_c, name
 
 
-def test_criterion_02_derivative_correctness():
-    with _Stopwatch("2 gradient/Hessian vs finite differences", 30.0):
+def assert_phasor_hessian(n, s):
+    """energy.hessian against the phasor Jacobian, to 1e-13 (1 + max |H|)."""
+    ha = en.hessian(n, s)
+    assert np.max(np.abs(ha - phasor_hessian(n, s))) <= 1e-13 * (1.0 + np.max(np.abs(ha)))
+
+
+def test_criterion_02_derivative_correctness(bundled_models):
+    with _Stopwatch("2 gradient/Hessian vs finite differences and phasors", 30.0):
         from gridenergy.energy import pack, unpack
         rng = np.random.default_rng(101)
         for _ in range(200):
@@ -69,6 +75,11 @@ def test_criterion_02_derivative_correctness():
             ha = en.hessian(n, s)
             hscale = 1.0 + np.max(np.abs(hfd))
             assert np.max(np.abs(ha - hfd)) / hscale < 1e-5
+            assert_phasor_hessian(n, s)
+        lossy = impose_ratio(bundled_models["threebus"], 0.2)
+        for n in (*bundled_models.values(), lossy):
+            for _ in range(5):
+                assert_phasor_hessian(n, random_state(rng, n, rho_amp=0.3, theta_amp=0.5))
 
 
 def test_criterion_03_domain_sufficiency():

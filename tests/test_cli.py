@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_twobus
+from gridenergy import solver
 from gridenergy.cli import EXIT_ERROR, EXIT_NO_SOLUTION, EXIT_OK, main
 from gridenergy.network import load_case, serialize_native
 
@@ -52,6 +54,14 @@ class TestSolve:
         code, out = run(capsys, "solve", heavy_twobus)
         assert code == EXIT_NO_SOLUTION
         assert json.loads(out)["status"] == "NoSolutionInC"
+
+    def test_max_iterations_exit_code(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "twobus_collapsed.json"
+        path.write_text(serialize_native(make_twobus(p=-0.3, q=-0.3)))
+        monkeypatch.setattr(solver, "MAX_TOTAL", 1)
+        code, out = run(capsys, "solve", str(path))
+        assert code == EXIT_ERROR
+        assert '"status": "MaxIterations"' in out
 
     def test_newton_method(self, capsys):
         code, out = run(capsys, "solve", "twobus", "--method", "newton")

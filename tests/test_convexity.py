@@ -21,8 +21,8 @@ from gridenergy.convexity import (_BOUND_RESOLUTION, ConvexityCertificate,
                                   in_domain_D_sampled, lossy_in_domain,
                                   line_factors, max_phase_bound, pq_line_ends)
 from gridenergy.energy import HALF_PI, PFState
-from gridenergy.errors import (DomainError, GridEnergyError, PhaseOutOfRange,
-                               UnsupportedTopology)
+from gridenergy.errors import (DomainError, GridEnergyError, NotConstantRatio,
+                               PhaseOutOfRange, UnsupportedTopology)
 from gridenergy.linalg import DEFAULT_PSD_TOL, cholesky_psd, sym_eigen
 from gridenergy.network import Bus, BusKind, Line, Network, load_case
 from gridenergy.solver import SolveOptions, SolveStatus, solve_convex
@@ -65,6 +65,11 @@ class TestConvexityMatrix:
         s.theta[1] = math.radians(100.0)
         with pytest.raises(PhaseOutOfRange):
             convexity_matrix(threebus, s)
+
+    def test_no_pq_bus_rejected(self):
+        n = make_twobus(pq_kind=BusKind.PV)
+        with pytest.raises(UnsupportedTopology, match="no PQ buses"):
+            convexity_matrix(n, PFState.flat(n))
 
 
 class TestInDomainC:
@@ -272,6 +277,11 @@ class TestStackedDSamples:
                 assert stacked_min_eigs(n, s, alphas).tobytes() == np.array(mins).tobytes()
         assert {True, False, "InvalidMatrix"} <= verdicts
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_refused(self, threebus, samples):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            in_domain_D_sampled(threebus, PFState.flat(threebus), samples)
+
     @pytest.mark.parametrize("samples", [10 ** 11, 2 ** 62])
     def test_samples_above_cap_refused(self, threebus, samples):
         # Refused before alphas is allocated: numpy alone cannot hold them.
@@ -380,6 +390,12 @@ class TestLossyDomain:
         n = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PV), Bus(3, BusKind.PQ)],
                     [Line(1, 2, 1.0, 0.2), Line(2, 3, 1.0, 0.2)])
         with pytest.raises(UnsupportedTopology):
+            lossy_in_domain(n, PFState.flat(n))
+
+    def test_varying_ratio_rejected(self):
+        n = Network([Bus(1, BusKind.SLACK), Bus(2, BusKind.PQ), Bus(3, BusKind.PQ)],
+                    [Line(1, 2, 1.0, 0.2), Line(2, 3, 1.0, 0.1)])
+        with pytest.raises(NotConstantRatio, match="not uniform"):
             lossy_in_domain(n, PFState.flat(n))
 
 

@@ -99,7 +99,7 @@ def test_no_private_reaches():
 
 # What a builder passed to Network.derived must not read: networks from
 # scale_injections share the memo and differ in exactly these.
-INJECTION_FIELDS = {"p_inj", "q_inj", "v_set", "buses"}
+INJECTION_FIELDS = {"p_inj", "q_inj", "v_set", "unit_setpoints", "buses"}
 
 
 def derived_builders(path: Path):
@@ -159,6 +159,58 @@ def test_linear_solves_go_through_linalg():
     # NaN and a mask) and one the SPD test (linalg.solve_spd); nothing
     # else calls np.linalg.solve.
     assert linalg_solve_callers() == {"linalg"}
+
+
+# numpy.linalg routines that raise LinAlgError on a matrix they cannot take.
+RAISING_LINALG = {"cholesky", "solve", "inv", "eigh", "eigvalsh"}
+
+# (module, function, routine) of the calls that need no guard, and why.
+LINALG_UNGUARDED = {
+    ("solver", "grad_hess", "inv"):
+        "inverts the factor of a Cholesky factorization that succeeded",
+    ("convexity", "in_domain_D_sampled", "eigh"):
+        "a finite, exactly symmetric stack of Hessians",
+    ("convexity", "_vertex_budget", "eigvalsh"):
+        "a finite, exactly symmetric stack of Gram matrices",
+}
+
+
+def catches_linalg_error(node: ast.Try) -> bool:
+    return any(h.type is not None and "LinAlgError" in ast.unparse(h.type)
+               for h in node.handlers)
+
+
+def unguarded_linalg_calls(path: Path):
+    """(module, innermost function, routine) of every np.linalg call of a
+    RAISING_LINALG routine in path outside the body of a try that catches
+    LinAlgError."""
+
+    def visit(node, function, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, guarded = node.name, False
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in RAISING_LINALG
+                and ast.unparse(node.func.value).endswith("linalg") and not guarded):
+            yield path.stem, function, node.func.attr
+        if isinstance(node, ast.Try):
+            for child in node.body:
+                yield from visit(child, function, guarded or catches_linalg_error(node))
+            rest = [*node.handlers, *node.orelse, *node.finalbody]
+        else:
+            rest = ast.iter_child_nodes(node)
+        for child in rest:
+            yield from visit(child, function, guarded)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), "<module>", False)
+
+
+def test_no_raw_linalg_error_escapes():
+    # Every numpy.linalg call that can raise LinAlgError sits in a try that
+    # turns it into a verdict or a GridEnergyError, unless it is listed
+    # with the reason its input cannot make it raise.
+    paths = sorted(Path(gridenergy.__file__).parent.glob("*.py"))
+    found = {call for p in paths for call in unguarded_linalg_calls(p)}
+    assert found == set(LINALG_UNGUARDED)
 
 
 def private_definitions(tree):

@@ -7,14 +7,16 @@ import pytest
 from conftest import (fd_gradient, make_twobus, random_network, random_state,
                       same_bits, stacked)
 from gridenergy import energy as en
+from gridenergy import reduced
 from gridenergy.convexity import convexity_matrix, in_domain_D_sampled
 from gridenergy.energy import PFState, pack, unpack
 from gridenergy.errors import (NotConstantRatio, SingularReduction,
                                UnsupportedTopology)
 from gridenergy.linalg import fd_hessian, sym_eigen, symmetrize
-from gridenergy.network import Bus, BusKind, Line, Network, impose_ratio
+from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
+                                impose_ratio, losslessify, scale_injections)
 from gridenergy.reduced import reduced_energy, reduced_hessian
-from gridenergy.solver import solve_convex, solve_newton
+from gridenergy.solver import SolveStatus, solve_convex, solve_newton, sweep_load
 
 
 class TestCheckState:
@@ -468,6 +470,11 @@ class TestFixedPhase:
             n = random_network(rng)
             self.check(n, random_state(rng, n))
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (2, 4), ()])
+    def test_wrong_length_theta_rejected(self, threebus, shape):
+        with pytest.raises(ValueError, match="one phase per bus"):
+            en.FixedPhase(threebus, np.zeros(shape))
+
     def test_lossy_threebus(self, threebus):
         lines = [Line(ln.i, ln.j, ln.b, 0.2 * ln.b) for ln in threebus.lines]
         n = Network(threebus.buses, lines)
@@ -529,3 +536,57 @@ class TestLossy:
         assert n.lossy_ratio is None
         with pytest.raises(NotConstantRatio):
             en.pf_residuals(n, PFState.flat(n))
+
+
+class TestSetpointGate:
+    """The energy models only networks whose slack/PV set-points are all 1
+    (Network.unit_setpoints); _model refuses the others for every caller."""
+
+    @staticmethod
+    def gated_calls(n):
+        s, theta = PFState.flat(n), np.zeros(n.n_bus)
+        return {
+            "energy_value": lambda: en.energy_value(n, s),
+            "energy_gradient": lambda: en.energy_gradient(n, s),
+            "hessian": lambda: en.hessian(n, s),
+            "hessian_blocks": lambda: en.hessian_blocks(n, s),
+            "pf_residuals": lambda: en.pf_residuals(n, s),
+            "FixedPhase": lambda: en.FixedPhase(n, theta),
+            "solve_convex": lambda: solve_convex(n),
+            "solve_newton": lambda: solve_newton(n),
+            "sweep_load": lambda: sweep_load(n, 1.0, [1.0]),
+            "in_domain_D_sampled": lambda: in_domain_D_sampled(n, s, 4),
+            "solve_reactive_newton": lambda: reduced.solve_reactive_newton(n, theta),
+            "reduced_energy": lambda: reduced.reduced_energy(n, theta),
+            "convex_reactive_solve": lambda: reduced.convex_reactive_solve(n, theta),
+            "voltage_upper_bound": lambda: reduced.voltage_upper_bound(n),
+            "reactive_with_bound": lambda: reduced.reactive_with_bound(n, theta),
+            "beta_condition": lambda: reduced.beta_condition(n),
+        }
+
+    @pytest.mark.parametrize("name", sorted(gated_calls(make_twobus())))
+    def test_unabsorbed_network_refused(self, ieee14, name):
+        n = losslessify(ieee14)
+        assert not n.unit_setpoints
+        with pytest.raises(UnsupportedTopology, match="absorb_setpoints"):
+            self.gated_calls(n)[name]()
+
+    def test_absorbed_twin_solves(self, ieee14):
+        n = absorb_setpoints(losslessify(ieee14))
+        assert n.unit_setpoints
+        assert solve_convex(n).status is SolveStatus.SOLUTION_FOUND
+        assert solve_newton(n).status is SolveStatus.SOLUTION_FOUND
+
+    @pytest.mark.parametrize("v", [(1.0, 1.0, 1.3), (1.05, 1.0, 1.0), (1.0, 0.98, 1.0)],
+                             ids=["pq-only", "slack", "pv"])
+    def test_flag_follows_every_setter(self, v):
+        # Slack bus 1, PV bus 2, PQ bus 3: a PQ set-point is no fixed voltage.
+        kinds = (BusKind.SLACK, BusKind.PV, BusKind.PQ)
+        n = Network([Bus(k + 1, kind, -0.1, -0.1, v[k]) for k, kind in enumerate(kinds)],
+                    [Line(1, 2, b=1.0), Line(2, 3, b=1.0)])
+        assert n.unit_setpoints is (v[:2] == (1.0, 1.0))
+        for out in (scale_injections(n, 2.0), impose_ratio(n, 0.1)):
+            assert out.unit_setpoints is n.unit_setpoints
+        absorbed = absorb_setpoints(n)
+        assert absorbed.unit_setpoints
+        assert absorbed.v_set.tolist() == [1.0, 1.0, v[2]]

@@ -60,6 +60,10 @@ class TestCholeskyPsd:
         with pytest.raises(InvalidMatrix):
             cholesky_psd([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_negative_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            cholesky_psd(np.eye(2), tol=-1e-9)
+
     def test_agrees_with_eigen_sign(self):
         rng = np.random.default_rng(0)
         disagreements = 0
@@ -159,6 +163,35 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
 
+    def test_rounding_cholesky_then_singular_lu_rejected(self):
+        # Cholesky passes these singular Laplacians through rounding, and LU
+        # then meets an exact zero pivot: still NotPositiveDefinite, never
+        # numpy's LinAlgError.
+        np.linalg.cholesky(CHOLESKY_PASSES_LU_FAILS)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(CHOLESKY_PASSES_LU_FAILS, np.ones(3))
+        with pytest.raises(NotPositiveDefinite, match="singular or indefinite"):
+            solve_spd(CHOLESKY_PASSES_LU_FAILS, [1.0, 1.0, 1.0])
+        rng, past_cholesky = np.random.default_rng(50), 0
+        for _ in range(300):
+            a = singular_laplacian(rng, (3, 9))
+            try:
+                solve_spd(a, rng.standard_normal(len(a)))
+            except NotPositiveDefinite as exc:
+                past_cholesky += isinstance(exc.__cause__, np.linalg.LinAlgError) and (
+                    "Singular" in str(exc.__cause__))
+        assert past_cholesky >= 20
+
+    def test_wrong_rhs_length_rejected(self):
+        with pytest.raises(InvalidMatrix, match="rhs length 3 != order 2"):
+            solve_spd(np.eye(2), [1.0, 2.0, 3.0])
+
+
+# A singular Laplacian whose Cholesky factorization succeeds through rounding
+# while its LU meets an exact zero pivot.
+CHOLESKY_PASSES_LU_FAILS = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, -2.0],
+                                     [-1.0, -2.0, 3.0]])
+
 
 def with_spectrum(rng, order, lam_min):
     """Q diag(lam_min, uniform[1, 10]...) Q^T, exactly symmetric, for a
@@ -168,10 +201,11 @@ def with_spectrum(rng, order, lam_min):
     return symmetrize((q * lam) @ q.T)
 
 
-def singular_laplacian(rng):
-    """An exactly singular weighted Laplacian of a connected graph: integer
-    weights, so every row sums to exactly zero."""
-    n = int(rng.integers(2, 31))
+def singular_laplacian(rng, orders=(2, 31)):
+    """An exactly singular weighted Laplacian of a connected graph of an
+    order in [orders[0], orders[1]): integer weights, so every row sums to
+    exactly zero."""
+    n = int(rng.integers(*orders))
     w = np.triu(rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < 0.3), 1)
     w[rng.integers(0, np.arange(1, n)), np.arange(1, n)] = rng.integers(1, 10, n - 1)
     w = (w + w.T).astype(float)

@@ -88,6 +88,18 @@ class TestParseNative:
         with pytest.raises(ParseError, match="must be a list"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, at", [("buses", 1), ("lines", 0)])
+    @pytest.mark.parametrize("record", [5, "pq", [1, 2], None])
+    def test_record_not_an_object_rejected(self, where, at, record):
+        doc = json.loads(TWOBUS_DOC)
+        doc[where][at] = record
+        with pytest.raises(ParseError, match=re.escape(f"{where}[{at}]: ")):
+            parse_native(json.dumps(doc))
+
+    def test_missing_section_rejected(self):
+        with pytest.raises(ParseError, match="must contain 'buses' and 'lines'"):
+            parse_native(json.dumps({"buses": []}))
+
     @pytest.mark.parametrize("kind", ["slack", "pv"])
     def test_infinite_setpoint_rejected(self, kind):
         doc = json.loads(TWOBUS_DOC)
@@ -195,7 +207,40 @@ class TestParseNative:
         assert json.loads(capsys.readouterr().out)["state"]["bus"] == [1, int(1e30)]
 
 
+# MATPOWER faults: (text replaced in MINI_MATPOWER, its replacement, the
+# ParseError's message).
+MATPOWER_FAULTS = {
+    "no baseMVA": ("mpc.baseMVA = 100;", "", "mpc.baseMVA not found"),
+    "no gen matrix": ("mpc.gen = [", "mpc.gens = [", "mpc.gen matrix not found"),
+    "bad number": ("\t2\t1\t10\t5", "\t2\t1\t10x\t5",
+                   "mpc.bus row 2: could not convert string to float: '10x'"),
+    "short gen row": ("\t1\t20\t0\t99\t-99\t1.0\t100\t1\t", "\t1\t20\t0\t99\t-99\t1.0\t100;",
+                      "gen row 1: too few columns"),
+    "short bus row": ("\t2\t1\t10\t5\t", "\t2\t1\t10;", "bus row 2: too few columns"),
+    "short branch row": ("\t1\t2\t0\t1\t0\t", "\t1\t2\t0;", "branch row 1: too few columns"),
+    "unsupported bus type": ("\t2\t1\t10\t5", "\t2\t4\t10\t5", "bus 2: unsupported type 4"),
+    "two slacks": ("\t2\t1\t10\t5", "\t2\t3\t10\t5",
+                   "expected exactly one slack bus, found 2"),
+}
+
+
 class TestParseMatpower:
+    @pytest.mark.parametrize("name", sorted(MATPOWER_FAULTS))
+    def test_fault_rejected(self, name):
+        old, new, message = MATPOWER_FAULTS[name]
+        assert old in MINI_MATPOWER
+        with pytest.raises(ParseError) as info:
+            parse_matpower(MINI_MATPOWER.replace(old, new, 1))
+        assert str(info.value) == message
+
+    def test_out_of_service_branch_dropped(self):
+        # A second 1-2 branch, out of service (status 0): not merged in.
+        row = "\t1\t2\t0\t1\t0\t0\t0\t0\t0\t0\t1\t-360\t360;"
+        text = MINI_MATPOWER.replace(row, row + "\n" + row.replace("\t1\t-360", "\t0\t-360"))
+        assert text.count("\t1\t2\t0\t1\t0") == 2
+        n = parse_matpower(text)
+        assert n.b.tolist() == [1.0] and n.g.tolist() == [0.0]
+
     def test_minimal_case(self):
         n = parse_matpower(MINI_MATPOWER)
         assert n.b[0] == pytest.approx(1.0)

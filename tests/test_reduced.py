@@ -14,7 +14,8 @@ from gridenergy.convexity import in_domain_C
 from gridenergy.energy import PFState
 from gridenergy.errors import (GridEnergyError, NoReactiveSolution,
                                NumericalFailure, PhaseOutOfRange,
-                               UnsupportedSign, UnsupportedTopology)
+                               SingularReduction, UnsupportedSign,
+                               UnsupportedTopology)
 from gridenergy.linalg import fd_hessian
 from gridenergy.network import (Bus, BusKind, Line, Network, absorb_setpoints,
                                 scale_injections)
@@ -82,6 +83,14 @@ class TestNonFinitePhases:
         # as a certified NoReactiveSolution.
         with pytest.raises(ValueError, match="finite phase"):
             solve(threebus, np.array(theta))
+
+    @pytest.mark.parametrize("solve", [solve_reactive_newton, reduced_energy,
+                                       convex_reactive_solve, reactive_with_bound])
+    def test_nonzero_slack_phase_rejected(self, threebus, solve):
+        theta = np.zeros(3)
+        theta[threebus.slack_index] = 0.1
+        with pytest.raises(ValueError, match="slack phase must be zero"):
+            solve(threebus, theta)
 
 
 def sequential_newton(n, theta):
@@ -266,6 +275,16 @@ class TestReducedHessian:
             h = reduced_hessian(n, s)
             assert np.max(np.abs(h - hfd)) <= 1e-4 * (1.0 + np.max(np.abs(hfd))), cell
 
+    def test_singular_rho_block(self):
+        # At V = cos(theta) / 2 the two-bus H_rr = 2 b V^2 - b V cos(theta)
+        # is exactly 0.
+        n = make_twobus()
+        s = PFState.flat(n)
+        s.rho[1] = math.log(0.5)
+        assert en.hessian(n, s)[0, 0] == 0.0
+        with pytest.raises(SingularReduction, match="rho-rho Hessian block is singular"):
+            reduced_hessian(n, s)
+
 
 class TestConvexReactive:
     def test_zero_q_gives_flat(self):
@@ -401,6 +420,19 @@ class TestConvexReactive:
             g = -fp.residual(0.5 * np.log(z))
             assert np.max(np.abs(g)) <= 1e-15
             assert reduced._kkt_witness(fp, c, z, g) is optimal
+
+    def test_constraints_not_tight_refused(self, threebus):
+        # A point above the greatest solution leaves the constraints slack:
+        # the KKT witness fails and no optimum is certified.
+        from gridenergy import reduced
+
+        fp = en.FixedPhase(threebus, np.zeros(3))
+        c = reduced._zeta_weights(threebus, fp)
+        u, why = _greatest_u(threebus, fp)
+        assert why == [None]
+        reduced._certified(fp, c, np.zeros(3), u, None)
+        with pytest.raises(NoReactiveSolution, match="could not certify"):
+            reduced._certified(fp, c, np.zeros(3), 1.01 * u, None)
 
     def test_lossy_uses_constant_ratio_model(self, threebus):
         # g = 0.2 b: the program's targets are the combined Q + 0.2 P, the
@@ -666,6 +698,16 @@ class TestBetaCondition:
         assert bc.beta_min == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert bc.angle_budget_deg == pytest.approx(
             math.degrees(math.acos(math.sqrt(1.0 / 3.0))), abs=1e-6)
+
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_no_consumption_rejected(self, q):
+        with pytest.raises(UnsupportedSign, match="normalized consumption must be positive"):
+            beta_condition(make_twobus(q=q))
+
+    def test_vanishing_consumption_has_no_beta(self):
+        # v_bar^2 / q_tilde near 1e20 rounds (r - 1) / (r + 1) up to 1.
+        assert beta_condition(make_twobus(q=-1e-20)) == BetaCondition(
+            beta_min=None, angle_budget_deg=0.0)
 
     def test_three_bus_budget_band(self, threebus):
         bc = beta_condition(threebus)

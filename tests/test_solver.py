@@ -171,6 +171,19 @@ class TestConvex:
         assert out.status is SolveStatus.NO_SOLUTION_IN_C
         assert out.boundary_active or out.grad_norm > 1e-8
 
+    @pytest.mark.parametrize("name, value", [("MAX_TOTAL", 1), ("ARMIJO", 1e6),
+                                             ("_newton_step", lambda h, rhs: None)],
+                             ids=["step-cap", "no-armijo-step", "no-direction"])
+    def test_path_that_runs_out_is_max_iterations(self, monkeypatch, name, value):
+        # Beyond collapse, so Newton steps alone never settle it and the
+        # path runs: out of steps, out of Armijo steps (_backtrack gives
+        # None) or out of Newton directions.
+        n = make_twobus(p=-0.3, q=-0.3)
+        assert solve_convex(n).status is SolveStatus.NO_SOLUTION_IN_C
+        monkeypatch.setattr(solver, name, value)
+        out = solve_convex(n)
+        assert out.status is SolveStatus.MAX_ITERATIONS
+
     def test_zero_injections(self):
         n = make_twobus(p=0.0, q=0.0)
         out = solve_convex(n)
@@ -552,6 +565,25 @@ class TestNewtonStep:
         assert [m is h for m, _ in calls].count(True) == 2
         for j in range(2):
             assert dx[:, j].tobytes() == reference_ridge(h, rhs[:, j]).tobytes()
+
+    def test_singular_laplacians_never_raise(self):
+        # Cholesky passes these through rounding where LU meets an exact
+        # zero pivot; the ridge still answers, with a finite step or None.
+        from test_linalg import CHOLESKY_PASSES_LU_FAILS, singular_laplacian
+
+        dx = solver._newton_step(CHOLESKY_PASSES_LU_FAILS, np.array([1.0, -1.0, 0.0]))
+        assert np.isfinite(dx).all()
+        rng = np.random.default_rng(51)
+        for _ in range(300):
+            h = singular_laplacian(rng, (3, 9))
+            dx = solver._newton_step(h, rng.standard_normal(len(h)))
+            assert dx is None or np.isfinite(dx).all()
+
+    def test_no_ridge_answer_gives_none(self):
+        # Indefinite far beyond the largest ridge, 1e-10 (1 + max |diag|)
+        # 100^6 = 100; rhs . dx = 0 for the LU answer (0, 1e-6).
+        h = np.array([[0.0, 1e6], [1e6, 0.0]])
+        assert solver._newton_step(h, np.array([1.0, 0.0])) is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_raises(self, bad):
